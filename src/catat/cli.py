@@ -17,7 +17,7 @@ from .emitter import emit, emit_function
 from .errors import CatatError, ParseError
 from .flatten import flatten_function
 from .lexer import AT, tokenize
-from .parser import parse
+from .parser import parse, parse_tokens
 from .staging import check_stages
 from .staticeval import EvalLimits
 from .specializer import specialize_program
@@ -137,10 +137,11 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source, program, _ = _source_only(args)
+    tokens = tokenize(Path(args.file).read_text(encoding="utf-8"))
+    program = parse_tokens(tokens)
     dyn_args = parse_arg_list(args.dyn_args)
     two_level = args.static_args is not None or \
-        any(t.kind == AT for t in tokenize(source))
+        any(t.kind == AT for t in tokens)
     if two_level:
         staged = check_stages(program, args.levels)
         rp = specialize_program(staged, args.entry or None,
@@ -155,11 +156,6 @@ def cmd_run(args) -> int:
         return _run_phase(rp, rp.entry_name, dyn_args, args)
     check_stages(program, levels=1)
     return _run_phase(program, args.entry or None, dyn_args, args)
-
-
-def _source_only(args):
-    source = Path(args.file).read_text(encoding="utf-8")
-    return source, parse(source), None
 
 
 def _run_phase(program, entry, dyn_args, args) -> int:

@@ -1,12 +1,29 @@
 """Tokenizer for Catat source text.
 
-Runs of consecutive ``@`` become a single at-sign-run token whose text
-records the exact count.  ``//`` line comments and whitespace are skipped;
-every other character must belong to a token.
+One compiled regular expression scans the text, in the style of "Writing a
+Tokenizer" in the Python ``re`` documentation.  Its alternatives, tried in
+order at each position, are:
+
+* whitespace (space, tab, CR, LF) and ``//`` line comments, skipped;
+* identifiers and keywords (``\\w`` characters, not starting with a digit;
+  a start that is not alphabetic or ``_`` is an illegal character);
+* numeric literals over decimal digits: ``D+``, ``D+.D+``, either with an
+  exponent ``[eE][+-]?D+``.  A literal followed by a letter or ``_``, or an
+  integer followed by ``.``, is malformed;
+* punctuation, longest first;
+* runs of consecutive ``@``, which become one at-sign-run token whose text
+  records the exact count;
+* string literals, whose escapes ``\\n``, ``\\t``, ``\\"`` and ``\\\\`` are
+  decoded (any other escaped character stands for itself);
+* any other single character, which is illegal.
+
+Lines and columns come from the offset of the current line's start, which
+is moved on past every newline a skipped run or string contains.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import LexError, Span
@@ -33,11 +50,24 @@ PUNCT = "punctuation"
 AT = "at-sign-run"
 STRING = "string-literal"
 
-INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
+_SCANNER = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
+  | (?P<word>[A-Za-z_]\w*)
+  | (?P<punct>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+  | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+  | (?P<int>\d+)
+  | (?P<at>@+)
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<uword>[^\W\d]\w*)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -55,108 +85,50 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if group == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
             continue
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        start_line, start_col = line, col
-        if c == "@":
-            j = i
-            while j < n and source[j] == "@":
-                j += 1
-            tokens.append(Token(AT, source[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError("unterminated string literal",
-                                   Span(start_line, start_col))
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                               .get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                raise LexError("unterminated string literal",
-                               Span(start_line, start_col))
-            tokens.append(Token(STRING, "".join(buf), start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and source[j] == ".":
-                if j + 1 >= n or not source[j + 1].isdigit():
-                    raise LexError("malformed numeric literal",
-                                   Span(start_line, start_col))
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k >= n or not source[k].isdigit():
-                    raise LexError("malformed numeric literal",
-                                   Span(start_line, start_col))
-                is_float = True
-                j = k
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and (source[j].isalpha() or source[j] == "_"):
-                raise LexError("malformed numeric literal",
-                               Span(start_line, start_col))
-            text = source[i:j]
-            if not is_float and not (INT64_MIN <= int(text) <= INT64_MAX):
+        col = start - line_start + 1
+        if group == "word":
+            append(Token(KEYWORD if text in KEYWORDS else IDENT, text, line,
+                         col))
+        elif group == "punct":
+            append(Token(PUNCT, text, line, col))
+        elif group == "float" or group == "int":
+            end = m.end()
+            after = source[end:end + 1]
+            if after.isalpha() or after == "_" or \
+                    (after == "." and group == "int"):
+                raise LexError("malformed numeric literal", Span(line, col))
+            if group == "float":
+                append(Token(FLOAT, text, line, col))
+            elif len(text) > 18 and int(text) > INT64_MAX:
                 raise LexError("integer literal out of 64-bit range",
-                               Span(start_line, start_col))
-            tokens.append(Token(FLOAT if is_float else INT, text,
-                                start_line, start_col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(j - i)
-            continue
-        for p in PUNCTUATION:
-            if source.startswith(p, i):
-                tokens.append(Token(PUNCT, p, start_line, start_col))
-                advance(len(p))
-                break
+                               Span(line, col))
+            else:
+                append(Token(INT, text, line, col))
+        elif group == "at":
+            append(Token(AT, text, line, col))
+        elif group == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            append(Token(STRING, body, line, col))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif group == "uword" and text[0].isalpha():
+            append(Token(IDENT, text, line, col))
+        elif text == '"':
+            raise LexError("unterminated string literal", Span(line, col))
         else:
-            raise LexError(f"illegal character {c!r}", Span(start_line, start_col))
+            raise LexError(f"illegal character {text[0]!r}", Span(line, col))
     return tokens

@@ -16,6 +16,21 @@ Grammar notes:
   statement.
 * Statements are allowed at the top level alongside declarations; scripts
   are ordinary programs.
+* Binary operators are parsed by precedence climbing over this table
+  (higher binds tighter; every level is left-associative):
+
+  ====  ======================
+  6     ``*`` ``/`` ``%``
+  5     ``+`` ``-``
+  4     ``<`` ``>`` ``<=`` ``>=``
+  3     ``==`` ``!=``
+  2     ``&&``
+  1     ``||``
+  ====  ======================
+
+  Prefix ``!``, ``-``, ``++`` and ``--`` and postfix ``[...]`` bind tighter
+  than any binary operator; ``c ? a : b`` binds looser and nests to the
+  right.
 """
 
 from __future__ import annotations
@@ -27,52 +42,63 @@ from . import nodes as n
 _TYPE_KEYWORDS = ("int", "float", "char", "bool", "long", "double",
                   "typename", "ASTree", "void", "const")
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+_END = "end-of-input"
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # An end sentinel, placed just past the last token, saves a bounds
+        # test on every lookahead.  Lookahead past the current token is
+        # only made once the tokens before it have matched, so one suffices.
+        last = tokens[-1] if tokens else Token(_END, "", 1, 1)
+        self.toks = tokens + [Token(_END, "", last.line,
+                                    last.col + len(last.text))]
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token | None:
-        i = self.pos + k
-        return self.toks[i] if i < len(self.toks) else None
+    def peek(self, k: int = 0) -> Token:
+        return self.toks[self.pos + k]
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
+        return self.toks[self.pos].kind == _END
 
     def span(self) -> Span:
-        t = self.peek()
-        if t is not None:
-            return t.span
-        if self.toks:
-            last = self.toks[-1]
-            return Span(last.line, last.col + len(last.text))
-        return Span(1, 1)
+        return self.toks[self.pos].span
 
     def error(self, message: str) -> ParseError:
-        t = self.peek()
-        found = f"'{t.text}'" if t is not None else "end of input"
-        return ParseError(f"{message}, found {found}", self.span())
+        t = self.toks[self.pos]
+        found = "end of input" if t.kind == _END else f"'{t.text}'"
+        return ParseError(f"{message}, found {found}", t.span)
+
+    def guarded(self, rule):
+        """Apply a grammar rule, reporting Python stack exhaustion as a
+        parse error at the token reached."""
+        try:
+            return rule()
+        except RecursionError:
+            raise ParseError("expression nested too deeply",
+                             self.span()) from None
 
     def advance(self) -> Token:
-        if self.at_end():
-            raise self.error("unexpected end of input")
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def check(self, kind: str, text: str | None = None, k: int = 0) -> bool:
-        t = self.peek(k)
-        return t is not None and t.kind == kind and (text is None or t.text == text)
+    def check(self, kind: str, k: int = 0) -> bool:
+        return self.toks[self.pos + k].kind == kind
 
     def check_punct(self, text: str, k: int = 0) -> bool:
-        return self.check(PUNCT, text, k)
+        t = self.toks[self.pos + k]
+        return t.text == text and t.kind == PUNCT
 
     def check_kw(self, text: str, k: int = 0) -> bool:
-        return self.check(KEYWORD, text, k)
+        t = self.toks[self.pos + k]
+        return t.text == text and t.kind == KEYWORD
 
     def expect_punct(self, text: str) -> Token:
         if not self.check_punct(text):
@@ -93,6 +119,17 @@ class _Parser:
         if self.check(AT):
             return self.advance().at_count
         return 0
+
+    def parse_list(self, item) -> list:
+        """``item {',' item}`` or nothing, then the closing ``)``."""
+        items = []
+        if not self.check_punct(")"):
+            items.append(item())
+            while self.check_punct(","):
+                self.pos += 1
+                items.append(item())
+        self.expect_punct(")")
+        return items
 
     # -- program ------------------------------------------------------------
 
@@ -123,15 +160,15 @@ class _Parser:
         if self.check_kw("class"):
             return self.parse_class()
         # C-style definition: type ident ( ... ) { ... }
-        if self.peek() is not None and self.peek().kind == KEYWORD and \
-                self.peek().text in _TYPE_KEYWORDS:
+        t = self.peek()
+        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS:
             mark = self.pos
             try:
                 rtype = self.parse_type()
                 if self.check(IDENT) and self.check_punct("(", 1):
                     name_tok = self.advance()
-                    self.expect_punct("(")
-                    params = self.parse_param_list()
+                    self.advance()
+                    params = self.parse_list(self.parse_param)
                     body = self.parse_block()
                     self._check_params(None, params)
                     return n.FunctionDef(name_tok.text, None, params, body,
@@ -148,13 +185,13 @@ class _Parser:
         kw = self.expect_kw("function")
         name = self.expect_ident().text
         self.expect_punct("(")
-        first = self.parse_param_list()
+        first = self.parse_list(self.parse_param)
         static_params = None
         params = first
         if self.check_punct("("):
             self.advance()
             static_params = first
-            params = self.parse_param_list()
+            params = self.parse_list(self.parse_param)
         body = self.parse_block()
         self._check_params(static_params, params)
         return n.FunctionDef(name, static_params, params, body, span=kw.span)
@@ -170,18 +207,6 @@ class _Parser:
             if p.at_count >= 1:
                 raise ParseError(
                     f"dynamic parameter '{p.name}' may not carry @", p.span)
-
-    def parse_param_list(self) -> list:
-        params = []
-        if not self.check_punct(")"):
-            while True:
-                params.append(self.parse_param())
-                if self.check_punct(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_punct(")")
-        return params
 
     def parse_param(self) -> n.Param:
         start = self.span()
@@ -200,7 +225,7 @@ class _Parser:
         static_params: list = []
         if self.check_punct("("):
             self.advance()
-            static_params = self.parse_param_list()
+            static_params = self.parse_list(self.parse_param)
             for p in static_params:
                 if p.at_count < 1:
                     raise ParseError(
@@ -227,10 +252,7 @@ class _Parser:
                     after = 2
                 if self.check_punct("(", after) and self.check_punct(")", after + 1):
                     tok = self.advance()
-                    if at:
-                        self.advance()
-                    self.advance()
-                    self.advance()
+                    self.pos += after + 1
                     body = self.parse_block()
                     if at >= 1:
                         n_static_ctor += 1
@@ -250,11 +272,8 @@ class _Parser:
 
     def looks_like_type_start(self) -> bool:
         t = self.peek()
-        if t is None:
-            return False
-        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS:
-            return True
-        return t.kind == KEYWORD and t.text == "static"
+        return t.kind == KEYWORD and (t.text in _TYPE_KEYWORDS
+                                      or t.text == "static")
 
     def parse_type(self) -> n.TypeExpr:
         start = self.span()
@@ -263,8 +282,6 @@ class _Parser:
             self.advance()
             const_count += 1
         t = self.peek()
-        if t is None:
-            raise self.error("expected a type")
         if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS:
             self.advance()
             name = t.text
@@ -278,15 +295,7 @@ class _Parser:
             at = self.take_at()
             if self.check_punct("("):
                 self.advance()
-                args = []
-                if not self.check_punct(")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if self.check_punct(","):
-                            self.advance()
-                            continue
-                        break
-                self.expect_punct(")")
+                args = self.parse_list(self.parse_expr)
                 base = n.ClassAppType(t.text, args, ctime=at >= 1, span=start)
             else:
                 base = n.NamedType(t.text, at + const_count, span=start)
@@ -311,34 +320,43 @@ class _Parser:
         return n.Block(stmts, span=start)
 
     def parse_stmt(self) -> n.Stmt:
-        if self.check_punct("{"):
+        t = self.peek()
+        if t.kind == KEYWORD:
+            if t.text == "return":
+                self.advance()
+                value = None
+                if not self.check_punct(";"):
+                    value = self.parse_expr()
+                self.expect_punct(";")
+                return n.Return(value, span=t.span)
+            if t.text == "if":
+                return self.parse_if()
+            if t.text == "for":
+                return self.parse_for()
+            if t.text == "switch":
+                return self.parse_switch()
+        elif t.kind == PUNCT and t.text == "{":
             return self.parse_block()
-        if self.check_kw("return"):
-            tok = self.advance()
-            value = None
-            if not self.check_punct(";"):
-                value = self.parse_expr()
-            self.expect_punct(";")
-            return n.Return(value, span=tok.span)
-        if self.check_kw("if"):
-            return self.parse_if()
-        if self.check_kw("for"):
-            return self.parse_for()
-        if self.check_kw("switch"):
-            return self.parse_switch()
+        return self.parse_decl_or_simple(consume_semi=True)
+
+    def parse_decl_or_simple(self, consume_semi: bool) -> n.Stmt:
+        """A declaration when one parses here, else a simple statement."""
         if self.looks_like_type_start():
-            return self.parse_var_decl()
-        if self.check(IDENT):
+            return self.parse_var_decl(consume_semi)
+        # After the identifier a type can go on only with '@', '(', '*' or
+        # the declared name; anything else is not worth a tentative parse.
+        if self.check(IDENT) and (self.peek(1).kind in (IDENT, AT) or
+                                  self.check_punct("(", 1) or
+                                  self.check_punct("*", 1)):
             mark = self.pos
             try:
                 dtype = self.parse_type()
                 if self.check(IDENT):
-                    return self.finish_var_decl(dtype, static_kw=False,
-                                                consume_semi=True)
+                    return self.finish_var_decl(dtype, False, consume_semi)
             except ParseError:
                 pass
             self.pos = mark
-        return self.parse_simple_stmt(consume_semi=True)
+        return self.parse_simple_stmt(consume_semi)
 
     def parse_var_decl(self, consume_semi: bool = True) -> n.VarDecl:
         static_kw = False
@@ -377,13 +395,13 @@ class _Parser:
         start = self.span()
         expr = self.parse_expr()
         stmt: n.Stmt
-        if self.peek() is not None and self.peek().kind == PUNCT and \
-                self.peek().text in _ASSIGN_OPS:
-            op = self.advance().text
+        t = self.peek()
+        if t.kind == PUNCT and t.text in _ASSIGN_OPS:
+            self.advance()
             if not isinstance(expr, (n.VarRef, n.Subscript)):
                 raise ParseError("invalid assignment target", start)
             value = self.parse_expr()
-            stmt = n.Assign(expr, op, value, span=start)
+            stmt = n.Assign(expr, t.text, value, span=start)
         else:
             stmt = n.ExprStmt(expr, span=start)
         if consume_semi:
@@ -394,19 +412,7 @@ class _Parser:
         """init/increment position: declaration, assignment, or expression."""
         if self.check_punct(";") or self.check_punct(")"):
             return None
-        if self.looks_like_type_start():
-            return self.parse_var_decl(consume_semi=False)
-        if self.check(IDENT):
-            mark = self.pos
-            try:
-                dtype = self.parse_type()
-                if self.check(IDENT):
-                    return self.finish_var_decl(dtype, static_kw=False,
-                                                consume_semi=False)
-            except ParseError:
-                pass
-            self.pos = mark
-        return self.parse_simple_stmt(consume_semi=False)
+        return self.parse_decl_or_simple(consume_semi=False)
 
     def parse_if(self) -> n.If:
         tok = self.expect_kw("if")
@@ -465,10 +471,8 @@ class _Parser:
 
     def parse_case_label(self) -> n.Expr:
         t = self.peek()
-        if t is not None and t.kind == KEYWORD and t.text in _TYPE_KEYWORDS \
-                and t.text != "const":
-            start = self.span()
-            return n.TypeLit(self.parse_type(), span=start)
+        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS and t.text != "const":
+            return n.TypeLit(self.parse_type(), span=t.span)
         return self.parse_expr()
 
     def parse_case_body(self) -> list:
@@ -483,57 +487,38 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> n.Expr:
-        return self.parse_conditional()
-
-    def parse_conditional(self) -> n.Expr:
-        cond = self.parse_logical_or()
-        if self.check_punct("?"):
-            start = self.span()
+        cond = self.parse_binary(1)
+        t = self.peek()
+        if t.text == "?" and t.kind == PUNCT:
             self.advance()
             then_e = self.parse_expr()
             self.expect_punct(":")
-            else_e = self.parse_conditional()
-            return n.Cond(cond, then_e, else_e, span=start)
+            else_e = self.parse_expr()
+            return n.Cond(cond, then_e, else_e, span=t.span)
         return cond
 
-    def _binary_left(self, ops: tuple, sub) -> n.Expr:
-        lhs = sub()
-        while self.peek() is not None and self.peek().kind == PUNCT and \
-                self.peek().text in ops:
-            op = self.advance()
-            rhs = sub()
-            lhs = n.Binary(op.text, lhs, rhs, span=op.span)
-        return lhs
-
-    def parse_logical_or(self) -> n.Expr:
-        return self._binary_left(("||",), self.parse_logical_and)
-
-    def parse_logical_and(self) -> n.Expr:
-        return self._binary_left(("&&",), self.parse_equality)
-
-    def parse_equality(self) -> n.Expr:
-        return self._binary_left(("==", "!="), self.parse_relational)
-
-    def parse_relational(self) -> n.Expr:
-        return self._binary_left(("<", ">", "<=", ">="), self.parse_additive)
-
-    def parse_additive(self) -> n.Expr:
-        return self._binary_left(("+", "-"), self.parse_multiplicative)
-
-    def parse_multiplicative(self) -> n.Expr:
-        return self._binary_left(("*", "/", "%"), self.parse_unary)
+    def parse_binary(self, min_prec: int) -> n.Expr:
+        """Operands joined by binary operators of precedence >= min_prec."""
+        lhs = self.parse_unary()
+        toks = self.toks
+        while True:
+            op = toks[self.pos]
+            prec = _BINARY_PRECEDENCE.get(op.text, 0)
+            if prec < min_prec or op.kind != PUNCT:
+                return lhs
+            self.pos += 1
+            lhs = n.Binary(op.text, lhs, self.parse_binary(prec + 1),
+                           span=op.span)
 
     def parse_unary(self) -> n.Expr:
         t = self.peek()
-        if t is not None and t.kind == PUNCT and t.text in ("!", "-"):
-            self.advance()
-            return n.Unary(t.text, self.parse_unary(), span=t.span)
-        if t is not None and t.kind == PUNCT and t.text in ("++", "--"):
-            self.advance()
-            return n.Incr(t.text, self.parse_unary(), span=t.span)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> n.Expr:
+        if t.kind == PUNCT:
+            if t.text == "!" or t.text == "-":
+                self.advance()
+                return n.Unary(t.text, self.parse_unary(), span=t.span)
+            if t.text == "++" or t.text == "--":
+                self.advance()
+                return n.Incr(t.text, self.parse_unary(), span=t.span)
         expr = self.parse_primary()
         while self.check_punct("["):
             start = self.span()
@@ -545,41 +530,12 @@ class _Parser:
 
     def parse_call_args(self) -> list:
         self.expect_punct("(")
-        args = []
-        if not self.check_punct(")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.check_punct(","):
-                    self.advance()
-                    continue
-                break
-        self.expect_punct(")")
-        return args
+        return self.parse_list(self.parse_expr)
 
     def parse_primary(self) -> n.Expr:
         t = self.peek()
-        if t is None:
-            raise self.error("expected an expression")
-        if t.kind == INT:
-            self.advance()
-            return n.IntLit(int(t.text), span=t.span)
-        if t.kind == FLOAT:
-            self.advance()
-            return n.FloatLit(float(t.text), span=t.span)
-        if t.kind == STRING:
-            self.advance()
-            return n.StringLit(t.text, span=t.span)
-        if t.kind == KEYWORD and t.text in ("true", "false"):
-            self.advance()
-            return n.BoolLit(t.text == "true", span=t.span)
-        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS and t.text != "const":
-            return n.TypeLit(self.parse_type(), span=t.span)
-        if t.kind == PUNCT and t.text == "(":
-            self.advance()
-            expr = self.parse_expr()
-            self.expect_punct(")")
-            return expr
-        if t.kind == IDENT:
+        kind = t.kind
+        if kind == IDENT:
             self.advance()
             at = 0
             if self.check(AT) and self.check_punct("(", 1):
@@ -592,18 +548,43 @@ class _Parser:
                                   span=t.span)
                 return n.Call(t.text, args, at_count=at, span=t.span)
             return n.VarRef(t.text, span=t.span)
+        if kind == INT:
+            self.advance()
+            return n.IntLit(int(t.text), span=t.span)
+        if kind == PUNCT and t.text == "(":
+            self.advance()
+            expr = self.parse_expr()
+            self.expect_punct(")")
+            return expr
+        if kind == FLOAT:
+            self.advance()
+            return n.FloatLit(float(t.text), span=t.span)
+        if kind == STRING:
+            self.advance()
+            return n.StringLit(t.text, span=t.span)
+        if kind == KEYWORD and t.text in ("true", "false"):
+            self.advance()
+            return n.BoolLit(t.text == "true", span=t.span)
+        if kind == KEYWORD and t.text in _TYPE_KEYWORDS and t.text != "const":
+            return n.TypeLit(self.parse_type(), span=t.span)
         raise self.error("expected an expression")
 
 
 def parse(source: str) -> n.Program:
     """Parse Catat source text into a Program AST."""
-    return _Parser(tokenize(source)).parse_program()
+    return parse_tokens(tokenize(source))
+
+
+def parse_tokens(tokens: list[Token]) -> n.Program:
+    """Parse a program from the tokens ``tokenize`` returned for it."""
+    p = _Parser(tokens)
+    return p.guarded(p.parse_program)
 
 
 def parse_expression(source: str) -> n.Expr:
     """Parse a single expression (testing and tooling convenience)."""
     p = _Parser(tokenize(source))
-    expr = p.parse_expr()
+    expr = p.guarded(p.parse_expr)
     if not p.at_end():
         raise p.error("unexpected tokens after expression")
     return expr

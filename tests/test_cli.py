@@ -176,3 +176,17 @@ def test_limits_must_be_positive():
     result = catat("check", fixture("dot.cat"), "--max-depth", "0")
     assert result.returncode == 2  # argparse usage error
     assert "must be >= 1" in result.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("int x = ²;", ":1:9: lex error: illegal character '²'"),
+    ("int y = " + "(" * 5000 + "1" + ")" * 5000 + ";",
+     "parse error: expression nested too deeply"),
+], ids=["non-decimal-digit", "deep-nesting"])
+def test_front_end_errors_exit_1_without_traceback(tmp_path, text, message):
+    bad = tmp_path / "bad.cat"
+    bad.write_text(text, encoding="utf-8")
+    result = catat("run", bad)
+    assert result.returncode == 1
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr

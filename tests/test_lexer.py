@@ -83,3 +83,40 @@ def test_out_of_range_integer():
 def test_unterminated_string():
     with pytest.raises(LexError):
         tokenize('"abc')
+
+
+def stream(src):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("٣", [(INT, "٣", 1, 1)]),
+    (str(2 ** 63 - 1), [(INT, str(2 ** 63 - 1), 1, 1)]),
+    ('"a\\\nb" x', [(STRING, "a\nb", 1, 1), (IDENT, "x", 2, 4)]),
+    ("x // comment at end of file", [(IDENT, "x", 1, 1)]),
+    ("a\r\nb\r\n  c", [(IDENT, "a", 1, 1), (IDENT, "b", 2, 1),
+                       (IDENT, "c", 3, 3)]),
+    ("@@@x", [(AT, "@@@", 1, 1), (IDENT, "x", 1, 4)]),
+])
+def test_token_stream_edge_cases(src, expected):
+    assert stream(src) == expected
+
+
+@pytest.mark.parametrize("src, message, col", [
+    ("2.", "malformed numeric literal", 1),
+    ("1e", "malformed numeric literal", 1),
+    ("1e+", "malformed numeric literal", 1),
+    ("12abc", "malformed numeric literal", 1),
+    ("1.5.2", "illegal character '.'", 4),
+    ("1e9.", "illegal character '.'", 4),
+    (str(2 ** 63), "integer literal out of 64-bit range", 1),
+    ("a\xa0b", "illegal character '\\xa0'", 2),
+    # '²' is a digit to str.isdigit() but not a decimal digit
+    ("²", "illegal character '²'", 1),
+    ("int x = ²;", "illegal character '²'", 9),
+])
+def test_lex_error_message_and_span(src, message, col):
+    with pytest.raises(LexError) as exc:
+        tokenize(src)
+    assert exc.value.message == message
+    assert (exc.value.span.line, exc.value.span.col) == (1, col)

@@ -1,8 +1,12 @@
 import pytest
 
+import catat.parser
+from catat import IntV, check_stages, emit, specialize_program
 from catat import nodes as n
 from catat.errors import ParseError
+from catat.lexer import tokenize
 from catat.parser import parse, parse_expression
+from catat.values import FLOAT
 
 from conftest import fixture_source
 
@@ -156,3 +160,55 @@ def test_corpus_parses():
                  "vector_sum.cat", "volume_cube.cat"):
         program = parse(fixture_source(name))
         assert program.items
+
+
+def shape(e):
+    if isinstance(e, n.Binary):
+        return (e.op, shape(e.lhs), shape(e.rhs))
+    if isinstance(e, n.Unary):
+        return (e.op, shape(e.operand))
+    if isinstance(e, n.Cond):
+        return ("?", shape(e.cond), shape(e.then_expr), shape(e.else_expr))
+    return e.name
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("a - b - c", ("-", ("-", "a", "b"), "c")),
+    ("a / b * c", ("*", ("/", "a", "b"), "c")),
+    ("a || b && c == d < e + f * g",
+     ("||", "a", ("&&", "b", ("==", "c", ("<", "d",
+                                           ("+", "e", ("*", "f", "g"))))))),
+    ("!a == b", ("==", ("!", "a"), "b")),
+    ("-a * b", ("*", ("-", "a"), "b")),
+    ("c ? x : d ? y : z", ("?", "c", "x", ("?", "d", "y", "z"))),
+])
+def test_precedence_and_associativity(src, expected):
+    assert shape(parse_expression(src)) == expected
+
+
+def test_nested_parentheses():
+    expr = parse_expression("(" * 100 + "x" + ")" * 100)
+    assert expr == n.VarRef("x")
+    with pytest.raises(ParseError) as exc:
+        parse("int y = " + "(" * 5000 + "x" + ")" * 5000 + ";")
+    assert exc.value.message == "expression nested too deeply"
+    assert exc.value.span.line == 1 and exc.value.span.col > 9
+
+
+def test_parse_lexes_through_the_module_tokenize(monkeypatch):
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return tokenize(source)
+
+    monkeypatch.setattr(catat.parser, "tokenize", counting)
+    parse("int x = 1;")
+    assert calls == ["int x = 1;"]
+
+
+def test_large_residual_round_trip():
+    staged = check_stages(parse(fixture_source("dot.cat")), 2)
+    rp = specialize_program(staged, "dot", [IntV(1000), FLOAT],
+                            via_flatten=True)
+    assert parse(emit(rp)) == rp.to_program_ast()
