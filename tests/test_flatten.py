@@ -184,3 +184,30 @@ def test_alpha_equivalence_is_name_insensitive_but_structure_sensitive():
                          [n.Return(n.IntLit(0))], key)
     assert alpha_equivalent(a, b)
     assert not alpha_equivalent(a, c)
+
+
+def residual(body, params=(("x", INT),)):
+    from catat.specializer import ResidualFunction, SpecializationKey
+    stmts = parse("function f() {" + body + "}").functions()[0].body.stmts
+    return ResidualFunction("f", INT, list(params), stmts,
+                            SpecializationKey.for_function("f", []))
+
+
+@pytest.mark.parametrize("left, right, params_b", [
+    ("return x + 1;", "return x - 1;", None),
+    ("return x + 1;", "return x + 2;", None),
+    # x pairs with y, then with z
+    ("int x = 0; int w = 0; return x + x;",
+     "int y = 0; int z = 0; return y + z;", None),
+    # the bound parameter x against a free x
+    ("return x;", "return x;", (("y", INT),)),
+    ("float a[3]; return x;", "int a[3]; return x;", None),
+    ("for (int i = 0; i < x; ++i) x += 1; return x;",
+     "for (int i = 0; i < x;) x += 1; return x;", None),
+], ids=["operator", "literal", "inconsistent-renaming", "bound-vs-free",
+        "element-type", "for-incr"])
+def test_alpha_equivalence_rejects(left, right, params_b):
+    a = residual(left)
+    b = residual(right, params_b or (("x", INT),))
+    assert not alpha_equivalent(a, b)
+    assert alpha_equivalent(a, residual(left))
