@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import nodes as n
 from .staging import check_stages
-from .staticeval import EvalLimits, Interpreter
+from .staticeval import EvalLimits, Interpreter, depth_limited
 from .values import Value, UNIT
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -35,6 +35,7 @@ def _as_program(program) -> n.Program:
     raise TypeError(f"cannot run {type(program).__name__}")
 
 
+@depth_limited
 def run(program, entry: str | None = None, args: list | tuple = (),
         limits: EvalLimits | None = None, check: bool = True) -> RunResult:
     """Execute a single-level program: globals first, then ``entry``.
@@ -63,36 +64,7 @@ def erase_stages(program: n.Program) -> n.Program:
     ``f(s)(d)`` becomes ``f(s..., d...)``, and all ``@`` marks vanish.
     The result is the plain-interpretation semantics the residual is
     compared against."""
-    items: list = []
-    for item in program.items:
-        if isinstance(item, n.FunctionDef):
-            params = [n.strip_annotations(p, merge_call_lists=True)
-                      for p in (item.static_params or []) + item.params]
-            items.append(n.FunctionDef(
-                item.name, None, params,
-                n.strip_annotations(item.body, merge_call_lists=True),
-                span=item.span))
-        elif isinstance(item, n.ClassDef):
-            cls_items = []
-            for it in item.items:
-                if isinstance(it, n.VisibilityLabel):
-                    cls_items.append(n.VisibilityLabel(it.name, span=it.span))
-                elif isinstance(it, n.CtorDef):
-                    cls_items.append(n.CtorDef(
-                        it.at_count,
-                        n.strip_annotations(it.body, merge_call_lists=True),
-                        span=it.span))
-                else:
-                    cls_items.append(
-                        n.strip_annotations(it, merge_call_lists=True))
-            items.append(n.ClassDef(
-                item.name,
-                [n.strip_annotations(p, merge_call_lists=True)
-                 for p in item.static_params],
-                cls_items, span=item.span))
-        else:
-            items.append(n.strip_annotations(item, merge_call_lists=True))
-    return n.Program(items)
+    return n.strip_annotations(program, merge_call_lists=True)
 
 
 def run_unstaged(program: n.Program, entry: str, all_args: list | tuple,

@@ -7,11 +7,10 @@ and maps error families onto process exit codes (see cli.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """1-indexed source position (start of the offending construct)."""
 
     line: int

@@ -7,6 +7,12 @@ its syntax tree.  Running the generator with concrete static arguments
 yields a code value; ``materialize`` turns that code value into a residual
 function indistinguishable from the specializer's output.
 
+Flattening is defined for two levels, and it runs no binding-time analysis
+of its own: a declaration, assignment or expression is static when the
+stage checker wrote ``stage == 0`` on it, so the input must come from
+``check_stages``.  Whether ``if@``/``for@``/``switch@`` unrolls is read
+from its annotation, because a construct's stage is its guard's stage.
+
 Builder suite: the five core constructors (make_lambda, make_varref,
 make_vardecl, make_op, make_return) plus append/body for block plumbing,
 and the extensions needed to cover every residual node kind: make_literal,
@@ -338,42 +344,14 @@ KNOWN_BUILTINS = frozenset(BUILDERS)
 
 
 class _Flattener:
-    def __init__(self, fn: n.FunctionDef, levels: int = 2):
+    def __init__(self, fn: n.FunctionDef):
         self.fn = fn
-        self.default = levels - 1
-        self.static_names = set()
-        self.dynamic_names = set()
-        self.used_names = set()
+        params = (fn.static_params or []) + fn.params
+        self.used_names = {p.name for p in params}
+        self.used_names.update(d.name for d in n.walk(fn.body)
+                               if isinstance(d, n.Declarator))
         self.ref_vars: dict[str, str] = {}
-        if fn.static_params:
-            for p in fn.static_params:
-                self.static_names.add(p.name)
-                self.used_names.add(p.name)
-        for p in fn.params:
-            self.dynamic_names.add(p.name)
-            self.used_names.add(p.name)
-        self._collect_names(fn.body)
         self.shell = self._fresh("func")
-
-    def _collect_names(self, node) -> None:
-        if isinstance(node, n.Block):
-            for s in node.stmts:
-                self._collect_names(s)
-        elif isinstance(node, n.VarDecl):
-            for d in node.declarators:
-                self.used_names.add(d.name)
-        elif isinstance(node, n.If):
-            self._collect_names(node.then_stmt)
-            if node.else_stmt is not None:
-                self._collect_names(node.else_stmt)
-        elif isinstance(node, n.For):
-            if node.init is not None:
-                self._collect_names(node.init)
-            self._collect_names(node.body)
-        elif isinstance(node, n.Switch):
-            for case in node.cases:
-                for s in case.body:
-                    self._collect_names(s)
 
     def _fresh(self, base: str) -> str:
         name = base
@@ -383,49 +361,6 @@ class _Flattener:
             name = f"{base}_{i}"
         self.used_names.add(name)
         return name
-
-    # -- staticness ---------------------------------------------------------
-
-    def is_static_expr(self, e: n.Expr) -> bool:
-        if isinstance(e, (n.IntLit, n.FloatLit, n.BoolLit, n.StringLit,
-                          n.TypeLit)):
-            return True
-        if isinstance(e, n.VarRef):
-            if e.name in self.static_names:
-                return True
-            if e.name in self.dynamic_names:
-                return False
-            raise FlattenUnsupported(
-                f"free variable '{e.name}' in flattened function", e.span)
-        if isinstance(e, n.Unary):
-            return self.is_static_expr(e.operand)
-        if isinstance(e, n.Incr):
-            return self.is_static_expr(e.target)
-        if isinstance(e, n.Binary):
-            return self.is_static_expr(e.lhs) and self.is_static_expr(e.rhs)
-        if isinstance(e, n.Cond):
-            return all(self.is_static_expr(x)
-                       for x in (e.cond, e.then_expr, e.else_expr))
-        if isinstance(e, n.Subscript):
-            return self.is_static_expr(e.base) and \
-                self.is_static_expr(e.index)
-        if isinstance(e, n.Call):
-            if e.callee in KNOWN_BUILTINS:
-                return True
-            if e.static_args is not None:
-                return False
-            return e.at_count >= self.default
-        raise FlattenUnsupported(f"cannot flatten {type(e).__name__}", e.span)
-
-    def decl_is_static(self, s: n.VarDecl) -> bool:
-        if n.is_typename_type(s.dtype):
-            return True
-        if isinstance(s.dtype, n.ClassAppType):
-            if s.dtype.ctime:
-                return True
-            raise FlattenUnsupported("class-typed declarations do not "
-                                     "flatten", s.span)
-        return n.annotation_count(s.dtype) >= self.default
 
     # -- generator construction ------------------------------------------------
 
@@ -440,12 +375,7 @@ class _Flattener:
             [n.Declarator(self.shell, None,
                           n.Call("make_lambda", lambda_args))]))
         for p in self.fn.params:
-            ref = self._fresh(p.name) if p.name == self.shell else p.name
-            self.ref_vars[p.name] = ref if ref != p.name else p.name
-            out.append(n.VarDecl(
-                n.PrimType("ASTree"),
-                [n.Declarator(self.ref_vars[p.name], None,
-                              n.Call("make_varref", [n.StringLit(p.name)]))]))
+            self._bind_ref(p.name, out)
         target = n.Call("body", [n.VarRef(self.shell)])
         self.transform_region(self.fn.body.stmts, target, out, top=True)
         out.append(n.Return(n.VarRef(self.shell)))
@@ -469,6 +399,15 @@ class _Flattener:
                                        n.strip_annotations(t.size)])
         raise FlattenUnsupported("class types do not flatten", t.span)
 
+    def _bind_ref(self, name: str, out: list) -> None:
+        """Declare a generator variable holding the varref of ``name``."""
+        ref = self._fresh(name) if name == self.shell else name
+        self.ref_vars[name] = ref
+        out.append(n.VarDecl(
+            n.PrimType("ASTree"),
+            [n.Declarator(ref, None,
+                          n.Call("make_varref", [n.StringLit(name)]))]))
+
     def transform_region(self, stmts: list, target: n.Expr,
                          out: list, top: bool = False) -> None:
         for s in stmts:
@@ -483,13 +422,13 @@ class _Flattener:
             self.transform_region(s.stmts, target, out)
             return
         if isinstance(s, n.VarDecl):
-            if self.decl_is_static(s):
-                for d in s.declarators:
-                    self.static_names.add(d.name)
+            if isinstance(s.dtype, n.ClassAppType) and not s.dtype.ctime:
+                raise FlattenUnsupported("class-typed declarations do not "
+                                         "flatten", s.span)
+            if s.stage == 0:
                 out.append(n.strip_annotations(s))
                 return
             for d in s.declarators:
-                self.dynamic_names.add(d.name)
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
@@ -499,87 +438,47 @@ class _Flattener:
                 out.append(self._append_stmt(target,
                                              n.Call("make_vardecl", args)))
                 if top:
-                    ref = d.name if d.name not in (self.shell,) else \
-                        self._fresh(d.name)
-                    self.ref_vars[d.name] = ref
-                    out.append(n.VarDecl(
-                        n.PrimType("ASTree"),
-                        [n.Declarator(ref, None,
-                                      n.Call("make_varref",
-                                             [n.StringLit(d.name)]))]))
+                    self._bind_ref(d.name, out)
             return
-        if isinstance(s, n.Assign):
-            target_static = self.is_static_expr(s.target)
-            if target_static:
-                out.append(n.strip_annotations(s))
-                return
-            frag = n.Call("make_op", [n.StringLit(s.op),
-                                      self.conv_expr(s.target),
-                                      self.conv_expr(s.value)])
-            out.append(self._append_stmt(target, frag))
+        if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage == 0:
+            out.append(n.strip_annotations(s))
             return
-        if isinstance(s, n.ExprStmt):
-            if self.is_static_expr(s.expr):
-                out.append(n.strip_annotations(s))
-                return
-            if isinstance(s.expr, n.Incr):
-                frag = n.Call("make_incr", [n.StringLit(s.expr.op),
-                                            self.conv_expr(s.expr.target)])
-            else:
-                frag = self.conv_expr(s.expr)
-            out.append(self._append_stmt(target, frag))
-            return
-        if isinstance(s, n.Return):
-            if s.value is None:
-                frag = n.Call("make_return", [])
-            else:
-                frag = n.Call("make_return", [self.conv_expr(s.value)])
-            out.append(self._append_stmt(target, frag))
+        if isinstance(s, (n.Assign, n.ExprStmt, n.Return)):
+            out.append(self._append_stmt(target, self._stmt_frag(s)))
             return
         if isinstance(s, n.If):
-            if s.at_count >= self.default:
-                branches = []
-                for branch in (s.then_stmt, s.else_stmt):
-                    if branch is None:
-                        branches.append(None)
-                        continue
-                    inner: list = []
-                    self.transform_stmt(branch, target, inner, top=False)
-                    branches.append(self._as_block_or_single(inner))
-                out.append(n.If(n.strip_annotations(s.cond), branches[0],
-                                branches[1], 0, 0))
+            if s.at_count:
+                else_stmt = None if s.else_stmt is None \
+                    else self._unrolled(s.else_stmt, target)
+                out.append(n.If(n.strip_annotations(s.cond),
+                                self._unrolled(s.then_stmt, target),
+                                else_stmt, 0, 0))
                 return
-            setup_then, then_frag = self.sub_to_frag(s.then_stmt, out)
-            frag_args = [self.conv_expr(s.cond), then_frag]
+            frag_args = [self.conv_expr(s.cond),
+                         self.sub_to_frag(s.then_stmt, out)]
             if s.else_stmt is not None:
-                _, else_frag = self.sub_to_frag(s.else_stmt, out)
-                frag_args.append(else_frag)
+                frag_args.append(self.sub_to_frag(s.else_stmt, out))
             out.append(self._append_stmt(target, n.Call("make_if", frag_args)))
             return
         if isinstance(s, n.For):
-            if s.at_count >= self.default:
-                if isinstance(s.init, n.VarDecl):
-                    for d in s.init.declarators:
-                        self.static_names.add(d.name)
-                inner: list = []
-                self.transform_stmt(s.body, target, inner, top=False)
+            if s.at_count:
                 out.append(n.For(
                     n.strip_annotations(s.init) if s.init else None,
                     n.strip_annotations(s.cond) if s.cond else None,
                     n.strip_annotations(s.incr) if s.incr else None,
-                    self._as_block_or_single(inner), 0))
+                    self._unrolled(s.body, target), 0))
                 return
             init_frag = self.clause_to_frag(s.init)
             cond_frag = self.conv_expr(s.cond) if s.cond is not None \
                 else n.Call("make_literal", [n.BoolLit(True)])
             incr_frag = self.clause_to_frag(s.incr)
-            _, body_frag = self.sub_to_frag(s.body, out)
+            body_frag = self.sub_to_frag(s.body, out)
             out.append(self._append_stmt(
                 target, n.Call("make_for",
                                [init_frag, cond_frag, incr_frag, body_frag])))
             return
         if isinstance(s, n.Switch):
-            if s.at_count >= self.default:
+            if s.at_count:
                 cases = []
                 for case in s.cases:
                     inner = []
@@ -592,10 +491,11 @@ class _Flattener:
                                      s.span)
         raise FlattenUnsupported(f"cannot flatten {type(s).__name__}", s.span)
 
-    def _as_block_or_single(self, stmts: list) -> n.Stmt:
-        if len(stmts) == 1:
-            return stmts[0]
-        return n.Block(stmts)
+    def _unrolled(self, s: n.Stmt, target: n.Expr) -> n.Stmt:
+        """Generator code for the body of an ``if@`` or ``for@``."""
+        inner: list = []
+        self.transform_stmt(s, target, inner, top=False)
+        return inner[0] if len(inner) == 1 else n.Block(inner)
 
     def clause_to_frag(self, clause: n.Stmt | None) -> n.Expr:
         if clause is None:
@@ -604,52 +504,44 @@ class _Flattener:
             d = clause.declarators[0]
             args = [self.type_to_static_expr(clause.dtype),
                     n.StringLit(d.name)]
-            self.dynamic_names.add(d.name)
             if d.init is not None:
                 args.append(self.conv_expr(d.init))
             return n.Call("make_vardecl", args)
-        if isinstance(clause, n.Assign):
-            return n.Call("make_op", [n.StringLit(clause.op),
-                                      self.conv_expr(clause.target),
-                                      self.conv_expr(clause.value)])
-        if isinstance(clause, n.ExprStmt) and isinstance(clause.expr, n.Incr):
-            return n.Call("make_incr", [n.StringLit(clause.expr.op),
-                                        self.conv_expr(clause.expr.target)])
-        if isinstance(clause, n.ExprStmt):
-            return self.conv_expr(clause.expr)
-        raise FlattenUnsupported("unsupported loop clause", clause.span)
+        return self._stmt_frag(clause)
 
-    def sub_to_frag(self, s: n.Stmt, out: list) -> tuple[None, n.Expr]:
+    def sub_to_frag(self, s: n.Stmt, out: list) -> n.Expr:
         """Convert a dynamic control-construct body to a block fragment.
 
         Complex bodies are built imperatively through a temporary block
         variable emitted into ``out``."""
-        simple = self._simple_frag(s)
-        if simple is not None:
-            return None, simple
+        if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage != 0 or \
+                isinstance(s, n.Return):
+            return self._stmt_frag(s)
         tmp = self._fresh("blk")
         out.append(n.VarDecl(n.PrimType("ASTree"),
                              [n.Declarator(tmp, None,
                                            n.Call("make_block", []))]))
         stmts = s.stmts if isinstance(s, n.Block) else [s]
         self.transform_region(stmts, n.VarRef(tmp), out)
-        return None, n.VarRef(tmp)
+        return n.VarRef(tmp)
 
-    def _simple_frag(self, s: n.Stmt) -> n.Expr | None:
-        if isinstance(s, n.Assign) and not self.is_static_expr(s.target):
+    def _stmt_frag(self, s: n.Stmt) -> n.Expr:
+        """The fragment of a dynamic assignment, expression statement,
+        loop clause or return."""
+        if isinstance(s, n.Assign):
             return n.Call("make_op", [n.StringLit(s.op),
                                       self.conv_expr(s.target),
                                       self.conv_expr(s.value)])
-        if isinstance(s, n.ExprStmt) and not self.is_static_expr(s.expr):
-            if isinstance(s.expr, n.Incr):
-                return n.Call("make_incr", [n.StringLit(s.expr.op),
-                                            self.conv_expr(s.expr.target)])
+        if isinstance(s, n.ExprStmt) and isinstance(s.expr, n.Incr):
+            return n.Call("make_incr", [n.StringLit(s.expr.op),
+                                        self.conv_expr(s.expr.target)])
+        if isinstance(s, n.ExprStmt):
             return self.conv_expr(s.expr)
         if isinstance(s, n.Return):
-            if s.value is None:
-                return n.Call("make_return", [])
-            return n.Call("make_return", [self.conv_expr(s.value)])
-        return None
+            args = [] if s.value is None else [self.conv_expr(s.value)]
+            return n.Call("make_return", args)
+        raise FlattenUnsupported(f"cannot flatten {type(s).__name__}",
+                                 s.span)
 
     # -- expressions -> builder expressions ------------------------------------
 
@@ -658,7 +550,7 @@ class _Flattener:
 
         Static subexpressions are evaluated at generator run time (builders
         lift raw values to literal fragments)."""
-        if self.is_static_expr(e):
+        if e.stage == 0:
             return n.strip_annotations(e)
         if isinstance(e, n.VarRef):
             if e.name in self.ref_vars:
@@ -692,8 +584,12 @@ class _Flattener:
 
 
 def flatten_function(fn: n.FunctionDef, levels: int = 2) -> n.FunctionDef:
-    """Rewrite a two-level function into its single-level generator."""
-    return _Flattener(fn, levels).flatten()
+    """Rewrite a checked two-level function into its single-level
+    generator."""
+    if levels != 2:
+        raise FlattenUnsupported(
+            f"flattening is defined for two levels, not {levels}", fn.span)
+    return _Flattener(fn).flatten()
 
 
 # ---------------------------------------------------------------------------

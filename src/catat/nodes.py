@@ -4,6 +4,12 @@ Structural equality deliberately ignores source spans and checker-assigned
 stages (``compare=False``), so two parses of the same text compare equal and
 round-trip tests can use plain ``==``.
 
+Walker contract: every field with ``compare=True`` holds a plain value, a
+node, ``None`` or a list of nodes, and the nodes among them are the
+node's children.  ``span`` and ``stage`` are never children.  ``children``,
+``walk`` and ``map_children`` read the fields from the dataclass
+definitions, so a new node type needs no traversal code of its own.
+
 Annotation counts record the literal number of ``@`` characters lexed at
 each position; 0 means unannotated.  Annotations are *relative*: a count of
 k on a declaration in a scope whose default stage is s puts it at stage
@@ -12,7 +18,7 @@ s - k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import Span
 
@@ -344,83 +350,83 @@ class Program(Node):
 
 
 # ---------------------------------------------------------------------------
+# Generic traversal
+
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def child_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields of ``cls`` that take part in equality, the only
+    fields that can hold child nodes."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.compare)
+    return names
+
+
+def children(node: Node):
+    """The child nodes of ``node`` in field order."""
+    for name in child_fields(type(node)):
+        value = node.__dict__[name]
+        if isinstance(value, Node):
+            yield value
+        elif isinstance(value, list):
+            yield from value
+
+
+def walk(node: Node):
+    """``node`` and every node below it, in pre-order."""
+    yield node
+    for child in children(node):
+        yield from walk(child)
+
+
+def map_children(node: Node, fn) -> Node:
+    """A shallow copy of ``node`` whose child nodes are replaced by
+    ``fn(child)``; list fields are copied, plain values are shared."""
+    new = object.__new__(type(node))
+    attrs = new.__dict__
+    attrs.update(node.__dict__)
+    for name in child_fields(type(node)):
+        value = attrs[name]
+        if isinstance(value, Node):
+            attrs[name] = fn(value)
+        elif isinstance(value, list):
+            attrs[name] = [fn(x) for x in value]
+    return new
+
+
+# ---------------------------------------------------------------------------
 # Annotation erasure
 
 
 def strip_annotations(node, merge_call_lists: bool = False):
     """Deep-copy a node with every ``@`` removed.
 
-    ``merge_call_lists`` additionally folds two-list calls ``f(s)(d)`` into
-    single-list calls ``f(s..., d...)`` (full stage erasure); without it the
-    static argument list is preserved.
+    A ``CtorDef`` keeps its count, which tells the compile-time constructor
+    from the run-time one.  ``merge_call_lists`` additionally folds two-list
+    calls ``f(s)(d)`` into ``f(s..., d...)`` and two-list definitions into
+    single-list ones (full stage erasure); without it the static lists are
+    preserved.
     """
-    s = lambda x: strip_annotations(x, merge_call_lists)  # noqa: E731
+    def strip(x):
+        x = map_children(x, strip)
+        attrs = x.__dict__
+        if "at_count" in attrs and not isinstance(x, CtorDef):
+            attrs["at_count"] = 0
+        if isinstance(x, If):
+            x.else_at_count = 0
+        elif isinstance(x, ClassAppType):
+            x.ctime = False
+        elif merge_call_lists and isinstance(x, Call) and \
+                x.static_args is not None:
+            x.args = x.static_args + x.args
+            x.static_args = None
+        elif merge_call_lists and isinstance(x, FunctionDef) and \
+                x.static_params is not None:
+            x.params = x.static_params + x.params
+            x.static_params = None
+        return x
 
-    if node is None:
-        return None
-    if isinstance(node, PrimType):
-        return PrimType(node.name, 0, span=node.span)
-    if isinstance(node, NamedType):
-        return NamedType(node.name, 0, span=node.span)
-    if isinstance(node, ClassAppType):
-        return ClassAppType(node.name, [s(a) for a in node.args], ctime=False,
-                            span=node.span)
-    if isinstance(node, PointerType):
-        return PointerType(s(node.base), span=node.span)
-    if isinstance(node, ArrayType):
-        return ArrayType(s(node.base), s(node.size), span=node.span)
-    if isinstance(node, (IntLit, FloatLit, BoolLit, StringLit, VarRef)):
-        return type(node)(node.__dict__[
-            "value" if not isinstance(node, VarRef) else "name"],
-            span=node.span)
-    if isinstance(node, TypeLit):
-        return TypeLit(s(node.type_expr), span=node.span)
-    if isinstance(node, Unary):
-        return Unary(node.op, s(node.operand), span=node.span)
-    if isinstance(node, Incr):
-        return Incr(node.op, s(node.target), span=node.span)
-    if isinstance(node, Binary):
-        return Binary(node.op, s(node.lhs), s(node.rhs), span=node.span)
-    if isinstance(node, Cond):
-        return Cond(s(node.cond), s(node.then_expr), s(node.else_expr),
-                    span=node.span)
-    if isinstance(node, Subscript):
-        return Subscript(s(node.base), s(node.index), span=node.span)
-    if isinstance(node, Call):
-        if node.static_args is not None and merge_call_lists:
-            return Call(node.callee,
-                        [s(a) for a in node.static_args] +
-                        [s(a) for a in node.args], span=node.span)
-        return Call(node.callee, [s(a) for a in node.args],
-                    static_args=None if node.static_args is None
-                    else [s(a) for a in node.static_args],
-                    at_count=0, span=node.span)
-    if isinstance(node, Declarator):
-        return Declarator(node.name, s(node.array_size), s(node.init),
-                          span=node.span)
-    if isinstance(node, VarDecl):
-        return VarDecl(s(node.dtype), [s(d) for d in node.declarators],
-                       node.static_kw, span=node.span)
-    if isinstance(node, Assign):
-        return Assign(s(node.target), node.op, s(node.value), span=node.span)
-    if isinstance(node, ExprStmt):
-        return ExprStmt(s(node.expr), span=node.span)
-    if isinstance(node, Block):
-        return Block([s(x) for x in node.stmts], span=node.span)
-    if isinstance(node, If):
-        return If(s(node.cond), s(node.then_stmt), s(node.else_stmt), 0, 0,
-                  span=node.span)
-    if isinstance(node, For):
-        return For(s(node.init), s(node.cond), s(node.incr), s(node.body), 0,
-                   span=node.span)
-    if isinstance(node, SwitchCase):
-        return SwitchCase(s(node.label), [s(x) for x in node.body],
-                          span=node.span)
-    if isinstance(node, Switch):
-        return Switch(s(node.subject), [s(c) for c in node.cases], 0,
-                      span=node.span)
-    if isinstance(node, Return):
-        return Return(s(node.value), span=node.span)
-    if isinstance(node, Param):
-        return Param(node.name, s(node.dtype), span=node.span)
-    raise TypeError(f"cannot strip {type(node).__name__}")
+    return None if node is None else strip(node)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .staging import StagedAST
-from .staticeval import DepthGuard, EvalLimits, Interpreter
+from .staticeval import DepthGuard, EvalLimits, Interpreter, depth_limited
 from .values import (
     ArrayV, BOOL, BoolV, ClassTV, Env, FixedArrayTV, FloatV, IntV,
     PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith,
@@ -1069,6 +1069,7 @@ def specialize_class(cls: n.ClassDef, static_args: list,
     return _Specializer(cache).specialize_class(cls, list(static_args))
 
 
+@depth_limited
 def specialize_program(staged: StagedAST, entry: str | None = None,
                        entry_static_args: list | None = None,
                        limits: EvalLimits | None = None,
@@ -1120,7 +1121,15 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
 
 
 def alpha_equivalent(a: ResidualFunction, b: ResidualFunction) -> bool:
-    """Equality up to renaming of bound (parameter and local) variables."""
+    """Equality up to renaming of bound (parameter and local) variables.
+
+    Every field of every node takes part except spans and stages.  Type
+    expressions are compared modulo annotations, and free names (residual
+    globals, function references) must match exactly.  Annotation marks on
+    statements do count: ``for@`` differs from ``for``, ``switch@`` from
+    ``switch``, ``else@`` from ``else``, and a ``static`` declaration from
+    a plain one.
+    """
     if a.name != b.name or a.return_type != b.return_type:
         return False
     if len(a.params) != len(b.params):
@@ -1132,7 +1141,7 @@ def alpha_equivalent(a: ResidualFunction, b: ResidualFunction) -> bool:
             return False
         fwd[an] = bn
         rev[bn] = an
-    return _alpha_stmts(a.body, b.body, fwd, rev)
+    return _alpha(a.body, b.body, fwd, rev)
 
 
 def _alpha_bind(x: str, y: str, fwd: dict, rev: dict) -> bool:
@@ -1143,121 +1152,24 @@ def _alpha_bind(x: str, y: str, fwd: dict, rev: dict) -> bool:
     return True
 
 
-def _alpha_stmts(xs: list, ys: list, fwd: dict, rev: dict) -> bool:
-    if len(xs) != len(ys):
-        return False
-    return all(_alpha_stmt(x, y, fwd, rev) for x, y in zip(xs, ys))
-
-
-def _alpha_stmt(x, y, fwd, rev) -> bool:
+def _alpha(x, y, fwd: dict, rev: dict) -> bool:
+    if isinstance(x, list):
+        return isinstance(y, list) and len(x) == len(y) and \
+            all(_alpha(a, b, fwd, rev) for a, b in zip(x, y))
+    if not isinstance(x, n.Node):
+        return x == y
     if type(x) is not type(y):
         return False
-    if isinstance(x, n.VarDecl):
-        if n.strip_annotations(x.dtype) != n.strip_annotations(y.dtype):
-            return False
-        if len(x.declarators) != len(y.declarators):
-            return False
-        for dx, dy in zip(x.declarators, y.declarators):
-            if not _alpha_bind(dx.name, dy.name, fwd, rev):
-                return False
-            if (dx.array_size is None) != (dy.array_size is None) or \
-                    (dx.init is None) != (dy.init is None):
-                return False
-            if dx.array_size is not None and \
-                    not _alpha_expr(dx.array_size, dy.array_size, fwd, rev):
-                return False
-            if dx.init is not None and \
-                    not _alpha_expr(dx.init, dy.init, fwd, rev):
-                return False
-        return True
-    if isinstance(x, n.Assign):
-        return x.op == y.op and _alpha_expr(x.target, y.target, fwd, rev) \
-            and _alpha_expr(x.value, y.value, fwd, rev)
-    if isinstance(x, n.ExprStmt):
-        return _alpha_expr(x.expr, y.expr, fwd, rev)
-    if isinstance(x, n.Return):
-        if (x.value is None) != (y.value is None):
-            return False
-        return x.value is None or _alpha_expr(x.value, y.value, fwd, rev)
-    if isinstance(x, n.Block):
-        return _alpha_stmts(x.stmts, y.stmts, fwd, rev)
-    if isinstance(x, n.If):
-        if x.at_count != y.at_count:
-            return False
-        if not _alpha_expr(x.cond, y.cond, fwd, rev):
-            return False
-        if not _alpha_stmt(x.then_stmt, y.then_stmt, fwd, rev):
-            return False
-        if (x.else_stmt is None) != (y.else_stmt is None):
-            return False
-        return x.else_stmt is None or \
-            _alpha_stmt(x.else_stmt, y.else_stmt, fwd, rev)
-    if isinstance(x, n.For):
-        for attr in ("init", "incr"):
-            xa, ya = getattr(x, attr), getattr(y, attr)
-            if (xa is None) != (ya is None):
-                return False
-            if xa is not None and not _alpha_stmt(xa, ya, fwd, rev):
-                return False
-        if (x.cond is None) != (y.cond is None):
-            return False
-        if x.cond is not None and not _alpha_expr(x.cond, y.cond, fwd, rev):
-            return False
-        return _alpha_stmt(x.body, y.body, fwd, rev)
-    if isinstance(x, n.Switch):
-        if len(x.cases) != len(y.cases) or \
-                not _alpha_expr(x.subject, y.subject, fwd, rev):
-            return False
-        for cx, cy in zip(x.cases, y.cases):
-            if (cx.label is None) != (cy.label is None):
-                return False
-            if cx.label is not None and \
-                    not _alpha_expr(cx.label, cy.label, fwd, rev):
-                return False
-            if not _alpha_stmts(cx.body, cy.body, fwd, rev):
-                return False
-        return True
-    return False
-
-
-def _alpha_expr(x, y, fwd, rev) -> bool:
-    if type(x) is not type(y):
-        return False
+    if isinstance(x, n.TypeExpr):
+        return n.strip_annotations(x) == n.strip_annotations(y)
     if isinstance(x, n.VarRef):
         if x.name in fwd or y.name in rev:
             return fwd.get(x.name) == y.name and rev.get(y.name) == x.name
-        # free names (residual globals, function references) match exactly
         return x.name == y.name
-    if isinstance(x, (n.IntLit, n.FloatLit, n.BoolLit, n.StringLit)):
-        return x == y
-    if isinstance(x, n.TypeLit):
-        return n.strip_annotations(x.type_expr) == \
-            n.strip_annotations(y.type_expr)
-    if isinstance(x, n.Unary):
-        return x.op == y.op and _alpha_expr(x.operand, y.operand, fwd, rev)
-    if isinstance(x, n.Incr):
-        return x.op == y.op and _alpha_expr(x.target, y.target, fwd, rev)
-    if isinstance(x, n.Binary):
-        return x.op == y.op and _alpha_expr(x.lhs, y.lhs, fwd, rev) and \
-            _alpha_expr(x.rhs, y.rhs, fwd, rev)
-    if isinstance(x, n.Cond):
-        return _alpha_expr(x.cond, y.cond, fwd, rev) and \
-            _alpha_expr(x.then_expr, y.then_expr, fwd, rev) and \
-            _alpha_expr(x.else_expr, y.else_expr, fwd, rev)
-    if isinstance(x, n.Subscript):
-        return _alpha_expr(x.base, y.base, fwd, rev) and \
-            _alpha_expr(x.index, y.index, fwd, rev)
-    if isinstance(x, n.Call):
-        if x.callee != y.callee or x.at_count != y.at_count:
+    names = n.child_fields(type(x))
+    if isinstance(x, n.Declarator):
+        # the name is in scope in its own size and initializer
+        if not _alpha_bind(x.name, y.name, fwd, rev):
             return False
-        if (x.static_args is None) != (y.static_args is None):
-            return False
-        if x.static_args is not None:
-            if len(x.static_args) != len(y.static_args):
-                return False
-            if not all(_alpha_expr(a, b, fwd, rev)
-                       for a, b in zip(x.static_args, y.static_args)):
-                return False
-        return len(x.args) == len(y.args) and \
-            all(_alpha_expr(a, b, fwd, rev) for a, b in zip(x.args, y.args))
-    return False
+        names = ("array_size", "init")
+    return all(_alpha(getattr(x, f), getattr(y, f), fwd, rev) for f in names)

@@ -14,6 +14,7 @@ builtin functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import nodes as n
@@ -52,6 +53,19 @@ class DepthGuard:
 
     def exit(self) -> None:
         self.depth -= 1
+
+
+def depth_limited(fn):
+    """Report Python stack exhaustion inside ``fn`` as ``DepthExceeded``;
+    deep call chains can exhaust it before any ``max_depth`` is reached."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise DepthExceeded("call chain nested too deeply for the "
+                                "interpreter's stack") from None
+    return wrapper
 
 
 class _ReturnSignal(Exception):
@@ -418,6 +432,7 @@ class Interpreter:
         return self.call_function(fn, args, e.span)
 
 
+@depth_limited
 def call_static(fn: n.FunctionDef, args: list,
                 program: n.Program | None = None,
                 limits: EvalLimits | None = None) -> Value:
@@ -426,36 +441,6 @@ def call_static(fn: n.FunctionDef, args: list,
     if (fn.name, fn.static_arity) not in interp.functions:
         interp.add_function(fn)
     return interp.call_function(fn, args, fn.span)
-
-
-def eval_expr(expr: n.Expr, env: Env,
-              program: n.Program | None = None) -> Value:
-    """Evaluate one stage-0 expression in an environment."""
-    return Interpreter(program).eval_expr(expr, env)
-
-
-def exec_stmt(stmt: n.Stmt, env: Env,
-              program: n.Program | None = None) -> Value | None:
-    """Execute one stage-0 statement; returns the value of a ``return``."""
-    try:
-        Interpreter(program).exec_stmt(stmt, env)
-        return None
-    except _ReturnSignal as ret:
-        return ret.value
-
-
-def assign_typename(name: str, t: Value, env: Env,
-                    span: Span | None = None) -> None:
-    """Bind a typename-typed variable to a type value."""
-    if not isinstance(t, TypeValue):
-        raise TypeMismatch(
-            f"cannot assign {describe(t)} to typename variable '{name}'",
-            span)
-    slot = env.find(name)
-    if slot is None:
-        env.declare(name, Slot(t, PRIM_BY_NAME["typename"]), span)
-    else:
-        slot.value = coerce(t, slot.tv, span)
 
 
 def value_of(v: Value):

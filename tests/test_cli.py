@@ -102,6 +102,14 @@ def test_flatten_subcommand():
     assert "function dot_gen(int N, typename T)" in result.stdout
 
 
+def test_flatten_beyond_two_levels_is_a_flatten_error():
+    result = catat("flatten", fixture("pow_two_level.cat"), "--entry", "pow",
+                   "--levels", "3")
+    assert result.returncode == 3
+    assert "flatten error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_run_residual_prints_stable_value(tmp_path):
     out = tmp_path / "pow3.cat"
     catat("specialize", fixture("pow_two_level.cat"), "--entry", "pow",
@@ -189,4 +197,19 @@ def test_front_end_errors_exit_1_without_traceback(tmp_path, text, message):
     result = catat("run", bad)
     assert result.returncode == 1
     assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("script, code, category", [
+    ("int@ r = countdown@(300);", 4, "depth error"),
+    ("int r = countdown(300);", 5, "runtime error"),
+], ids=["compile-time", "run-time"])
+def test_deep_recursion_exits_without_traceback(tmp_path, script, code,
+                                                category):
+    deep = tmp_path / "deep.cat"
+    countdown = corpus_path("countdown.cat").read_text(encoding="utf-8")
+    deep.write_text(countdown + script + "\n", encoding="utf-8")
+    result = catat("run", deep)
+    assert result.returncode == code
+    assert category in result.stderr
     assert "Traceback" not in result.stderr

@@ -3,13 +3,14 @@ import pytest
 from catat import check_stages, parse
 from catat import nodes as n
 from catat.emitter import emit_function, emit_stmt
-from catat.errors import MalformedFragment
+from catat.errors import FlattenUnsupported, MalformedFragment
 from catat.flatten import (
     BUILDERS, FragBlock, FragFunc, _frag_to_stmt, flatten_function,
     materialize, specialize_via_flatten,
 )
 from catat.specializer import (
-    SpecializationCache, alpha_equivalent, specialize_function,
+    ResidualFunction, SpecializationCache, SpecializationKey,
+    alpha_equivalent, specialize_function, specialize_program,
 )
 from catat.values import (
     CodeV, FLOAT, FloatV, INT, IntV, StrV, UNIT,
@@ -162,6 +163,30 @@ def test_volume_cube_coherence_with_nested_call():
     assert any(u.name == "pow__3" for u in cache.order)
 
 
+def test_function_reading_globals_flattens():
+    source = """
+        int@ G = 3;
+        int H = 4;
+        function addg(int@ k)(int x) {
+            int y = x * G;
+            y += H;
+            return y + k;
+        }
+    """
+    staged = check_stages(parse(source), 2)
+    direct = specialize_program(staged, "addg", [IntV(2)])
+    flattened = specialize_program(staged, "addg", [IntV(2)],
+                                   via_flatten=True)
+    assert alpha_equivalent(direct.function("addg__2"),
+                            flattened.function("addg__2"))
+
+
+def test_flattening_is_two_level_only():
+    staged = staged_fixture("pow_two_level.cat", levels=3)
+    with pytest.raises(FlattenUnsupported):
+        flatten_function(staged.functions_by_key()[("pow", 1)], 3)
+
+
 def test_flatten_path_is_memoized():
     staged = staged_fixture("pow_two_level.cat")
     cache = SpecializationCache(staged)
@@ -187,7 +212,6 @@ def test_alpha_equivalence_is_name_insensitive_but_structure_sensitive():
 
 
 def residual(body, params=(("x", INT),)):
-    from catat.specializer import ResidualFunction, SpecializationKey
     stmts = parse("function f() {" + body + "}").functions()[0].body.stmts
     return ResidualFunction("f", INT, list(params), stmts,
                             SpecializationKey.for_function("f", []))
@@ -196,8 +220,8 @@ def residual(body, params=(("x", INT),)):
 @pytest.mark.parametrize("left, right, params_b", [
     ("return x + 1;", "return x - 1;", None),
     ("return x + 1;", "return x + 2;", None),
-    # x pairs with y, then with z
-    ("int x = 0; int w = 0; return x + x;",
+    # u pairs with y, then with z
+    ("int u = 0; int w = 0; return u + u;",
      "int y = 0; int z = 0; return y + z;", None),
     # the bound parameter x against a free x
     ("return x;", "return x;", (("y", INT),)),
@@ -211,3 +235,8 @@ def test_alpha_equivalence_rejects(left, right, params_b):
     b = residual(right, params_b or (("x", INT),))
     assert not alpha_equivalent(a, b)
     assert alpha_equivalent(a, residual(left))
+
+
+def test_alpha_equivalence_compares_statement_annotations():
+    loop = "for (int i = 0; i < x; ++i) x += 1; return x;"
+    assert not alpha_equivalent(residual(loop), residual("for@" + loop[3:]))

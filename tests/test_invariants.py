@@ -11,23 +11,12 @@ from catat.values import FLOAT, FloatV, IntV
 from conftest import all_checkable_fixture_names, fixture_source
 
 
-def walk_nodes(node):
-    yield node
-    for value in vars(node).values():
-        if isinstance(value, n.Node):
-            yield from walk_nodes(value)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, n.Node):
-                    yield from walk_nodes(item)
-
-
 def test_span_sanity():
     for name in all_checkable_fixture_names():
         source = fixture_source(name)
         line_count = source.count("\n") + 1
         program = parse(source)
-        for node in walk_nodes(program):
+        for node in n.walk(program):
             if node.span is None:
                 continue
             assert 1 <= node.span.line <= line_count, (name, node)
@@ -36,7 +25,7 @@ def test_span_sanity():
 
 def test_statement_nodes_carry_spans():
     program = parse(fixture_source("square_array.cat"))
-    missing = [node for node in walk_nodes(program)
+    missing = [node for node in n.walk(program)
                if isinstance(node, n.Stmt) and node.span is None]
     assert not missing
 

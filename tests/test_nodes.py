@@ -1,0 +1,57 @@
+"""The generic walker of ``catat.nodes`` on every corpus and golden file.
+
+A node type added later whose fields break the walker contract fails here.
+"""
+
+import pytest
+
+from catat import nodes as n
+from catat import parse
+from catat.corpus import CORPUS_DIR
+from catat.dyninterp import erase_stages
+
+SOURCES = sorted(CORPUS_DIR.rglob("*.cat"))
+
+
+def program_of(path):
+    return parse(path.read_text(encoding="utf-8"))
+
+
+def attribute_walk(node):
+    """Every node reachable through instance attributes, as a reference."""
+    yield node
+    for value in vars(node).values():
+        if isinstance(value, n.Node):
+            yield from attribute_walk(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, n.Node):
+                    yield from attribute_walk(item)
+
+
+sources = pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: str(p.relative_to(CORPUS_DIR)))
+
+
+@sources
+def test_identity_map_copies_every_node(path):
+    for x in n.walk(program_of(path)):
+        copy = n.map_children(x, lambda c: c)
+        assert copy == x and copy is not x
+
+
+@sources
+def test_walk_reaches_every_node(path):
+    program = program_of(path)
+    assert sorted(map(id, n.walk(program))) == \
+        sorted(map(id, attribute_walk(program)))
+
+
+@sources
+def test_erase_stages_clears_every_annotation(path):
+    for x in n.walk(erase_stages(program_of(path))):
+        if isinstance(x, n.CtorDef):
+            continue
+        assert getattr(x, "at_count", 0) == 0, x
+        assert getattr(x, "else_at_count", 0) == 0, x
+        assert not getattr(x, "ctime", False), x

@@ -6,10 +6,7 @@ from catat.errors import (
     TypeMismatch, UserStaticError,
 )
 from catat.parser import parse_expression
-from catat.staticeval import (
-    EvalLimits, Interpreter, assign_typename, call_static, eval_expr,
-    exec_stmt, value_of,
-)
+from catat.staticeval import EvalLimits, Interpreter, call_static, value_of
 from catat.values import (
     BOOL, BoolV, Env, FLOAT, INT, IntV, LONG_INT, PointerTV, DOUBLE, Slot,
     TypeValue,
@@ -32,23 +29,26 @@ def fn_index(source):
 
 def test_collatz_step_even():
     expr = parse_expression("(X % 2 == 0) ? (X / 2) : (3 * X + 1)")
-    assert value_of(eval_expr(expr, env_with(X=6))) == 3
+    assert value_of(Interpreter().eval_expr(expr, env_with(X=6))) == 3
 
 
 def test_collatz_step_odd():
     expr = parse_expression("(X % 2 == 0) ? (X / 2) : (3 * X + 1)")
-    assert value_of(eval_expr(expr, env_with(X=7))) == 22
+    assert value_of(Interpreter().eval_expr(expr, env_with(X=7))) == 22
 
 
 def test_multiplicative_identity():
-    assert value_of(eval_expr(parse_expression("1 * x"), env_with(x=7))) == 7
+    expr = parse_expression("1 * x")
+    assert value_of(Interpreter().eval_expr(expr, env_with(x=7))) == 7
 
 
 def test_typename_comparison():
     env = Env()
     env.declare("T", Slot(INT))
-    assert eval_expr(parse_expression("T == int"), env) == BoolV(True)
-    assert eval_expr(parse_expression("T == float"), env) == BoolV(False)
+    interp = Interpreter()
+    assert interp.eval_expr(parse_expression("T == int"), env) == BoolV(True)
+    assert interp.eval_expr(parse_expression("T == float"), env) == \
+        BoolV(False)
 
 
 def test_factorial_block():
@@ -70,7 +70,7 @@ def test_user_error_builtin():
     stmt = parse('function f() { Catat_error@("boom"); }') \
         .functions()[0].body.stmts[0]
     with pytest.raises(UserStaticError) as exc:
-        exec_stmt(stmt, Env())
+        Interpreter().exec_stmt(stmt, Env())
     assert exc.value.message == "boom"
 
 
@@ -107,13 +107,14 @@ def test_average_type_total_on_unlisted_types():
 
 
 def test_assign_typename():
-    env = Env()
-    assign_typename("float_type", FLOAT, env)
-    assert env.lookup("float_type").value == FLOAT
-    assign_typename("U", env.lookup("float_type").value, env)
-    assert env.lookup("U").value == FLOAT
+    program = parse("typename@ float_type = float;\n"
+                    "typename@ U = float_type;")
+    interp = Interpreter(program)
+    interp.run_top(program)
+    assert interp.globals.lookup("float_type").value == FLOAT
+    assert interp.globals.lookup("U").value == FLOAT
     with pytest.raises(TypeMismatch):
-        assign_typename("V", IntV(5), env)
+        Interpreter().run_top(parse("typename@ V = 5;"))
 
 
 def test_typedef_style_declaration():
@@ -127,24 +128,25 @@ def test_truncating_division_and_modulo():
     cases = {"-7 / 2": -3, "7 / -2": -3, "-7 % 2": -1, "7 % -2": 1,
              "7 / 2": 3, "7 % 2": 1}
     for src, expected in cases.items():
-        assert value_of(eval_expr(parse_expression(src), Env())) == expected
+        expr = parse_expression(src)
+        assert value_of(Interpreter().eval_expr(expr, Env())) == expected
 
 
 def test_mixed_arithmetic_promotes_to_float():
-    v = eval_expr(parse_expression("3 / 2.0"), Env())
+    v = Interpreter().eval_expr(parse_expression("3 / 2.0"), Env())
     assert value_of(v) == 1.5
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        eval_expr(parse_expression("1 / 0"), Env())
+        Interpreter().eval_expr(parse_expression("1 / 0"), Env())
 
 
 def test_integer_overflow_is_loud():
     big = 2 ** 62
     env = env_with(a=big)
     with pytest.raises(IntegerOverflow):
-        eval_expr(parse_expression("a * 4"), env)
+        Interpreter().eval_expr(parse_expression("a * 4"), env)
 
 
 def test_depth_limit_boundary():
@@ -193,14 +195,15 @@ def test_loop_and_recursion_agree():
 
 def test_short_circuit_logic():
     # the right operand would divide by zero; short-circuit avoids it
-    assert value_of(eval_expr(parse_expression("false && 1 / 0 == 0"),
-                              Env())) is False
-    assert value_of(eval_expr(parse_expression("true || 1 / 0 == 0"),
-                              Env())) is True
+    interp = Interpreter()
+    assert value_of(interp.eval_expr(parse_expression("false && 1 / 0 == 0"),
+                                     Env())) is False
+    assert value_of(interp.eval_expr(parse_expression("true || 1 / 0 == 0"),
+                                     Env())) is True
 
 
 def test_type_values_are_not_arithmetic():
     env = Env()
     env.declare("T", Slot(INT))
     with pytest.raises(TypeMismatch):
-        eval_expr(parse_expression("T + 1"), env)
+        Interpreter().eval_expr(parse_expression("T + 1"), env)
