@@ -368,7 +368,7 @@ def child_fields(cls: type) -> tuple[str, ...]:
 def children(node: Node):
     """The child nodes of ``node`` in field order."""
     for name in child_fields(type(node)):
-        value = node.__dict__[name]
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, list):
@@ -385,15 +385,20 @@ def walk(node: Node):
 def map_children(node: Node, fn) -> Node:
     """A shallow copy of ``node`` whose child nodes are replaced by
     ``fn(child)``; list fields are copied, plain values are shared."""
+    # Attributes are set one by one, in the constructor's order, and never
+    # through ``__dict__``: an instance whose ``__dict__`` has been touched
+    # keeps its attributes in a separate dict, which made the interpreter
+    # about 10% slower on erased programs.
     new = object.__new__(type(node))
-    attrs = new.__dict__
-    attrs.update(node.__dict__)
+    new.span = node.span
+    new.stage = node.stage
     for name in child_fields(type(node)):
-        value = attrs[name]
+        value = getattr(node, name)
         if isinstance(value, Node):
-            attrs[name] = fn(value)
+            value = fn(value)
         elif isinstance(value, list):
-            attrs[name] = [fn(x) for x in value]
+            value = [fn(x) for x in value]
+        setattr(new, name, value)
     return new
 
 
@@ -412,9 +417,8 @@ def strip_annotations(node, merge_call_lists: bool = False):
     """
     def strip(x):
         x = map_children(x, strip)
-        attrs = x.__dict__
-        if "at_count" in attrs and not isinstance(x, CtorDef):
-            attrs["at_count"] = 0
+        if "at_count" in child_fields(type(x)) and not isinstance(x, CtorDef):
+            x.at_count = 0
         if isinstance(x, If):
             x.else_at_count = 0
         elif isinstance(x, ClassAppType):
