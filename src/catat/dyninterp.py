@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import nodes as n
 from .staging import check_stages
-from .staticeval import EvalLimits, Interpreter, depth_limited
+from .errors import STACK_EXHAUSTED, DepthExceeded
+from .staticeval import EvalLimits, Interpreter
 from .values import Value, UNIT
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -35,7 +36,6 @@ def _as_program(program) -> n.Program:
     raise TypeError(f"cannot run {type(program).__name__}")
 
 
-@depth_limited
 def run(program, entry: str | None = None, args: list | tuple = (),
         limits: EvalLimits | None = None, check: bool = True) -> RunResult:
     """Execute a single-level program: globals first, then ``entry``.
@@ -43,20 +43,23 @@ def run(program, entry: str | None = None, args: list | tuple = (),
     ``program`` may be a ResidualProgram or an annotation-free Program AST.
     Without an entry the result is the global execution itself (scripting).
     """
-    ast = _as_program(program)
-    if check:
-        check_stages(ast, levels=1)
-    if limits is None:
-        limits = EvalLimits(step_limit=DEFAULT_STEP_LIMIT)
-    elif limits.step_limit is None:
-        limits = EvalLimits(limits.loop_cap, limits.max_depth,
-                            DEFAULT_STEP_LIMIT)
-    interp = Interpreter(ast, limits, count_steps=True)
-    interp.run_top(ast)
-    value: Value = UNIT
-    if entry is not None:
-        value = interp.call_by_name(entry, list(args))
-    return RunResult(value, interp.steps, interp.globals.bindings())
+    try:
+        ast = _as_program(program)
+        if check:
+            check_stages(ast, levels=1)
+        if limits is None:
+            limits = EvalLimits(step_limit=DEFAULT_STEP_LIMIT)
+        elif limits.step_limit is None:
+            limits = EvalLimits(limits.loop_cap, limits.max_depth,
+                                DEFAULT_STEP_LIMIT)
+        interp = Interpreter(ast, limits, count_steps=True)
+        interp.run_top(ast)
+        value: Value = UNIT
+        if entry is not None:
+            value = interp.call_by_name(entry, list(args))
+        return RunResult(value, interp.steps, interp.globals.bindings())
+    except RecursionError:
+        raise DepthExceeded(STACK_EXHAUSTED) from None
 
 
 def erase_stages(program: n.Program) -> n.Program:

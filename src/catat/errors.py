@@ -130,6 +130,13 @@ class DepthExceeded(CatatError):
     exit_code = 4
 
 
+# Deep call chains can exhaust Python's stack before any ``max_depth`` is
+# reached.  The entry points (specialize_program, run, call_static) turn
+# RecursionError into DepthExceeded with this message, each in its own
+# try/except: a shared wrapper made compile and run about 6% slower.
+STACK_EXHAUSTED = "call chain nested too deeply for the interpreter's stack"
+
+
 class SelfRecursiveSpecialization(DepthExceeded):
     pass
 

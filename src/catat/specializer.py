@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 
 from . import nodes as n
 from .errors import (
-    LiftError, ReturnTypeMismatch, SelfRecursiveSpecialization, Span,
-    StageLeak, TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, LiftError, ReturnTypeMismatch,
+    SelfRecursiveSpecialization, Span, StageLeak, TypeMismatch,
+    UnboundVariable,
 )
 from .flatten import BUILDERS
 from .staging import StagedAST
-from .staticeval import DepthGuard, EvalLimits, Interpreter, depth_limited
+from .staticeval import DepthGuard, EvalLimits, Interpreter
 from .values import (
     ArrayV, BOOL, BoolV, ClassTV, Env, FixedArrayTV, FloatV, IntV,
     PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith,
@@ -1069,7 +1070,6 @@ def specialize_class(cls: n.ClassDef, static_args: list,
     return _Specializer(cache).specialize_class(cls, list(static_args))
 
 
-@depth_limited
 def specialize_program(staged: StagedAST, entry: str | None = None,
                        entry_static_args: list | None = None,
                        limits: EvalLimits | None = None,
@@ -1079,41 +1079,44 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     order (static ones evaluated, dynamic ones residualized), then the
     entry function is specialized with the given static arguments; the
     residual contains the transitive closure of needed specializations."""
-    cache = cache or SpecializationCache(staged, limits)
-    spec = _Specializer(cache)
-    ctx = _SpecCtx(cache, cache.globals)
-    ctx.dyn = [cache.global_dyn]
-    top_res: list = []
-    for item in staged.program.items:
-        if isinstance(item, n.Stmt):
-            spec.stmt(item, ctx, top_res)
-    entry_name = None
-    if entry is not None:
-        static_args = list(entry_static_args or [])
-        fn = cache.functions.get((entry, len(static_args)))
-        if fn is not None:
-            if via_flatten:
-                from .flatten import specialize_via_flatten
-                entry_name = specialize_via_flatten(fn, static_args,
-                                                    cache).name
+    try:
+        cache = cache or SpecializationCache(staged, limits)
+        spec = _Specializer(cache)
+        ctx = _SpecCtx(cache, cache.globals)
+        ctx.dyn = [cache.global_dyn]
+        top_res: list = []
+        for item in staged.program.items:
+            if isinstance(item, n.Stmt):
+                spec.stmt(item, ctx, top_res)
+        entry_name = None
+        if entry is not None:
+            static_args = list(entry_static_args or [])
+            fn = cache.functions.get((entry, len(static_args)))
+            if fn is not None:
+                if via_flatten:
+                    from .flatten import specialize_via_flatten
+                    entry_name = specialize_via_flatten(fn, static_args,
+                                                        cache).name
+                else:
+                    entry_name = spec.specialize_function(fn, static_args).name
+            elif entry in cache.classes:
+                entry_name = spec.specialize_class(cache.classes[entry],
+                                                   static_args).name
             else:
-                entry_name = spec.specialize_function(fn, static_args).name
-        elif entry in cache.classes:
-            entry_name = spec.specialize_class(cache.classes[entry],
-                                               static_args).name
-        else:
-            raise UnboundVariable(
-                f"no function '{entry}' taking {len(static_args)} static "
-                "argument(s) and no class of that name")
-    provenance = {}
-    comments = {}
-    for unit in cache.order:
-        provenance[unit.name] = unit.key
-        comments[unit.name] = unit.comment
-    bindings = [(name, slot.value)
-                for name, slot in cache.globals.slots.items()]
-    return ResidualProgram(list(cache.order), top_res, entry_name,
-                           provenance, comments, bindings)
+                raise UnboundVariable(
+                    f"no function '{entry}' taking {len(static_args)} static "
+                    "argument(s) and no class of that name")
+        provenance = {}
+        comments = {}
+        for unit in cache.order:
+            provenance[unit.name] = unit.key
+            comments[unit.name] = unit.comment
+        bindings = [(name, slot.value)
+                    for name, slot in cache.globals.slots.items()]
+        return ResidualProgram(list(cache.order), top_res, entry_name,
+                               provenance, comments, bindings)
+    except RecursionError:
+        raise DepthExceeded(STACK_EXHAUSTED) from None
 
 
 # ---------------------------------------------------------------------------

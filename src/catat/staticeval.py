@@ -14,13 +14,12 @@ builtin functions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import nodes as n
 from .errors import (
-    DepthExceeded, LoopLimitExceeded, OutOfBounds, Span, StepLimitExceeded,
-    TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, LoopLimitExceeded, OutOfBounds, Span,
+    StepLimitExceeded, TypeMismatch, UnboundVariable,
 )
 from .flatten import BUILDERS
 from .values import (
@@ -53,19 +52,6 @@ class DepthGuard:
 
     def exit(self) -> None:
         self.depth -= 1
-
-
-def depth_limited(fn):
-    """Report Python stack exhaustion inside ``fn`` as ``DepthExceeded``;
-    deep call chains can exhaust it before any ``max_depth`` is reached."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise DepthExceeded("call chain nested too deeply for the "
-                                "interpreter's stack") from None
-    return wrapper
 
 
 class _ReturnSignal(Exception):
@@ -432,15 +418,17 @@ class Interpreter:
         return self.call_function(fn, args, e.span)
 
 
-@depth_limited
 def call_static(fn: n.FunctionDef, args: list,
                 program: n.Program | None = None,
                 limits: EvalLimits | None = None) -> Value:
     """Fully interpret a function at stage 0 (the ``f@(...)`` path)."""
-    interp = Interpreter(program, limits)
-    if (fn.name, fn.static_arity) not in interp.functions:
-        interp.add_function(fn)
-    return interp.call_function(fn, args, fn.span)
+    try:
+        interp = Interpreter(program, limits)
+        if (fn.name, fn.static_arity) not in interp.functions:
+            interp.add_function(fn)
+        return interp.call_function(fn, args, fn.span)
+    except RecursionError:
+        raise DepthExceeded(STACK_EXHAUSTED) from None
 
 
 def value_of(v: Value):
