@@ -133,7 +133,7 @@ class DepthExceeded(CatatError):
 # Deep call chains can exhaust Python's stack before any ``max_depth`` is
 # reached.  The entry points (specialize_program, run, call_static) turn
 # RecursionError into DepthExceeded with this message, each in its own
-# try/except: a shared wrapper made compile and run about 6% slower.
+# try/except: a shared wrapper around them made compile about 6% slower.
 STACK_EXHAUSTED = "call chain nested too deeply for the interpreter's stack"
 
 
