@@ -10,12 +10,13 @@ performance proxy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from . import nodes as n
 from .staging import check_stages
 from .errors import STACK_EXHAUSTED, DepthExceeded
-from .staticeval import EvalLimits, Interpreter
+from .staticeval import EvalLimits, Interpreter, raise_recursion_limit
 from .values import Value, UNIT
 
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -28,12 +29,22 @@ class RunResult:
     bindings: list | None = None  # (name, Value) globals, scripting reports
 
 
-def _as_program(program) -> n.Program:
+def _checked_program(program, check: bool) -> n.Program:
+    """The Program to run, checked with ``check_stages(levels=1)`` unless
+    ``check`` is false.  A plain Program is checked on every call; a
+    ResidualProgram is checked on its first run and remembers that it
+    passed."""
     if isinstance(program, n.Program):
+        if check:
+            check_stages(program, levels=1)
         return program
-    if hasattr(program, "to_program_ast"):
-        return program.to_program_ast()
-    raise TypeError(f"cannot run {type(program).__name__}")
+    if not hasattr(program, "to_program_ast"):
+        raise TypeError(f"cannot run {type(program).__name__}")
+    ast = program.to_program_ast()
+    if check and not program.checked:
+        check_stages(ast, levels=1)
+        program.checked = True
+    return ast
 
 
 def run(program, entry: str | None = None, args: list | tuple = (),
@@ -43,15 +54,14 @@ def run(program, entry: str | None = None, args: list | tuple = (),
     ``program`` may be a ResidualProgram or an annotation-free Program AST.
     Without an entry the result is the global execution itself (scripting).
     """
+    if limits is None:
+        limits = EvalLimits(step_limit=DEFAULT_STEP_LIMIT)
+    elif limits.step_limit is None:
+        limits = EvalLimits(limits.loop_cap, limits.max_depth,
+                            DEFAULT_STEP_LIMIT)
+    old_limit = raise_recursion_limit(limits.max_depth)
     try:
-        ast = _as_program(program)
-        if check:
-            check_stages(ast, levels=1)
-        if limits is None:
-            limits = EvalLimits(step_limit=DEFAULT_STEP_LIMIT)
-        elif limits.step_limit is None:
-            limits = EvalLimits(limits.loop_cap, limits.max_depth,
-                                DEFAULT_STEP_LIMIT)
+        ast = _checked_program(program, check)
         interp = Interpreter(ast, limits, count_steps=True)
         interp.run_top(ast)
         value: Value = UNIT
@@ -60,6 +70,8 @@ def run(program, entry: str | None = None, args: list | tuple = (),
         return RunResult(value, interp.steps, interp.globals.bindings())
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def erase_stages(program: n.Program) -> n.Program:

@@ -130,10 +130,13 @@ class DepthExceeded(CatatError):
     exit_code = 4
 
 
-# Deep call chains can exhaust Python's stack before any ``max_depth`` is
-# reached.  The entry points (specialize_program, run, call_static) turn
-# RecursionError into DepthExceeded with this message, each in its own
-# try/except: a shared wrapper around them made compile about 6% slower.
+# The entry points (specialize_program, run, call_static) size Python's
+# recursion limit from ``max_depth``, so that the depth limit ends a deep
+# call chain.  A chain that still exhausts the stack (very deep nesting
+# within each call, or a ``max_depth`` beyond the limit's cap) becomes
+# DepthExceeded with this message.  Each entry point catches RecursionError
+# in its own try/except: a shared wrapper around them made compile about 6%
+# slower.
 STACK_EXHAUSTED = "call chain nested too deeply for the interpreter's stack"
 
 

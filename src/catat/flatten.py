@@ -659,7 +659,7 @@ def _frag_to_stmt(f: Frag, resolve) -> n.Stmt:
 
 
 def materialize(code: CodeV, name: str, static_args: list | None = None,
-                cache=None):
+                cache=None, span: Span | None = None):
     """Turn a completed function shell into a ResidualFunction.
 
     With a SpecializationCache the result is registered (memoized, ordered
@@ -696,9 +696,12 @@ def materialize(code: CodeV, name: str, static_args: list | None = None,
         residual_name = spec.mangle(name, key)
     body = [_frag_to_stmt(f, resolve) for f in frag.body.stmts]
     params = list(frag.params)
-    rtype = spec.infer_return_type(
-        body, dict(params),
-        (cache.return_type_of if cache is not None else None))
+    var_types = dict(params)
+    callee_types = None
+    if cache is not None:
+        var_types = {**cache.global_types(), **var_types}
+        callee_types = cache.return_type_of
+    rtype = spec.infer_return_type(body, var_types, callee_types, span)
     residual = spec.ResidualFunction(
         residual_name, rtype, params, body, key,
         comment=spec.key_comment(key, static_args))
@@ -721,4 +724,4 @@ def specialize_via_flatten(fn: n.FunctionDef, static_args: list, cache):
         raise MalformedFragment(
             f"generator for '{fn.name}' did not produce a code value",
             fn.span)
-    return materialize(code, fn.name, static_args, cache)
+    return materialize(code, fn.name, static_args, cache, fn.span)

@@ -16,6 +16,7 @@ residual program emits in one pass.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from . import nodes as n
@@ -26,7 +27,9 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .staging import StagedAST
-from .staticeval import DepthGuard, EvalLimits, Interpreter
+from .staticeval import (
+    DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
+)
 from .values import (
     ArrayV, BOOL, BoolV, ClassTV, Env, FixedArrayTV, FloatV, IntV,
     PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith,
@@ -165,6 +168,11 @@ class SpecializationCache:
         self.entries[key] = entity
         self.order.append(entity)
 
+    def global_types(self) -> dict:
+        """Residual name -> type of each dynamic global, for typing the
+        residual bodies that read them."""
+        return {name: tv for name, tv in self.global_dyn.values()}
+
     def return_type_of(self, residual_name: str) -> TypeValue | None:
         key = self.names.get(residual_name)
         if key is None:
@@ -185,15 +193,24 @@ class ResidualProgram:
     provenance: dict = field(default_factory=dict)  # name -> SpecializationKey
     comments: dict = field(default_factory=dict)  # name -> provenance text
     static_bindings: list = field(default_factory=list)  # (name, Value)
+    # set by dyninterp.run once the Program has passed check_stages(levels=1)
+    checked: bool = field(default=False, init=False, compare=False)
+    _program: n.Program | None = field(default=None, init=False,
+                                       repr=False, compare=False)
 
     @property
     def is_pure_static(self) -> bool:
         return not self.units and not self.top_stmts
 
     def to_program_ast(self) -> n.Program:
-        items = [u.to_def() for u in self.units]
-        items.extend(self.top_stmts)
-        return n.Program(items)
+        """The residual as a Program.  It is built on the first call, and
+        every later call returns that same object, so the units and top
+        statements must not change after it."""
+        if self._program is None:
+            items = [u.to_def() for u in self.units]
+            items.extend(self.top_stmts)
+            self._program = n.Program(items)
+        return self._program
 
     def provenance_comments(self) -> dict:
         return dict(self.comments)
@@ -262,18 +279,19 @@ def _texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
 # Residual return-type inference
 
 
-def infer_return_type(body: list, param_types: dict,
-                      callee_types=None) -> TypeValue:
+def infer_return_type(body: list, var_types: dict, callee_types=None,
+                      span: Span | None = None) -> TypeValue:
     """Unify the types of all return expressions in a residual body under
-    numeric promotion; no returns means void."""
-    walker = _ReturnTyper(dict(param_types), callee_types)
+    numeric promotion; no returns means void.  ``var_types`` holds the
+    types of the parameters and of the globals the body may read."""
+    walker = _ReturnTyper(var_types, callee_types)
     for s in body:
         walker.visit(s)
     known = [tv for tv in walker.found if tv is not None]
     if not known:
         if walker.found:
             raise ReturnTypeMismatch(
-                "return type depends only on unresolvable calls")
+                "return type depends only on unresolvable calls", span)
         return VOID
     result = known[0]
     for tv in known[1:]:
@@ -282,14 +300,14 @@ def infer_return_type(body: list, param_types: dict,
             from .values import render_type
             raise ReturnTypeMismatch(
                 f"cannot unify return types {render_type(result)} and "
-                f"{render_type(tv)}")
+                f"{render_type(tv)}", span)
         result = unified
     return result
 
 
 class _ReturnTyper:
-    def __init__(self, params: dict, callee_types):
-        self.scopes = [dict(params)]
+    def __init__(self, var_types: dict, callee_types):
+        self.scopes = [dict(var_types)]
         self.callee_types = callee_types
         self.found: list = []
 
@@ -477,8 +495,9 @@ class _Specializer:
                 res_name = ctx.declare_dyn(p.name, tv)
                 params.append((res_name, tv))
             body = self.stmts([*fn.body.stmts], ctx)
-            rtype = infer_return_type(body, dict(params),
-                                      self.cache.return_type_of)
+            rtype = infer_return_type(
+                body, {**self.cache.global_types(), **dict(params)},
+                self.cache.return_type_of, fn.span)
             residual = ResidualFunction(name, rtype, params, body, key,
                                         comment=key_comment(key, static_args))
             self.cache.complete(key, residual)
@@ -1079,8 +1098,9 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     order (static ones evaluated, dynamic ones residualized), then the
     entry function is specialized with the given static arguments; the
     residual contains the transitive closure of needed specializations."""
+    cache = cache or SpecializationCache(staged, limits)
+    old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
-        cache = cache or SpecializationCache(staged, limits)
         spec = _Specializer(cache)
         ctx = _SpecCtx(cache, cache.globals)
         ctx.dyn = [cache.global_dyn]
@@ -1117,6 +1137,8 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
                                provenance, comments, bindings)
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 # ---------------------------------------------------------------------------

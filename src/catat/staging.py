@@ -249,31 +249,25 @@ class _Checker:
             scope.pop()
 
     def check_stmt(self, stmt: n.Stmt, scope: _Scope) -> None:
-        if isinstance(stmt, n.VarDecl):
-            self.check_var_decl(stmt, scope)
-        elif isinstance(stmt, n.Assign):
-            self.check_assign(stmt, scope)
-        elif isinstance(stmt, n.ExprStmt):
-            stage = self.expr_stage(stmt.expr, scope)
-            if isinstance(stmt.expr, n.Incr):
-                self.check_mutation(stage, stmt.span, scope)
-            stmt.stage = stage
-        elif isinstance(stmt, n.Return):
-            stage = 0 if stmt.value is None \
-                else self.expr_stage(stmt.value, scope)
-            stmt.stage = stage
-        elif isinstance(stmt, n.Block):
-            self.check_block(stmt, scope)
-            stmt.stage = scope.default
-        elif isinstance(stmt, n.If):
-            self.check_if(stmt, scope)
-        elif isinstance(stmt, n.For):
-            self.check_for(stmt, scope)
-        elif isinstance(stmt, n.Switch):
-            self.check_switch(stmt, scope)
-        else:
+        handler = _STMT_CHECK.get(stmt.__class__)
+        if handler is None:
             raise ParseError(f"unexpected statement {type(stmt).__name__}",
                              stmt.span)
+        handler(self, stmt, scope)
+
+    def check_expr_stmt(self, stmt: n.ExprStmt, scope: _Scope) -> None:
+        stage = self.expr_stage(stmt.expr, scope)
+        if isinstance(stmt.expr, n.Incr):
+            self.check_mutation(stage, stmt.span, scope)
+        stmt.stage = stage
+
+    def check_return(self, stmt: n.Return, scope: _Scope) -> None:
+        stmt.stage = 0 if stmt.value is None \
+            else self.expr_stage(stmt.value, scope)
+
+    def check_block_stmt(self, stmt: n.Block, scope: _Scope) -> None:
+        self.check_block(stmt, scope)
+        stmt.stage = scope.default
 
     def construct_stage(self, at_count: int, span: Span | None,
                         scope: _Scope) -> int:
@@ -368,7 +362,9 @@ class _Checker:
                 f"guard of for{'@' * stmt.at_count} has stage {guard}; it "
                 f"must be static", stmt.span)
         effective = cstage if stmt.at_count >= 1 else guard
-        scope.controls.append(effective)
+        # A plain loop repeats when the residual runs, so static state may
+        # change neither in its body nor in its update, whatever its guard.
+        scope.controls.append(max(effective, cstage))
         if stmt.incr is not None:
             self.check_stmt(stmt.incr, scope)
             if stmt.at_count >= 1 and (stmt.incr.stage or 0) > cstage:
@@ -435,40 +431,46 @@ class _Checker:
     # -- expressions ----------------------------------------------------------
 
     def expr_stage(self, e: n.Expr, scope: _Scope) -> int:
-        stage = self._expr_stage(e, scope)
+        handler = _EXPR_STAGE.get(e.__class__)
+        if handler is None:
+            raise ParseError(f"unexpected expression {type(e).__name__}",
+                             e.span)
+        stage = handler(self, e, scope)
         e.stage = stage
         return stage
 
-    def _expr_stage(self, e: n.Expr, scope: _Scope) -> int:
-        if isinstance(e, (n.IntLit, n.FloatLit, n.BoolLit, n.StringLit)):
-            return 0
-        if isinstance(e, n.TypeLit):
-            t = e.type_expr
-            if isinstance(t, n.NamedType):
-                self.check_named_type(t, e.span, scope)
-            return 0
-        if isinstance(e, n.VarRef):
-            sym = scope.find(e.name)
-            if sym is None:
-                raise UnboundVariable(f"unbound variable '{e.name}'", e.span)
-            return sym.stage
-        if isinstance(e, n.Unary):
-            return self.expr_stage(e.operand, scope)
-        if isinstance(e, n.Incr):
-            return self.expr_stage(e.target, scope)
-        if isinstance(e, n.Binary):
-            return max(self.expr_stage(e.lhs, scope),
-                       self.expr_stage(e.rhs, scope))
-        if isinstance(e, n.Cond):
-            return max(self.expr_stage(e.cond, scope),
-                       self.expr_stage(e.then_expr, scope),
-                       self.expr_stage(e.else_expr, scope))
-        if isinstance(e, n.Subscript):
-            return max(self.expr_stage(e.base, scope),
-                       self.expr_stage(e.index, scope))
-        if isinstance(e, n.Call):
-            return self.call_stage(e, scope)
-        raise ParseError(f"unexpected expression {type(e).__name__}", e.span)
+    def literal_stage(self, e: n.Expr, scope: _Scope) -> int:
+        return 0
+
+    def type_lit_stage(self, e: n.TypeLit, scope: _Scope) -> int:
+        if isinstance(e.type_expr, n.NamedType):
+            self.check_named_type(e.type_expr, e.span, scope)
+        return 0
+
+    def var_stage(self, e: n.VarRef, scope: _Scope) -> int:
+        sym = scope.find(e.name)
+        if sym is None:
+            raise UnboundVariable(f"unbound variable '{e.name}'", e.span)
+        return sym.stage
+
+    def unary_stage(self, e: n.Unary, scope: _Scope) -> int:
+        return self.expr_stage(e.operand, scope)
+
+    def incr_stage(self, e: n.Incr, scope: _Scope) -> int:
+        return self.expr_stage(e.target, scope)
+
+    def binary_stage(self, e: n.Binary, scope: _Scope) -> int:
+        return max(self.expr_stage(e.lhs, scope),
+                   self.expr_stage(e.rhs, scope))
+
+    def cond_stage(self, e: n.Cond, scope: _Scope) -> int:
+        return max(self.expr_stage(e.cond, scope),
+                   self.expr_stage(e.then_expr, scope),
+                   self.expr_stage(e.else_expr, scope))
+
+    def subscript_stage(self, e: n.Subscript, scope: _Scope) -> int:
+        return max(self.expr_stage(e.base, scope),
+                   self.expr_stage(e.index, scope))
 
     def call_stage(self, e: n.Call, scope: _Scope) -> int:
         if e.callee in KNOWN_BUILTINS:
@@ -546,6 +548,36 @@ class _Checker:
                     return True
         return False
 
+
+
+# Checks by exact node class; each takes (checker, node, scope).  Statement
+# checks record ``stmt.stage``; expression checks return the stage, which
+# ``expr_stage`` records.
+_STMT_CHECK = {
+    n.VarDecl: _Checker.check_var_decl,
+    n.Assign: _Checker.check_assign,
+    n.ExprStmt: _Checker.check_expr_stmt,
+    n.Return: _Checker.check_return,
+    n.Block: _Checker.check_block_stmt,
+    n.If: _Checker.check_if,
+    n.For: _Checker.check_for,
+    n.Switch: _Checker.check_switch,
+}
+
+_EXPR_STAGE = {
+    n.IntLit: _Checker.literal_stage,
+    n.FloatLit: _Checker.literal_stage,
+    n.BoolLit: _Checker.literal_stage,
+    n.StringLit: _Checker.literal_stage,
+    n.TypeLit: _Checker.type_lit_stage,
+    n.VarRef: _Checker.var_stage,
+    n.Unary: _Checker.unary_stage,
+    n.Incr: _Checker.incr_stage,
+    n.Binary: _Checker.binary_stage,
+    n.Cond: _Checker.cond_stage,
+    n.Subscript: _Checker.subscript_stage,
+    n.Call: _Checker.call_stage,
+}
 
 def check_stages(program: n.Program, levels: int = 2) -> StagedAST:
     """Verify well-stagedness; raises StageError/UnboundVariable on the

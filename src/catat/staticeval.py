@@ -8,12 +8,22 @@ executed *now*, so ``for@`` loops run, ``if@`` selects a branch, and
 switched on) executes residual programs; both stages share one numeric
 semantics.
 
+Evaluation dispatches on the node's exact class.  ``eval_expr`` and
+``exec_stmt`` count one step for the node when step accounting is on, then
+call the handler that ``_EXPR`` or ``_STMT`` holds for ``type(node)``; a
+class without a handler is an error.  A statement returns ``None`` when
+control falls through and the ``Value`` of a ``return`` otherwise.  Blocks,
+loops and switches stop at the first statement that returns a value and
+pass it up; ``call_function`` makes it the call's result.
+
 ``Catat_error@`` and the code builders (make_lambda, make_op, ...) are the
 builtin functions.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass
 
 from . import nodes as n
@@ -23,9 +33,9 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .values import (
-    ArrayV, BoolV, ClassTV, Env, FixedArrayTV, FloatV, InstanceV, IntV,
-    PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, UNIT, Value, arith,
-    coerce, describe, truth, zero_value,
+    INT64_MAX, INT64_MIN, ArrayV, BoolV, ClassTV, Env, FixedArrayTV, FloatV,
+    InstanceV, IntV, PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, UNIT,
+    Value, arith, coerce, describe, truth, zero_value,
 )
 
 
@@ -34,6 +44,26 @@ class EvalLimits:
     loop_cap: int = 1_000_000
     max_depth: int = 256
     step_limit: int | None = None
+
+
+# Python frames one level of a Catat call chain may take: the call, its
+# block, and the statements and expressions between it and the next call.
+# Each dispatched node takes two (``eval_expr``/``exec_stmt`` and its
+# handler); a ``return f(x)`` under an ``if`` takes about ten.
+FRAMES_PER_CALL = 40
+STACK_MARGIN = 1000      # the caller's own frames
+STACK_CAP = 50_000
+
+
+def raise_recursion_limit(max_depth: int) -> int:
+    """Make room on Python's stack for ``max_depth`` nested Catat calls,
+    so that the depth limit, not the stack, ends a deep chain.  Returns the
+    previous limit, which the caller restores."""
+    old = sys.getrecursionlimit()
+    wanted = min(STACK_CAP, FRAMES_PER_CALL * max_depth + STACK_MARGIN)
+    if wanted > old:
+        sys.setrecursionlimit(wanted)
+    return old
 
 
 class DepthGuard:
@@ -46,17 +76,15 @@ class DepthGuard:
     def enter(self, span: Span | None = None) -> None:
         self.depth += 1
         if self.depth > self.limit:
-            raise DepthExceeded(
-                f"static call/specialization chain exceeded the depth limit "
-                f"({self.limit})", span)
+            raise self.exceeded(span)
+
+    def exceeded(self, span: Span | None) -> DepthExceeded:
+        return DepthExceeded(
+            f"static call/specialization chain exceeded the depth limit "
+            f"({self.limit})", span)
 
     def exit(self) -> None:
         self.depth -= 1
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Value):
-        self.value = value
 
 
 class Interpreter:
@@ -70,6 +98,8 @@ class Interpreter:
         self.depth_guard = depth_guard or DepthGuard(self.limits.max_depth)
         self.count_steps = count_steps
         self.steps = 0
+        self._step_cap = float("inf") if self.limits.step_limit is None \
+            else self.limits.step_limit
         self.functions: dict = {}
         self.classes: dict = {}
         self.globals = Env()
@@ -85,22 +115,14 @@ class Interpreter:
     def add_function(self, fn: n.FunctionDef) -> None:
         self.functions[(fn.name, fn.static_arity)] = fn
 
-    def _step(self, span: Span | None) -> None:
-        if not self.count_steps:
-            return
-        self.steps += 1
-        if self.limits.step_limit is not None and \
-                self.steps > self.limits.step_limit:
-            raise StepLimitExceeded(
-                f"step limit ({self.limits.step_limit}) exceeded", span)
-
     # -- program-level entry points ------------------------------------------
 
     def run_top(self, program: n.Program) -> None:
         """Execute top-level statements into the global environment."""
         for item in program.items:
-            if isinstance(item, n.Stmt):
-                self.exec_stmt(item, self.globals)
+            if isinstance(item, n.Stmt) and \
+                    self.exec_stmt(item, self.globals) is not None:
+                raise TypeMismatch("return outside a function", item.span)
 
     def call_by_name(self, name: str, args: list, span: Span | None = None,
                      static_arity: int = 0) -> Value:
@@ -111,24 +133,33 @@ class Interpreter:
 
     def call_function(self, fn: n.FunctionDef, args: list,
                       span: Span | None = None) -> Value:
-        all_params = (fn.static_params or []) + fn.params
-        if len(args) != len(all_params):
+        params = fn.params if fn.static_params is None \
+            else fn.static_params + fn.params
+        if len(args) != len(params):
             raise TypeMismatch(
-                f"'{fn.name}' expects {len(all_params)} argument(s), got "
+                f"'{fn.name}' expects {len(params)} argument(s), got "
                 f"{len(args)}", span)
-        self.depth_guard.enter(span)
+        guard = self.depth_guard
+        guard.depth += 1
+        if guard.depth > guard.limit:
+            raise guard.exceeded(span)
         try:
-            env = self.globals.child()
-            for p, a in zip(all_params, args):
-                tv = self.resolve_type(p.dtype, env, p.span)
-                env.declare(p.name, Slot(coerce(a, tv, p.span), tv), p.span)
-            try:
-                self.exec_block(fn.body, env)
-            except _ReturnSignal as ret:
-                return ret.value
-            return UNIT
+            env = Env(self.globals)
+            slots = env.slots
+            for p, a in zip(params, args):
+                t = p.dtype
+                tv = PRIM_BY_NAME[t.name] if t.__class__ is n.PrimType \
+                    else self.resolve_type(t, env, p.span)
+                value = coerce(a, tv, p.span)
+                if p.name in slots:
+                    raise TypeMismatch(
+                        f"redeclaration of '{p.name}' in the same scope",
+                        p.span)
+                slots[p.name] = Slot(value, tv)
+            result = self.exec_block(fn.body, env)
+            return UNIT if result is None else result
         finally:
-            self.depth_guard.exit()
+            guard.depth -= 1
 
     # -- types ----------------------------------------------------------------
 
@@ -214,37 +245,43 @@ class Interpreter:
 
     # -- statements ---------------------------------------------------------
 
-    def exec_block(self, block: n.Block, env: Env) -> None:
-        child = env.child()
+    def exec_block(self, block: n.Block, env: Env) -> Value | None:
+        child = Env(env)
         for s in block.stmts:
-            self.exec_stmt(s, child)
+            result = self.exec_stmt(s, child)
+            if result is not None:
+                return result
+        return None
 
-    def exec_stmt(self, stmt: n.Stmt, env: Env) -> None:
-        self._step(stmt.span)
-        if isinstance(stmt, n.VarDecl):
-            self.exec_var_decl(stmt, env)
-        elif isinstance(stmt, n.Assign):
-            self.exec_assign(stmt, env)
-        elif isinstance(stmt, n.ExprStmt):
-            self.eval_expr(stmt.expr, env)
-        elif isinstance(stmt, n.Return):
-            value = UNIT if stmt.value is None \
-                else self.eval_expr(stmt.value, env)
-            raise _ReturnSignal(value)
-        elif isinstance(stmt, n.Block):
-            self.exec_block(stmt, env)
-        elif isinstance(stmt, n.If):
-            if truth(self.eval_expr(stmt.cond, env), stmt.span):
-                self.exec_stmt(stmt.then_stmt, env.child())
-            elif stmt.else_stmt is not None:
-                self.exec_stmt(stmt.else_stmt, env.child())
-        elif isinstance(stmt, n.For):
-            self.exec_for(stmt, env)
-        elif isinstance(stmt, n.Switch):
-            self.exec_switch(stmt, env)
-        else:
+    def exec_stmt(self, stmt: n.Stmt, env: Env) -> Value | None:
+        if self.count_steps:
+            self.steps += 1
+            if self.steps > self._step_cap:
+                raise StepLimitExceeded(
+                    f"step limit ({self.limits.step_limit}) exceeded",
+                    stmt.span)
+        handler = _STMT.get(stmt.__class__)
+        if handler is None:
             raise TypeMismatch(f"cannot execute {type(stmt).__name__}",
                                stmt.span)
+        return handler(self, stmt, env)
+
+    def _exec_expr_stmt(self, stmt: n.ExprStmt, env: Env) -> None:
+        self.eval_expr(stmt.expr, env)
+
+    def _exec_return(self, stmt: n.Return, env: Env) -> Value:
+        return UNIT if stmt.value is None \
+            else self.eval_expr(stmt.value, env)
+
+    def _exec_if(self, stmt: n.If, env: Env) -> Value | None:
+        cond = self.eval_expr(stmt.cond, env)
+        if cond.value if cond.__class__ is BoolV else truth(cond, stmt.span):
+            branch = stmt.then_stmt
+        elif stmt.else_stmt is not None:
+            branch = stmt.else_stmt
+        else:
+            return None
+        return self.exec_stmt(branch, _scope_for(branch, env))
 
     def exec_var_decl(self, stmt: n.VarDecl, env: Env) -> None:
         for d in stmt.declarators:
@@ -279,13 +316,13 @@ class Interpreter:
                     raise UnboundVariable(
                         f"'{stmt.target.name}' read before assignment",
                         stmt.span)
-                value = arith(stmt.op[0], slot.value, value, stmt.span)
+                value = binop(stmt.op[0], slot.value, value, stmt.span)
             slot.value = coerce(value, slot.tv, stmt.span)
             return
         if isinstance(stmt.target, n.Subscript):
             arr, idx = self._subscript_target(stmt.target, env)
             if stmt.op != "=":
-                value = arith(stmt.op[0], arr.cells[idx], value, stmt.span)
+                value = binop(stmt.op[0], arr.cells[idx], value, stmt.span)
             arr.cells[idx] = coerce(value, arr.elem, stmt.span)
             return
         raise TypeMismatch("invalid assignment target", stmt.span)
@@ -305,25 +342,30 @@ class Interpreter:
                 f"{len(base.cells)}", target.span)
         return base, idx.value
 
-    def exec_for(self, stmt: n.For, env: Env) -> None:
-        loop_env = env.child()
+    def exec_for(self, stmt: n.For, env: Env) -> Value | None:
+        loop_env = Env(env)
         if stmt.init is not None:
             self.exec_stmt(stmt.init, loop_env)
+        cond, body, incr = stmt.cond, stmt.body, stmt.incr
         iterations = 0
         while True:
-            if stmt.cond is not None:
-                if not truth(self.eval_expr(stmt.cond, loop_env), stmt.span):
-                    break
+            if cond is not None:
+                c = self.eval_expr(cond, loop_env)
+                if not (c.value if c.__class__ is BoolV
+                        else truth(c, stmt.span)):
+                    return None
             iterations += 1
             if iterations > self.limits.loop_cap:
                 raise LoopLimitExceeded(
                     f"loop iteration cap ({self.limits.loop_cap}) exceeded",
                     stmt.span)
-            self.exec_stmt(stmt.body, loop_env.child())
-            if stmt.incr is not None:
-                self.exec_stmt(stmt.incr, loop_env)
+            result = self.exec_stmt(body, _scope_for(body, loop_env))
+            if result is not None:
+                return result
+            if incr is not None:
+                self.exec_stmt(incr, loop_env)
 
-    def exec_switch(self, stmt: n.Switch, env: Env) -> None:
+    def exec_switch(self, stmt: n.Switch, env: Env) -> Value | None:
         subject = self.eval_expr(stmt.subject, env)
         default_case = None
         for case in stmt.cases:
@@ -332,78 +374,106 @@ class Interpreter:
                 continue
             label = self.eval_expr(case.label, env)
             if truth(arith("==", subject, label, case.span), case.span):
-                self._exec_case(case, env)
-                return
+                return self._exec_case(case, env)
         if default_case is not None:
-            self._exec_case(default_case, env)
+            return self._exec_case(default_case, env)
+        return None
 
-    def _exec_case(self, case: n.SwitchCase, env: Env) -> None:
-        child = env.child()
+    def _exec_case(self, case: n.SwitchCase, env: Env) -> Value | None:
+        child = Env(env)
         for s in case.body:
-            self.exec_stmt(s, child)
+            result = self.exec_stmt(s, child)
+            if result is not None:
+                return result
+        return None
 
     # -- expressions ----------------------------------------------------------
 
     def eval_expr(self, e: n.Expr, env: Env) -> Value:
-        self._step(e.span)
-        if isinstance(e, n.IntLit):
-            return IntV(e.value)
-        if isinstance(e, n.FloatLit):
-            return FloatV(e.value)
-        if isinstance(e, n.BoolLit):
-            return BoolV(e.value)
-        if isinstance(e, n.StringLit):
-            return StrV(e.value)
-        if isinstance(e, n.TypeLit):
-            return self.resolve_type(e.type_expr, env, e.span)
-        if isinstance(e, n.VarRef):
-            slot = env.lookup(e.name, e.span)
-            if slot.value is None:
-                raise UnboundVariable(f"'{e.name}' read before assignment",
-                                      e.span)
-            return slot.value
-        if isinstance(e, n.Unary):
-            v = self.eval_expr(e.operand, env)
-            if e.op == "!":
-                return BoolV(not truth(v, e.span))
-            if isinstance(v, IntV):
-                return arith("-", IntV(0), v, e.span)
-            if isinstance(v, FloatV):
-                return FloatV(-v.value)
-            raise TypeMismatch(f"cannot negate {describe(v)}", e.span)
-        if isinstance(e, n.Incr):
-            if not isinstance(e.target, n.VarRef):
-                raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
-            slot = env.lookup(e.target.name, e.span)
-            if slot.value is None:
-                raise UnboundVariable(
-                    f"'{e.target.name}' read before assignment", e.span)
-            delta = 1 if e.op == "++" else -1
-            slot.value = coerce(arith("+", slot.value, IntV(delta), e.span),
-                                slot.tv, e.span)
-            return slot.value
-        if isinstance(e, n.Binary):
-            if e.op in ("&&", "||"):
-                lhs = truth(self.eval_expr(e.lhs, env), e.span)
-                if e.op == "&&" and not lhs:
-                    return BoolV(False)
-                if e.op == "||" and lhs:
-                    return BoolV(True)
-                return BoolV(truth(self.eval_expr(e.rhs, env), e.span))
-            return arith(e.op, self.eval_expr(e.lhs, env),
-                         self.eval_expr(e.rhs, env), e.span)
-        if isinstance(e, n.Cond):
-            if truth(self.eval_expr(e.cond, env), e.span):
-                return self.eval_expr(e.then_expr, env)
-            return self.eval_expr(e.else_expr, env)
-        if isinstance(e, n.Subscript):
-            arr, idx = self._subscript_target(e, env)
-            return arr.cells[idx]
-        if isinstance(e, n.Call):
-            return self.eval_call(e, env)
-        raise TypeMismatch(f"cannot evaluate {type(e).__name__}", e.span)
+        if self.count_steps:
+            self.steps += 1
+            if self.steps > self._step_cap:
+                raise StepLimitExceeded(
+                    f"step limit ({self.limits.step_limit}) exceeded", e.span)
+        handler = _EXPR.get(e.__class__)
+        if handler is None:
+            raise TypeMismatch(f"cannot evaluate {type(e).__name__}", e.span)
+        return handler(self, e, env)
 
-    def eval_call(self, e: n.Call, env: Env) -> Value:
+    def _eval_int(self, e: n.IntLit, env: Env) -> Value:
+        return IntV(e.value)
+
+    def _eval_float(self, e: n.FloatLit, env: Env) -> Value:
+        return FloatV(e.value)
+
+    def _eval_bool(self, e: n.BoolLit, env: Env) -> Value:
+        return TRUE if e.value else FALSE
+
+    def _eval_string(self, e: n.StringLit, env: Env) -> Value:
+        return StrV(e.value)
+
+    def _eval_type(self, e: n.TypeLit, env: Env) -> Value:
+        return self.resolve_type(e.type_expr, env, e.span)
+
+    def _eval_var(self, e: n.VarRef, env: Env) -> Value:
+        # Env.lookup, inlined: this is the most frequent node
+        name = e.name
+        while env is not None:
+            slot = env.slots.get(name)
+            if slot is not None:
+                if slot.value is None:
+                    raise UnboundVariable(f"'{name}' read before assignment",
+                                          e.span)
+                return slot.value
+            env = env.parent
+        raise UnboundVariable(f"unbound variable '{name}'", e.span)
+
+    def _eval_unary(self, e: n.Unary, env: Env) -> Value:
+        v = self.eval_expr(e.operand, env)
+        if e.op == "!":
+            return FALSE if truth(v, e.span) else TRUE
+        if isinstance(v, IntV):
+            return arith("-", IntV(0), v, e.span)
+        if isinstance(v, FloatV):
+            return FloatV(-v.value)
+        raise TypeMismatch(f"cannot negate {describe(v)}", e.span)
+
+    def _eval_incr(self, e: n.Incr, env: Env) -> Value:
+        if not isinstance(e.target, n.VarRef):
+            raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
+        slot = env.lookup(e.target.name, e.span)
+        if slot.value is None:
+            raise UnboundVariable(
+                f"'{e.target.name}' read before assignment", e.span)
+        delta = _ONE if e.op == "++" else _MINUS_ONE
+        slot.value = coerce(binop("+", slot.value, delta, e.span), slot.tv,
+                            e.span)
+        return slot.value
+
+    def _eval_binary(self, e: n.Binary, env: Env) -> Value:
+        op = e.op
+        if op == "&&" or op == "||":
+            lhs = truth(self.eval_expr(e.lhs, env), e.span)
+            if op == "&&" and not lhs:
+                return FALSE
+            if op == "||" and lhs:
+                return TRUE
+            return TRUE if truth(self.eval_expr(e.rhs, env), e.span) \
+                else FALSE
+        return binop(op, self.eval_expr(e.lhs, env),
+                     self.eval_expr(e.rhs, env), e.span)
+
+    def _eval_cond(self, e: n.Cond, env: Env) -> Value:
+        cond = self.eval_expr(e.cond, env)
+        if cond.value if cond.__class__ is BoolV else truth(cond, e.span):
+            return self.eval_expr(e.then_expr, env)
+        return self.eval_expr(e.else_expr, env)
+
+    def _eval_subscript(self, e: n.Subscript, env: Env) -> Value:
+        arr, idx = self._subscript_target(e, env)
+        return arr.cells[idx]
+
+    def _eval_call(self, e: n.Call, env: Env) -> Value:
         if e.callee in BUILDERS:
             args = [self.eval_expr(a, env) for a in e.args]
             return BUILDERS[e.callee](args, e.span)
@@ -418,10 +488,76 @@ class Interpreter:
         return self.call_function(fn, args, e.span)
 
 
+# Handlers by exact node class.  A handler takes (interpreter, node, env);
+# statement handlers return None or the Value of a ``return``.
+_EXPR = {
+    n.IntLit: Interpreter._eval_int,
+    n.FloatLit: Interpreter._eval_float,
+    n.BoolLit: Interpreter._eval_bool,
+    n.StringLit: Interpreter._eval_string,
+    n.TypeLit: Interpreter._eval_type,
+    n.VarRef: Interpreter._eval_var,
+    n.Unary: Interpreter._eval_unary,
+    n.Incr: Interpreter._eval_incr,
+    n.Binary: Interpreter._eval_binary,
+    n.Cond: Interpreter._eval_cond,
+    n.Subscript: Interpreter._eval_subscript,
+    n.Call: Interpreter._eval_call,
+}
+
+_STMT = {
+    n.VarDecl: Interpreter.exec_var_decl,
+    n.Assign: Interpreter.exec_assign,
+    n.ExprStmt: Interpreter._exec_expr_stmt,
+    n.Return: Interpreter._exec_return,
+    n.Block: Interpreter.exec_block,
+    n.If: Interpreter._exec_if,
+    n.For: Interpreter.exec_for,
+    n.Switch: Interpreter.exec_switch,
+}
+
+def _scope_for(stmt: n.Stmt, env: Env) -> Env:
+    """The scope a nested statement runs in.  Only a declaration standing
+    alone as the statement binds into it; every other statement that
+    declares opens its own scope."""
+    return Env(env) if stmt.__class__ is n.VarDecl else env
+
+
+TRUE = BoolV(True)
+FALSE = BoolV(False)
+_ONE = IntV(1)
+_MINUS_ONE = IntV(-1)
+
+# Operators ``binop`` applies itself to two ints or two floats; every other
+# case (mixed operands, / and %, overflow, errors) goes through ``arith``.
+_FAST_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FAST_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+                 ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+
+
+def binop(op: str, a: Value, b: Value, span: Span | None) -> Value:
+    """``arith`` with a fast path for int/int and float/float operands."""
+    cls = a.__class__
+    if cls is b.__class__ and (cls is IntV or cls is FloatV):
+        compare = _FAST_COMPARE.get(op)
+        if compare is not None:
+            return TRUE if compare(a.value, b.value) else FALSE
+        fn = _FAST_ARITH.get(op)
+        if fn is not None:
+            result = fn(a.value, b.value)
+            if cls is FloatV:
+                return FloatV(result)
+            if INT64_MIN <= result <= INT64_MAX:
+                return IntV(result)
+    return arith(op, a, b, span)
+
+
 def call_static(fn: n.FunctionDef, args: list,
                 program: n.Program | None = None,
                 limits: EvalLimits | None = None) -> Value:
     """Fully interpret a function at stage 0 (the ``f@(...)`` path)."""
+    limits = limits or EvalLimits()
+    old_limit = raise_recursion_limit(limits.max_depth)
     try:
         interp = Interpreter(program, limits)
         if (fn.name, fn.static_arity) not in interp.functions:
@@ -429,6 +565,8 @@ def call_static(fn: n.FunctionDef, args: list,
         return interp.call_function(fn, args, fn.span)
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def value_of(v: Value):

@@ -431,7 +431,7 @@ def zero_value(tv: TypeValue, span: Span | None = None) -> Value:
 # Environments
 
 
-@dataclass
+@dataclass(slots=True)
 class Slot:
     value: Value | None
     tv: TypeValue | None = None
@@ -440,6 +440,8 @@ class Slot:
 
 class Env:
     """Lexically scoped frames: name -> (mutable value slot, type, stage)."""
+
+    __slots__ = ("parent", "slots")
 
     def __init__(self, parent: "Env | None" = None):
         self.parent = parent
@@ -459,8 +461,9 @@ class Env:
     def find(self, name: str) -> Slot | None:
         env: Env | None = self
         while env is not None:
-            if name in env.slots:
-                return env.slots[name]
+            slot = env.slots.get(name)
+            if slot is not None:
+                return slot
             env = env.parent
         return None
 

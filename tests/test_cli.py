@@ -213,3 +213,34 @@ def test_deep_recursion_exits_without_traceback(tmp_path, script, code,
     assert result.returncode == code
     assert category in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("call, code, category", [
+    ("int@ r = countdown@({k});", 4, "depth error"),
+    ("int r = countdown({k});", 5, "runtime error"),
+], ids=["compile-time", "run-time"])
+def test_max_depth_is_the_binding_limit(tmp_path, call, code, category):
+    countdown = corpus_path("countdown.cat").read_text(encoding="utf-8")
+    outcomes = {}
+    for k in (255, 256):
+        script = tmp_path / f"countdown_{k}.cat"
+        script.write_text(countdown + call.format(k=k) + "\n",
+                          encoding="utf-8")
+        outcomes[k] = catat("run", script)
+    assert outcomes[255].returncode == 0
+    assert outcomes[255].stdout.strip() == "r = 0"
+    deep = outcomes[256]
+    assert deep.returncode == code
+    assert f"{category}: static call/specialization chain exceeded the " \
+        "depth limit (256)" in deep.stderr
+    assert "Traceback" not in deep.stderr
+
+
+def test_static_loop_control_under_plain_for_exit_2(tmp_path):
+    source = tmp_path / "static_for.cat"
+    source.write_text("function f(int@ k)(int x) { for (int@ i = 0; i < 3; "
+                      "++i) x += k; return x; }\n", encoding="utf-8")
+    result = catat("specialize", source, "--entry", "f", "--static-args", "2")
+    assert result.returncode == 2
+    assert "StaticMutationUnderDynamicControl" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -232,6 +232,36 @@ def test_infer_through_locals_and_calls():
     assert rp.function("volumeOfCube").return_type == FLOAT
 
 
+READS_DYNAMIC_GLOBAL = """
+    int H = 4;
+    float F = 0.5;
+    function addh(int@ k)(int x) { return x + H + k; }
+    function addf(int@ k)(int x) { return x + F; }
+"""
+
+
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "via-flatten"])
+@pytest.mark.parametrize("entry, rtype", [("addh", INT), ("addf", FLOAT)])
+def test_return_type_reads_dynamic_globals(entry, rtype, via_flatten):
+    staged = check_stages(parse(READS_DYNAMIC_GLOBAL), 2)
+    rp = specialize_program(staged, entry, [IntV(2)],
+                            via_flatten=via_flatten)
+    assert rp.function(f"{entry}__2").return_type == rtype
+
+
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "via-flatten"])
+def test_unresolvable_return_type_error_has_the_function_span(via_flatten):
+    # g's residual type depends only on itself
+    source = ("function f(int@ k)(int x) { return g(x); }\n"
+              "int g(int x) { return g(x); }\n")
+    staged = check_stages(parse(source), 2)
+    with pytest.raises(ReturnTypeMismatch) as exc:
+        specialize_program(staged, "f", [IntV(1)], via_flatten=via_flatten)
+    assert tuple(exc.value.span) == (2, 5)
+
+
 # -- classes -------------------------------------------------------------------
 
 def square_array(static_args, **kw):

@@ -43,6 +43,28 @@ def test_static_mutation_under_static_control_ok():
     check_stages(parse(fixture_source("factorial_script.cat")), 2)
 
 
+def test_static_loop_control_under_plain_for_rejected():
+    # the loop repeats at run time, so its static counter cannot advance
+    err = expect_kind("function f(int@ k)(int x) {\n"
+                      "    for (int@ i = 0; i < 3; ++i) x += k;\n"
+                      "    return x;\n}",
+                      STATIC_MUTATION_UNDER_DYNAMIC_CONTROL)
+    assert err.span.line == 2
+
+
+def test_static_mutation_in_plain_for_with_static_guard_rejected():
+    expect_kind("function f(int@ k)(int x) {\n"
+                "    int@ s = 0;\n"
+                "    for (; true; ) { s += 1; return x; }\n}",
+                STATIC_MUTATION_UNDER_DYNAMIC_CONTROL)
+
+
+def test_plain_for_with_dynamic_counter_and_static_bound_ok():
+    check_stages(parse("function f(int@ k)(int x) {\n"
+                       "    for (int i = 0; i < k; ++i) x += k;\n"
+                       "    return x;\n}"), 2)
+
+
 def test_annotation_too_deep():
     expect_kind("int@@ x = 0;", ANNOTATION_TOO_DEEP)
 
