@@ -77,8 +77,9 @@ class _Scope:
 
     def find(self, name: str) -> _Sym | None:
         for frame in reversed(self.frames):
-            if name in frame:
-                return frame[name]
+            sym = frame.get(name)
+            if sym is not None:
+                return sym
         return None
 
 
@@ -460,8 +461,9 @@ class _Checker:
         return self.expr_stage(e.target, scope)
 
     def binary_stage(self, e: n.Binary, scope: _Scope) -> int:
-        return max(self.expr_stage(e.lhs, scope),
-                   self.expr_stage(e.rhs, scope))
+        lhs = self.expr_stage(e.lhs, scope)
+        rhs = self.expr_stage(e.rhs, scope)
+        return lhs if lhs >= rhs else rhs
 
     def cond_stage(self, e: n.Cond, scope: _Scope) -> int:
         return max(self.expr_stage(e.cond, scope),
@@ -469,8 +471,9 @@ class _Checker:
                    self.expr_stage(e.else_expr, scope))
 
     def subscript_stage(self, e: n.Subscript, scope: _Scope) -> int:
-        return max(self.expr_stage(e.base, scope),
-                   self.expr_stage(e.index, scope))
+        base = self.expr_stage(e.base, scope)
+        index = self.expr_stage(e.index, scope)
+        return base if base >= index else index
 
     def call_stage(self, e: n.Call, scope: _Scope) -> int:
         if e.callee in KNOWN_BUILTINS:

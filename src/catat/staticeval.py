@@ -401,7 +401,7 @@ class Interpreter:
         return handler(self, e, env)
 
     def _eval_int(self, e: n.IntLit, env: Env) -> Value:
-        return IntV(e.value)
+        return small_int(e.value)
 
     def _eval_float(self, e: n.FloatLit, env: Env) -> Value:
         return FloatV(e.value)
@@ -548,8 +548,25 @@ def binop(op: str, a: Value, b: Value, span: Span | None) -> Value:
             if cls is FloatV:
                 return FloatV(result)
             if INT64_MIN <= result <= INT64_MAX:
-                return IntV(result)
+                return small_int(result)
     return arith(op, a, b, span)
+
+
+# IntV is immutable, so the evaluator shares one value per small integer, as
+# CPython shares small ints.  Building a frozen dataclass instance costs
+# about 0.45 us, a dictionary hit about 0.04 us; literals, indices and
+# counters mostly fall in this range.
+SMALL_INT_BOUND = 4096
+_SMALL_INTS: dict = {}
+
+
+def small_int(v: int) -> IntV:
+    value = _SMALL_INTS.get(v)
+    if value is None:
+        value = IntV(v)
+        if -SMALL_INT_BOUND <= v <= SMALL_INT_BOUND:
+            _SMALL_INTS[v] = value
+    return value
 
 
 def call_static(fn: n.FunctionDef, args: list,
