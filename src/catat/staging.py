@@ -449,10 +449,11 @@ class _Checker:
         return 0
 
     def var_stage(self, e: n.VarRef, scope: _Scope) -> int:
-        sym = scope.find(e.name)
-        if sym is None:
-            raise UnboundVariable(f"unbound variable '{e.name}'", e.span)
-        return sym.stage
+        for frame in reversed(scope.frames):     # scope.find, inlined
+            sym = frame.get(e.name)
+            if sym is not None:
+                return sym.stage
+        raise UnboundVariable(f"unbound variable '{e.name}'", e.span)
 
     def unary_stage(self, e: n.Unary, scope: _Scope) -> int:
         return self.expr_stage(e.operand, scope)

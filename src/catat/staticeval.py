@@ -401,7 +401,8 @@ class Interpreter:
         return handler(self, e, env)
 
     def _eval_int(self, e: n.IntLit, env: Env) -> Value:
-        return small_int(e.value)
+        value = _SMALL_INTS.get(e.value)
+        return small_int(e.value) if value is None else value
 
     def _eval_float(self, e: n.FloatLit, env: Env) -> Value:
         return FloatV(e.value)
