@@ -553,7 +553,6 @@ class _Checker:
         return False
 
 
-
 # Checks by exact node class; each takes (checker, node, scope).  Statement
 # checks record ``stmt.stage``; expression checks return the stage, which
 # ``expr_stage`` records.
@@ -582,6 +581,7 @@ _EXPR_STAGE = {
     n.Subscript: _Checker.subscript_stage,
     n.Call: _Checker.call_stage,
 }
+
 
 def check_stages(program: n.Program, levels: int = 2) -> StagedAST:
     """Verify well-stagedness; raises StageError/UnboundVariable on the

@@ -537,7 +537,8 @@ _FAST_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 def binop(op: str, a: Value, b: Value, span: Span | None) -> Value:
-    """``arith`` with a fast path for int/int and float/float operands."""
+    """``arith`` with a fast path for int/int and float/float operands.
+    The results are arith's: a FloatV always holds a Python float."""
     cls = a.__class__
     if cls is b.__class__ and (cls is IntV or cls is FloatV):
         compare = _FAST_COMPARE.get(op)

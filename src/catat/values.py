@@ -468,13 +468,10 @@ class Env:
         return None
 
     def lookup(self, name: str, span: Span | None = None) -> Slot:
-        env: Env | None = self
-        while env is not None:
-            slot = env.slots.get(name)
-            if slot is not None:
-                return slot
-            env = env.parent
-        raise UnboundVariable(f"unbound variable '{name}'", span)
+        slot = self.find(name)
+        if slot is None:
+            raise UnboundVariable(f"unbound variable '{name}'", span)
+        return slot
 
     def bindings(self) -> list[tuple[str, Value | None]]:
         return [(name, slot.value) for name, slot in self.slots.items()]
