@@ -207,8 +207,8 @@ class ResidualProgram:
         every later call returns that same object, so the units and top
         statements must not change after it."""
         if self._program is None:
-            items = [u.to_def() for u in self.units]
-            items.extend(self.top_stmts)
+            items = list(self.top_stmts)
+            items.extend(u.to_def() for u in self.units)
             self._program = n.Program(items)
         return self._program
 

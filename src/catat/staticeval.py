@@ -517,6 +517,7 @@ _STMT = {
     n.Switch: Interpreter.exec_switch,
 }
 
+
 def _scope_for(stmt: n.Stmt, env: Env) -> Env:
     """The scope a nested statement runs in.  Only a declaration standing
     alone as the statement binds into it; every other statement that

@@ -116,6 +116,27 @@ function first_over(int limit) {
     assert run(program, "first_over", [IntV(20)]).value == IntV(-1)
 
 
+def test_return_in_a_constructor_ends_the_constructor():
+    program = parse("""
+class Box() {
+public:
+    Box() {
+        v = 1;
+        return;
+        v = 2;
+    }
+    int v;
+}
+function f() {
+    Box() b;
+    return 7;
+}""")
+    interp = Interpreter(program)
+    box = interp.instantiate_class(program.classes()[0], [])
+    assert box.members == {"v": IntV(1)}
+    assert run(program, "f").value == IntV(7)
+
+
 def test_top_level_return_is_an_error():
     with pytest.raises(TypeMismatch, match="return outside a function"):
         run(parse("int x = 1;\nreturn x;\n"))

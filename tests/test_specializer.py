@@ -11,6 +11,7 @@ from catat.specializer import (
     infer_return_type, lift, mangle, specialize_class, specialize_function,
     specialize_program,
 )
+from catat.dyninterp import run
 from catat.staticeval import EvalLimits
 from catat.values import (
     ArrayV, BoolV, DOUBLE, FLOAT, FloatV, INT, InstanceV, IntV, LONG_INT,
@@ -248,6 +249,13 @@ def test_return_type_reads_dynamic_globals(entry, rtype, via_flatten):
     rp = specialize_program(staged, entry, [IntV(2)],
                             via_flatten=via_flatten)
     assert rp.function(f"{entry}__2").return_type == rtype
+    # the globals precede the functions that read them, so the emitted
+    # residual passes the single-level check and runs
+    reloaded = parse(emit(rp))
+    check_stages(reloaded, 1)
+    expected = {"addh": IntV(7), "addf": FloatV(1.5)}[entry]
+    assert run(reloaded, f"{entry}__2", [IntV(1)]).value == expected
+    assert run(rp, f"{entry}__2", [IntV(1)]).value == expected
 
 
 @pytest.mark.parametrize("via_flatten", [False, True],
