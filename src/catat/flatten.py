@@ -7,6 +7,19 @@ its syntax tree.  Running the generator with concrete static arguments
 yields a code value; ``materialize`` turns that code value into a residual
 function indistinguishable from the specializer's output.
 
+Code values hold residual syntax itself: a builder returns a ``CodeV``
+whose ``frag`` is an ``n.Expr``, an ``n.Stmt`` or, from ``make_lambda``, a
+``Shell`` (the parameters and the ``n.Block`` the body is appended to).
+Whether a fragment is an expression or a statement is decided when a
+builder embeds it, and a malformed fragment is reported there, with that
+builder call's span.  A call is resolved when ``make_call`` builds it:
+``specialize_via_flatten`` installs its cache's resolver on the
+interpreter for the generator's run, so a call with static arguments
+names its specialized residual at once.  ``materialize`` then only infers
+the return type and registers the result.  Residual nodes may be shared
+between statements (one varref stands for a variable everywhere), so
+nothing downstream may mutate them except the checker's ``.stage``.
+
 Flattening is defined for two levels, and it runs no binding-time analysis
 of its own: a declaration, assignment or expression is static when the
 stage checker wrote ``stage == 0`` on it, so the input must come from
@@ -17,126 +30,110 @@ Builder suite: the five core constructors (make_lambda, make_varref,
 make_vardecl, make_op, make_return) plus append/body for block plumbing,
 and the extensions needed to cover every residual node kind: make_literal,
 make_subscript, make_call, make_for, make_if, make_block, make_incr,
-make_unary, make_ptr, make_arr.
+make_unary, make_ptr, make_arr.  A builder takes the evaluated arguments,
+the call's span and the interpreter that runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import nodes as n
 from .errors import (
     FlattenUnsupported, LiftError, MalformedFragment, Span, UserStaticError,
 )
 from .values import (
-    ArrayV, BoolV, CodeV, FloatV, IntV, StrV, TypeValue, UNIT, Value,
-    describe,
+    BoolV, ClassTV, CodeV, FixedArrayTV, FloatV, IntV, PointerTV, StrV,
+    TypeValue, UNIT, Value, describe, render_type,
 )
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
+_BINARY_OPS = _ASSIGN_OPS + ("+", "-", "*", "/", "%", "==", "!=", "<", ">",
+                             "<=", ">=", "&&", "||")
 
 
 # ---------------------------------------------------------------------------
-# Fragments (the payload of CodeV)
+# Lifting and type rendering
 
 
-@dataclass
-class Frag:
-    pass
+def lift(v: Value, span: Span | None = None) -> n.Expr:
+    """A literal expression denoting a static value, for insertion into
+    dynamic code (cross-stage persistence)."""
+    if isinstance(v, IntV):
+        if v.value < 0:
+            return n.Unary("-", n.IntLit(-v.value), span=span)
+        return n.IntLit(v.value, span=span)
+    if isinstance(v, FloatV):
+        if v.value < 0:
+            return n.Unary("-", n.FloatLit(-v.value), span=span)
+        return n.FloatLit(v.value, span=span)
+    if isinstance(v, BoolV):
+        return n.BoolLit(v.value, span=span)
+    raise LiftError(f"{describe(v)} has no literal form in dynamic code",
+                    span)
 
 
-@dataclass
-class FragBlock(Frag):
-    stmts: list = field(default_factory=list)
+def type_value_to_texpr(tv: TypeValue) -> n.TypeExpr:
+    if isinstance(tv, PointerTV):
+        return n.PointerType(type_value_to_texpr(tv.elem))
+    if isinstance(tv, FixedArrayTV):
+        return n.ArrayType(type_value_to_texpr(tv.elem), n.IntLit(tv.size))
+    if isinstance(tv, ClassTV):
+        return n.NamedType(render_type(tv))
+    return n.PrimType(tv.name)
 
 
-@dataclass
-class FragFunc(Frag):
-    params: list  # (name, TypeValue) pairs
-    body: FragBlock
-
-
-@dataclass
-class FragVarRef(Frag):
-    name: str
-
-
-@dataclass
-class FragLiteral(Frag):
-    value: Value
-
-
-@dataclass
-class FragVarDecl(Frag):
-    tv: TypeValue
-    name: str
-    init: object  # Frag | None
-
-
-@dataclass
-class FragOp(Frag):
-    op: str
-    lhs: Frag
-    rhs: Frag
-
-
-@dataclass
-class FragUnary(Frag):
-    op: str
-    operand: Frag
-
-
-@dataclass
-class FragIncr(Frag):
-    op: str
-    target: Frag
-
-
-@dataclass
-class FragSubscript(Frag):
-    base: Frag
-    index: Frag
-
-
-@dataclass
-class FragReturn(Frag):
-    value: Frag | None
-
-
-@dataclass
-class FragFor(Frag):
-    init: Frag | None
-    cond: Frag | None
-    incr: Frag | None
-    body: Frag
-
-
-@dataclass
-class FragIf(Frag):
-    cond: Frag
-    then_frag: Frag
-    else_frag: Frag | None
-
-
-@dataclass
-class FragCall(Frag):
-    callee: str
-    static_args: list  # Values
-    args: list  # Frags
-    specializing: bool = False
+def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
+    """Declaration-style rendering: arrays move the size to the declarator."""
+    if isinstance(tv, FixedArrayTV):
+        return type_value_to_texpr(tv.elem), n.IntLit(tv.size)
+    return type_value_to_texpr(tv), None
 
 
 # ---------------------------------------------------------------------------
 # Builders (registered as compile-time builtins)
 
 
-def _as_frag(v: Value, span: Span | None) -> Frag:
-    if isinstance(v, CodeV):
-        return v.frag
+@dataclass
+class Shell:
+    """A function under construction: its (name, TypeValue) parameters and
+    the block that ``append(body(shell), ...)`` fills."""
+
+    params: list
+    body: n.Block
+
+
+def _as_expr(v: Value, span: Span | None) -> n.Expr:
+    if v.__class__ is CodeV:
+        node = v.frag
+        if isinstance(node, n.Expr):
+            return node
+        if isinstance(node, n.Assign):
+            raise MalformedFragment(
+                f"assignment '{node.op}' used in expression position", span)
+        raise MalformedFragment(
+            f"{type(node).__name__} is not an expression fragment", span)
     if isinstance(v, (IntV, FloatV, BoolV)):
-        return FragLiteral(v)
+        return lift(v)
     raise MalformedFragment(
         f"{describe(v)} cannot appear in a code fragment", span)
+
+
+def _as_stmt(v: Value, span: Span | None) -> n.Stmt:
+    node = v.frag if v.__class__ is CodeV else _as_expr(v, span)
+    if isinstance(node, n.Stmt):
+        return node
+    if isinstance(node, (n.Incr, n.Call)):
+        return n.ExprStmt(node)
+    raise MalformedFragment(
+        f"{type(node).__name__} is not a statement fragment", span)
+
+
+def _as_clause(v: Value, span: Span | None) -> n.Stmt | None:
+    """A for-loop clause; the generator passes an empty block for a
+    missing one."""
+    stmt = _as_stmt(v, span)
+    return None if stmt.__class__ is n.Block and not stmt.stmts else stmt
 
 
 def _need_str(v: Value, what: str, span: Span | None) -> str:
@@ -160,7 +157,7 @@ def _need_count(args: list, lo: int, hi: int | None, name: str,
                                 span)
 
 
-def _b_make_lambda(args, span):
+def _b_make_lambda(args, span, interp):
     if len(args) % 2 != 0:
         raise MalformedFragment(
             "make_lambda takes (name, type) pairs", span)
@@ -169,112 +166,112 @@ def _b_make_lambda(args, span):
         name = _need_str(args[i], "parameter name", span)
         tv = _need_type(args[i + 1], f"type of parameter '{name}'", span)
         params.append((name, tv))
-    return CodeV(FragFunc(params, FragBlock([])))
+    return CodeV(Shell(params, n.Block([])))
 
 
-def _b_body(args, span):
+def _b_body(args, span, interp):
     _need_count(args, 1, 1, "body", span)
     v = args[0]
-    if isinstance(v, CodeV) and isinstance(v.frag, FragFunc):
+    if isinstance(v, CodeV) and isinstance(v.frag, Shell):
         return CodeV(v.frag.body)
     raise MalformedFragment("body expects a function shell", span)
 
 
-def _b_append(args, span):
+def _b_append(args, span, interp):
     _need_count(args, 2, 2, "append", span)
     block = args[0]
-    if not (isinstance(block, CodeV) and isinstance(block.frag, FragBlock)):
+    if not (isinstance(block, CodeV) and isinstance(block.frag, n.Block)):
         raise MalformedFragment("append target is not a block", span)
     stmt = args[1]
-    if not isinstance(stmt, CodeV) or isinstance(stmt.frag, FragFunc):
+    if not isinstance(stmt, CodeV) or isinstance(stmt.frag, Shell):
         raise MalformedFragment("append expects a statement fragment", span)
-    block.frag.stmts.append(stmt.frag)
+    block.frag.stmts.append(_as_stmt(stmt, span))
     return UNIT
 
 
-def _b_make_varref(args, span):
+def _b_make_varref(args, span, interp):
     _need_count(args, 1, 1, "make_varref", span)
-    return CodeV(FragVarRef(_need_str(args[0], "variable name", span)))
+    return CodeV(n.VarRef(_need_str(args[0], "variable name", span)))
 
 
-def _b_make_literal(args, span):
+def _b_make_literal(args, span, interp):
     _need_count(args, 1, 1, "make_literal", span)
     v = args[0]
     if not isinstance(v, (IntV, FloatV, BoolV)):
         raise LiftError(f"{describe(v)} has no literal form", span)
-    return CodeV(FragLiteral(v))
+    return CodeV(lift(v))
 
 
-def _b_make_vardecl(args, span):
+def _b_make_vardecl(args, span, interp):
     _need_count(args, 2, 3, "make_vardecl", span)
     tv = _need_type(args[0], "declared type", span)
     name = _need_str(args[1], "declared name", span)
-    init = _as_frag(args[2], span) if len(args) == 3 else None
-    return CodeV(FragVarDecl(tv, name, init))
+    init = _as_expr(args[2], span) if len(args) == 3 else None
+    dtype, size = type_value_to_decl(tv)
+    return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
 
 
-def _b_make_op(args, span):
+def _b_make_op(args, span, interp):
     _need_count(args, 3, 3, "make_op", span)
     op = _need_str(args[0], "operator name", span)
-    known = _ASSIGN_OPS + ("+", "-", "*", "/", "%", "==", "!=", "<", ">",
-                           "<=", ">=", "&&", "||")
-    if op not in known:
+    if op not in _BINARY_OPS:
         raise MalformedFragment(f"unknown operator '{op}'", span)
-    return CodeV(FragOp(op, _as_frag(args[1], span), _as_frag(args[2], span)))
+    lhs = _as_expr(args[1], span)
+    if op in _ASSIGN_OPS:
+        if not isinstance(lhs, (n.VarRef, n.Subscript)):
+            raise MalformedFragment("invalid assignment target fragment",
+                                    span)
+        return CodeV(n.Assign(lhs, op, _as_expr(args[2], span)))
+    return CodeV(n.Binary(op, lhs, _as_expr(args[2], span)))
 
 
-def _b_make_unary(args, span):
+def _b_make_unary(args, span, interp):
     _need_count(args, 2, 2, "make_unary", span)
     op = _need_str(args[0], "operator name", span)
     if op not in ("!", "-"):
         raise MalformedFragment(f"unknown unary operator '{op}'", span)
-    return CodeV(FragUnary(op, _as_frag(args[1], span)))
+    return CodeV(n.Unary(op, _as_expr(args[1], span)))
 
 
-def _b_make_incr(args, span):
+def _b_make_incr(args, span, interp):
     _need_count(args, 2, 2, "make_incr", span)
     op = _need_str(args[0], "operator name", span)
     if op not in ("++", "--"):
         raise MalformedFragment(f"unknown step operator '{op}'", span)
-    return CodeV(FragIncr(op, _as_frag(args[1], span)))
+    return CodeV(n.Incr(op, _as_expr(args[1], span)))
 
 
-def _b_make_return(args, span):
+def _b_make_return(args, span, interp):
     _need_count(args, 0, 1, "make_return", span)
-    value = _as_frag(args[0], span) if args else None
-    return CodeV(FragReturn(value))
+    value = _as_expr(args[0], span) if args else None
+    return CodeV(n.Return(value))
 
 
-def _b_make_subscript(args, span):
+def _b_make_subscript(args, span, interp):
     _need_count(args, 2, 2, "make_subscript", span)
-    return CodeV(FragSubscript(_as_frag(args[0], span),
-                               _as_frag(args[1], span)))
+    return CodeV(n.Subscript(_as_expr(args[0], span),
+                             _as_expr(args[1], span)))
 
 
-def _b_make_for(args, span):
+def _b_make_for(args, span, interp):
     _need_count(args, 4, 4, "make_for", span)
-    parts = [None if isinstance(a, CodeV) and a.frag is None else a
-             for a in args]
-    init, cond, incr, body = parts
-    return CodeV(FragFor(
-        _as_frag(init, span) if init is not None else None,
-        _as_frag(cond, span) if cond is not None else None,
-        _as_frag(incr, span) if incr is not None else None,
-        _as_frag(body, span)))
+    init, cond, incr, body = args
+    return CodeV(n.For(_as_clause(init, span), _as_expr(cond, span),
+                       _as_clause(incr, span), _as_stmt(body, span), 0))
 
 
-def _b_make_if(args, span):
+def _b_make_if(args, span, interp):
     _need_count(args, 2, 3, "make_if", span)
-    else_frag = _as_frag(args[2], span) if len(args) == 3 else None
-    return CodeV(FragIf(_as_frag(args[0], span), _as_frag(args[1], span),
-                        else_frag))
+    else_stmt = _as_stmt(args[2], span) if len(args) == 3 else None
+    return CodeV(n.If(_as_expr(args[0], span), _as_stmt(args[1], span),
+                      else_stmt, 0, 0))
 
 
-def _b_make_block(args, span):
-    return CodeV(FragBlock([_as_frag(a, span) for a in args]))
+def _b_make_block(args, span, interp):
+    return CodeV(n.Block([_as_stmt(a, span) for a in args]))
 
 
-def _b_make_call(args, span):
+def _b_make_call(args, span, interp):
     _need_count(args, 2, None, "make_call", span)
     callee = _need_str(args[0], "callee name", span)
     if not isinstance(args[1], IntV) or args[1].value < 0:
@@ -288,26 +285,29 @@ def _b_make_call(args, span):
         if isinstance(v, CodeV):
             raise MalformedFragment(
                 "static arguments of make_call must be values", span)
-    dyn = [_as_frag(a, span) for a in args[2 + nstatic:]]
-    return CodeV(FragCall(callee, statics, dyn, specializing=nstatic > 0))
+    dyn = [_as_expr(a, span) for a in args[2 + nstatic:]]
+    if interp.resolve_call is not None:
+        callee = interp.resolve_call(callee, statics, span)
+    elif statics:
+        raise FlattenUnsupported(
+            "nested specializing calls need a specialization cache", span)
+    return CodeV(n.Call(callee, dyn))
 
 
-def _b_make_ptr(args, span):
+def _b_make_ptr(args, span, interp):
     _need_count(args, 1, 1, "make_ptr", span)
-    from .values import PointerTV
     return PointerTV(_need_type(args[0], "element type", span))
 
 
-def _b_make_arr(args, span):
+def _b_make_arr(args, span, interp):
     _need_count(args, 2, 2, "make_arr", span)
-    from .values import FixedArrayTV
     tv = _need_type(args[0], "element type", span)
     if not isinstance(args[1], IntV) or args[1].value < 0:
         raise MalformedFragment("array size must be a non-negative int", span)
     return FixedArrayTV(tv, args[1].value)
 
 
-def _b_catat_error(args, span):
+def _b_catat_error(args, span, interp):
     _need_count(args, 1, 1, "Catat_error", span)
     msg = args[0]
     if not isinstance(msg, StrV):
@@ -596,106 +596,32 @@ def flatten_function(fn: n.FunctionDef, levels: int = 2) -> n.FunctionDef:
 # Materialization: code value -> residual function
 
 
-def _frag_to_expr(f: Frag, resolve):
-    from .specializer import lift
-
-    if isinstance(f, FragVarRef):
-        return n.VarRef(f.name)
-    if isinstance(f, FragLiteral):
-        return lift(f.value)
-    if isinstance(f, FragOp):
-        if f.op in _ASSIGN_OPS:
-            raise MalformedFragment(
-                f"assignment '{f.op}' used in expression position")
-        return n.Binary(f.op, _frag_to_expr(f.lhs, resolve),
-                        _frag_to_expr(f.rhs, resolve))
-    if isinstance(f, FragUnary):
-        return n.Unary(f.op, _frag_to_expr(f.operand, resolve))
-    if isinstance(f, FragIncr):
-        return n.Incr(f.op, _frag_to_expr(f.target, resolve))
-    if isinstance(f, FragSubscript):
-        return n.Subscript(_frag_to_expr(f.base, resolve),
-                           _frag_to_expr(f.index, resolve))
-    if isinstance(f, FragCall):
-        name = resolve(f.callee, f.static_args)
-        return n.Call(name, [_frag_to_expr(a, resolve) for a in f.args])
-    raise MalformedFragment(
-        f"{type(f).__name__} is not an expression fragment")
-
-
-def _frag_to_stmt(f: Frag, resolve) -> n.Stmt:
-    from .specializer import lift, type_value_to_decl
-
-    if isinstance(f, FragVarDecl):
-        dtype, size = type_value_to_decl(f.tv)
-        init = _frag_to_expr(f.init, resolve) if f.init is not None else None
-        return n.VarDecl(dtype, [n.Declarator(f.name, size, init)])
-    if isinstance(f, FragOp) and f.op in _ASSIGN_OPS:
-        target = _frag_to_expr(f.lhs, resolve)
-        if not isinstance(target, (n.VarRef, n.Subscript)):
-            raise MalformedFragment("invalid assignment target fragment")
-        return n.Assign(target, f.op, _frag_to_expr(f.rhs, resolve))
-    if isinstance(f, FragReturn):
-        value = _frag_to_expr(f.value, resolve) if f.value is not None \
-            else None
-        return n.Return(value)
-    if isinstance(f, FragFor):
-        init = _frag_to_stmt(f.init, resolve) if f.init is not None else None
-        cond = _frag_to_expr(f.cond, resolve) if f.cond is not None else None
-        incr = _frag_to_stmt(f.incr, resolve) if f.incr is not None else None
-        return n.For(init, cond, incr, _frag_to_stmt(f.body, resolve), 0)
-    if isinstance(f, FragIf):
-        else_stmt = _frag_to_stmt(f.else_frag, resolve) \
-            if f.else_frag is not None else None
-        return n.If(_frag_to_expr(f.cond, resolve),
-                    _frag_to_stmt(f.then_frag, resolve), else_stmt, 0, 0)
-    if isinstance(f, FragBlock):
-        return n.Block([_frag_to_stmt(x, resolve) for x in f.stmts])
-    if isinstance(f, FragIncr):
-        return n.ExprStmt(_frag_to_expr(f, resolve))
-    if isinstance(f, FragCall):
-        return n.ExprStmt(_frag_to_expr(f, resolve))
-    raise MalformedFragment(f"{type(f).__name__} is not a statement fragment")
-
-
 def materialize(code: CodeV, name: str, static_args: list | None = None,
                 cache=None, span: Span | None = None):
     """Turn a completed function shell into a ResidualFunction.
 
     With a SpecializationCache the result is registered (memoized, ordered
-    after its callees) exactly like a directly specialized function, and
-    fragment calls may trigger nested specialization."""
+    after its callees) exactly like a directly specialized function; a key
+    already reserved, as ``specialize_via_flatten`` does before running
+    the generator, keeps its reserved name."""
     from . import specializer as spec
 
-    if not isinstance(code, CodeV) or not isinstance(code.frag, FragFunc):
+    if not isinstance(code, CodeV) or not isinstance(code.frag, Shell):
         raise MalformedFragment("materialize expects a function shell")
     static_args = list(static_args or [])
-
-    def resolve(callee: str, statics: list) -> str:
-        if cache is None:
-            if statics:
-                raise FlattenUnsupported(
-                    "nested specializing calls need a specialization cache")
-            return callee
-        defn = cache.staged.functions_by_key().get((callee, len(statics)))
-        if defn is None:
-            raise MalformedFragment(
-                f"no definition of '{callee}' with {len(statics)} static "
-                "argument(s)")
-        return spec.specialize_function(defn, statics, cache).name
-
-    frag: FragFunc = code.frag
-    if cache is not None:
-        key = spec.SpecializationKey.for_function(name, static_args)
+    key = spec.SpecializationKey.for_function(name, static_args)
+    if cache is None:
+        residual_name = spec.mangle(name, key)
+    elif cache.in_progress(key):
+        residual_name = cache.names_by_key[key]
+    else:
         cached = cache.lookup(key)
         if cached is not None:
             return cached
         residual_name = cache.reserve(key, name)
-    else:
-        key = spec.SpecializationKey.for_function(name, static_args)
-        residual_name = spec.mangle(name, key)
-    body = [_frag_to_stmt(f, resolve) for f in frag.body.stmts]
-    params = list(frag.params)
+    shell: Shell = code.frag
+    body = shell.body.stmts
+    params = list(shell.params)
     var_types = dict(params)
     callee_types = None
     if cache is not None:
@@ -712,14 +638,23 @@ def materialize(code: CodeV, name: str, static_args: list | None = None,
 
 def specialize_via_flatten(fn: n.FunctionDef, static_args: list, cache):
     """The generator pipeline: flatten, run the generator on the static
-    arguments, materialize the resulting code value."""
+    arguments, materialize the resulting code value.
+
+    The key is reserved before the generator runs, and the cache resolves
+    the calls the generator builds during that run only."""
     from . import specializer as spec
     key = spec.SpecializationKey.for_function(fn.name, static_args)
     key_hit = cache.lookup(key)
     if key_hit is not None:
         return key_hit
     generator = flatten_function(fn, cache.staged.levels)
-    code = cache.interp.call_function(generator, list(static_args), fn.span)
+    cache.reserve(key, fn.name)
+    interp = cache.interp
+    interp.resolve_call = cache.resolve_call
+    try:
+        code = interp.call_function(generator, list(static_args), fn.span)
+    finally:
+        interp.resolve_call = None
     if not isinstance(code, CodeV):
         raise MalformedFragment(
             f"generator for '{fn.name}' did not produce a code value",

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 
 from . import nodes as n
 from .errors import (
-    STACK_EXHAUSTED, DepthExceeded, LiftError, ReturnTypeMismatch,
-    SelfRecursiveSpecialization, Span, StageLeak, TypeMismatch,
-    UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, LiftError, MalformedFragment,
+    ReturnTypeMismatch, SelfRecursiveSpecialization, Span, StageLeak,
+    TypeMismatch, UnboundVariable,
 )
-from .flatten import BUILDERS
+from .flatten import (
+    BUILDERS, lift, type_value_to_decl, type_value_to_texpr,
+)
 from .staging import StagedAST
 from .staticeval import (
     DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
@@ -182,6 +184,22 @@ class SpecializationCache:
             return entity.return_type
         return None
 
+    def resolve_call(self, callee: str, statics: list,
+                     span: Span | None) -> str:
+        """The residual name for a call a generator builds: ``callee``
+        specialized on ``statics``.  A call without static arguments into
+        a function whose specialization is under way takes its reserved
+        name, as on the direct route."""
+        defn = self.functions.get((callee, len(statics)))
+        if defn is None:
+            raise MalformedFragment(
+                f"no definition of '{callee}' with {len(statics)} static "
+                "argument(s)", span)
+        key = SpecializationKey.for_function(callee, statics)
+        if not statics and self.in_progress(key):
+            return self.names_by_key[key]
+        return specialize_function(defn, statics, self).name
+
 
 @dataclass
 class ResidualProgram:
@@ -223,42 +241,7 @@ class ResidualProgram:
 
 
 # ---------------------------------------------------------------------------
-# Lifting and type rendering
-
-
-def lift(v: Value, span: Span | None = None) -> n.Expr:
-    """A literal expression denoting a static value, for insertion into
-    dynamic code (cross-stage persistence)."""
-    if isinstance(v, IntV):
-        if v.value < 0:
-            return n.Unary("-", n.IntLit(-v.value), span=span)
-        return n.IntLit(v.value, span=span)
-    if isinstance(v, FloatV):
-        if v.value < 0:
-            return n.Unary("-", n.FloatLit(-v.value), span=span)
-        return n.FloatLit(v.value, span=span)
-    if isinstance(v, BoolV):
-        return n.BoolLit(v.value, span=span)
-    raise LiftError(f"{describe(v)} has no literal form in dynamic code",
-                    span)
-
-
-def type_value_to_texpr(tv: TypeValue) -> n.TypeExpr:
-    if isinstance(tv, PointerTV):
-        return n.PointerType(type_value_to_texpr(tv.elem))
-    if isinstance(tv, FixedArrayTV):
-        return n.ArrayType(type_value_to_texpr(tv.elem), n.IntLit(tv.size))
-    if isinstance(tv, ClassTV):
-        from .values import render_type
-        return n.NamedType(render_type(tv))
-    return n.PrimType(tv.name)
-
-
-def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
-    """Declaration-style rendering: arrays move the size to the declarator."""
-    if isinstance(tv, FixedArrayTV):
-        return type_value_to_texpr(tv.elem), n.IntLit(tv.size)
-    return type_value_to_texpr(tv), None
+# Type values of residual type expressions
 
 
 def _texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
@@ -889,7 +872,9 @@ class _Specializer:
         if isinstance(e, n.BoolLit):
             return _static(BoolV(e.value))
         if isinstance(e, n.StringLit):
-            return _static(StrV(e.value))
+            # strings have no type: they only reach builtins such as
+            # Catat_error@ and the builders
+            return RExpr(StrV(e.value), None, None)
         if isinstance(e, n.TypeLit):
             return _static(self.interp.resolve_type(e.type_expr, ctx.env,
                                                     e.span))
@@ -1002,7 +987,7 @@ class _Specializer:
     def call(self, e: n.Call, ctx: _SpecCtx) -> RExpr:
         if e.callee in BUILDERS:
             args = [self.static_value(a, ctx) for a in e.args]
-            return _static(BUILDERS[e.callee](args, e.span))
+            return _static(BUILDERS[e.callee](args, e.span, self.interp))
         if e.static_args is not None:
             svals = [self.static_value(a, ctx) for a in e.static_args]
             defn = self.cache.functions.get((e.callee, len(svals)))
@@ -1055,10 +1040,8 @@ class _Specializer:
             for p, r in zip(fn.params, rargs):
                 if isinstance(p.dtype, n.PointerType) and \
                         isinstance(p.dtype.base, n.NamedType):
-                    tv = r.tv if r.node is not None else \
-                        type_of_value(r.value)
-                    if isinstance(tv, (PointerTV, FixedArrayTV)):
-                        inferred.setdefault(p.dtype.base.name, tv.elem)
+                    if isinstance(r.tv, (PointerTV, FixedArrayTV)):
+                        inferred.setdefault(p.dtype.base.name, r.tv.elem)
             try:
                 svals = [inferred[p.name] for p in fn.static_params]
             except KeyError as missing:

@@ -65,6 +65,7 @@ class _Scope:
     default: int
     frames: list = field(default_factory=lambda: [{}])
     controls: list = field(default_factory=list)  # guard stages of enclosing control
+    top_level: bool = False  # the program's own statements, outside any body
 
     def push(self):
         self.frames.append({})
@@ -98,7 +99,7 @@ class _Checker:
     # -- entry --------------------------------------------------------------
 
     def check(self) -> StagedAST:
-        top = _Scope(default=self.levels - 1)
+        top = _Scope(default=self.levels - 1, top_level=True)
         for item in self.program.items:
             if isinstance(item, n.FunctionDef):
                 self.check_function(item, top)
@@ -263,6 +264,8 @@ class _Checker:
         stmt.stage = stage
 
     def check_return(self, stmt: n.Return, scope: _Scope) -> None:
+        if scope.top_level:
+            raise ParseError("return outside a function", stmt.span)
         stmt.stage = 0 if stmt.value is None \
             else self.expr_stage(stmt.value, scope)
 

@@ -103,6 +103,9 @@ class Interpreter:
         self.functions: dict = {}
         self.classes: dict = {}
         self.globals = Env()
+        # set by flatten.specialize_via_flatten while a generator runs:
+        # (callee, static args, span) -> residual name for make_call
+        self.resolve_call = None
         if program is not None:
             self.load(program)
 
@@ -477,7 +480,7 @@ class Interpreter:
     def _eval_call(self, e: n.Call, env: Env) -> Value:
         if e.callee in BUILDERS:
             args = [self.eval_expr(a, env) for a in e.args]
-            return BUILDERS[e.callee](args, e.span)
+            return BUILDERS[e.callee](args, e.span, self)
         if e.static_args is not None:
             raise TypeMismatch(
                 f"specializing call '{e.callee}(s...)(d...)' cannot be "

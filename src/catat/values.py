@@ -77,7 +77,8 @@ class InstanceV(Value):
 
 @dataclass
 class CodeV(Value):
-    """A residual-syntax fragment built by the flattener's AST builders."""
+    """Residual syntax built by the flattener's builders: an ``n.Expr``, an
+    ``n.Stmt`` or a function shell (``flatten.Shell``)."""
 
     frag: object
 

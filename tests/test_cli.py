@@ -244,3 +244,30 @@ def test_static_loop_control_under_plain_for_exit_2(tmp_path):
     assert result.returncode == 2
     assert "StaticMutationUnderDynamicControl" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("text", ["int x = 1;\nreturn 2;\n",
+                                  "int x = 1;\n{ return 2; }\n"],
+                         ids=["statement", "block"])
+@pytest.mark.parametrize("command", ["check", "specialize", "run"])
+def test_top_level_return_exits_1(tmp_path, text, command):
+    script = tmp_path / "script.cat"
+    script.write_text(text, encoding="utf-8")
+    result = catat(command, script)
+    assert result.returncode == 1
+    assert ":2:" in result.stderr
+    assert "parse error: return outside a function" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["specialize", "run"])
+def test_static_error_message_string_exits_3(command):
+    # "in in": the DSL interpreter rejects the trailing tokens through
+    # Catat_error@("...")
+    extra = ["--dyn-args", "3"] if command == "run" else []
+    result = catat(command, fixture("dsl_interp.cat"), "--entry",
+                   "dsl_program", "--static-args", "[5,5,0],2", *extra)
+    assert result.returncode == 3
+    assert "compile-time error: malformed program: trailing tokens" \
+        in result.stderr
+    assert "Traceback" not in result.stderr

@@ -12,7 +12,7 @@ from catat import check_stages, nodes as n, parse, specialize_program
 from catat import staging, staticeval
 from catat.dyninterp import run
 from catat.errors import (
-    DepthExceeded, StageError, StepLimitExceeded, TypeMismatch,
+    DepthExceeded, ParseError, StageError, StepLimitExceeded, TypeMismatch,
 )
 from catat.staticeval import EvalLimits, Interpreter, call_static
 from catat.values import Env, FloatV, IntV
@@ -138,8 +138,13 @@ function f() {
 
 
 def test_top_level_return_is_an_error():
+    program = parse("int x = 1;\nreturn x;\n")
+    # the checker rejects it; the interpreter's guard covers programs run
+    # without the check
+    with pytest.raises(ParseError, match="return outside a function"):
+        run(program)
     with pytest.raises(TypeMismatch, match="return outside a function"):
-        run(parse("int x = 1;\nreturn x;\n"))
+        run(program, check=False)
 
 
 # -- the depth limit binds before Python's stack -----------------------------

@@ -1,13 +1,19 @@
+import gc
+import re
+import weakref
+
 import pytest
 
-from catat import check_stages, parse
+from catat import check_stages, emit, parse
 from catat import nodes as n
 from catat.emitter import emit_function, emit_stmt
-from catat.errors import FlattenUnsupported, MalformedFragment
-from catat.flatten import (
-    BUILDERS, FragBlock, FragFunc, _frag_to_stmt, flatten_function,
-    materialize, specialize_via_flatten,
+from catat.errors import (
+    FlattenUnsupported, MalformedFragment, SelfRecursiveSpecialization,
 )
+from catat.flatten import (
+    BUILDERS, flatten_function, materialize, specialize_via_flatten,
+)
+from catat.staticeval import Interpreter
 from catat.specializer import (
     ResidualFunction, SpecializationCache, SpecializationKey,
     alpha_equivalent, specialize_function, specialize_program,
@@ -20,11 +26,11 @@ from conftest import fixture_source, staged_fixture
 
 
 def build(name, *args):
-    return BUILDERS[name](list(args), None)
+    return BUILDERS[name](list(args), None, Interpreter())
 
 
 def frag_text(code):
-    return emit_stmt(_frag_to_stmt(code.frag, lambda cn, s: cn))
+    return emit_stmt(code.frag)
 
 
 # -- builder suite -------------------------------------------------------------
@@ -54,7 +60,7 @@ def test_append_preserves_order():
         assert build("append", block,
                      build("make_vardecl", INT, StrV(f"v{i}"),
                            IntV(i))) == UNIT
-    names = [f.name for f in shell.frag.body.stmts]
+    names = [f.declarators[0].name for f in shell.frag.body.stmts]
     assert names == ["v0", "v1", "v2"]
 
 
@@ -67,6 +73,65 @@ def test_make_literal_rejects_unliftable():
 def test_make_lambda_validates_pairs():
     with pytest.raises(MalformedFragment):
         build("make_lambda", StrV("x"))
+
+
+def test_builders_return_residual_nodes():
+    x = build("make_varref", StrV("x"))
+    assert build("make_op", StrV("+"), x, IntV(-2)).frag == \
+        n.Binary("+", n.VarRef("x"), n.Unary("-", n.IntLit(2)))
+    assert build("make_incr", StrV("++"), x).frag == n.Incr("++", n.VarRef("x"))
+    # an expression becomes a statement where a statement is expected
+    block = build("make_block", build("make_incr", StrV("++"), x),
+                  build("make_call", StrV("g"), IntV(0), x))
+    assert block.frag == n.Block([
+        n.ExprStmt(n.Incr("++", n.VarRef("x"))),
+        n.ExprStmt(n.Call("g", [n.VarRef("x")]))])
+
+
+def test_specializing_call_without_a_cache_is_rejected_when_built():
+    with pytest.raises(FlattenUnsupported,
+                       match="nested specializing calls need a "
+                             "specialization cache"):
+        build("make_call", StrV("p"), IntV(1), IntV(2),
+              build("make_varref", StrV("x")))
+
+
+# -- build-time contract: a malformed fragment is reported by the builder
+# -- that embeds it, with that call's span
+
+GENERATOR = """function gen() {
+    ASTree func = make_lambda("x", int);
+    ASTree x = make_varref("x");
+    %s;
+    return func;
+}
+"""
+
+
+@pytest.mark.parametrize("stmt, builder, error, message", [
+    ('append(body(func), x)', "append", MalformedFragment,
+     "VarRef is not a statement fragment"),
+    ('append(body(func), 3)', "append", MalformedFragment,
+     "append expects a statement fragment"),
+    ('append(body(func), make_op("+", make_op("=", x, 1), 2))',
+     'make_op("+"', MalformedFragment,
+     "assignment '=' used in expression position"),
+    ('append(body(func), make_op("=", make_literal(1), x))', "make_op",
+     MalformedFragment, "invalid assignment target fragment"),
+    ('append(body(func), func)', "append", MalformedFragment,
+     "append expects a statement fragment"),
+    ('append(body(func), make_if(body(func), make_return(x)))',
+     "make_if", MalformedFragment, "Block is not an expression fragment"),
+    ('append(body(func), make_return(make_call("p", 1, 2, x)))',
+     "make_call", FlattenUnsupported, "need a specialization cache"),
+], ids=["varref", "literal", "assignment-operand", "literal-target",
+        "shell", "block-operand", "specializing-call"])
+def test_malformed_fragments_carry_the_builder_span(stmt, builder, error,
+                                                    message):
+    interp = Interpreter(parse(GENERATOR % stmt))
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        interp.call_by_name("gen", [])
+    assert tuple(exc.value.span) == (4, 5 + stmt.index(builder))
 
 
 # -- the flattening transform -----------------------------------------------------
@@ -179,6 +244,74 @@ def test_function_reading_globals_flattens():
                                    via_flatten=True)
     assert alpha_equivalent(direct.function("addg__2"),
                             flattened.function("addg__2"))
+
+
+def test_for_without_init_or_step_flattens():
+    source = """
+        function f(int@ k)(int x) {
+            int i = 0;
+            for (; i < x; ) i += k;
+            return i;
+        }
+    """
+    direct, flattened = both_routes(source, "f", [IntV(2)])
+    assert emit(direct) == emit(flattened)
+    assert "for (; i < x; )" in emit(flattened)
+
+
+# -- nested calls resolve alike on both routes ------------------------------------
+
+def both_routes(source, entry, static_args):
+    return [specialize_program(check_stages(parse(source), 2), entry,
+                               static_args, via_flatten=via_flatten)
+            for via_flatten in (False, True)]
+
+
+@pytest.mark.parametrize("source, entry, static_args, units", [
+    ("function f(int@ k)(int x) {\n"
+     "    if@ (k > 0) return f(k - 1)(x) + 1;\n"
+     "    return x;\n}\n", "f", [IntV(3)], ["f__0", "f__1", "f__2", "f__3"]),
+    ("int g(int x) { if (x > 0) return g(x - 1); return 0; }\n"
+     "function f(int@ k)(int x) { return g(x) + g(x + k); }\n",
+     "f", [IntV(1)], ["g", "f__1"]),
+    ("function p(int@ k)(int x) { return x * k; }\n"
+     "function f(int@ k)(int x) { return p(k)(x) + p(k + 1)(x); }\n",
+     "f", [IntV(2)], ["p__2", "p__3", "f__2"]),
+    ("int h(int x) { if (x > 0) return h(x - 1); return 1; }\n",
+     "h", [], ["h"]),
+], ids=["static-chain", "plain-recursive", "call-order", "recursive-entry"])
+def test_nested_calls_match_the_direct_route(source, entry, static_args,
+                                             units):
+    direct, flattened = both_routes(source, entry, static_args)
+    assert [u.name for u in direct.units] == units
+    assert [u.name for u in flattened.units] == units
+    assert emit(direct) == emit(flattened)
+
+
+def test_self_recursive_specialization_fails_on_both_routes():
+    source = "function f(int@ k)(int x) { return f(k)(x - 1); }\n"
+    for via_flatten in (False, True):
+        with pytest.raises(SelfRecursiveSpecialization):
+            specialize_program(check_stages(parse(source), 2), "f",
+                               [IntV(2)], via_flatten=via_flatten)
+
+
+def test_flatten_cache_is_freed_by_reference_counting():
+    # the resolver is installed on the interpreter for the generator's run
+    # only, so no cycle keeps a finished cache alive
+    staged = staged_fixture("volume_cube.cat")
+    fn = staged.functions_by_key()[("volumeOfCube", 0)]
+    gc.collect()
+    gc.disable()
+    try:
+        cache = SpecializationCache(staged)
+        residual = specialize_via_flatten(fn, [], cache)
+        assert [u.name for u in cache.order] == ["pow__3", "volumeOfCube"]
+        freed = weakref.ref(cache)
+        del cache, residual
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_flattening_is_two_level_only():

@@ -61,6 +61,16 @@ def test_malformed_token_stream_rejected():
         specialize_program(staged, "dsl_program", [bad, IntV(1)])
 
 
+@pytest.mark.parametrize("text", ["in in", "(in) 3"])
+def test_trailing_tokens_raise_the_interpreters_error(text):
+    # the message reaches Catat_error@ as a string literal, which has no
+    # residual type and must not be typed
+    with pytest.raises(UserStaticError,
+                       match="malformed program: trailing tokens") as exc:
+        specialized(text)
+    assert exc.value.span.line == 71
+
+
 def test_random_programs_match_reference():
     rng = random.Random(20260810)
     programs = [random_dsl_program(rng, 4) for _ in range(50)]

@@ -5,7 +5,7 @@ from catat.errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
     DYNAMIC_TO_STATIC_FLOW, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
     STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, StageError,
-    TYPENAME_DYNAMIC_BINDING, UnboundVariable,
+    ParseError, TYPENAME_DYNAMIC_BINDING, UnboundVariable,
 )
 from catat.parser import parse_expression
 from catat.staging import stage_of
@@ -223,3 +223,20 @@ def test_three_levels():
     staged = check_stages(parse("int@@ a = 1; int@ b = 2; int c = 3;"), 3)
     stages = [item.stage for item in staged.program.items]
     assert stages == [0, 1, 2]
+
+
+@pytest.mark.parametrize("source, col", [
+    ("int x = 1;\nreturn 2;\n", 1),
+    ("int x = 1;\n{ return 2; }\n", 3),
+    ("int x = 1;\nif (x > 0) return 2;\n", 12),
+], ids=["statement", "block", "branch"])
+def test_top_level_return_is_rejected(source, col):
+    with pytest.raises(ParseError, match="return outside a function") as exc:
+        check_stages(parse(source), 2)
+    assert tuple(exc.value.span) == (2, col)
+
+
+def test_return_inside_functions_and_constructors_passes():
+    check_stages(parse("int f(int x) { { return x; } }\n"
+                       "class Box() { public: int v; Box() { return; } }\n"),
+                 2)
