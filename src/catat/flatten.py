@@ -129,11 +129,10 @@ def _as_stmt(v: Value, span: Span | None) -> n.Stmt:
         f"{type(node).__name__} is not a statement fragment", span)
 
 
-def _as_clause(v: Value, span: Span | None) -> n.Stmt | None:
-    """A for-loop clause; the generator passes an empty block for a
-    missing one."""
-    stmt = _as_stmt(v, span)
-    return None if stmt.__class__ is n.Block and not stmt.stmts else stmt
+def _missing(v: Value) -> bool:
+    """The generator passes an empty block for a missing for-loop clause."""
+    return v.__class__ is CodeV and v.frag.__class__ is n.Block and \
+        not v.frag.stmts
 
 
 def _need_str(v: Value, what: str, span: Span | None) -> str:
@@ -256,8 +255,10 @@ def _b_make_subscript(args, span, interp):
 def _b_make_for(args, span, interp):
     _need_count(args, 4, 4, "make_for", span)
     init, cond, incr, body = args
-    return CodeV(n.For(_as_clause(init, span), _as_expr(cond, span),
-                       _as_clause(incr, span), _as_stmt(body, span), 0))
+    return CodeV(n.For(None if _missing(init) else _as_stmt(init, span),
+                       None if _missing(cond) else _as_expr(cond, span),
+                       None if _missing(incr) else _as_stmt(incr, span),
+                       _as_stmt(body, span), 0))
 
 
 def _b_make_if(args, span, interp):
@@ -419,7 +420,7 @@ class _Flattener:
     def transform_stmt(self, s: n.Stmt, target: n.Expr, out: list,
                        top: bool) -> None:
         if isinstance(s, n.Block):
-            self.transform_region(s.stmts, target, out)
+            out.append(self._append_stmt(target, self.sub_to_frag(s, out)))
             return
         if isinstance(s, n.VarDecl):
             if isinstance(s.dtype, n.ClassAppType) and not s.dtype.ctime:
@@ -470,7 +471,7 @@ class _Flattener:
                 return
             init_frag = self.clause_to_frag(s.init)
             cond_frag = self.conv_expr(s.cond) if s.cond is not None \
-                else n.Call("make_literal", [n.BoolLit(True)])
+                else n.Call("make_block", [])
             incr_frag = self.clause_to_frag(s.incr)
             body_frag = self.sub_to_frag(s.body, out)
             out.append(self._append_stmt(
@@ -494,7 +495,8 @@ class _Flattener:
     def _unrolled(self, s: n.Stmt, target: n.Expr) -> n.Stmt:
         """Generator code for the body of an ``if@`` or ``for@``."""
         inner: list = []
-        self.transform_stmt(s, target, inner, top=False)
+        stmts = s.stmts if isinstance(s, n.Block) else [s]
+        self.transform_region(stmts, target, inner)
         return inner[0] if len(inner) == 1 else n.Block(inner)
 
     def clause_to_frag(self, clause: n.Stmt | None) -> n.Expr:
@@ -513,7 +515,8 @@ class _Flattener:
         """Convert a dynamic control-construct body to a block fragment.
 
         Complex bodies are built imperatively through a temporary block
-        variable emitted into ``out``."""
+        variable emitted into ``out``; the code that fills it runs in a
+        block of its own, so the generator's scopes follow the source's."""
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage != 0 or \
                 isinstance(s, n.Return):
             return self._stmt_frag(s)
@@ -522,7 +525,9 @@ class _Flattener:
                              [n.Declarator(tmp, None,
                                            n.Call("make_block", []))]))
         stmts = s.stmts if isinstance(s, n.Block) else [s]
-        self.transform_region(stmts, n.VarRef(tmp), out)
+        inner: list = []
+        self.transform_region(stmts, n.VarRef(tmp), inner)
+        out.append(n.Block(inner))
         return n.VarRef(tmp)
 
     def _stmt_frag(self, s: n.Stmt) -> n.Expr:

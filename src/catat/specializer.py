@@ -8,6 +8,18 @@ crossing into dynamic code are lifted as literals, typename-typed
 declarations are replaced by concrete types, and nested calls carrying
 static arguments become calls to recursively specialized residuals.
 
+The specializer runs no binding-time analysis of its own: an expression,
+declaration, assignment or expression statement is static when the stage
+checker wrote ``stage == 0`` on it, so the input must come from
+``check_stages``.  A static subtree goes whole to the compile-time
+``Interpreter``; the handlers here residualize the dynamic rest.  Whether
+``if@``/``for@``/``switch@`` unrolls is read from its annotation, because
+a construct's stage is its guard's stage.  Two cases keep their own paths:
+``Name@(...)`` compile-time instances, and typename declarations, which
+are evaluated now even when annotated for a later stage.  A static
+parameter the checker puts at a later stage (three or more levels) is
+declared at that stage in the residual, holding its value.
+
 Specializations are memoized per (definition, static-argument tuple);
 each key yields exactly one residual entity per run, named by a
 deterministic mangling scheme.  Completion order is callees-first, so the
@@ -21,25 +33,24 @@ from dataclasses import dataclass, field
 
 from . import nodes as n
 from .errors import (
-    STACK_EXHAUSTED, DepthExceeded, LiftError, MalformedFragment,
-    ReturnTypeMismatch, SelfRecursiveSpecialization, Span, StageLeak,
-    TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, LiftError, LoopLimitExceeded,
+    MalformedFragment, ReturnTypeMismatch, SelfRecursiveSpecialization, Span,
+    StageLeak, TypeMismatch, UnboundVariable,
 )
 from .flatten import (
-    BUILDERS, lift, type_value_to_decl, type_value_to_texpr,
+    lift, specialize_via_flatten, type_value_to_decl, type_value_to_texpr,
 )
 from .staging import StagedAST
 from .staticeval import (
     DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
 )
 from .values import (
-    ArrayV, BOOL, BoolV, ClassTV, Env, FixedArrayTV, FloatV, IntV,
-    PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith,
-    canonical_key, coerce, describe, mangle_name, promote,
-    render_static_arg, truth, type_of_value,
+    BOOL, BoolV, ClassTV, Env, FixedArrayTV, InstanceV, PointerTV,
+    PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith, canonical_key,
+    coerce, mangle_name, promote, render_static_arg, render_type, truth,
+    type_of_value,
 )
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
 _COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
 
 
@@ -90,8 +101,6 @@ class ResidualFunction:
                              declared_return=type_value_to_texpr(
                                  self.return_type))
 
-    to_def = to_function_def
-
 
 @dataclass
 class ResidualClass:
@@ -115,8 +124,6 @@ class ResidualClass:
             dtype, size = type_value_to_decl(tv)
             items.append(n.VarDecl(dtype, [n.Declarator(name, size, None)]))
         return n.ClassDef(self.name, [], items)
-
-    to_def = to_class_def
 
 
 _IN_PROGRESS = object()
@@ -226,7 +233,9 @@ class ResidualProgram:
         statements must not change after it."""
         if self._program is None:
             items = list(self.top_stmts)
-            items.extend(u.to_def() for u in self.units)
+            items.extend(u.to_function_def()
+                         if isinstance(u, ResidualFunction)
+                         else u.to_class_def() for u in self.units)
             self._program = n.Program(items)
         return self._program
 
@@ -280,7 +289,6 @@ def infer_return_type(body: list, var_types: dict, callee_types=None,
     for tv in known[1:]:
         unified = promote(result, tv)
         if unified is None:
-            from .values import render_type
             raise ReturnTypeMismatch(
                 f"cannot unify return types {render_type(result)} and "
                 f"{render_type(tv)}", span)
@@ -391,7 +399,9 @@ class RExpr:
 
 
 def _static(v: Value) -> RExpr:
-    return RExpr(v, None, type_of_value(v))
+    # strings have no type: they only reach builtins such as Catat_error@
+    # and the builders
+    return RExpr(v, None, None if v.__class__ is StrV else type_of_value(v))
 
 
 def _dyn(node: n.Expr, tv: TypeValue | None) -> RExpr:
@@ -399,11 +409,7 @@ def _dyn(node: n.Expr, tv: TypeValue | None) -> RExpr:
 
 
 class _SpecCtx:
-    def __init__(self, cache: SpecializationCache, env: Env,
-                 base_dyn_scopes: list | None = None):
-        self.cache = cache
-        self.interp = cache.interp
-        self.default = cache.staged.levels - 1
+    def __init__(self, env: Env, base_dyn_scopes: list | None = None):
         self.env = env  # static values
         self.dyn: list[dict] = (base_dyn_scopes or []) + [{}]
         self.res_declared: list[set] = [set()]
@@ -467,17 +473,14 @@ class _Specializer:
         try:
             name = self.cache.reserve(key, fn.name)
             env = self.cache.globals.child()
-            for p, a in zip(sparams, static_args):
-                tv = self.interp.resolve_type(p.dtype, env, p.span)
-                env.declare(p.name, Slot(coerce(a, tv, p.span), tv), p.span)
-            ctx = _SpecCtx(self.cache, env,
-                           base_dyn_scopes=[self.cache.global_dyn])
+            ctx = _SpecCtx(env, base_dyn_scopes=[self.cache.global_dyn])
+            body = self.bind_static_params(sparams, static_args, ctx)
             params = []
             for p in fn.params:
                 tv = self.interp.resolve_type(p.dtype, env, p.span)
                 res_name = ctx.declare_dyn(p.name, tv)
                 params.append((res_name, tv))
-            body = self.stmts([*fn.body.stmts], ctx)
+            body.extend(self.stmts(fn.body.stmts, ctx))
             rtype = infer_return_type(
                 body, {**self.cache.global_types(), **dict(params)},
                 self.cache.return_type_of, fn.span)
@@ -506,9 +509,9 @@ class _Specializer:
         try:
             name = self.cache.reserve(key, cls.name)
             env = self.cache.globals.child()
-            for p, a in zip(cls.static_params, static_args):
-                tv = self.interp.resolve_type(p.dtype, env, p.span)
-                env.declare(p.name, Slot(coerce(a, tv, p.span), tv), p.span)
+            ctx = _SpecCtx(env, base_dyn_scopes=[self.cache.global_dyn])
+            later = self.bind_static_params(cls.static_params, static_args,
+                                            ctx)
             # Static members first (unset slots unless initialized), so the
             # compile-time constructor can assign them before sizes resolve.
             static_names: list[str] = []
@@ -537,8 +540,6 @@ class _Specializer:
             if ctor is not None:
                 self.interp.exec_block(ctor.body, env.child())
             members = []
-            ctx = _SpecCtx(self.cache, env,
-                           base_dyn_scopes=[self.cache.global_dyn])
             for visibility, decl, d in dynamic_decls:
                 dtype = decl.dtype
                 if d.array_size is not None:
@@ -549,7 +550,7 @@ class _Specializer:
             ctor_body = None
             dyn_ctor = cls.dynamic_ctor()
             if dyn_ctor is not None:
-                ctor_body = self.stmts([*dyn_ctor.body.stmts], ctx)
+                ctor_body = later + self.stmts(dyn_ctor.body.stmts, ctx)
             static_members = {m: env.slots[m].value for m in static_names}
             residual = ResidualClass(name, members, static_members, ctor_body,
                                      key,
@@ -558,6 +559,30 @@ class _Specializer:
             return residual
         finally:
             self.cache.guard.exit()
+
+    def bind_static_params(self, params: list, args: list,
+                           ctx: _SpecCtx) -> list:
+        """Bind static parameters to their arguments in ``ctx.env``.
+
+        At three or more levels the checker may put a static parameter at
+        a later stage.  The residual then declares it at that stage,
+        holding its value; the returned list has those declarations.
+        Typename parameters are always bound now, as typename
+        declarations are."""
+        decls = []
+        for p, a in zip(params, args):
+            tv = self.interp.resolve_type(p.dtype, ctx.env, p.span)
+            value = coerce(a, tv, p.span)
+            if p.at_count >= self.default or n.is_typename_type(p.dtype):
+                ctx.env.declare(p.name, Slot(value, tv), p.span)
+                continue
+            init = lift(value, p.span)
+            dtype = type_value_to_texpr(tv)  # a liftable type: a PrimType
+            dtype.at_count = p.at_count
+            decls.append(n.VarDecl(
+                dtype, [n.Declarator(ctx.declare_dyn(p.name, tv), None, init)],
+                span=p.span))
+        return decls
 
     def static_instance(self, cls: n.ClassDef, static_args: list,
                         span: Span | None):
@@ -594,7 +619,6 @@ class _Specializer:
             for ctor in (cls.static_ctor(), cls.dynamic_ctor()):
                 if ctor is not None:
                     self.interp.exec_block(ctor.body, env.child())
-            from .values import InstanceV
             name = mangle_name(cls.name, key_args(static_args))
             return InstanceV(name,
                              {m: env.slots[m].value for m in member_names})
@@ -630,58 +654,30 @@ class _Specializer:
         return n.Block(out)
 
     def stmt(self, s: n.Stmt, ctx: _SpecCtx, out: list) -> None:
-        if isinstance(s, n.VarDecl):
-            self.var_decl(s, ctx, out)
-        elif isinstance(s, n.Assign):
-            self.assign(s, ctx, out)
-        elif isinstance(s, n.ExprStmt):
-            r = self.rexpr(s.expr, ctx)
-            if not r.is_static:
-                out.append(n.ExprStmt(r.node, span=s.span))
-        elif isinstance(s, n.Return):
-            if s.value is None:
-                out.append(n.Return(None, span=s.span))
-            else:
-                r = self.rexpr(s.value, ctx)
-                out.append(n.Return(self.as_node(r, s.span), span=s.span))
-        elif isinstance(s, n.Block):
-            ctx.push_residual()
-            ctx.push_source()
-            inner = self.stmts(s.stmts, ctx)
-            ctx.pop_source()
-            ctx.pop_residual()
-            out.append(n.Block(inner, span=s.span))
-        elif isinstance(s, n.If):
-            self.if_stmt(s, ctx, out)
-        elif isinstance(s, n.For):
-            self.for_stmt(s, ctx, out)
-        elif isinstance(s, n.Switch):
-            self.switch_stmt(s, ctx, out)
-        else:
+        handler = _STMT.get(s.__class__)
+        if handler is None:
             raise TypeMismatch(f"cannot specialize {type(s).__name__}",
                                s.span)
+        handler(self, s, ctx, out)
 
     def var_decl(self, s: n.VarDecl, ctx: _SpecCtx, out: list) -> None:
-        if isinstance(s.dtype, n.ClassAppType) and s.dtype.ctime:
-            cls = self.cache.classes.get(s.dtype.name)
-            if cls is None:
-                raise UnboundVariable(f"unknown class '{s.dtype.name}'",
-                                      s.span)
-            args = [self.static_value(a, ctx) for a in s.dtype.args]
-            for d in s.declarators:
-                inst = self.static_instance(cls, args, s.span)
-                ctx.env.declare(d.name, Slot(inst, ClassTV(cls.name)), d.span)
-            return
-        k = n.annotation_count(s.dtype)
-        if k >= self.default or n.is_typename_type(s.dtype):
+        is_class = isinstance(s.dtype, n.ClassAppType)
+        if (s.stage == 0 or n.is_typename_type(s.dtype)) and \
+                not (is_class and s.dtype.ctime):
             self.interp.exec_stmt(s, ctx.env)
             return
-        if isinstance(s.dtype, n.ClassAppType):
+        if is_class:
             cls = self.cache.classes.get(s.dtype.name)
             if cls is None:
                 raise UnboundVariable(f"unknown class '{s.dtype.name}'",
                                       s.span)
-            args = [self.static_value(a, ctx) for a in s.dtype.args]
+            args = [self.interp.eval_expr(a, ctx.env) for a in s.dtype.args]
+            if s.dtype.ctime:
+                for d in s.declarators:
+                    inst = self.static_instance(cls, args, s.span)
+                    ctx.env.declare(d.name, Slot(inst, ClassTV(cls.name)),
+                                    d.span)
+                return
             rc = self.specialize_class(cls, args)
             for d in s.declarators:
                 res_name = ctx.declare_dyn(d.name, ClassTV(cls.name,
@@ -690,6 +686,7 @@ class _Specializer:
                                      [n.Declarator(res_name, None, None)],
                                      span=s.span))
             return
+        k = n.annotation_count(s.dtype)
         for d in s.declarators:
             dtype = s.dtype
             if d.array_size is not None:
@@ -701,8 +698,7 @@ class _Specializer:
                 init_node = self.as_node(r, d.span)
             res_name = ctx.declare_dyn(d.name, tv)
             res_dtype, res_size = type_value_to_decl(tv)
-            if 0 < k < self.default and \
-                    isinstance(res_dtype, (n.PrimType, n.NamedType)):
+            if k > 0 and isinstance(res_dtype, (n.PrimType, n.NamedType)):
                 # deeper-staged declaration: the annotation run is relative,
                 # so it carries into the (L-1)-level residual unchanged
                 res_dtype.at_count = k
@@ -711,57 +707,39 @@ class _Specializer:
                                  span=s.span))
 
     def assign(self, s: n.Assign, ctx: _SpecCtx, out: list) -> None:
-        if isinstance(s.target, n.VarRef):
-            slot = ctx.env.find(s.target.name)
-            if slot is not None:
-                value = self.static_value(s.value, ctx)
-                if s.op != "=":
-                    if slot.value is None:
-                        raise UnboundVariable(
-                            f"'{s.target.name}' read before assignment",
-                            s.span)
-                    value = arith(s.op[0], slot.value, value, s.span)
-                slot.value = coerce(value, slot.tv, s.span)
-                return
-            entry = ctx.lookup_dyn(s.target.name)
-            if entry is None:
-                raise StageLeak(
-                    f"assignment target '{s.target.name}' is neither static "
-                    "nor residual", s.span)
-            res_name, _tv = entry
-            r = self.rexpr(s.value, ctx)
-            out.append(n.Assign(n.VarRef(res_name), s.op,
-                                self.as_node(r, s.span), span=s.span))
+        if s.stage == 0:
+            self.interp.exec_stmt(s, ctx.env)
             return
-        if isinstance(s.target, n.Subscript):
-            base = self.rexpr(s.target.base, ctx)
-            if base.is_static:
-                idx = self.static_value(s.target.index, ctx)
-                value = self.static_value(s.value, ctx)
-                if not isinstance(base.value, ArrayV):
-                    raise TypeMismatch(
-                        f"cannot subscript {describe(base.value)}", s.span)
-                if not isinstance(idx, IntV) or \
-                        not (0 <= idx.value < len(base.value.cells)):
-                    raise TypeMismatch("static subscript out of range",
-                                       s.span)
-                if s.op != "=":
-                    value = arith(s.op[0], base.value.cells[idx.value], value,
-                                  s.span)
-                base.value.cells[idx.value] = coerce(value, base.value.elem,
-                                                     s.span)
-                return
-            idx = self.rexpr(s.target.index, ctx)
-            r = self.rexpr(s.value, ctx)
-            out.append(n.Assign(
-                n.Subscript(base.node, self.as_node(idx, s.span)), s.op,
-                self.as_node(r, s.span), span=s.span))
+        target = self.rexpr(s.target, ctx)
+        r = self.rexpr(s.value, ctx)
+        out.append(n.Assign(target.node, s.op, self.as_node(r, s.span),
+                            span=s.span))
+
+    def expr_stmt(self, s: n.ExprStmt, ctx: _SpecCtx, out: list) -> None:
+        if s.stage == 0:
+            self.interp.exec_stmt(s, ctx.env)
             return
-        raise TypeMismatch("invalid assignment target", s.span)
+        r = self.rexpr(s.expr, ctx)
+        if not r.is_static:
+            out.append(n.ExprStmt(r.node, span=s.span))
+
+    def return_stmt(self, s: n.Return, ctx: _SpecCtx, out: list) -> None:
+        value = None
+        if s.value is not None:
+            value = self.as_node(self.rexpr(s.value, ctx), s.span)
+        out.append(n.Return(value, span=s.span))
+
+    def block(self, s: n.Block, ctx: _SpecCtx, out: list) -> None:
+        ctx.push_residual()
+        ctx.push_source()
+        inner = self.stmts(s.stmts, ctx)
+        ctx.pop_source()
+        ctx.pop_residual()
+        out.append(n.Block(inner, span=s.span))
 
     def if_stmt(self, s: n.If, ctx: _SpecCtx, out: list) -> None:
         if s.at_count >= self.default:
-            if truth(self.static_value(s.cond, ctx), s.span):
+            if truth(self.interp.eval_expr(s.cond, ctx.env), s.span):
                 self.splice(s.then_stmt, ctx, out)
             elif s.else_stmt is not None:
                 self.splice(s.else_stmt, ctx, out)
@@ -775,31 +753,23 @@ class _Specializer:
 
     def for_stmt(self, s: n.For, ctx: _SpecCtx, out: list) -> None:
         if s.at_count >= self.default:
+            # the checker made the init, guard and step static
+            interp = self.interp
             ctx.push_source()
+            env = ctx.env
             if s.init is not None:
-                discarded: list = []
-                self.stmt(s.init, ctx, discarded)
-                if discarded:
-                    raise StageLeak("loop control of an annotated loop must "
-                                    "be static", s.span)
+                interp.exec_stmt(s.init, env)
             iterations = 0
-            while True:
-                if s.cond is not None and \
-                        not truth(self.static_value(s.cond, ctx), s.span):
-                    break
+            while s.cond is None or \
+                    truth(interp.eval_expr(s.cond, env), s.span):
                 iterations += 1
                 if iterations > self.cache.limits.loop_cap:
-                    from .errors import LoopLimitExceeded
                     raise LoopLimitExceeded(
                         f"loop iteration cap ({self.cache.limits.loop_cap}) "
                         "exceeded during unrolling", s.span)
                 self.splice(s.body, ctx, out)
                 if s.incr is not None:
-                    discarded = []
-                    self.stmt(s.incr, ctx, discarded)
-                    if discarded:
-                        raise StageLeak("loop control of an annotated loop "
-                                        "must be static", s.span)
+                    interp.exec_stmt(s.incr, env)
             ctx.pop_source()
             return
         ctx.push_residual()
@@ -822,13 +792,13 @@ class _Specializer:
 
     def switch_stmt(self, s: n.Switch, ctx: _SpecCtx, out: list) -> None:
         if s.at_count >= self.default:
-            subject = self.static_value(s.subject, ctx)
+            subject = self.interp.eval_expr(s.subject, ctx.env)
             default_case = None
             for case in s.cases:
                 if case.label is None:
                     default_case = case
                     continue
-                label = self.static_value(case.label, ctx)
+                label = self.interp.eval_expr(case.label, ctx.env)
                 if truth(arith("==", subject, label, case.span), case.span):
                     self.splice(n.Block(case.body), ctx, out)
                     return
@@ -851,110 +821,43 @@ class _Specializer:
 
     # -- expressions --------------------------------------------------------
 
-    def static_value(self, e: n.Expr, ctx: _SpecCtx) -> Value:
-        r = self.rexpr(e, ctx)
-        if not r.is_static:
-            raise StageLeak(
-                "dynamic value reached a static position (stage checking "
-                "should have rejected this program)", e.span)
-        return r.value
-
     def as_node(self, r: RExpr, span: Span | None) -> n.Expr:
         if r.is_static:
             return lift(r.value, span)
         return r.node
 
     def rexpr(self, e: n.Expr, ctx: _SpecCtx) -> RExpr:
-        if isinstance(e, n.IntLit):
-            return _static(IntV(e.value))
-        if isinstance(e, n.FloatLit):
-            return _static(FloatV(e.value))
-        if isinstance(e, n.BoolLit):
-            return _static(BoolV(e.value))
-        if isinstance(e, n.StringLit):
-            # strings have no type: they only reach builtins such as
-            # Catat_error@ and the builders
-            return RExpr(StrV(e.value), None, None)
-        if isinstance(e, n.TypeLit):
-            return _static(self.interp.resolve_type(e.type_expr, ctx.env,
-                                                    e.span))
-        if isinstance(e, n.VarRef):
-            slot = ctx.env.find(e.name)
-            if slot is not None:
-                if slot.value is None:
-                    raise UnboundVariable(
-                        f"'{e.name}' read before assignment", e.span)
-                return _static(slot.value)
-            entry = ctx.lookup_dyn(e.name)
-            if entry is not None:
-                res_name, tv = entry
-                return _dyn(n.VarRef(res_name, span=e.span), tv)
+        """Evaluate ``e`` if it is static, else residualize it."""
+        if e.stage == 0:
+            return _static(self.interp.eval_expr(e, ctx.env))
+        handler = _REXPR.get(e.__class__)
+        if handler is None:
+            raise TypeMismatch(f"cannot specialize {type(e).__name__}",
+                               e.span)
+        return handler(self, e, ctx)
+
+    # The handlers below see dynamic expressions only.  An operand may still
+    # come back static: a dynamic ``?:`` or ``&&`` with a static guard keeps
+    # the one operand it selects.
+
+    def var_ref(self, e: n.VarRef, ctx: _SpecCtx) -> RExpr:
+        entry = ctx.lookup_dyn(e.name)
+        if entry is None:
             raise StageLeak(f"variable '{e.name}' reached the specializer "
                             "unresolved", e.span)
-        if isinstance(e, n.Unary):
-            r = self.rexpr(e.operand, ctx)
-            if r.is_static:
-                if e.op == "!":
-                    return _static(BoolV(not truth(r.value, e.span)))
-                if isinstance(r.value, IntV):
-                    return _static(arith("-", IntV(0), r.value, e.span))
-                if isinstance(r.value, FloatV):
-                    return _static(FloatV(-r.value.value))
-                raise TypeMismatch(f"cannot negate {describe(r.value)}",
-                                   e.span)
-            tv = BOOL if e.op == "!" else r.tv
-            return _dyn(n.Unary(e.op, r.node, span=e.span), tv)
-        if isinstance(e, n.Incr):
-            if not isinstance(e.target, n.VarRef):
-                raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
-            slot = ctx.env.find(e.target.name)
-            if slot is not None:
-                return _static(self.interp.eval_expr(e, ctx.env))
-            entry = ctx.lookup_dyn(e.target.name)
-            if entry is None:
-                raise StageLeak(f"variable '{e.target.name}' reached the "
-                                "specializer unresolved", e.span)
-            res_name, tv = entry
-            return _dyn(n.Incr(e.op, n.VarRef(res_name), span=e.span), tv)
-        if isinstance(e, n.Binary):
-            return self.binary(e, ctx)
-        if isinstance(e, n.Cond):
-            c = self.rexpr(e.cond, ctx)
-            if c.is_static:
-                if truth(c.value, e.span):
-                    return self.rexpr(e.then_expr, ctx)
-                return self.rexpr(e.else_expr, ctx)
-            t = self.rexpr(e.then_expr, ctx)
-            f = self.rexpr(e.else_expr, ctx)
-            tv = None
-            if t.tv is not None and f.tv is not None:
-                tv = promote(t.tv, f.tv)
-            return _dyn(n.Cond(c.node, self.as_node(t, e.span),
-                               self.as_node(f, e.span), span=e.span), tv)
-        if isinstance(e, n.Subscript):
-            base = self.rexpr(e.base, ctx)
-            idx = self.rexpr(e.index, ctx)
-            if base.is_static:
-                if not idx.is_static:
-                    raise LiftError(
-                        "a static array cannot flow into dynamic code "
-                        "(dynamic index into static data)", e.span)
-                if not isinstance(base.value, ArrayV):
-                    raise TypeMismatch(
-                        f"cannot subscript {describe(base.value)}", e.span)
-                if not isinstance(idx.value, IntV) or \
-                        not (0 <= idx.value.value < len(base.value.cells)):
-                    from .errors import OutOfBounds
-                    raise OutOfBounds("static subscript out of range", e.span)
-                return _static(base.value.cells[idx.value.value])
-            elem = None
-            if isinstance(base.tv, (PointerTV, FixedArrayTV)):
-                elem = base.tv.elem
-            return _dyn(n.Subscript(base.node, self.as_node(idx, e.span),
-                                    span=e.span), elem)
-        if isinstance(e, n.Call):
-            return self.call(e, ctx)
-        raise TypeMismatch(f"cannot specialize {type(e).__name__}", e.span)
+        res_name, tv = entry
+        return _dyn(n.VarRef(res_name, span=e.span), tv)
+
+    def unary(self, e: n.Unary, ctx: _SpecCtx) -> RExpr:
+        r = self.rexpr(e.operand, ctx)
+        tv = BOOL if e.op == "!" else r.tv
+        return _dyn(n.Unary(e.op, self.as_node(r, e.span), span=e.span), tv)
+
+    def incr(self, e: n.Incr, ctx: _SpecCtx) -> RExpr:
+        if not isinstance(e.target, n.VarRef):
+            raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
+        r = self.var_ref(e.target, ctx)
+        return _dyn(n.Incr(e.op, r.node, span=e.span), r.tv)
 
     def binary(self, e: n.Binary, ctx: _SpecCtx) -> RExpr:
         if e.op in ("&&", "||"):
@@ -973,8 +876,6 @@ class _Specializer:
                                  span=e.span), BOOL)
         lhs = self.rexpr(e.lhs, ctx)
         rhs = self.rexpr(e.rhs, ctx)
-        if lhs.is_static and rhs.is_static:
-            return _static(arith(e.op, lhs.value, rhs.value, e.span))
         if e.op in _COMPARISONS:
             tv = BOOL
         elif lhs.tv is not None and rhs.tv is not None:
@@ -984,45 +885,63 @@ class _Specializer:
         return _dyn(n.Binary(e.op, self.as_node(lhs, e.span),
                              self.as_node(rhs, e.span), span=e.span), tv)
 
+    def cond(self, e: n.Cond, ctx: _SpecCtx) -> RExpr:
+        c = self.rexpr(e.cond, ctx)
+        if c.is_static:
+            if truth(c.value, e.span):
+                return self.rexpr(e.then_expr, ctx)
+            return self.rexpr(e.else_expr, ctx)
+        t = self.rexpr(e.then_expr, ctx)
+        f = self.rexpr(e.else_expr, ctx)
+        tv = None
+        if t.tv is not None and f.tv is not None:
+            tv = promote(t.tv, f.tv)
+        return _dyn(n.Cond(c.node, self.as_node(t, e.span),
+                           self.as_node(f, e.span), span=e.span), tv)
+
+    def subscript(self, e: n.Subscript, ctx: _SpecCtx) -> RExpr:
+        base = self.rexpr(e.base, ctx)
+        if base.is_static:
+            raise LiftError("a static array cannot flow into dynamic code "
+                            "(dynamic index into static data)", e.span)
+        idx = self.rexpr(e.index, ctx)
+        elem = None
+        if isinstance(base.tv, (PointerTV, FixedArrayTV)):
+            elem = base.tv.elem
+        return _dyn(n.Subscript(base.node, self.as_node(idx, e.span),
+                                span=e.span), elem)
+
     def call(self, e: n.Call, ctx: _SpecCtx) -> RExpr:
-        if e.callee in BUILDERS:
-            args = [self.static_value(a, ctx) for a in e.args]
-            return _static(BUILDERS[e.callee](args, e.span, self.interp))
+        """A dynamic call.  Its arguments are residualized before its
+        callee is specialized, so the callees of a nested call come first."""
         if e.static_args is not None:
-            svals = [self.static_value(a, ctx) for a in e.static_args]
+            svals = [self.interp.eval_expr(a, ctx.env) for a in e.static_args]
             defn = self.cache.functions.get((e.callee, len(svals)))
             if defn is None:
                 raise UnboundVariable(
                     f"no definition of '{e.callee}' takes {len(svals)} "
                     "static argument(s)", e.span)
+            args = self.residual_args(e, ctx)
             rf = self.specialize_function(defn, svals)
-            args = [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
             return _dyn(n.Call(rf.name, args, span=e.span), rf.return_type)
-        stage = self.default - e.at_count
-        if e.at_count >= 1 and stage <= 0:
-            defn = self.cache.functions.get((e.callee, 0))
-            if defn is None:
-                raise UnboundVariable(f"unknown function '{e.callee}'",
-                                      e.span)
-            args = [self.static_value(a, ctx) for a in e.args]
-            return _static(self.interp.call_function(defn, args, e.span))
         if e.at_count >= 1:
             # multi-level: executes at a later (still static) stage
-            args = [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
-            return _dyn(n.Call(e.callee, args, at_count=e.at_count,
-                               span=e.span), None)
+            return _dyn(n.Call(e.callee, self.residual_args(e, ctx),
+                               at_count=e.at_count, span=e.span), None)
         defn = self.cache.functions.get((e.callee, 0))
-        if defn is not None:
-            key = SpecializationKey.for_function(e.callee, [])
-            if self.cache.in_progress(key):
-                name = self.cache.names_by_key[key]
-                rtype = None
-            else:
-                rf = self.specialize_function(defn, [])
-                name, rtype = rf.name, rf.return_type
-            args = [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
-            return _dyn(n.Call(name, args, span=e.span), rtype)
-        return self.inferred_call(e, ctx)
+        if defn is None:
+            return self.inferred_call(e, ctx)
+        args = self.residual_args(e, ctx)
+        key = SpecializationKey.for_function(e.callee, [])
+        if self.cache.in_progress(key):
+            name, rtype = self.cache.names_by_key[key], None
+        else:
+            rf = self.specialize_function(defn, [])
+            name, rtype = rf.name, rf.return_type
+        return _dyn(n.Call(name, args, span=e.span), rtype)
+
+    def residual_args(self, e: n.Call, ctx: _SpecCtx) -> list:
+        return [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
 
     def inferred_call(self, e: n.Call, ctx: _SpecCtx) -> RExpr:
         """Single-list call to a two-list function: infer typename statics
@@ -1052,6 +971,32 @@ class _Specializer:
             args = [self.as_node(r, e.span) for r in rargs]
             return _dyn(n.Call(rf.name, args, span=e.span), rf.return_type)
         raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
+
+
+# Handlers by exact node class; each takes (specializer, node, ctx) and a
+# statement handler also the residual list it appends to.  ``rexpr``
+# evaluates every stage-0 expression itself, so ``_REXPR`` holds the
+# dynamic handlers only: literals and type literals are always stage 0.
+_STMT = {
+    n.VarDecl: _Specializer.var_decl,
+    n.Assign: _Specializer.assign,
+    n.ExprStmt: _Specializer.expr_stmt,
+    n.Return: _Specializer.return_stmt,
+    n.Block: _Specializer.block,
+    n.If: _Specializer.if_stmt,
+    n.For: _Specializer.for_stmt,
+    n.Switch: _Specializer.switch_stmt,
+}
+
+_REXPR = {
+    n.VarRef: _Specializer.var_ref,
+    n.Unary: _Specializer.unary,
+    n.Incr: _Specializer.incr,
+    n.Binary: _Specializer.binary,
+    n.Cond: _Specializer.cond,
+    n.Subscript: _Specializer.subscript,
+    n.Call: _Specializer.call,
+}
 
 
 def key_args(static_args: list) -> tuple:
@@ -1085,7 +1030,7 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
         spec = _Specializer(cache)
-        ctx = _SpecCtx(cache, cache.globals)
+        ctx = _SpecCtx(cache.globals)
         ctx.dyn = [cache.global_dyn]
         top_res: list = []
         for item in staged.program.items:
@@ -1097,7 +1042,6 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
             fn = cache.functions.get((entry, len(static_args)))
             if fn is not None:
                 if via_flatten:
-                    from .flatten import specialize_via_flatten
                     entry_name = specialize_via_flatten(fn, static_args,
                                                         cache).name
                 else:

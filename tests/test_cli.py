@@ -271,3 +271,13 @@ def test_static_error_message_string_exits_3(command):
     assert "compile-time error: malformed program: trailing tokens" \
         in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_static_subscript_out_of_range_exits_3(tmp_path):
+    source = tmp_path / "oob.cat"
+    source.write_text("function f(int@* a)(int x) { return x + a[2]; }\n")
+    result = catat("specialize", source, "--entry", "f", "--static-args",
+                   "[7,8]")
+    assert result.returncode == 3
+    assert "index 2 outside array of length 2" in result.stderr
+    assert "Traceback" not in result.stderr

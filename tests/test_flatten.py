@@ -259,6 +259,39 @@ def test_for_without_init_or_step_flattens():
     assert "for (; i < x; )" in emit(flattened)
 
 
+def test_for_without_a_condition_flattens():
+    source = """
+        function f(int@ k)(int x) {
+            int i = 0;
+            for (;;) { i += k; if (i > x) return i; }
+        }
+    """
+    direct, flattened = both_routes(source, "f", [IntV(3)])
+    assert alpha_equivalent(direct.function("f__3"),
+                            flattened.function("f__3"))
+    assert "for (; ; )" in emit(flattened)
+
+
+def test_nested_blocks_flatten_to_blocks():
+    # a source block stays a residual block, and the generator code of each
+    # block has its own scope, so static locals of sibling blocks may share
+    # a name
+    source = """
+        function f(int@ k)(int d) {
+            int r = d;
+            { int@ t = k; r += t; }
+            { int@ t = 2 * k; r += t; }
+            if (d > 0) { int@ t = 3; r += t; r *= t; }
+            else { int@ t = 4; r -= t; r *= t; }
+            return r;
+        }
+    """
+    direct, flattened = both_routes(source, "f", [IntV(5)])
+    assert emit(direct) == emit(flattened)
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
+
+
 # -- nested calls resolve alike on both routes ------------------------------------
 
 def both_routes(source, entry, static_args):
@@ -279,7 +312,16 @@ def both_routes(source, entry, static_args):
      "f", [IntV(2)], ["p__2", "p__3", "f__2"]),
     ("int h(int x) { if (x > 0) return h(x - 1); return 1; }\n",
      "h", [], ["h"]),
-], ids=["static-chain", "plain-recursive", "call-order", "recursive-entry"])
+    ("function p(int@ k)(int x) { return x * k; }\n"
+     "function q(int@ k)(int x) { return x + k; }\n"
+     "function f(int@ k)(int x) { return p(k)(q(k)(x)); }\n",
+     "f", [IntV(2)], ["q__2", "p__2", "f__2"]),
+    ("int g(int x) { return x + 1; }\n"
+     "int h(int x) { return x * 2; }\n"
+     "function f(int@ k)(int x) { return g(h(x + k)); }\n",
+     "f", [IntV(1)], ["h", "g", "f__1"]),
+], ids=["static-chain", "plain-recursive", "call-order", "recursive-entry",
+        "nested-static-arguments", "nested-plain"])
 def test_nested_calls_match_the_direct_route(source, entry, static_args,
                                              units):
     direct, flattened = both_routes(source, entry, static_args)

@@ -2,6 +2,7 @@
 
 from catat import check_stages, emit, parse, specialize_program
 from catat import nodes as n
+from catat import specializer, staging, staticeval
 from catat.flatten import specialize_via_flatten
 from catat.specializer import (
     SpecializationCache, alpha_equivalent, specialize_function,
@@ -108,3 +109,29 @@ def test_float_static_arguments_lift_exactly():
     staged = check_stages(parse(source), 2)
     rp = specialize_program(staged, "scaled", [FloatV(2.5)])
     assert "return 2.5 * x;" in emit(rp)
+
+
+def node_classes(base):
+    found = set()
+    for cls in base.__subclasses__():
+        found.add(cls)
+        found |= node_classes(cls)
+    return found
+
+
+def test_every_node_class_has_a_handler_in_every_table():
+    exprs = node_classes(n.Expr)
+    stmts = node_classes(n.Stmt)
+    assert set(staging._STMT_CHECK) == stmts
+    assert set(staticeval._STMT) == stmts
+    assert set(specializer._STMT) == stmts
+    assert set(staging._EXPR_STAGE) == exprs
+    assert set(staticeval._EXPR) == exprs
+    # the specializer hands every stage-0 expression to the evaluator, so
+    # it needs no handler for the classes the checker always puts at stage 0
+    always_static = exprs - set(specializer._REXPR)
+    assert always_static == {n.IntLit, n.FloatLit, n.BoolLit, n.StringLit,
+                             n.TypeLit}
+    for cls in always_static:
+        assert staging._EXPR_STAGE[cls] in (staging._Checker.literal_stage,
+                                            staging._Checker.type_lit_stage)

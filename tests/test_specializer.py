@@ -3,15 +3,15 @@ import pytest
 from catat import check_stages, emit, parse
 from catat import nodes as n
 from catat.errors import (
-    DepthExceeded, LiftError, ReturnTypeMismatch, SelfRecursiveSpecialization,
-    TypeMismatch, UserStaticError,
+    DepthExceeded, LiftError, OutOfBounds, ReturnTypeMismatch,
+    SelfRecursiveSpecialization, TypeMismatch, UserStaticError,
 )
 from catat.specializer import (
     ResidualFunction, SpecializationCache, SpecializationKey,
-    infer_return_type, lift, mangle, specialize_class, specialize_function,
-    specialize_program,
+    alpha_equivalent, infer_return_type, lift, mangle, specialize_class,
+    specialize_function, specialize_program,
 )
-from catat.dyninterp import run
+from catat.dyninterp import run, run_unstaged
 from catat.staticeval import EvalLimits
 from catat.values import (
     ArrayV, BoolV, DOUBLE, FLOAT, FloatV, INT, InstanceV, IntV, LONG_INT,
@@ -398,3 +398,67 @@ def test_mixed_top_level():
     assert ("result2", IntV(8)) in rp.static_bindings
     text = emit(rp)
     assert "int result1 = pow(2, 3);" in text
+
+
+# -- binding times come from the stage checker ------------------------------
+
+@pytest.mark.parametrize("source, expected", [
+    ("function f(int@ k)(int d) {\n"
+     "    int@ x = k; int r = 0;\n"
+     "    { int x = d; r = x + 1; }\n"
+     "    return r;\n}\n", 101),
+    ("function f(int@ k)(int d) {\n"
+     "    int@ x = k; int r = 0;\n"
+     "    { int x = 0; x = d; r = x; }\n"
+     "    return r;\n}\n", 100),
+    ("function f(int@ k)(int d) {\n"
+     "    int@ x = k; int r = 0;\n"
+     "    { int x = d; ++x; r = x; }\n"
+     "    return r + x;\n}\n", 106),
+    ("int@ x = 7;\n"
+     "function f(int@ k)(int x) { return x + k; }\n", 105),
+], ids=["read", "assign", "increment", "parameter"])
+def test_dynamic_name_shadowing_a_static_one(source, expected):
+    direct, flattened = [
+        specialize_program(check_stages(parse(source), 2), "f", [IntV(5)],
+                           via_flatten=via_flatten)
+        for via_flatten in (False, True)]
+    unstaged = run_unstaged(parse(source), "f", [IntV(5), IntV(100)]).value
+    assert unstaged == IntV(expected)
+    assert run(direct, direct.entry_name, [IntV(100)]).value == unstaged
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
+    assert [u.name for u in direct.units] == \
+        [u.name for u in flattened.units]
+
+
+def test_three_level_typename_is_bound_at_the_first_specialization():
+    # the checker puts T at stage 1; a typename declaration is evaluated at
+    # once all the same, and the residual has the concrete type
+    staged = check_stages(
+        parse("typename@ T = int; T@ a = 2; T b = a + 1;"), 3)
+    rp = specialize_program(staged)
+    assert ("T", INT) in rp.static_bindings
+    assert emit(rp) == "int@ a = 2;\nint b = a + 1;\n"
+
+
+def test_three_level_static_parameter_is_declared_at_its_stage():
+    source = fixture_source("pow_two_level.cat")
+    first = specialize_program(check_stages(parse(source), 3), "pow",
+                               [IntV(3)])
+    text = emit(first)
+    assert "int@ N = 3;" in text
+    assert "for@ (int@ i = 0; i < N; ++i)" in text
+    # the next specialization binds N and unrolls the loop
+    second = specialize_program(check_stages(parse(text), 2), "pow__3", [])
+    assert "for" not in emit(second)
+    assert run(second, "pow__3", [FloatV(2.0)]).value == FloatV(8.0)
+
+
+@pytest.mark.parametrize("stmt", ["return x + a[2];", "a[2] = 1; return x;"],
+                         ids=["read", "write"])
+def test_static_subscript_out_of_range_is_the_evaluators_error(stmt):
+    staged = check_stages(parse(f"function f(int@* a)(int x) {{ {stmt} }}"),
+                          2)
+    with pytest.raises(OutOfBounds, match="index 2 outside array of length 2"):
+        specialize_program(staged, "f", [ArrayV(INT, [IntV(7), IntV(8)])])
