@@ -203,7 +203,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-depth", type=_positive, default=256,
                    help="static call/specialization chain limit")
     p.add_argument("--loop-cap", type=_positive, default=1_000_000,
-                   help="compile-time loop iteration cap")
+                   help="iteration cap of any one loop, unrolled or run")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -630,7 +630,7 @@ def materialize(code: CodeV, name: str, static_args: list | None = None,
     var_types = dict(params)
     callee_types = None
     if cache is not None:
-        var_types = {**cache.global_types(), **var_types}
+        var_types = {**spec.residual_types(cache.globals), **var_types}
         callee_types = cache.return_type_of
     rtype = spec.infer_return_type(body, var_types, callee_types, span)
     residual = spec.ResidualFunction(

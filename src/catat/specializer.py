@@ -20,6 +20,14 @@ are evaluated now even when annotated for a later stage.  A static
 parameter the checker puts at a later stage (three or more levels) is
 declared at that stage in the residual, holding its value.
 
+One environment serves both stages, as in an offline partial evaluator:
+a static variable's slot holds its value, and a dynamic variable's slot
+holds no value and names the variable's residual (``Slot.residual``).
+Shadowing and redeclaration therefore follow the same scope rules on
+both stages, as they do in ``run_unstaged``.  A residualized expression
+is plain residual syntax, an ``n.Expr``; a static one is its ``Value``.
+Residual syntax is typed in one place, ``_ReturnTyper``.
+
 Specializations are memoized per (definition, static-argument tuple);
 each key yields exactly one residual entity per run, named by a
 deterministic mangling scheme.  Completion order is callees-first, so the
@@ -46,9 +54,8 @@ from .staticeval import (
 )
 from .values import (
     BOOL, BoolV, ClassTV, Env, FixedArrayTV, InstanceV, PointerTV,
-    PRIM_BY_NAME, Slot, StrV, TypeValue, VOID, Value, arith, canonical_key,
-    coerce, mangle_name, promote, render_static_arg, render_type, truth,
-    type_of_value,
+    PRIM_BY_NAME, Slot, TypeValue, VOID, Value, arith, canonical_key, coerce,
+    mangle_name, promote, render_static_arg, render_type, truth,
 )
 
 _COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
@@ -56,6 +63,10 @@ _COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
 
 # ---------------------------------------------------------------------------
 # Keys, residual entities, cache
+
+
+def key_args(static_args: list) -> tuple:
+    return tuple(canonical_key(v) for v in static_args)
 
 
 @dataclass(frozen=True)
@@ -66,13 +77,11 @@ class SpecializationKey:
 
     @classmethod
     def for_function(cls, name: str, static_args: list) -> "SpecializationKey":
-        return cls("function", name,
-                   tuple(canonical_key(v) for v in static_args))
+        return cls("function", name, key_args(static_args))
 
     @classmethod
     def for_class(cls, name: str, static_args: list) -> "SpecializationKey":
-        return cls("class", name,
-                   tuple(canonical_key(v) for v in static_args))
+        return cls("class", name, key_args(static_args))
 
 
 def mangle(base: str, key: SpecializationKey) -> str:
@@ -144,7 +153,6 @@ class SpecializationCache:
         self.order: list = []
         self.names: dict[str, SpecializationKey] = {}
         self.names_by_key: dict[SpecializationKey, str] = {}
-        self.global_dyn: dict[str, tuple[str, TypeValue | None]] = {}
 
     @property
     def globals(self) -> Env:
@@ -176,11 +184,6 @@ class SpecializationCache:
     def complete(self, key: SpecializationKey, entity) -> None:
         self.entries[key] = entity
         self.order.append(entity)
-
-    def global_types(self) -> dict:
-        """Residual name -> type of each dynamic global, for typing the
-        residual bodies that read them."""
-        return {name: tv for name, tv in self.global_dyn.values()}
 
     def return_type_of(self, residual_name: str) -> TypeValue | None:
         key = self.names.get(residual_name)
@@ -269,6 +272,16 @@ def _texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
 
 # ---------------------------------------------------------------------------
 # Residual return-type inference
+
+
+def residual_types(env: Env) -> dict:
+    """Residual name -> type of each dynamic variable visible in ``env``."""
+    chain = []
+    while env is not None:
+        chain.append(env)
+        env = env.parent
+    return {slot.residual: slot.tv for frame in reversed(chain)
+            for slot in frame.slots.values() if slot.residual is not None}
 
 
 def infer_return_type(body: list, var_types: dict, callee_types=None,
@@ -385,43 +398,25 @@ class _ReturnTyper:
 # Residualization
 
 
-@dataclass
-class RExpr:
-    """Outcome of partially evaluating one expression."""
-
-    value: Value | None  # set when fully static
-    node: n.Expr | None  # set when residual
-    tv: TypeValue | None  # best-effort type of the residual expression
-
-    @property
-    def is_static(self) -> bool:
-        return self.node is None
-
-
-def _static(v: Value) -> RExpr:
-    # strings have no type: they only reach builtins such as Catat_error@
-    # and the builders
-    return RExpr(v, None, None if v.__class__ is StrV else type_of_value(v))
-
-
-def _dyn(node: n.Expr, tv: TypeValue | None) -> RExpr:
-    return RExpr(None, node, tv)
-
-
 class _SpecCtx:
-    def __init__(self, env: Env, base_dyn_scopes: list | None = None):
-        self.env = env  # static values
-        self.dyn: list[dict] = (base_dyn_scopes or []) + [{}]
+    """The environment of one specialization.
+
+    ``env`` binds every source variable in scope, static or dynamic (see
+    ``Slot``).  ``res_declared`` holds the names declared in each open
+    residual scope: an unrolled iteration or a selected branch ends its
+    source scope but not its residual one, so a dynamic variable it
+    declares is renamed apart from its siblings."""
+
+    def __init__(self, env: Env):
+        self.env = env
         self.res_declared: list[set] = [set()]
 
     # scope plumbing --------------------------------------------------------
 
     def push_source(self) -> None:
-        self.dyn.append({})
         self.env = self.env.child()
 
     def pop_source(self) -> None:
-        self.dyn.pop()
         self.env = self.env.parent
 
     def push_residual(self) -> None:
@@ -430,22 +425,17 @@ class _SpecCtx:
     def pop_residual(self) -> None:
         self.res_declared.pop()
 
-    def declare_dyn(self, name: str, tv: TypeValue | None) -> str:
+    def declare_dyn(self, name: str, tv: TypeValue | None,
+                    span: Span | None = None) -> str:
         declared = self.res_declared[-1]
         candidate = name
         suffix = 1
         while candidate in declared:
             suffix += 1
             candidate = f"{name}_{suffix}"
+        self.env.declare(name, Slot(None, tv, candidate), span)
         declared.add(candidate)
-        self.dyn[-1][name] = (candidate, tv)
         return candidate
-
-    def lookup_dyn(self, name: str):
-        for scope in reversed(self.dyn):
-            if name in scope:
-                return scope[name]
-        return None
 
 
 class _Specializer:
@@ -473,17 +463,17 @@ class _Specializer:
         try:
             name = self.cache.reserve(key, fn.name)
             env = self.cache.globals.child()
-            ctx = _SpecCtx(env, base_dyn_scopes=[self.cache.global_dyn])
+            ctx = _SpecCtx(env)
             body = self.bind_static_params(sparams, static_args, ctx)
             params = []
             for p in fn.params:
                 tv = self.interp.resolve_type(p.dtype, env, p.span)
-                res_name = ctx.declare_dyn(p.name, tv)
+                res_name = ctx.declare_dyn(p.name, tv, p.span)
                 params.append((res_name, tv))
+            ctx.push_source()  # the body may shadow a parameter
             body.extend(self.stmts(fn.body.stmts, ctx))
-            rtype = infer_return_type(
-                body, {**self.cache.global_types(), **dict(params)},
-                self.cache.return_type_of, fn.span)
+            rtype = infer_return_type(body, residual_types(env),
+                                      self.cache.return_type_of, fn.span)
             residual = ResidualFunction(name, rtype, params, body, key,
                                         comment=key_comment(key, static_args))
             self.cache.complete(key, residual)
@@ -509,7 +499,7 @@ class _Specializer:
         try:
             name = self.cache.reserve(key, cls.name)
             env = self.cache.globals.child()
-            ctx = _SpecCtx(env, base_dyn_scopes=[self.cache.global_dyn])
+            ctx = _SpecCtx(env)
             later = self.bind_static_params(cls.static_params, static_args,
                                             ctx)
             # Static members first (unset slots unless initialized), so the
@@ -545,11 +535,12 @@ class _Specializer:
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
                 tv = self.interp.resolve_type(dtype, env, decl.span)
-                ctx.declare_dyn(d.name, tv)
+                ctx.declare_dyn(d.name, tv, d.span)
                 members.append((visibility, d.name, tv))
             ctor_body = None
             dyn_ctor = cls.dynamic_ctor()
             if dyn_ctor is not None:
+                ctx.push_source()
                 ctor_body = later + self.stmts(dyn_ctor.body.stmts, ctx)
             static_members = {m: env.slots[m].value for m in static_names}
             residual = ResidualClass(name, members, static_members, ctor_body,
@@ -579,9 +570,9 @@ class _Specializer:
             init = lift(value, p.span)
             dtype = type_value_to_texpr(tv)  # a liftable type: a PrimType
             dtype.at_count = p.at_count
+            res_name = ctx.declare_dyn(p.name, tv, p.span)
             decls.append(n.VarDecl(
-                dtype, [n.Declarator(ctx.declare_dyn(p.name, tv), None, init)],
-                span=p.span))
+                dtype, [n.Declarator(res_name, None, init)], span=p.span))
         return decls
 
     def static_instance(self, cls: n.ClassDef, static_args: list,
@@ -589,7 +580,8 @@ class _Specializer:
         """The ``Name@(...) x;`` form: a fully compile-time instance.
 
         Requires every member (and hence the run-time constructor body) to
-        be static; yields an instance value and no residual."""
+        be static.  The interpreter builds the instance as it builds one
+        at run time; it is named after its key and leaves no residual."""
         for decl in cls.member_decls():
             if n.annotation_count(decl.dtype) >= self.default or \
                     n.is_typename_type(decl.dtype):
@@ -598,32 +590,13 @@ class _Specializer:
             raise TypeMismatch(
                 f"'{cls.name}' cannot be instantiated at compile time: "
                 f"member(s) {names} are dynamic", span)
-        if len(static_args) != len(cls.static_params):
-            raise TypeMismatch(
-                f"class '{cls.name}' expects {len(cls.static_params)} static "
-                f"argument(s), got {len(static_args)}", span)
         self.cache.guard.enter(span)
         try:
-            env = self.cache.globals.child()
-            for p, a in zip(cls.static_params, static_args):
-                tv = self.interp.resolve_type(p.dtype, env, p.span)
-                env.declare(p.name, Slot(coerce(a, tv, p.span), tv), p.span)
-            member_names = []
-            for decl in cls.member_decls():
-                tv = self.interp.resolve_type(decl.dtype, env, decl.span)
-                for d in decl.declarators:
-                    member_names.append(d.name)
-                    value = coerce(self.interp.eval_expr(d.init, env), tv,
-                                   d.span) if d.init is not None else None
-                    env.declare(d.name, Slot(value, tv), d.span)
-            for ctor in (cls.static_ctor(), cls.dynamic_ctor()):
-                if ctor is not None:
-                    self.interp.exec_block(ctor.body, env.child())
-            name = mangle_name(cls.name, key_args(static_args))
-            return InstanceV(name,
-                             {m: env.slots[m].value for m in member_names})
+            inst = self.interp.instantiate_class(cls, static_args, span)
         finally:
             self.cache.guard.exit()
+        return InstanceV(mangle_name(cls.name, key_args(static_args)),
+                         inst.members)
 
     # -- statements -------------------------------------------------------------
 
@@ -644,12 +617,15 @@ class _Specializer:
         ctx.pop_source()
 
     def sub_stmt(self, body: n.Stmt, ctx: _SpecCtx) -> n.Stmt:
-        """Residualize the body of a residual control construct."""
+        """Residualize the body of a residual control construct.  As on
+        the flatten route, only a dynamic assignment or expression
+        statement, or a return, stays a bare statement."""
         ctx.push_residual()
         out: list = []
         self.splice(body, ctx, out)
         ctx.pop_residual()
-        if len(out) == 1:
+        if len(out) == 1 and (body.__class__ is n.Return or (
+                body.__class__ in (n.Assign, n.ExprStmt) and body.stage != 0)):
             return out[0]
         return n.Block(out)
 
@@ -680,8 +656,8 @@ class _Specializer:
                 return
             rc = self.specialize_class(cls, args)
             for d in s.declarators:
-                res_name = ctx.declare_dyn(d.name, ClassTV(cls.name,
-                                                           key_args(args)))
+                res_name = ctx.declare_dyn(
+                    d.name, ClassTV(cls.name, key_args(args)), d.span)
                 out.append(n.VarDecl(n.NamedType(rc.name),
                                      [n.Declarator(res_name, None, None)],
                                      span=s.span))
@@ -694,9 +670,8 @@ class _Specializer:
             tv = self.interp.resolve_type(dtype, ctx.env, s.span)
             init_node = None
             if d.init is not None:
-                r = self.rexpr(d.init, ctx)
-                init_node = self.as_node(r, d.span)
-            res_name = ctx.declare_dyn(d.name, tv)
+                init_node = self.as_node(self.rexpr(d.init, ctx), d.span)
+            res_name = ctx.declare_dyn(d.name, tv, d.span)
             res_dtype, res_size = type_value_to_decl(tv)
             if k > 0 and isinstance(res_dtype, (n.PrimType, n.NamedType)):
                 # deeper-staged declaration: the annotation run is relative,
@@ -711,17 +686,16 @@ class _Specializer:
             self.interp.exec_stmt(s, ctx.env)
             return
         target = self.rexpr(s.target, ctx)
-        r = self.rexpr(s.value, ctx)
-        out.append(n.Assign(target.node, s.op, self.as_node(r, s.span),
-                            span=s.span))
+        value = self.as_node(self.rexpr(s.value, ctx), s.span)
+        out.append(n.Assign(target, s.op, value, span=s.span))
 
     def expr_stmt(self, s: n.ExprStmt, ctx: _SpecCtx, out: list) -> None:
         if s.stage == 0:
             self.interp.exec_stmt(s, ctx.env)
             return
         r = self.rexpr(s.expr, ctx)
-        if not r.is_static:
-            out.append(n.ExprStmt(r.node, span=s.span))
+        if isinstance(r, n.Expr):
+            out.append(n.ExprStmt(r, span=s.span))
 
     def return_stmt(self, s: n.Return, ctx: _SpecCtx, out: list) -> None:
         value = None
@@ -821,15 +795,13 @@ class _Specializer:
 
     # -- expressions --------------------------------------------------------
 
-    def as_node(self, r: RExpr, span: Span | None) -> n.Expr:
-        if r.is_static:
-            return lift(r.value, span)
-        return r.node
+    def as_node(self, r: Value | n.Expr, span: Span | None) -> n.Expr:
+        return r if isinstance(r, n.Expr) else lift(r, span)
 
-    def rexpr(self, e: n.Expr, ctx: _SpecCtx) -> RExpr:
-        """Evaluate ``e`` if it is static, else residualize it."""
+    def rexpr(self, e: n.Expr, ctx: _SpecCtx) -> Value | n.Expr:
+        """The value of ``e`` if it is static, else its residual."""
         if e.stage == 0:
-            return _static(self.interp.eval_expr(e, ctx.env))
+            return self.interp.eval_expr(e, ctx.env)
         handler = _REXPR.get(e.__class__)
         if handler is None:
             raise TypeMismatch(f"cannot specialize {type(e).__name__}",
@@ -840,78 +812,52 @@ class _Specializer:
     # come back static: a dynamic ``?:`` or ``&&`` with a static guard keeps
     # the one operand it selects.
 
-    def var_ref(self, e: n.VarRef, ctx: _SpecCtx) -> RExpr:
-        entry = ctx.lookup_dyn(e.name)
-        if entry is None:
+    def var_ref(self, e: n.VarRef, ctx: _SpecCtx) -> n.Expr:
+        slot = ctx.env.find(e.name)
+        if slot is None or slot.residual is None:
             raise StageLeak(f"variable '{e.name}' reached the specializer "
                             "unresolved", e.span)
-        res_name, tv = entry
-        return _dyn(n.VarRef(res_name, span=e.span), tv)
+        return n.VarRef(slot.residual, span=e.span)
 
-    def unary(self, e: n.Unary, ctx: _SpecCtx) -> RExpr:
-        r = self.rexpr(e.operand, ctx)
-        tv = BOOL if e.op == "!" else r.tv
-        return _dyn(n.Unary(e.op, self.as_node(r, e.span), span=e.span), tv)
+    def unary(self, e: n.Unary, ctx: _SpecCtx) -> n.Expr:
+        operand = self.as_node(self.rexpr(e.operand, ctx), e.span)
+        return n.Unary(e.op, operand, span=e.span)
 
-    def incr(self, e: n.Incr, ctx: _SpecCtx) -> RExpr:
+    def incr(self, e: n.Incr, ctx: _SpecCtx) -> n.Expr:
         if not isinstance(e.target, n.VarRef):
             raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
-        r = self.var_ref(e.target, ctx)
-        return _dyn(n.Incr(e.op, r.node, span=e.span), r.tv)
+        return n.Incr(e.op, self.var_ref(e.target, ctx), span=e.span)
 
-    def binary(self, e: n.Binary, ctx: _SpecCtx) -> RExpr:
-        if e.op in ("&&", "||"):
-            lhs = self.rexpr(e.lhs, ctx)
-            if lhs.is_static:
-                decided = truth(lhs.value, e.span)
-                if (e.op == "&&" and not decided) or \
-                        (e.op == "||" and decided):
-                    return _static(BoolV(decided))
-                rhs = self.rexpr(e.rhs, ctx)
-                if rhs.is_static:
-                    return _static(BoolV(truth(rhs.value, e.span)))
-                return _dyn(rhs.node, BOOL)
-            rhs = self.rexpr(e.rhs, ctx)
-            return _dyn(n.Binary(e.op, lhs.node, self.as_node(rhs, e.span),
-                                 span=e.span), BOOL)
+    def binary(self, e: n.Binary, ctx: _SpecCtx) -> Value | n.Expr:
         lhs = self.rexpr(e.lhs, ctx)
+        if e.op in ("&&", "||") and not isinstance(lhs, n.Expr):
+            # a static left operand that decides folds; one that does not
+            # stays, so the right operand is still tested as a bool
+            decided = truth(lhs, e.span)
+            if decided == (e.op == "||"):
+                return BoolV(decided)
         rhs = self.rexpr(e.rhs, ctx)
-        if e.op in _COMPARISONS:
-            tv = BOOL
-        elif lhs.tv is not None and rhs.tv is not None:
-            tv = promote(lhs.tv, rhs.tv)
-        else:
-            tv = None
-        return _dyn(n.Binary(e.op, self.as_node(lhs, e.span),
-                             self.as_node(rhs, e.span), span=e.span), tv)
+        return n.Binary(e.op, self.as_node(lhs, e.span),
+                        self.as_node(rhs, e.span), span=e.span)
 
-    def cond(self, e: n.Cond, ctx: _SpecCtx) -> RExpr:
+    def cond(self, e: n.Cond, ctx: _SpecCtx) -> Value | n.Expr:
         c = self.rexpr(e.cond, ctx)
-        if c.is_static:
-            if truth(c.value, e.span):
-                return self.rexpr(e.then_expr, ctx)
-            return self.rexpr(e.else_expr, ctx)
-        t = self.rexpr(e.then_expr, ctx)
-        f = self.rexpr(e.else_expr, ctx)
-        tv = None
-        if t.tv is not None and f.tv is not None:
-            tv = promote(t.tv, f.tv)
-        return _dyn(n.Cond(c.node, self.as_node(t, e.span),
-                           self.as_node(f, e.span), span=e.span), tv)
+        if not isinstance(c, n.Expr):
+            return self.rexpr(e.then_expr if truth(c, e.span)
+                              else e.else_expr, ctx)
+        t = self.as_node(self.rexpr(e.then_expr, ctx), e.span)
+        f = self.as_node(self.rexpr(e.else_expr, ctx), e.span)
+        return n.Cond(c, t, f, span=e.span)
 
-    def subscript(self, e: n.Subscript, ctx: _SpecCtx) -> RExpr:
+    def subscript(self, e: n.Subscript, ctx: _SpecCtx) -> n.Expr:
         base = self.rexpr(e.base, ctx)
-        if base.is_static:
+        if not isinstance(base, n.Expr):
             raise LiftError("a static array cannot flow into dynamic code "
                             "(dynamic index into static data)", e.span)
-        idx = self.rexpr(e.index, ctx)
-        elem = None
-        if isinstance(base.tv, (PointerTV, FixedArrayTV)):
-            elem = base.tv.elem
-        return _dyn(n.Subscript(base.node, self.as_node(idx, e.span),
-                                span=e.span), elem)
+        index = self.as_node(self.rexpr(e.index, ctx), e.span)
+        return n.Subscript(base, index, span=e.span)
 
-    def call(self, e: n.Call, ctx: _SpecCtx) -> RExpr:
+    def call(self, e: n.Call, ctx: _SpecCtx) -> n.Expr:
         """A dynamic call.  Its arguments are residualized before its
         callee is specialized, so the callees of a nested call come first."""
         if e.static_args is not None:
@@ -923,44 +869,46 @@ class _Specializer:
                     "static argument(s)", e.span)
             args = self.residual_args(e, ctx)
             rf = self.specialize_function(defn, svals)
-            return _dyn(n.Call(rf.name, args, span=e.span), rf.return_type)
+            return n.Call(rf.name, args, span=e.span)
         if e.at_count >= 1:
             # multi-level: executes at a later (still static) stage
-            return _dyn(n.Call(e.callee, self.residual_args(e, ctx),
-                               at_count=e.at_count, span=e.span), None)
+            return n.Call(e.callee, self.residual_args(e, ctx),
+                          at_count=e.at_count, span=e.span)
         defn = self.cache.functions.get((e.callee, 0))
         if defn is None:
             return self.inferred_call(e, ctx)
         args = self.residual_args(e, ctx)
         key = SpecializationKey.for_function(e.callee, [])
         if self.cache.in_progress(key):
-            name, rtype = self.cache.names_by_key[key], None
+            name = self.cache.names_by_key[key]
         else:
-            rf = self.specialize_function(defn, [])
-            name, rtype = rf.name, rf.return_type
-        return _dyn(n.Call(name, args, span=e.span), rtype)
+            name = self.specialize_function(defn, []).name
+        return n.Call(name, args, span=e.span)
 
     def residual_args(self, e: n.Call, ctx: _SpecCtx) -> list:
         return [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
 
-    def inferred_call(self, e: n.Call, ctx: _SpecCtx) -> RExpr:
+    def inferred_call(self, e: n.Call, ctx: _SpecCtx) -> n.Expr:
         """Single-list call to a two-list function: infer typename statics
         from the element types of pointer-typed dynamic arguments."""
-        rargs = [self.rexpr(a, ctx) for a in e.args]
+        args = self.residual_args(e, ctx)
+        typer = _ReturnTyper(residual_types(ctx.env),
+                             self.cache.return_type_of)
+        arg_types = [typer.type_of(a) for a in args]
         candidates = [fn for (name, arity), fn in self.cache.functions.items()
                       if name == e.callee and arity > 0]
         for fn in candidates:
-            if len(fn.params) != len(rargs):
+            if len(fn.params) != len(args):
                 continue
             if not all(n.is_typename_type(p.dtype)
                        for p in fn.static_params):
                 continue
             inferred: dict[str, TypeValue] = {}
-            for p, r in zip(fn.params, rargs):
+            for p, tv in zip(fn.params, arg_types):
                 if isinstance(p.dtype, n.PointerType) and \
                         isinstance(p.dtype.base, n.NamedType):
-                    if isinstance(r.tv, (PointerTV, FixedArrayTV)):
-                        inferred.setdefault(p.dtype.base.name, r.tv.elem)
+                    if isinstance(tv, (PointerTV, FixedArrayTV)):
+                        inferred.setdefault(p.dtype.base.name, tv.elem)
             try:
                 svals = [inferred[p.name] for p in fn.static_params]
             except KeyError as missing:
@@ -968,8 +916,7 @@ class _Specializer:
                     f"cannot infer static parameter {missing} of "
                     f"'{e.callee}' from the call's argument types", e.span)
             rf = self.specialize_function(fn, svals)
-            args = [self.as_node(r, e.span) for r in rargs]
-            return _dyn(n.Call(rf.name, args, span=e.span), rf.return_type)
+            return n.Call(rf.name, args, span=e.span)
         raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
 
 
@@ -997,10 +944,6 @@ _REXPR = {
     n.Subscript: _Specializer.subscript,
     n.Call: _Specializer.call,
 }
-
-
-def key_args(static_args: list) -> tuple:
-    return tuple(canonical_key(v) for v in static_args)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +974,6 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     try:
         spec = _Specializer(cache)
         ctx = _SpecCtx(cache.globals)
-        ctx.dyn = [cache.global_dyn]
         top_res: list = []
         for item in staged.program.items:
             if isinstance(item, n.Stmt):
@@ -1059,7 +1001,8 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
             provenance[unit.name] = unit.key
             comments[unit.name] = unit.comment
         bindings = [(name, slot.value)
-                    for name, slot in cache.globals.slots.items()]
+                    for name, slot in cache.globals.slots.items()
+                    if slot.residual is None]
         return ResidualProgram(list(cache.order), top_res, entry_name,
                                provenance, comments, bindings)
     except RecursionError:

@@ -426,8 +426,11 @@ class Interpreter:
             slot = env.slots.get(name)
             if slot is not None:
                 if slot.value is None:
-                    raise UnboundVariable(f"'{name}' read before assignment",
-                                          e.span)
+                    raise UnboundVariable(
+                        f"'{name}' read before assignment"
+                        if slot.residual is None else
+                        f"dynamic variable '{name}' read at compile time",
+                        e.span)
                 return slot.value
             env = env.parent
         raise UnboundVariable(f"unbound variable '{name}'", e.span)

@@ -434,13 +434,16 @@ def zero_value(tv: TypeValue, span: Span | None = None) -> Value:
 
 @dataclass(slots=True)
 class Slot:
+    """A variable: its value and type.  While specializing, a dynamic
+    variable has no value; ``residual`` names it in the residual code."""
+
     value: Value | None
     tv: TypeValue | None = None
-    stage: int = 0
+    residual: str | None = None
 
 
 class Env:
-    """Lexically scoped frames: name -> (mutable value slot, type, stage)."""
+    """Lexically scoped frames: name -> mutable slot."""
 
     __slots__ = ("parent", "slots")
 
@@ -469,9 +472,14 @@ class Env:
         return None
 
     def lookup(self, name: str, span: Span | None = None) -> Slot:
+        """The slot an assignment or ``++``/``--`` writes.  While
+        specializing, a dynamic variable's slot is not writable."""
         slot = self.find(name)
         if slot is None:
             raise UnboundVariable(f"unbound variable '{name}'", span)
+        if slot.residual is not None:
+            raise UnboundVariable(
+                f"dynamic variable '{name}' written at compile time", span)
         return slot
 
     def bindings(self) -> list[tuple[str, Value | None]]:

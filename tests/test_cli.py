@@ -281,3 +281,48 @@ def test_static_subscript_out_of_range_exits_3(tmp_path):
     assert result.returncode == 3
     assert "index 2 outside array of length 2" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+UNROLLED = ("function f(int@ k)(int d) {\n"
+            "    int r = d;\n"
+            "    for@ (int@ i = 0; i < k; ++i) r += 1;\n"
+            "    return r;\n}\n")
+RESIDUAL_LOOP = ("int f(int d) {\n"
+                 "    int r = 0;\n"
+                 "    for (int i = 0; i < d; ++i) r += 1;\n"
+                 "    return r;\n}\n")
+
+
+@pytest.mark.parametrize("route", [[], ["--via-flatten"]],
+                         ids=["direct", "flatten"])
+def test_loop_cap_is_exact_when_unrolling(tmp_path, route):
+    source = tmp_path / "unrolled.cat"
+    source.write_text(UNROLLED)
+    spec = ["specialize", source, "--entry", "f", "--loop-cap", "5", *route,
+            "--static-args"]
+    assert catat(*spec, "5").returncode == 0
+    over = catat(*spec, "6")
+    assert over.returncode == 4
+    assert "loop iteration cap (5) exceeded" in over.stderr
+
+
+def test_loop_cap_is_exact_at_run_time(tmp_path):
+    source = tmp_path / "loop.cat"
+    source.write_text(RESIDUAL_LOOP)
+    run = ["run", source, "--entry", "f", "--loop-cap", "5", "--dyn-args"]
+    ok = catat(*run, "5")
+    assert ok.returncode == 0
+    assert ok.stdout.strip() == "int 5"
+    over = catat(*run, "6")
+    assert over.returncode == 5
+    assert "loop iteration cap (5) exceeded" in over.stderr
+
+
+def test_dynamic_global_read_at_compile_time_exits_2(tmp_path):
+    source = tmp_path / "leak.cat"
+    source.write_text("int g = 5;\nfunction h() { return g; }\n"
+                      "int@ s = h@();\n")
+    result = catat("specialize", source)
+    assert result.returncode == 2
+    assert "dynamic variable 'g' read at compile time" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -292,6 +292,20 @@ def test_nested_blocks_flatten_to_blocks():
                             flattened.function("f__5"))
 
 
+@pytest.mark.parametrize("body", [
+    "if (d > 0) { int@ t = k; r += t; }",
+    "if (d > 0) if@ (k > 0) r += 1;",
+    "if (d > 0) { if (d > 1) r += k; }",
+], ids=["static-local", "static-if", "nested-if"])
+def test_one_statement_bodies_match_the_direct_route(body):
+    # only a dynamic assignment, expression statement or return is left
+    # unwrapped; any other body stays a block on both routes
+    source = f"function f(int@ k)(int d) {{ int r = d; {body} return r; }}"
+    direct, flattened = both_routes(source, "f", [IntV(5)])
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
+
+
 # -- nested calls resolve alike on both routes ------------------------------------
 
 def both_routes(source, entry, static_args):

@@ -1,10 +1,11 @@
 import pytest
 
-from catat import check_stages, emit, parse
+from catat import check_stages, emit, erase_stages, parse
 from catat import nodes as n
 from catat.errors import (
     DepthExceeded, LiftError, OutOfBounds, ReturnTypeMismatch,
-    SelfRecursiveSpecialization, TypeMismatch, UserStaticError,
+    SelfRecursiveSpecialization, TypeMismatch, UnboundVariable,
+    UserStaticError,
 )
 from catat.specializer import (
     ResidualFunction, SpecializationCache, SpecializationKey,
@@ -313,6 +314,17 @@ def test_static_instance():
     assert inst.members["magSq"] == IntV(25)
 
 
+def test_static_instance_runs_its_constructors_as_unstaged_code_does():
+    # an uninitialized static member starts at zero, as at run time
+    source = ("class C(int@ a) { public: C@() { m = m + a; }\n"
+              "    private: static int@ m; }\n"
+              "C@(3) c;\n")
+    rp = specialize_program(check_stages(parse(source), 2))
+    assert rp.static_bindings == [("c", InstanceV("C__3", {"m": IntV(3)}))]
+    unstaged = run(erase_stages(parse(source)), check=False).bindings
+    assert unstaged == [("c", InstanceV("C", {"m": IntV(3)}))]
+
+
 def test_static_instantiation_of_class_with_dynamic_members_rejected():
     source = fixture_source("square_array.cat") + \
         "\nSquareArray@(int, 3, 2) x;\n"
@@ -417,7 +429,8 @@ def test_mixed_top_level():
      "    return r + x;\n}\n", 106),
     ("int@ x = 7;\n"
      "function f(int@ k)(int x) { return x + k; }\n", 105),
-], ids=["read", "assign", "increment", "parameter"])
+    ("function f(int@ k)(int d) { int@ k = 1; return d + k; }\n", 101),
+], ids=["read", "assign", "increment", "parameter", "body-over-parameter"])
 def test_dynamic_name_shadowing_a_static_one(source, expected):
     direct, flattened = [
         specialize_program(check_stages(parse(source), 2), "f", [IntV(5)],
@@ -462,3 +475,75 @@ def test_static_subscript_out_of_range_is_the_evaluators_error(stmt):
                           2)
     with pytest.raises(OutOfBounds, match="index 2 outside array of length 2"):
         specialize_program(staged, "f", [ArrayV(INT, [IntV(7), IntV(8)])])
+
+
+# -- one environment for both stages ------------------------------------------
+
+@pytest.mark.parametrize("source", [
+    "function f(int@ k)(int d) { int@ x = k; int x = d; return x; }\n",
+    "function f(int@ k)(int d) { int x = d; int@ x = k; return x; }\n",
+    "int g = 5; int@ g = 2;\n"
+    "function f(int@ k)(int d) { return d + k; }\n",
+    "int@ g = 2; int g = 5;\n"
+    "function f(int@ k)(int d) { return d + k; }\n",
+], ids=["local-static-first", "local-dynamic-first", "global-dynamic-first",
+        "global-static-first"])
+def test_static_and_dynamic_names_share_one_scope(source):
+    with pytest.raises(TypeMismatch, match="redeclaration of"):
+        run_unstaged(parse(source), "f", [IntV(5), IntV(7)])
+    for via_flatten in (False, True):
+        with pytest.raises(TypeMismatch, match="redeclaration of"):
+            specialize_program(check_stages(parse(source), 2), "f",
+                               [IntV(5)], via_flatten=via_flatten)
+
+
+def test_function_body_may_shadow_a_dynamic_parameter():
+    source = "function f(int@ k)(int d) { int d = 1; return d + k; }\n"
+    rp = specialize_program(check_stages(parse(source), 2), "f", [IntV(5)])
+    assert run(rp, rp.entry_name, [IntV(7)]).value == IntV(6)
+    assert run_unstaged(parse(source), "f", [IntV(5), IntV(7)]).value == \
+        IntV(6)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("return g;", "dynamic variable 'g' read at compile time"),
+    ("g = 3; return 1;", "dynamic variable 'g' written at compile time"),
+    ("++g; return 1;", "dynamic variable 'g' written at compile time"),
+], ids=["read", "write", "increment"])
+def test_compile_time_code_cannot_touch_a_dynamic_global(body, message):
+    source = f"int g = 5;\nfunction h() {{ {body} }}\nint@ s = h@();\n"
+    with pytest.raises(UnboundVariable, match=message):
+        specialize_program(check_stages(parse(source), 2))
+
+
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "flatten"])
+def test_undecided_static_left_operand_is_kept(via_flatten):
+    # ``true && d`` tests d as a bool at run time, as unstaged code does
+    source = "function f(int@ k)(int d) { int r = k > 0 && d; return r; }\n"
+    with pytest.raises(TypeMismatch, match="condition must be a bool"):
+        run_unstaged(parse(source), "f", [IntV(5), IntV(7)])
+    rp = specialize_program(check_stages(parse(source), 2), "f", [IntV(5)],
+                            via_flatten=via_flatten)
+    assert "int r = true && d;" in emit(rp)
+    with pytest.raises(TypeMismatch, match="condition must be a bool"):
+        run(rp, rp.entry_name, [IntV(7)])
+
+
+def test_undecided_static_left_operand_matches_the_flatten_route():
+    source = ("function f(int@ k)(int d) {\n"
+              "    bool r = k < 0 || d > 3; return r;\n}\n")
+    direct, flattened = [
+        specialize_program(check_stages(parse(source), 2), "f", [IntV(5)],
+                           via_flatten=via_flatten)
+        for via_flatten in (False, True)]
+    assert "bool r = false || d > 3;" in emit(direct)
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
+
+
+def test_deciding_static_left_operand_folds():
+    source = ("function f(int@ k)(int d) {\n"
+              "    bool r = k < 0 && d > 3; return r;\n}\n")
+    rp = specialize_program(check_stages(parse(source), 2), "f", [IntV(5)])
+    assert "bool r = false;" in emit(rp)
