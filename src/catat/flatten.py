@@ -344,6 +344,18 @@ KNOWN_BUILTINS = frozenset(BUILDERS)
 # The flattening transform
 
 
+def rename_apart(name: str, taken: set) -> str:
+    """``name``, or the first of ``name_2``, ``name_3``, ... that ``taken``
+    does not hold; the result is added to ``taken``."""
+    candidate = name
+    suffix = 1
+    while candidate in taken:
+        suffix += 1
+        candidate = f"{name}_{suffix}"
+    taken.add(candidate)
+    return candidate
+
+
 class _Flattener:
     def __init__(self, fn: n.FunctionDef):
         self.fn = fn
@@ -352,16 +364,13 @@ class _Flattener:
         self.used_names.update(d.name for d in n.walk(fn.body)
                                if isinstance(d, n.Declarator))
         self.ref_vars: dict[str, str] = {}
+        # residual names in the outermost residual scope, which the body's
+        # top level shares with the parameters, as on the direct route
+        self.top_names = {p.name for p in fn.params}
         self.shell = self._fresh("func")
 
     def _fresh(self, base: str) -> str:
-        name = base
-        i = 1
-        while name in self.used_names:
-            i += 1
-            name = f"{base}_{i}"
-        self.used_names.add(name)
-        return name
+        return rename_apart(base, self.used_names)
 
     # -- generator construction ------------------------------------------------
 
@@ -378,7 +387,9 @@ class _Flattener:
         for p in self.fn.params:
             self._bind_ref(p.name, out)
         target = n.Call("body", [n.VarRef(self.shell)])
-        self.transform_region(self.fn.body.stmts, target, out, top=True)
+        body: list[n.Stmt] = []  # a scope of its own: it may shadow a param
+        self.transform_region(self.fn.body.stmts, target, body, top=True)
+        out.append(n.Block(body))
         out.append(n.Return(n.VarRef(self.shell)))
         gen_params = []
         if self.fn.static_params:
@@ -400,19 +411,26 @@ class _Flattener:
                                        n.strip_annotations(t.size)])
         raise FlattenUnsupported("class types do not flatten", t.span)
 
-    def _bind_ref(self, name: str, out: list) -> None:
-        """Declare a generator variable holding the varref of ``name``."""
+    def _bind_ref(self, name: str, out: list,
+                  residual: str | None = None) -> None:
+        """Declare a generator variable holding the varref of ``name``,
+        whose residual name is ``residual`` (by default ``name``)."""
         ref = self._fresh(name) if name == self.shell else name
         self.ref_vars[name] = ref
         out.append(n.VarDecl(
             n.PrimType("ASTree"),
             [n.Declarator(ref, None,
-                          n.Call("make_varref", [n.StringLit(name)]))]))
+                          n.Call("make_varref",
+                                 [n.StringLit(residual or name)]))]))
 
     def transform_region(self, stmts: list, target: n.Expr,
                          out: list, top: bool = False) -> None:
+        """A region is a source scope: what its declarations bind in
+        ``ref_vars`` ends with it."""
+        saved = dict(self.ref_vars)
         for s in stmts:
             self.transform_stmt(s, target, out, top)
+        self.ref_vars = saved
 
     def _append_stmt(self, target: n.Expr, frag_expr: n.Expr) -> n.Stmt:
         return n.ExprStmt(n.Call("append", [target, frag_expr]))
@@ -433,13 +451,17 @@ class _Flattener:
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
-                args = [self.type_to_static_expr(dtype), n.StringLit(d.name)]
+                name = rename_apart(d.name, self.top_names) if top \
+                    else d.name
+                args = [self.type_to_static_expr(dtype), n.StringLit(name)]
                 if d.init is not None:
                     args.append(self.conv_expr(d.init))
                 out.append(self._append_stmt(target,
                                              n.Call("make_vardecl", args)))
                 if top:
-                    self._bind_ref(d.name, out)
+                    self._bind_ref(d.name, out, name)
+                else:  # shadows an outer generator variable
+                    self.ref_vars.pop(d.name, None)
             return
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage == 0:
             out.append(n.strip_annotations(s))
@@ -467,13 +489,18 @@ class _Flattener:
                     n.strip_annotations(s.init) if s.init else None,
                     n.strip_annotations(s.cond) if s.cond else None,
                     n.strip_annotations(s.incr) if s.incr else None,
-                    self._unrolled(s.body, target), 0))
+                    self._unrolled(s.body, target), 0, span=s.span,
+                    unrolling=True))
                 return
+            saved = dict(self.ref_vars)
             init_frag = self.clause_to_frag(s.init)
+            if isinstance(s.init, n.VarDecl):  # in scope in the rest
+                self.ref_vars.pop(s.init.declarators[0].name, None)
             cond_frag = self.conv_expr(s.cond) if s.cond is not None \
                 else n.Call("make_block", [])
             incr_frag = self.clause_to_frag(s.incr)
             body_frag = self.sub_to_frag(s.body, out)
+            self.ref_vars = saved
             out.append(self._append_stmt(
                 target, n.Call("make_for",
                                [init_frag, cond_frag, incr_frag, body_frag])))
@@ -562,6 +589,16 @@ class _Flattener:
                 return n.VarRef(self.ref_vars[e.name])
             return n.Call("make_varref", [n.StringLit(e.name)])
         if isinstance(e, n.Binary):
+            if e.op in ("&&", "||") and e.lhs.stage == 0:
+                # a static left operand that decides folds at generator run
+                # time, as on the direct route; one that does not stays
+                lhs = n.strip_annotations(e.lhs)
+                kept = n.Call("make_op", [n.StringLit(e.op),
+                                          n.BoolLit(e.op == "&&"),
+                                          self.conv_expr(e.rhs)])
+                if e.op == "&&":
+                    return n.Cond(lhs, kept, n.BoolLit(False), span=e.span)
+                return n.Cond(lhs, n.BoolLit(True), kept, span=e.span)
             return n.Call("make_op", [n.StringLit(e.op),
                                       self.conv_expr(e.lhs),
                                       self.conv_expr(e.rhs)])

@@ -6,9 +6,10 @@ round-trip tests can use plain ``==``.
 
 Walker contract: every field with ``compare=True`` holds a plain value, a
 node, ``None`` or a list of nodes, and the nodes among them are the
-node's children.  ``span`` and ``stage`` are never children.  ``children``,
-``walk`` and ``map_children`` read the fields from the dataclass
-definitions, so a new node type needs no traversal code of its own.
+node's children.  ``span``, ``stage`` and the other ``compare=False``
+fields are never children.  ``children``, ``walk`` and ``map_children``
+read the fields from the dataclass definitions, so a new node type needs
+no traversal code of its own.
 
 Annotation counts record the literal number of ``@`` characters lexed at
 each position; 0 means unannotated.  Annotations are *relative*: a count of
@@ -236,6 +237,10 @@ class For(Stmt):
     incr: Stmt | None = None
     body: Stmt = None
     at_count: int = 0
+    # set on the loop a flatten generator runs to unroll a ``for@``, so
+    # its loop-cap error reads as the specializer's
+    unrolling: bool = field(default=False, compare=False, kw_only=True,
+                            repr=False)
 
 
 @dataclass

@@ -46,11 +46,12 @@ from .errors import (
     StageLeak, TypeMismatch, UnboundVariable,
 )
 from .flatten import (
-    lift, specialize_via_flatten, type_value_to_decl, type_value_to_texpr,
+    lift, rename_apart, specialize_via_flatten, type_value_to_decl,
+    type_value_to_texpr,
 )
 from .staging import StagedAST
 from .staticeval import (
-    DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
+    CallMemo, DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
 )
 from .values import (
     BOOL, BoolV, ClassTV, Env, FixedArrayTV, InstanceV, PointerTV,
@@ -147,6 +148,7 @@ class SpecializationCache:
         self.guard = DepthGuard(self.limits.max_depth)
         self.interp = Interpreter(staged.program, self.limits,
                                   depth_guard=self.guard)
+        self.interp.memo = CallMemo(self.interp.functions)
         self.functions = staged.functions_by_key()
         self.classes = staged.classes_by_name()
         self.entries: dict[SpecializationKey, object] = {}
@@ -427,14 +429,8 @@ class _SpecCtx:
 
     def declare_dyn(self, name: str, tv: TypeValue | None,
                     span: Span | None = None) -> str:
-        declared = self.res_declared[-1]
-        candidate = name
-        suffix = 1
-        while candidate in declared:
-            suffix += 1
-            candidate = f"{name}_{suffix}"
+        candidate = rename_apart(name, self.res_declared[-1])
         self.env.declare(name, Slot(None, tv, candidate), span)
-        declared.add(candidate)
         return candidate
 
 

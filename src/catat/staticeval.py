@@ -18,10 +18,33 @@ pass it up; ``call_function`` makes it the call's result.
 
 ``Catat_error@`` and the code builders (make_lambda, make_op, ...) are the
 builtin functions.
+
+While specializing, calls of pure functions are memoized, as a C++
+compiler instantiates each template-id once.  ``specializer`` gives its
+interpreter a ``CallMemo`` for one specialization run, which a call
+expression consults before ``call_function``; ``run`` and
+``run_unstaged`` count steps and have none.
+
+* **Pure** is decided per definition when the memo is made: the function
+  has one parameter list, its parameter types and body hold only node
+  classes in ``_PURE_NODES`` (no declaration, assignment, ``++``/``--``
+  or class instance), every name it uses is one of its parameters, and
+  it calls only ``Catat_error`` and pure functions.  Recursion is
+  allowed.
+* **Key:** the function and its arguments.  An int or bool is keyed by
+  class and value, a float also by sign (``-0.0`` is not ``0.0``), a type
+  value by itself, and an array of scalars by identity and store count
+  (``ArrayV.stores``).  A call with any other argument is not memoized.
+* **Cached:** only an int, float, bool or type result, so an array is
+  never shared; a call that raises caches nothing and raises again.
+* **Depth:** each entry records how deep its call went below itself.  A
+  hit that would pass the depth limit where it occurs runs the call
+  instead, so the same ``DepthExceeded`` and span come out.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -33,9 +56,10 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .values import (
-    INT64_MAX, INT64_MIN, ArrayV, BoolV, ClassTV, Env, FixedArrayTV, FloatV,
-    InstanceV, IntV, PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, UNIT,
-    Value, arith, coerce, describe, truth, zero_value,
+    BOOL, CHAR, DOUBLE, FLOAT, INT, INT64_MAX, INT64_MIN, LONG_INT, TYPENAME,
+    ArrayV, BoolV, ClassTV, Env, FixedArrayTV, FloatV, InstanceV, IntV,
+    PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, UNIT, Value, arith,
+    coerce, describe, truth, zero_value,
 )
 
 
@@ -103,6 +127,8 @@ class Interpreter:
         self.functions: dict = {}
         self.classes: dict = {}
         self.globals = Env()
+        # set by specializer.SpecializationCache for one specialization run
+        self.memo: CallMemo | None = None
         # set by flatten.specialize_via_flatten while a generator runs:
         # (callee, static args, span) -> residual name for make_call
         self.resolve_call = None
@@ -133,6 +159,33 @@ class Interpreter:
         if fn is None:
             raise UnboundVariable(f"unknown function '{name}'", span)
         return self.call_function(fn, args, span)
+
+    def _call_memoized(self, memo: CallMemo, fn: n.FunctionDef,
+                       args: list, span: Span | None) -> Value:
+        """``call_function`` for a pure function, through the memo.  A hit
+        whose recorded depth would pass the limit here runs the call
+        instead, so the same ``DepthExceeded`` comes out as without the
+        memo."""
+        depth = self.depth_guard.depth + 1  # the depth the call runs at
+        key = memo.key(fn, args)
+        if key is not None:
+            entry = memo.table.get(key)
+            if entry is not None and \
+                    depth + entry[1] <= self.depth_guard.limit:
+                memo.hits += 1
+                memo.deepest = max(memo.deepest, depth + entry[1])
+                return entry[0]
+        outer = memo.deepest
+        memo.deepest = depth
+        try:
+            result = self.call_function(fn, args, span)
+        finally:
+            below = memo.deepest - depth
+            memo.deepest = max(outer, memo.deepest)
+        if key is not None and (result.__class__ in _IMMUTABLE_RESULTS or
+                                isinstance(result, TypeValue)):
+            memo.table[key] = (result, below, args)
+        return result
 
     def call_function(self, fn: n.FunctionDef, args: list,
                       span: Span | None = None) -> Value:
@@ -327,6 +380,7 @@ class Interpreter:
             if stmt.op != "=":
                 value = binop(stmt.op[0], arr.cells[idx], value, stmt.span)
             arr.cells[idx] = coerce(value, arr.elem, stmt.span)
+            arr.stores += 1
             return
         raise TypeMismatch("invalid assignment target", stmt.span)
 
@@ -360,7 +414,8 @@ class Interpreter:
             iterations += 1
             if iterations > self.limits.loop_cap:
                 raise LoopLimitExceeded(
-                    f"loop iteration cap ({self.limits.loop_cap}) exceeded",
+                    f"loop iteration cap ({self.limits.loop_cap}) exceeded"
+                    + (" during unrolling" if stmt.unrolling else ""),
                     stmt.span)
             result = self.exec_stmt(body, _scope_for(body, loop_env))
             if result is not None:
@@ -492,6 +547,9 @@ class Interpreter:
         if fn is None:
             raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
         args = [self.eval_expr(a, env) for a in e.args]
+        memo = self.memo
+        if memo is not None and memo.pure.get(id(fn)) is fn:
+            return self._call_memoized(memo, fn, args, e.span)
         return self.call_function(fn, args, e.span)
 
 
@@ -522,6 +580,96 @@ _STMT = {
     n.For: Interpreter.exec_for,
     n.Switch: Interpreter.exec_switch,
 }
+
+
+# -- the compile-time call memo -------------------------------------------
+
+# Node classes the purity walk admits.  The refused ones are listed so that
+# every expression and statement class is decided here; a class in neither
+# set is refused as well.
+_PURE_NODES = frozenset({
+    n.IntLit, n.FloatLit, n.BoolLit, n.StringLit, n.TypeLit, n.VarRef,
+    n.Unary, n.Binary, n.Cond, n.Subscript, n.Call,
+    n.ExprStmt, n.Return, n.Block, n.If, n.For, n.Switch, n.SwitchCase,
+    n.Param, n.PrimType, n.NamedType, n.PointerType, n.ArrayType,
+})
+_IMPURE_NODES = frozenset({n.VarDecl, n.Assign, n.Incr, n.ClassAppType})
+
+
+def _local_callees(fn: n.FunctionDef) -> set | None:
+    """The functions ``fn`` calls, or None when ``fn`` is impure by itself:
+    it has a static parameter list, or a node the walk refuses, or a name
+    that is not a parameter, or a call to a builder other than
+    ``Catat_error`` or a specializing call."""
+    if fn.static_params is not None:
+        return None
+    names = {p.name for p in fn.params}
+    callees: set = set()
+    for root in (*fn.params, fn.body):
+        for node in n.walk(root):
+            cls = node.__class__
+            if cls not in _PURE_NODES:
+                return None
+            if cls is n.VarRef or cls is n.NamedType:
+                if node.name not in names:
+                    return None
+            elif cls is n.Call:
+                if node.static_args is not None:
+                    return None
+                if node.callee not in BUILDERS:
+                    callees.add(node.callee)
+                elif node.callee != "Catat_error":
+                    return None
+    return callees
+
+
+def pure_functions(functions: dict) -> dict:
+    """The pure functions among ``functions`` ((name, static arity) ->
+    definition), by ``id``: those pure by themselves whose callees are
+    all pure.  Recursion is allowed."""
+    calls = {name: callees for (name, _), fn in functions.items()
+             if (callees := _local_callees(fn)) is not None}
+    while impure := [name for name, callees in calls.items()
+                     if not callees <= calls.keys()]:
+        for name in impure:
+            del calls[name]
+    return {id(fn): fn for fn in (functions[(name, 0)] for name in calls)}
+
+
+# Array cells the memo may key an array by: immutable values only.
+_KEYED_CELLS = frozenset({INT, CHAR, LONG_INT, FLOAT, DOUBLE, BOOL, TYPENAME})
+_IMMUTABLE_RESULTS = (IntV, FloatV, BoolV)
+
+
+class CallMemo:
+    """Results of pure static calls by function and argument values, kept
+    for one specialization run (see the module docstring)."""
+
+    def __init__(self, functions: dict):
+        self.pure = pure_functions(functions)
+        self.table: dict = {}  # key -> (result, depth below the call, args)
+        self.deepest = 0  # depth high-water mark of the pure calls under way
+        self.hits = 0
+
+    @staticmethod
+    def key(fn: n.FunctionDef, args: list) -> tuple | None:
+        """The memo key of a call, or None when an argument has none.  An
+        array is keyed by identity and store count; the entry keeps it
+        alive, so its ``id`` is not reused."""
+        parts = [id(fn)]
+        for a in args:
+            cls = a.__class__
+            if cls is IntV or cls is BoolV:
+                parts.append((cls, a.value))
+            elif cls is FloatV:  # -0.0 and 0.0 differ
+                parts.append((cls, a.value, math.copysign(1.0, a.value)))
+            elif cls is ArrayV and a.elem in _KEYED_CELLS:
+                parts.append((id(a), a.stores))
+            elif isinstance(a, TypeValue):
+                parts.append(a)
+            else:
+                return None
+        return tuple(parts)
 
 
 def _scope_for(stmt: n.Stmt, env: Env) -> Env:

@@ -64,6 +64,8 @@ class ArrayV(Value):
 
     elem: "TypeValue"
     cells: list
+    # cell stores so far; the compile-time call memo keys an array by it
+    stores: int = field(default=0, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from catat import check_stages, emit, parse
+from catat import check_stages, emit, parse, run
 from catat import nodes as n
 from catat.emitter import emit_function, emit_stmt
 from catat.errors import (
@@ -290,6 +290,27 @@ def test_nested_blocks_flatten_to_blocks():
     assert emit(direct) == emit(flattened)
     assert alpha_equivalent(direct.function("f__5"),
                             flattened.function("f__5"))
+
+
+def test_shadowing_a_renamed_local_matches_the_direct_route():
+    # the top-level d is renamed apart from the parameter on both routes;
+    # the nested ones keep their name, and each use finds its own d
+    source = """
+        function f(int@ k)(int d) {
+            int d = d + 1;
+            int r = 0;
+            if (d > 0) { int d = 2; r += d; }
+            for (int d = 0; d < 3; ++d) r += d * k;
+            { int d = 10; r += d; }
+            return r + d;
+        }
+    """
+    direct, flattened = both_routes(source, "f", [IntV(5)])
+    assert "return r + d_2;" in emit(flattened)
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
+    for rp in (direct, flattened):
+        assert run(rp, "f__5", [IntV(7)]).value == IntV(35)
 
 
 @pytest.mark.parametrize("body", [

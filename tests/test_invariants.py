@@ -135,3 +135,8 @@ def test_every_node_class_has_a_handler_in_every_table():
     for cls in always_static:
         assert staging._EXPR_STAGE[cls] in (staging._Checker.literal_stage,
                                             staging._Checker.type_lit_stage)
+    # the call memo's purity walk decides every class, so a new one is not
+    # taken for pure by default
+    admitted, refused = staticeval._PURE_NODES, staticeval._IMPURE_NODES
+    assert not admitted & refused
+    assert exprs | stmts | node_classes(n.TypeExpr) <= admitted | refused

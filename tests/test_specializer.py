@@ -497,10 +497,19 @@ def test_static_and_dynamic_names_share_one_scope(source):
                                [IntV(5)], via_flatten=via_flatten)
 
 
+def both_routes(source, static_args):
+    return [specialize_program(check_stages(parse(source), 2), "f",
+                               static_args, via_flatten=via_flatten)
+            for via_flatten in (False, True)]
+
+
 def test_function_body_may_shadow_a_dynamic_parameter():
     source = "function f(int@ k)(int d) { int d = 1; return d + k; }\n"
-    rp = specialize_program(check_stages(parse(source), 2), "f", [IntV(5)])
-    assert run(rp, rp.entry_name, [IntV(7)]).value == IntV(6)
+    direct, flattened = both_routes(source, [IntV(5)])
+    for rp in (direct, flattened):
+        assert run(rp, rp.entry_name, [IntV(7)]).value == IntV(6)
+    assert alpha_equivalent(direct.function("f__5"),
+                            flattened.function("f__5"))
     assert run_unstaged(parse(source), "f", [IntV(5), IntV(7)]).value == \
         IntV(6)
 
@@ -543,7 +552,12 @@ def test_undecided_static_left_operand_matches_the_flatten_route():
 
 
 def test_deciding_static_left_operand_folds():
-    source = ("function f(int@ k)(int d) {\n"
-              "    bool r = k < 0 && d > 3; return r;\n}\n")
-    rp = specialize_program(check_stages(parse(source), 2), "f", [IntV(5)])
-    assert "bool r = false;" in emit(rp)
+    for guard, decided in (("k < 0 && d > 3", "false"),
+                           ("k > 0 || d > 3", "true")):
+        source = (f"function f(int@ k)(int d) {{\n"
+                  f"    bool r = {guard}; return r;\n}}\n")
+        direct, flattened = both_routes(source, [IntV(5)])
+        for rp in (direct, flattened):
+            assert f"bool r = {decided};" in emit(rp)
+        assert alpha_equivalent(direct.function("f__5"),
+                                flattened.function("f__5"))

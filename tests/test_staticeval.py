@@ -1,15 +1,19 @@
 import pytest
 
-from catat import parse
+from catat import check_stages, emit, parse, specialize_program
+from catat.corpus import encode_dsl
 from catat.errors import (
-    DepthExceeded, DivisionByZero, IntegerOverflow, LoopLimitExceeded,
+    DepthExceeded, DivisionByZero, IntegerOverflow, LoopLimitExceeded, Span,
     TypeMismatch, UserStaticError,
 )
 from catat.parser import parse_expression
-from catat.staticeval import EvalLimits, Interpreter, call_static, value_of
+from catat.specializer import SpecializationCache, specialize_function
+from catat.staticeval import (
+    EvalLimits, Interpreter, call_static, pure_functions, value_of,
+)
 from catat.values import (
-    BOOL, BoolV, Env, FLOAT, INT, IntV, LONG_INT, PointerTV, DOUBLE, Slot,
-    TypeValue,
+    BOOL, ArrayV, BoolV, Env, FLOAT, FloatV, INT, IntV, LONG_INT, PointerTV,
+    DOUBLE, Slot, TypeValue,
 )
 
 from conftest import fixture_source
@@ -207,3 +211,148 @@ def test_type_values_are_not_arithmetic():
     env.declare("T", Slot(INT))
     with pytest.raises(TypeMismatch):
         Interpreter().eval_expr(parse_expression("T + 1"), env)
+
+
+# -- the compile-time call memo ----------------------------------------------
+
+def specialize_with_memo(source, static_args, limits=None, memo=True,
+                         cache=None):
+    """Specialize ``f``; ``memo=False`` switches the call memo off, which
+    gives the results every memoized run must reproduce."""
+    staged = check_stages(parse(source), 2)
+    cache = cache or SpecializationCache(staged, limits)
+    if not memo:
+        cache.interp.memo = None
+    return cache, emit(specialize_program(staged, "f", static_args,
+                                          cache=cache))
+
+
+def memo_agrees(source, static_args, limits=None):
+    cache, text = specialize_with_memo(source, static_args, limits)
+    assert text == specialize_with_memo(source, static_args, limits,
+                                        memo=False)[1]
+    return cache.interp.memo, text
+
+
+@pytest.mark.parametrize("source, pure", [
+    ("function h(int n) { return n + 1; }", True),
+    ("function h(int n) { if (n > 0) return h(n - 1); return 0; }", True),
+    ("function h(int n) { if (n < 0) Catat_error@(\"neg\"); return n; }",
+     True),
+    ("function h(typename T, T* a) { return a[0]; }", True),
+    ("function h(int@ k)(int n) { return n; }", False),
+    ("function h(int n) { int m = n; return m; }", False),
+    ("function h(int n) { n = 2; return n; }", False),
+    ("function h(int n) { ++n; return n; }", False),
+    ("int@ g = 1;\nfunction h(int n) { return g + n; }", False),
+    ("class C(int@ k) { int@ m = k; }\n"
+     "function h(int n) { C@(n) c; return n; }", False),
+    ("function h(int n) { return make_literal(n); }", False),
+    ("function k(int@ a)(int b) { return a + b; }\n"
+     "function h(int n) { return k(1)(n); }", False),
+    ("int@ g = 1;\nfunction i(int n) { return g; }\n"
+     "function h(int n) { return i(n); }", False),
+    ("function h(int n) { return missing(n); }", False),
+], ids=["arith", "recursive", "error", "typename", "two-list", "declares",
+        "assigns", "increments", "global", "class", "builder", "specializing",
+        "impure-callee", "unknown-callee"])
+def test_purity(source, pure):
+    program = parse(source)
+    functions = {(f.name, f.static_arity): f for f in program.functions()}
+    assert ("h" in {f.name for f in pure_functions(functions).values()}) \
+        == pure
+
+
+def test_memo_keys_an_array_by_its_stores():
+    source = ("function first(int* a) { return a[0]; }\n"
+              "function f(int@* a)(int d) {\n"
+              "    int@ x = first@(a); a[0] = 5; int@ y = first@(a);\n"
+              "    return d * 100 + x * 10 + y;\n}\n")
+    _, text = specialize_with_memo(source, [ArrayV(INT, [IntV(1), IntV(2)])])
+    assert "return d * 100 + 10 + 5;" in text
+
+
+@pytest.mark.parametrize("body, folded", [
+    ("return g + n;", "20 + 11"),
+    ("g += 1; return g + n;", "30 + 12"),
+], ids=["reads", "writes"])
+def test_memo_skips_a_function_that_touches_a_global(body, folded):
+    source = (f"int@ g = 1;\nfunction h(int n) {{ {body} }}\n"
+              "function f(int@ k)(int d) {\n"
+              "    int@ x = h@(k); g = 10; int@ y = h@(k);\n"
+              "    return d * 100 + x * 10 + y;\n}\n")
+    memo, text = memo_agrees(source, [IntV(1)])
+    assert f"return d * 100 + {folded};" in text
+    assert memo.hits == 0
+
+
+def test_memo_tells_negative_zero_from_zero():
+    source = ("function same(float x) { return x; }\n"
+              "function f(float@ a, float@ b)(float d) {\n"
+              "    float@ x = same@(a); float@ y = same@(b);\n"
+              "    return x * d + y;\n}\n")
+    _, text = specialize_with_memo(source, [FloatV(0.0), FloatV(-0.0)])
+    assert "return 0.0 * d + -0.0;" in text
+
+
+def test_memo_does_not_share_an_array_result():
+    # the int array widens to a fresh float array on every call
+    source = ("function widen(float* a) { return a; }\n"
+              "function f(int@* a)(float d) {\n"
+              "    float@* x = widen@(a); x[0] = 5.0;\n"
+              "    float@* y = widen@(a); return d + y[0];\n}\n")
+    memo, text = memo_agrees(source, [ArrayV(INT, [IntV(1), IntV(2)])])
+    assert "return d + 1.0;" in text
+    assert not memo.table
+
+
+def test_memo_raises_a_static_error_again():
+    source = ("function check(int n) {\n"
+              "    if (n < 0) Catat_error@(\"negative\");\n"
+              "    return n;\n}\n"
+              "function f(int@ k, int@ j)(int d) {\n"
+              "    int@ x = check@(k); return d + x + j;\n}\n")
+    staged = check_stages(parse(source), 2)
+    cache = SpecializationCache(staged)
+    fn = staged.functions_by_key()[("f", 2)]
+    for j in (0, 1):
+        with pytest.raises(UserStaticError, match="negative") as info:
+            specialize_function(fn, [IntV(-1), IntV(j)], cache)
+        assert info.value.span == Span(2, 16)
+    assert not cache.interp.memo.table
+
+
+DOWN = ("function down(int n) { if (n == 0) return 0; return down(n - 1); }\n"
+        "function g(int n) { return down(n); }\n"
+        "function f(int@ k)(int d) {\n"
+        "    int@ a = down@(k); int@ b = g@(k); return d + a + b;\n}\n")
+
+
+def test_memo_hit_keeps_the_depth_limit():
+    # the specialization of f is depth 1, down@(199) reaches 201 and g@(199)
+    # 202, where down(199) is a memo hit
+    with pytest.raises(DepthExceeded) as info:
+        specialize_with_memo(DOWN, [IntV(199)], EvalLimits(max_depth=201))
+    with pytest.raises(DepthExceeded) as unmemoized:
+        specialize_with_memo(DOWN, [IntV(199)], EvalLimits(max_depth=201),
+                             memo=False)
+    assert info.value.span == unmemoized.value.span is not None
+    memo, text = memo_agrees(DOWN, [IntV(199)], EvalLimits(max_depth=202))
+    assert "return d + 0 + 0;" in text
+    assert memo.hits == 1
+
+
+def test_memo_hits_compiling_the_dsl_interpreter():
+    staged = check_stages(parse(fixture_source("dsl_interp.cat")), 2)
+    toks, count = encode_dsl("(in + 1) * 2 + in * in")
+    cache = SpecializationCache(staged)
+    specialize_program(staged, "dsl_program", [toks, count], cache=cache)
+    memo = cache.interp.memo
+    assert memo.hits > 0
+    assert {f.name for f in memo.pure.values()} == {
+        "factor_end", "term_end", "term_more", "expr_end", "expr_more"}
+
+
+def test_run_never_consults_the_memo():
+    program = parse("function h(int n) { return n + 1; }")
+    assert Interpreter(program).memo is None
