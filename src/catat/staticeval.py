@@ -56,10 +56,9 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .values import (
-    BOOL, CHAR, DOUBLE, FLOAT, INT, INT64_MAX, INT64_MIN, LONG_INT, TYPENAME,
-    ArrayV, BoolV, ClassTV, Env, FixedArrayTV, FloatV, InstanceV, IntV,
-    PointerTV, PRIM_BY_NAME, Slot, StrV, TypeValue, UNIT, Value, arith,
-    coerce, describe, truth, zero_value,
+    INT64_MAX, INT64_MIN, SCALAR_CELLS, ArrayV, BoolV, ClassTV, Env,
+    FixedArrayTV, FloatV, InstanceV, IntV, PointerTV, PRIM_BY_NAME, Slot,
+    StrV, TypeValue, UNIT, Value, arith, coerce, describe, truth, zero_value,
 )
 
 
@@ -636,8 +635,6 @@ def pure_functions(functions: dict) -> dict:
     return {id(fn): fn for fn in (functions[(name, 0)] for name in calls)}
 
 
-# Array cells the memo may key an array by: immutable values only.
-_KEYED_CELLS = frozenset({INT, CHAR, LONG_INT, FLOAT, DOUBLE, BOOL, TYPENAME})
 _IMMUTABLE_RESULTS = (IntV, FloatV, BoolV)
 
 
@@ -663,7 +660,7 @@ class CallMemo:
                 parts.append((cls, a.value))
             elif cls is FloatV:  # -0.0 and 0.0 differ
                 parts.append((cls, a.value, math.copysign(1.0, a.value)))
-            elif cls is ArrayV and a.elem in _KEYED_CELLS:
+            elif cls is ArrayV and a.elem in SCALAR_CELLS:
                 parts.append((id(a), a.stores))
             elif isinstance(a, TypeValue):
                 parts.append(a)

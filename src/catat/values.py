@@ -13,6 +13,7 @@ equality included.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -66,6 +67,9 @@ class ArrayV(Value):
     cells: list
     # cell stores so far; the compile-time call memo keys an array by it
     stores: int = field(default=0, compare=False, repr=False)
+    # (stores, canonical key, rendering) of an array of SCALAR_CELLS, made
+    # once per version: valid while ``stores`` has not moved
+    keyed: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -130,6 +134,10 @@ VOID = PrimTV("void")
 PRIM_BY_NAME = {t.name: t for t in
                 (INT, FLOAT, CHAR, LONG_INT, BOOL, DOUBLE, TYPENAME, ASTREE,
                  VOID)}
+
+# Element types whose cells are immutable: an array of them is keyed by
+# the compile-time call memo and keeps its canonical key (``ArrayV.keyed``).
+SCALAR_CELLS = frozenset({INT, CHAR, LONG_INT, FLOAT, DOUBLE, BOOL, TYPENAME})
 
 _INTEGER_CLASS = frozenset({"int", "char", "long int"})
 _FLOAT_CLASS = frozenset({"float", "double"})
@@ -199,6 +207,33 @@ def type_of_value(v: Value) -> TypeValue:
 
 # ---------------------------------------------------------------------------
 # Canonical keys (hashable forms for memoization and mangling)
+#
+# A value's key is a plain tuple, tagged by kind.  A float is keyed by value
+# and, for ``-0.0`` only, by sign, because ``-0.0 == 0.0``.  An array's key
+# is an ``ArrayKey``, which equals, hashes and prints as the plain tuple
+# ``("array", elem, cell keys)`` but computes its hash and mangled part
+# once.  An array of ``SCALAR_CELLS`` keeps its key and its rendering in
+# ``ArrayV.keyed`` until a cell store moves ``ArrayV.stores``, so keying a
+# specialization costs the same whatever the array's size, as a C++
+# compiler canonicalizes a template-id's arguments once.  Its cells change
+# only through the interpreter's store, which bumps ``stores``.
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
+class ArrayKey(tuple):
+    """``("array", elem, cell keys)`` with its hash and mangled part."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        self.mangled = f"a{len(self[2])}x{_digest(repr(self))}"
+        return self
+
+    def __hash__(self):
+        return self._hash
 
 
 def canonical_key(v: Value, span: Span | None = None):
@@ -207,6 +242,8 @@ def canonical_key(v: Value, span: Span | None = None):
     if isinstance(v, IntV):
         return ("int", v.value)
     if isinstance(v, FloatV):
+        if v.value == 0.0 and math.copysign(1.0, v.value) < 0:
+            return ("float", v.value, "-")
         return ("float", v.value)
     if isinstance(v, BoolV):
         return ("bool", v.value)
@@ -215,12 +252,32 @@ def canonical_key(v: Value, span: Span | None = None):
     if isinstance(v, UnitV):
         return ("unit",)
     if isinstance(v, ArrayV):
-        return ("array", v.elem, tuple(canonical_key(c) for c in v.cells))
+        if v.elem in SCALAR_CELLS:
+            return _keyed(v)[1]
+        return _array_key(v)
     if isinstance(v, InstanceV):
         return ("instance", v.class_name,
                 tuple((k, canonical_key(x)) for k, x in v.members.items()))
     raise TypeMismatch(f"{describe(v)} cannot be used as a static argument",
                        span)
+
+
+def _array_key(v: ArrayV) -> ArrayKey:
+    return ArrayKey(("array", v.elem, tuple(canonical_key(c)
+                                            for c in v.cells)))
+
+
+def _render_cells(v: ArrayV) -> str:
+    return "[" + ", ".join(render_static_arg(c) for c in v.cells) + "]"
+
+
+def _keyed(v: ArrayV) -> tuple:
+    """``v.keyed``, made again from the cells when a store has moved
+    ``v.stores``."""
+    keyed = v.keyed
+    if keyed is None or keyed[0] != v.stores:
+        keyed = v.keyed = (v.stores, _array_key(v), _render_cells(v))
+    return keyed
 
 
 def render_static_arg(v: Value) -> str:
@@ -234,7 +291,9 @@ def render_static_arg(v: Value) -> str:
     if isinstance(v, BoolV):
         return "true" if v.value else "false"
     if isinstance(v, ArrayV):
-        return "[" + ", ".join(render_static_arg(c) for c in v.cells) + "]"
+        if v.elem in SCALAR_CELLS:
+            return _keyed(v)[2]
+        return _render_cells(v)
     if isinstance(v, StrV):
         return f'"{v.value}"'
     if isinstance(v, InstanceV):
@@ -257,13 +316,10 @@ def _mangle_part(key) -> str:
         return render_type(key[1]).replace(" ", "_").replace("*", "p") \
                                   .replace("[", "x").replace("]", "")
     if tag == "array":
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:8]
-        return f"a{len(key[2])}x{digest}"
+        return key.mangled
     if tag == "str":
-        digest = hashlib.sha256(key[1].encode()).hexdigest()[:8]
-        return f"s{digest}"
-    digest = hashlib.sha256(repr(key).encode()).hexdigest()[:8]
-    return f"{tag}{digest}"
+        return f"s{_digest(key[1])}"
+    return f"{tag}{_digest(repr(key))}"
 
 
 def mangle_name(base: str, canonical_args: tuple) -> str:

@@ -1,4 +1,8 @@
+import hashlib
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catat import check_stages, emit, erase_stages, parse
 from catat import nodes as n
@@ -12,11 +16,14 @@ from catat.specializer import (
     alpha_equivalent, infer_return_type, lift, mangle, specialize_class,
     specialize_function, specialize_program,
 )
+from catat import values
+from catat.corpus import encode_dsl
 from catat.dyninterp import run, run_unstaged
 from catat.staticeval import EvalLimits
 from catat.values import (
-    ArrayV, BoolV, DOUBLE, FLOAT, FloatV, INT, InstanceV, IntV, LONG_INT,
-    PointerTV, VOID,
+    ArrayV, BOOL, BoolV, DOUBLE, FLOAT, FixedArrayTV, FloatV, INT, INT64_MAX,
+    INT64_MIN, InstanceV, IntV, LONG_INT, PointerTV, TYPENAME, TypeValue,
+    VOID, canonical_key, mangle_name, render_static_arg, render_type,
 )
 
 from conftest import fixture_source, staged_fixture
@@ -179,6 +186,164 @@ def test_mangle_collision_gets_numeric_suffix():
     assert cache.reserve(k2, "g__2") == "g__2_2"
     # injectivity held: the two keys map to distinct names
     assert cache.names_by_key[k1] != cache.names_by_key[k2]
+
+
+# -- canonical keys --------------------------------------------------------------
+
+def reference_key(v):
+    """``canonical_key`` made from the cells every time."""
+    if isinstance(v, ArrayV):
+        return ("array", v.elem, tuple(reference_key(c) for c in v.cells))
+    if isinstance(v, InstanceV):
+        return ("instance", v.class_name,
+                tuple((k, reference_key(x)) for k, x in v.members.items()))
+    if isinstance(v, TypeValue):
+        return ("type", v)
+    if isinstance(v, FloatV) and math.copysign(1.0, v.value) < 0 \
+            and v.value == 0.0:
+        return ("float", v.value, "-")
+    return {IntV: "int", FloatV: "float", BoolV: "bool"}[type(v)], v.value
+
+
+def reference_render(v):
+    if isinstance(v, ArrayV):
+        return "[" + ", ".join(reference_render(c) for c in v.cells) + "]"
+    if isinstance(v, InstanceV):
+        return v.class_name + "(" + ", ".join(
+            f"{k} = {reference_render(x)}" for k, x in v.members.items()) + ")"
+    if isinstance(v, TypeValue):
+        return render_type(v)
+    if isinstance(v, BoolV):
+        return "true" if v.value else "false"
+    return repr(v.value) if isinstance(v, FloatV) else str(v.value)
+
+
+def reference_mangled(arr):
+    digest = hashlib.sha256(repr(reference_key(arr)).encode()).hexdigest()
+    return f"g__a{len(arr.cells)}x{digest[:8]}"
+
+
+def assert_keyed_as_reference(v):
+    key, ref = canonical_key(v), reference_key(v)
+    assert key == ref and hash(key) == hash(ref) and repr(key) == repr(ref)
+    assert SpecializationKey.for_function("g", [v]) == \
+        SpecializationKey("function", "g", (ref,))
+    assert render_static_arg(v) == reference_render(v)
+
+
+CELLS = {
+    INT: st.integers(INT64_MIN, INT64_MAX).map(IntV),
+    FLOAT: st.floats(allow_nan=False).map(FloatV),
+    BOOL: st.booleans().map(BoolV),
+    TYPENAME: st.sampled_from([INT, FLOAT, PointerTV(INT),
+                               FixedArrayTV(BOOL, 3)]),
+}
+
+
+@st.composite
+def array_and_store(draw):
+    elem = draw(st.sampled_from(sorted(CELLS, key=repr)))
+    cells = draw(st.lists(CELLS[elem], min_size=1, max_size=12))
+    index = draw(st.integers(0, len(cells) - 1))
+    return ArrayV(elem, cells), index, draw(CELLS[elem])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(array_and_store())
+def test_cached_array_key_matches_one_made_from_the_cells(case):
+    arr, index, cell = case
+    for version in range(2):
+        for _ in range(2):  # made, then reused
+            assert_keyed_as_reference(arr)
+            assert mangle_name("g", (canonical_key(arr),)) == \
+                reference_mangled(arr)
+        arr.cells[index] = cell  # a cell store, as the interpreter makes it
+        arr.stores += 1
+
+
+def test_nested_arrays_and_instances_are_keyed_after_an_inner_store():
+    inner = ArrayV(INT, [IntV(1), IntV(2)])
+    outer = ArrayV(PointerTV(INT), [inner])
+    box = InstanceV("Box", {"data": inner, "n": IntV(2)})
+    before = [(canonical_key(v), render_static_arg(v)) for v in (outer, box)]
+    inner.cells[1] = IntV(5)
+    inner.stores += 1
+    for v, (key, rendering) in zip((outer, box), before):
+        assert_keyed_as_reference(v)
+        assert canonical_key(v) != key and render_static_arg(v) != rendering
+
+
+def test_negative_zero_gets_its_own_specialization():
+    source = ("function h(float@ k)(float x) { return x * k; }\n"
+              "function f(int@ u)(float x) {\n"
+              "    float a = h(-0.0)(x); float b = h(0.0)(x); return b;\n}\n")
+    unstaged = run_unstaged(parse(source), "f", [IntV(0), FloatV(1.0)])
+    assert math.copysign(1.0, unstaged.value.value) == 1.0
+    for rp in both_routes(source, [IntV(0)]):
+        assert [u.name for u in rp.units] == ["h__m0_0", "h__0_0", "f__0"]
+        result = run(rp, rp.entry_name, [FloatV(1.0)]).value
+        assert math.copysign(1.0, result.value) == 1.0
+
+
+def g_units(rp):
+    return [(u.name, u.comment) for u in rp.units if u.name.startswith("g")]
+
+
+def test_array_stored_into_between_specializations_gives_two_units():
+    source = ("function g(int@* a)(int d) { return d + a[0]; }\n"
+              "function f(int@* a)(int d) {\n"
+              "    int e = g(a)(d); a[0] = 5; return g(a)(e);\n}\n")
+    for via_flatten in (False, True):
+        arr = ArrayV(INT, [IntV(1), IntV(2)])
+        rp = specialize_program(check_stages(parse(source), 2), "f", [arr],
+                                via_flatten=via_flatten)
+        (first, first_from), (second, second_from) = g_units(rp)
+        assert first != second
+        assert (first_from, second_from) == ("specialized-from: g([1, 2])",
+                                             "specialized-from: g([5, 2])")
+        assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(7)
+
+
+def test_equal_arrays_share_one_unit():
+    source = ("function g(int@* a)(int d) { return d + a[1]; }\n"
+              "function f(int@* a, int@* b)(int d) {\n"
+              "    return g(a)(d) + g(b)(d);\n}\n")
+    for via_flatten in (False, True):
+        args = [ArrayV(INT, [IntV(1), IntV(2)]) for _ in range(2)]
+        rp = specialize_program(check_stages(parse(source), 2), "f", args,
+                                via_flatten=via_flatten)
+        assert len(g_units(rp)) == 1
+        assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(6)
+
+
+def test_array_of_arrays_stored_into_gives_two_units():
+    source = ("function g(int@** m)(int d) { return d + m[0][1]; }\n"
+              "function f(int@** m)(int d) {\n"
+              "    int e = g(m)(d); m[0][1] = 5; return g(m)(e);\n}\n")
+    for via_flatten in (False, True):
+        m = ArrayV(PointerTV(INT), [ArrayV(INT, [IntV(1), IntV(2)])])
+        rp = specialize_program(check_stages(parse(source), 2), "f", [m],
+                                via_flatten=via_flatten)
+        (first, _), (second, _) = g_units(rp)
+        assert first != second
+        assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(8)
+
+
+def test_each_array_version_is_keyed_once(monkeypatch):
+    # Keying a cell, or rendering one, goes through values' own
+    # canonical_key and render_static_arg; a specialization keyed from
+    # the whole array costs len(toks) of each per unit.
+    cells = []
+    for name in ("canonical_key", "render_static_arg"):
+        def counting(v, *rest, real=getattr(values, name)):
+            cells.append(v)
+            return real(v, *rest)
+        monkeypatch.setattr(values, name, counting)
+    toks, count = encode_dsl("((in + 1) * (2 + in)) * (in + 3 * in)")
+    rp = specialize_program(staged_fixture("dsl_interp.cat"), "dsl_program",
+                            [toks, count])
+    assert len(rp.units) == 25
+    assert len(cells) == 2 * len(toks.cells)
 
 
 # -- lifting -------------------------------------------------------------------
