@@ -23,17 +23,17 @@ _POSTFIX_PREC = 10
 _COND_PREC = 2
 
 
-def emit(program, provenance: dict | None = None) -> str:
-    """Render a Program (or anything exposing ``to_program_ast``) as source.
+def emit(program) -> str:
+    """Render a Program, or a residual program, as source.
 
-    ``provenance`` maps declaration names to comment text printed as
-    ``// <text>`` immediately above the declaration.
+    A residual program's ``comments`` map unit names to provenance text,
+    printed as ``// <text>`` immediately above the unit.
     """
+    comments = {}
     if hasattr(program, "to_program_ast"):
-        if provenance is None and hasattr(program, "provenance_comments"):
-            provenance = program.provenance_comments()
+        comments = program.comments
         program = program.to_program_ast()
-    w = _Writer(provenance or {})
+    w = _Writer(comments)
     w.program(program)
     return w.text()
 
@@ -54,15 +54,11 @@ def emit_expr(expr: n.Expr) -> str:
     return _Writer({}).expr(expr, 0)
 
 
-def emit_type(t: n.TypeExpr) -> str:
-    return _Writer({}).type(t)
-
-
 class _Writer:
-    def __init__(self, provenance: dict):
+    def __init__(self, comments: dict):
         self.lines: list[str] = []
         self.indent = 0
-        self.provenance = provenance
+        self.comments = comments
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -78,8 +74,8 @@ class _Writer:
             if i > 0 and (is_def or isinstance(p.items[i - 1],
                                                (n.FunctionDef, n.ClassDef))):
                 self.line("")
-            if is_def and item.name in self.provenance:
-                self.line(f"// {self.provenance[item.name]}")
+            if is_def and item.name in self.comments:
+                self.line(f"// {self.comments[item.name]}")
             if isinstance(item, n.FunctionDef):
                 self.function(item)
             elif isinstance(item, n.ClassDef):

@@ -4,8 +4,8 @@ Flattening rewrites a two-level function into a single-level *generator*:
 static constructs are copied verbatim (annotations stripped), and each
 dynamic construct is replaced by calls to builder functions that construct
 its syntax tree.  Running the generator with concrete static arguments
-yields a code value; ``materialize`` turns that code value into a residual
-function indistinguishable from the specializer's output.
+yields a code value whose shell becomes the body of a residual function
+indistinguishable from the direct route's output.
 
 Code values hold residual syntax itself: a builder returns a ``CodeV``
 whose ``frag`` is an ``n.Expr``, an ``n.Stmt`` or, from ``make_lambda``, a
@@ -13,12 +13,13 @@ whose ``frag`` is an ``n.Expr``, an ``n.Stmt`` or, from ``make_lambda``, a
 Whether a fragment is an expression or a statement is decided when a
 builder embeds it, and a malformed fragment is reported there, with that
 builder call's span.  A call is resolved when ``make_call`` builds it:
-``specialize_via_flatten`` installs its cache's resolver on the
-interpreter for the generator's run, so a call with static arguments
-names its specialized residual at once.  ``materialize`` then only infers
-the return type and registers the result.  Residual nodes may be shared
-between statements (one varref stands for a variable everywhere), so
-nothing downstream may mutate them except the checker's ``.stage``.
+while a generator runs, the interpreter holds the specialization cache's
+resolver, so a call with static arguments names its specialized residual at
+once.  ``materialize`` only checks and unpacks the shell the generator
+returns: the specializer's ``_Specializer.unit`` keys, names, types and
+registers the unit on both routes.  Residual nodes may be shared between
+statements (one varref stands for a variable everywhere), so nothing
+downstream may mutate them except the checker's ``.stage``.
 
 Flattening is defined for two levels, and it runs no binding-time analysis
 of its own: a declaration, assignment or expression is static when the
@@ -635,70 +636,20 @@ def flatten_function(fn: n.FunctionDef, levels: int = 2) -> n.FunctionDef:
 
 
 # ---------------------------------------------------------------------------
-# Materialization: code value -> residual function
+# Materialization: code value -> residual parameters and body
 
 
-def materialize(code: CodeV, name: str, static_args: list | None = None,
-                cache=None, span: Span | None = None):
-    """Turn a completed function shell into a ResidualFunction.
-
-    With a SpecializationCache the result is registered (memoized, ordered
-    after its callees) exactly like a directly specialized function; a key
-    already reserved, as ``specialize_via_flatten`` does before running
-    the generator, keeps its reserved name."""
-    from . import specializer as spec
-
-    if not isinstance(code, CodeV) or not isinstance(code.frag, Shell):
+def materialize(code: Value) -> tuple[list, list]:
+    """The parameters and body statements of the completed function shell
+    a generator returned.  The specializer names, types and registers the
+    unit they make (``specializer._Specializer.unit``)."""
+    if code.__class__ is not CodeV or code.frag.__class__ is not Shell:
         raise MalformedFragment("materialize expects a function shell")
-    static_args = list(static_args or [])
-    key = spec.SpecializationKey.for_function(name, static_args)
-    if cache is None:
-        residual_name = spec.mangle(name, key)
-    elif cache.in_progress(key):
-        residual_name = cache.names_by_key[key]
-    else:
-        cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        residual_name = cache.reserve(key, name)
-    shell: Shell = code.frag
-    body = shell.body.stmts
-    params = list(shell.params)
-    var_types = dict(params)
-    callee_types = None
-    if cache is not None:
-        var_types = {**spec.residual_types(cache.globals), **var_types}
-        callee_types = cache.return_type_of
-    rtype = spec.infer_return_type(body, var_types, callee_types, span)
-    residual = spec.ResidualFunction(
-        residual_name, rtype, params, body, key,
-        comment=spec.key_comment(key, static_args))
-    if cache is not None:
-        cache.complete(key, residual)
-    return residual
+    return list(code.frag.params), code.frag.body.stmts
 
 
 def specialize_via_flatten(fn: n.FunctionDef, static_args: list, cache):
-    """The generator pipeline: flatten, run the generator on the static
-    arguments, materialize the resulting code value.
-
-    The key is reserved before the generator runs, and the cache resolves
-    the calls the generator builds during that run only."""
+    """``fn`` specialized on ``static_args`` through its generator."""
     from . import specializer as spec
-    key = spec.SpecializationKey.for_function(fn.name, static_args)
-    key_hit = cache.lookup(key)
-    if key_hit is not None:
-        return key_hit
-    generator = flatten_function(fn, cache.staged.levels)
-    cache.reserve(key, fn.name)
-    interp = cache.interp
-    interp.resolve_call = cache.resolve_call
-    try:
-        code = interp.call_function(generator, list(static_args), fn.span)
-    finally:
-        interp.resolve_call = None
-    if not isinstance(code, CodeV):
-        raise MalformedFragment(
-            f"generator for '{fn.name}' did not produce a code value",
-            fn.span)
-    return materialize(code, fn.name, static_args, cache, fn.span)
+    return spec._Specializer(cache).specialize_function(
+        fn, list(static_args), via_flatten=True)

@@ -350,9 +350,6 @@ class Program(Node):
     def classes(self) -> list:
         return [it for it in self.items if isinstance(it, ClassDef)]
 
-    def top_stmts(self) -> list:
-        return [it for it in self.items if isinstance(it, Stmt)]
-
 
 # ---------------------------------------------------------------------------
 # Generic traversal

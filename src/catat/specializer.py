@@ -30,8 +30,11 @@ Residual syntax is typed in one place, ``_ReturnTyper``.
 
 Specializations are memoized per (definition, static-argument tuple);
 each key yields exactly one residual entity per run, named by a
-deterministic mangling scheme.  Completion order is callees-first, so the
-residual program emits in one pass.
+deterministic mangling scheme.  Every unit, a function on either route or
+a class, opens and closes in ``_Specializer.unit``, which fixes its name
+and provenance from the static arguments before the body runs, as a C++
+compiler names an instance when it first meets its template-id.
+Completion order is callees-first, so the residual program emits in one pass.
 """
 
 from __future__ import annotations
@@ -39,16 +42,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
+from . import flatten
 from . import nodes as n
 from .errors import (
-    STACK_EXHAUSTED, DepthExceeded, LiftError, LoopLimitExceeded,
-    MalformedFragment, ReturnTypeMismatch, SelfRecursiveSpecialization, Span,
-    StageLeak, TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, FlattenUnsupported, LiftError,
+    LoopLimitExceeded, MalformedFragment, ReturnTypeMismatch,
+    SelfRecursiveSpecialization, Span, StageLeak, TypeMismatch,
+    UnboundVariable,
 )
-from .flatten import (
-    lift, rename_apart, specialize_via_flatten, type_value_to_decl,
-    type_value_to_texpr,
-)
+from .flatten import lift, rename_apart, type_value_to_decl, type_value_to_texpr
 from .staging import StagedAST
 from .staticeval import (
     CallMemo, DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
@@ -79,10 +81,6 @@ class SpecializationKey:
     @classmethod
     def for_function(cls, name: str, static_args: list) -> "SpecializationKey":
         return cls("function", name, key_args(static_args))
-
-    @classmethod
-    def for_class(cls, name: str, static_args: list) -> "SpecializationKey":
-        return cls("class", name, key_args(static_args))
 
 
 def mangle(base: str, key: SpecializationKey) -> str:
@@ -136,7 +134,13 @@ class ResidualClass:
         return n.ClassDef(self.name, [], items)
 
 
-_IN_PROGRESS = object()
+@dataclass
+class _Reserved:
+    """The entry of a unit whose body is being specialized: its residual
+    name and provenance comment, fixed when the unit was met."""
+
+    name: str
+    comment: str
 
 
 class SpecializationCache:
@@ -154,7 +158,6 @@ class SpecializationCache:
         self.entries: dict[SpecializationKey, object] = {}
         self.order: list = []
         self.names: dict[str, SpecializationKey] = {}
-        self.names_by_key: dict[SpecializationKey, str] = {}
 
     @property
     def globals(self) -> Env:
@@ -162,26 +165,31 @@ class SpecializationCache:
 
     def lookup(self, key: SpecializationKey):
         entry = self.entries.get(key)
-        if entry is _IN_PROGRESS:
+        if entry.__class__ is _Reserved:
             raise SelfRecursiveSpecialization(
                 f"specialization of '{key.name}' recursively requires "
                 "itself with identical static arguments")
         return entry
 
-    def in_progress(self, key: SpecializationKey) -> bool:
-        return self.entries.get(key) is _IN_PROGRESS
+    def reserved_name(self, key: SpecializationKey) -> str | None:
+        """The name of the unit of ``key`` if its body is under way."""
+        entry = self.entries.get(key)
+        return entry.name if entry.__class__ is _Reserved else None
 
-    def reserve(self, key: SpecializationKey, base: str) -> str:
-        name = mangle(base, key)
+    def reserve(self, key: SpecializationKey, static_args: list) -> _Reserved:
+        """Name the unit of ``key`` and render its provenance from
+        ``static_args`` as they are before its body runs, which may store
+        into them."""
+        name = mangle(key.name, key)
         candidate = name
         suffix = 1
         while candidate in self.names and self.names[candidate] != key:
             suffix += 1
             candidate = f"{name}_{suffix}"
         self.names[candidate] = key
-        self.names_by_key[key] = candidate
-        self.entries[key] = _IN_PROGRESS
-        return candidate
+        entry = self.entries[key] = _Reserved(
+            candidate, key_comment(key, static_args))
+        return entry
 
     def complete(self, key: SpecializationKey, entity) -> None:
         self.entries[key] = entity
@@ -198,19 +206,14 @@ class SpecializationCache:
 
     def resolve_call(self, callee: str, statics: list,
                      span: Span | None) -> str:
-        """The residual name for a call a generator builds: ``callee``
-        specialized on ``statics``.  A call without static arguments into
-        a function whose specialization is under way takes its reserved
-        name, as on the direct route."""
+        """The residual name for a call a generator builds (``make_call``):
+        ``callee`` specialized on ``statics``."""
         defn = self.functions.get((callee, len(statics)))
         if defn is None:
             raise MalformedFragment(
                 f"no definition of '{callee}' with {len(statics)} static "
                 "argument(s)", span)
-        key = SpecializationKey.for_function(callee, statics)
-        if not statics and self.in_progress(key):
-            return self.names_by_key[key]
-        return specialize_function(defn, statics, self).name
+        return _Specializer(self).callee_name(defn, statics)
 
 
 @dataclass
@@ -220,7 +223,6 @@ class ResidualProgram:
     units: list = field(default_factory=list)
     top_stmts: list = field(default_factory=list)
     entry_name: str | None = None
-    provenance: dict = field(default_factory=dict)  # name -> SpecializationKey
     comments: dict = field(default_factory=dict)  # name -> provenance text
     static_bindings: list = field(default_factory=list)  # (name, Value)
     # set by dyninterp.run once the Program has passed check_stages(levels=1)
@@ -243,9 +245,6 @@ class ResidualProgram:
                          else u.to_class_def() for u in self.units)
             self._program = n.Program(items)
         return self._program
-
-    def provenance_comments(self) -> dict:
-        return dict(self.comments)
 
     def function(self, name: str) -> ResidualFunction:
         for u in self.units:
@@ -440,112 +439,143 @@ class _Specializer:
         self.interp = cache.interp
         self.default = cache.staged.levels - 1
 
-    # -- function specialization ------------------------------------------------
+    # -- specialization units -------------------------------------------------
 
-    def specialize_function(self, fn: n.FunctionDef,
-                            static_args: list) -> ResidualFunction:
-        key = SpecializationKey.for_function(fn.name, static_args)
+    def unit(self, kind: str, defn, static_args: list, body,
+             guarded: bool = True):
+        """The one lifecycle of a specialization unit, a function on either
+        route or a class: key and look it up, check the arity, take a depth
+        level, reserve the name and provenance, run ``body``, type the
+        returns and complete.  ``body(defn, static_args)`` gives a
+        function's parameters and statements, or a class's members, static
+        members and constructor body.  The generator body is not
+        ``guarded``: its call takes the level itself."""
+        key = SpecializationKey(kind, defn.name, key_args(static_args))
         cached = self.cache.lookup(key)
         if cached is not None:
-            if not isinstance(cached, ResidualFunction):
-                raise TypeMismatch(f"'{fn.name}' is not a function", fn.span)
             return cached
-        sparams = fn.static_params or []
-        if len(static_args) != len(sparams):
+        if len(static_args) != defn.static_arity:
+            what = "class " if kind == "class" else ""
             raise TypeMismatch(
-                f"'{fn.name}' expects {len(sparams)} static argument(s), "
-                f"got {len(static_args)}", fn.span)
-        self.cache.guard.enter(fn.span)
+                f"{what}'{defn.name}' expects {defn.static_arity} static "
+                f"argument(s), got {len(static_args)}", defn.span)
+        guard = self.cache.guard
+        if guarded:
+            guard.enter(defn.span)
         try:
-            name = self.cache.reserve(key, fn.name)
-            env = self.cache.globals.child()
-            ctx = _SpecCtx(env)
-            body = self.bind_static_params(sparams, static_args, ctx)
-            params = []
-            for p in fn.params:
-                tv = self.interp.resolve_type(p.dtype, env, p.span)
-                res_name = ctx.declare_dyn(p.name, tv, p.span)
-                params.append((res_name, tv))
-            ctx.push_source()  # the body may shadow a parameter
-            body.extend(self.stmts(fn.body.stmts, ctx))
-            rtype = infer_return_type(body, residual_types(env),
-                                      self.cache.return_type_of, fn.span)
-            residual = ResidualFunction(name, rtype, params, body, key,
-                                        comment=key_comment(key, static_args))
-            self.cache.complete(key, residual)
-            return residual
+            reserved = self.cache.reserve(key, static_args)
+            parts = body(defn, static_args)
+            if kind == "class":
+                entity = ResidualClass(reserved.name, *parts, key,
+                                       reserved.comment)
+            else:
+                params, stmts = parts
+                var_types = {**residual_types(self.cache.globals),
+                             **dict(params)}
+                rtype = infer_return_type(stmts, var_types,
+                                          self.cache.return_type_of,
+                                          defn.span)
+                entity = ResidualFunction(reserved.name, rtype, params, stmts,
+                                          key, reserved.comment)
+            self.cache.complete(key, entity)
+            return entity
         finally:
-            self.cache.guard.exit()
+            if guarded:
+                guard.exit()
 
-    # -- class specialization ---------------------------------------------------
+    def specialize_function(self, fn: n.FunctionDef, static_args: list,
+                            via_flatten: bool = False) -> ResidualFunction:
+        if via_flatten:
+            return self.unit("function", fn, static_args,
+                             self.generator_body, guarded=False)
+        return self.unit("function", fn, static_args, self.function_body)
 
     def specialize_class(self, cls: n.ClassDef,
                          static_args: list) -> ResidualClass:
-        key = SpecializationKey.for_class(cls.name, static_args)
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            if not isinstance(cached, ResidualClass):
-                raise TypeMismatch(f"'{cls.name}' is not a class", cls.span)
-            return cached
-        if len(static_args) != len(cls.static_params):
-            raise TypeMismatch(
-                f"class '{cls.name}' expects {len(cls.static_params)} static "
-                f"argument(s), got {len(static_args)}", cls.span)
-        self.cache.guard.enter(cls.span)
+        return self.unit("class", cls, static_args, self.class_body)
+
+    def callee_name(self, fn: n.FunctionDef, static_args: list) -> str:
+        """The residual name of a call to ``fn`` on ``static_args``, on
+        either route.  A call without static arguments into a function
+        whose specialization is under way is recursive: it takes the
+        reserved name."""
+        if not static_args:
+            name = self.cache.reserved_name(
+                SpecializationKey.for_function(fn.name, []))
+            if name is not None:
+                return name
+        return self.specialize_function(fn, static_args).name
+
+    def function_body(self, fn: n.FunctionDef, static_args: list) -> tuple:
+        """Residualize ``fn``'s body: the direct route."""
+        ctx = _SpecCtx(self.cache.globals.child())
+        body = self.bind_static_params(fn.static_params or [], static_args,
+                                       ctx)
+        params = []
+        for p in fn.params:
+            tv = self.interp.resolve_type(p.dtype, ctx.env, p.span)
+            params.append((ctx.declare_dyn(p.name, tv, p.span), tv))
+        ctx.push_source()  # the body may shadow a parameter
+        body.extend(self.stmts(fn.body.stmts, ctx))
+        return params, body
+
+    def generator_body(self, fn: n.FunctionDef, static_args: list) -> tuple:
+        """Run ``fn``'s generator on ``static_args`` and unpack the shell
+        it returns: the flatten route.  The cache names the calls the
+        generator builds, during this run only."""
+        generator = flatten.flatten_function(fn, self.cache.staged.levels)
+        interp = self.interp
+        interp.resolve_call = self.cache.resolve_call
         try:
-            name = self.cache.reserve(key, cls.name)
-            env = self.cache.globals.child()
-            ctx = _SpecCtx(env)
-            later = self.bind_static_params(cls.static_params, static_args,
-                                            ctx)
-            # Static members first (unset slots unless initialized), so the
-            # compile-time constructor can assign them before sizes resolve.
-            static_names: list[str] = []
-            dynamic_decls: list[tuple[str, n.VarDecl, n.Declarator]] = []
-            visibility = "private"
-            for item in cls.items:
-                if isinstance(item, n.VisibilityLabel):
-                    visibility = item.name
-                    continue
-                if not isinstance(item, n.VarDecl):
-                    continue
-                is_static = (n.annotation_count(item.dtype) >= self.default
-                             or n.is_typename_type(item.dtype))
-                for d in item.declarators:
-                    if is_static:
-                        static_names.append(d.name)
-                        tv = self.interp.resolve_type(item.dtype, env,
-                                                      item.span)
-                        value = coerce(self.interp.eval_expr(d.init, env),
-                                       tv, d.span) if d.init is not None \
-                            else None
-                        env.declare(d.name, Slot(value, tv), d.span)
-                    else:
-                        dynamic_decls.append((visibility, item, d))
-            ctor = cls.static_ctor()
-            if ctor is not None:
-                self.interp.exec_block(ctor.body, env.child())
-            members = []
-            for visibility, decl, d in dynamic_decls:
-                dtype = decl.dtype
-                if d.array_size is not None:
-                    dtype = n.ArrayType(dtype, d.array_size)
-                tv = self.interp.resolve_type(dtype, env, decl.span)
-                ctx.declare_dyn(d.name, tv, d.span)
-                members.append((visibility, d.name, tv))
-            ctor_body = None
-            dyn_ctor = cls.dynamic_ctor()
-            if dyn_ctor is not None:
-                ctx.push_source()
-                ctor_body = later + self.stmts(dyn_ctor.body.stmts, ctx)
-            static_members = {m: env.slots[m].value for m in static_names}
-            residual = ResidualClass(name, members, static_members, ctor_body,
-                                     key,
-                                     comment=key_comment(key, static_args))
-            self.cache.complete(key, residual)
-            return residual
+            code = interp.call_function(generator, list(static_args), fn.span)
         finally:
-            self.cache.guard.exit()
+            interp.resolve_call = None
+        return flatten.materialize(code)
+
+    def class_body(self, cls: n.ClassDef, static_args: list) -> tuple:
+        env = self.cache.globals.child()
+        ctx = _SpecCtx(env)
+        later = self.bind_static_params(cls.static_params, static_args, ctx)
+        # Static members first (unset slots unless initialized), so the
+        # compile-time constructor can assign them before sizes resolve.
+        static_names: list[str] = []
+        dynamic_decls: list[tuple[str, n.VarDecl, n.Declarator]] = []
+        visibility = "private"
+        for item in cls.items:
+            if isinstance(item, n.VisibilityLabel):
+                visibility = item.name
+                continue
+            if not isinstance(item, n.VarDecl):
+                continue
+            is_static = (n.annotation_count(item.dtype) >= self.default
+                         or n.is_typename_type(item.dtype))
+            for d in item.declarators:
+                if is_static:
+                    static_names.append(d.name)
+                    tv = self.interp.resolve_type(item.dtype, env, item.span)
+                    value = coerce(self.interp.eval_expr(d.init, env),
+                                   tv, d.span) if d.init is not None else None
+                    env.declare(d.name, Slot(value, tv), d.span)
+                else:
+                    dynamic_decls.append((visibility, item, d))
+        ctor = cls.static_ctor()
+        if ctor is not None:
+            self.interp.exec_block(ctor.body, env.child())
+        members = []
+        for visibility, decl, d in dynamic_decls:
+            dtype = decl.dtype
+            if d.array_size is not None:
+                dtype = n.ArrayType(dtype, d.array_size)
+            tv = self.interp.resolve_type(dtype, env, decl.span)
+            ctx.declare_dyn(d.name, tv, d.span)
+            members.append((visibility, d.name, tv))
+        ctor_body = None
+        dyn_ctor = cls.dynamic_ctor()
+        if dyn_ctor is not None:
+            ctx.push_source()
+            ctor_body = later + self.stmts(dyn_ctor.body.stmts, ctx)
+        static_members = {m: env.slots[m].value for m in static_names}
+        return members, static_members, ctor_body
 
     def bind_static_params(self, params: list, args: list,
                            ctx: _SpecCtx) -> list:
@@ -653,7 +683,7 @@ class _Specializer:
             rc = self.specialize_class(cls, args)
             for d in s.declarators:
                 res_name = ctx.declare_dyn(
-                    d.name, ClassTV(cls.name, key_args(args)), d.span)
+                    d.name, ClassTV(cls.name, rc.key.args), d.span)
                 out.append(n.VarDecl(n.NamedType(rc.name),
                                      [n.Declarator(res_name, None, None)],
                                      span=s.span))
@@ -864,8 +894,7 @@ class _Specializer:
                     f"no definition of '{e.callee}' takes {len(svals)} "
                     "static argument(s)", e.span)
             args = self.residual_args(e, ctx)
-            rf = self.specialize_function(defn, svals)
-            return n.Call(rf.name, args, span=e.span)
+            return n.Call(self.callee_name(defn, svals), args, span=e.span)
         if e.at_count >= 1:
             # multi-level: executes at a later (still static) stage
             return n.Call(e.callee, self.residual_args(e, ctx),
@@ -874,12 +903,7 @@ class _Specializer:
         if defn is None:
             return self.inferred_call(e, ctx)
         args = self.residual_args(e, ctx)
-        key = SpecializationKey.for_function(e.callee, [])
-        if self.cache.in_progress(key):
-            name = self.cache.names_by_key[key]
-        else:
-            name = self.specialize_function(defn, []).name
-        return n.Call(name, args, span=e.span)
+        return n.Call(self.callee_name(defn, []), args, span=e.span)
 
     def residual_args(self, e: n.Call, ctx: _SpecCtx) -> list:
         return [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
@@ -911,8 +935,7 @@ class _Specializer:
                 raise TypeMismatch(
                     f"cannot infer static parameter {missing} of "
                     f"'{e.callee}' from the call's argument types", e.span)
-            rf = self.specialize_function(fn, svals)
-            return n.Call(rf.name, args, span=e.span)
+            return n.Call(self.callee_name(fn, svals), args, span=e.span)
         raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
 
 
@@ -979,28 +1002,24 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
             static_args = list(entry_static_args or [])
             fn = cache.functions.get((entry, len(static_args)))
             if fn is not None:
-                if via_flatten:
-                    entry_name = specialize_via_flatten(fn, static_args,
-                                                        cache).name
-                else:
-                    entry_name = spec.specialize_function(fn, static_args).name
+                entry_name = spec.specialize_function(fn, static_args,
+                                                      via_flatten).name
             elif entry in cache.classes:
-                entry_name = spec.specialize_class(cache.classes[entry],
-                                                   static_args).name
+                cls = cache.classes[entry]
+                if via_flatten:
+                    raise FlattenUnsupported("class types do not flatten",
+                                             cls.span)
+                entry_name = spec.specialize_class(cls, static_args).name
             else:
                 raise UnboundVariable(
                     f"no function '{entry}' taking {len(static_args)} static "
                     "argument(s) and no class of that name")
-        provenance = {}
-        comments = {}
-        for unit in cache.order:
-            provenance[unit.name] = unit.key
-            comments[unit.name] = unit.comment
+        comments = {unit.name: unit.comment for unit in cache.order}
         bindings = [(name, slot.value)
                     for name, slot in cache.globals.slots.items()
                     if slot.residual is None]
         return ResidualProgram(list(cache.order), top_res, entry_name,
-                               provenance, comments, bindings)
+                               comments, bindings)
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None
     finally:

@@ -428,9 +428,6 @@ class _Checker:
                 DYNAMIC_IN_STATIC_CONSTRUCTOR,
                 "dynamic control flow inside a compile-time constructor",
                 stmt.span)
-        if isinstance(stmt, n.Block):
-            # already checked recursively via check_stmt
-            pass
 
     # -- expressions ----------------------------------------------------------
 

@@ -128,7 +128,7 @@ class Interpreter:
         self.globals = Env()
         # set by specializer.SpecializationCache for one specialization run
         self.memo: CallMemo | None = None
-        # set by flatten.specialize_via_flatten while a generator runs:
+        # set by the specializer while a generator runs:
         # (callee, static args, span) -> residual name for make_call
         self.resolve_call = None
         if program is not None:

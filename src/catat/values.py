@@ -151,10 +151,6 @@ def is_float_type(tv: TypeValue) -> bool:
     return isinstance(tv, PrimTV) and tv.name in _FLOAT_CLASS
 
 
-def is_numeric_type(tv: TypeValue) -> bool:
-    return is_integer_type(tv) or is_float_type(tv)
-
-
 def render_type(tv: TypeValue) -> str:
     """Surface-syntax spelling of a concrete type value."""
     if isinstance(tv, PrimTV):
@@ -183,26 +179,6 @@ def promote(a: TypeValue, b: TypeValue) -> TypeValue | None:
     if is_float_type(a) and is_integer_type(b):
         return a
     return None
-
-
-def type_of_value(v: Value) -> TypeValue:
-    if isinstance(v, TypeValue):
-        return TYPENAME
-    if isinstance(v, IntV):
-        return INT
-    if isinstance(v, FloatV):
-        return FLOAT
-    if isinstance(v, BoolV):
-        return BOOL
-    if isinstance(v, ArrayV):
-        return PointerTV(v.elem)
-    if isinstance(v, InstanceV):
-        return ClassTV(v.class_name)
-    if isinstance(v, CodeV):
-        return ASTREE
-    if isinstance(v, UnitV):
-        return VOID
-    raise TypeError(f"untypable value {v!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,15 @@ def test_via_flatten_matches_direct(tmp_path):
         assert direct.stdout == flattened.stdout, name
 
 
+def test_via_flatten_with_a_class_entry_is_a_flatten_error():
+    result = catat("specialize", fixture("vector_sum.cat"), "--entry",
+                   "Vector", "--static-args", "int,3", "--via-flatten")
+    assert result.returncode == 3
+    assert result.stderr.strip() == (
+        f"{fixture('vector_sum.cat')}:2:1: flatten error: class types do "
+        "not flatten")
+
+
 def test_dump_generator():
     result = catat("specialize", fixture("pow_two_level.cat"),
                    "--entry", "pow", "--static-args", "3",

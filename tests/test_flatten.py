@@ -19,7 +19,7 @@ from catat.specializer import (
     alpha_equivalent, specialize_function, specialize_program,
 )
 from catat.values import (
-    CodeV, FLOAT, FloatV, INT, IntV, StrV, UNIT,
+    ArrayV, CodeV, FLOAT, FloatV, INT, IntV, PointerTV, StrV, UNIT,
 )
 
 from conftest import fixture_source, staged_fixture
@@ -180,9 +180,9 @@ def test_empty_body_generator_materializes_to_void():
 
 def test_materialize_rejects_non_shell():
     with pytest.raises(MalformedFragment):
-        materialize(build("make_varref", StrV("x")), "f", [])
+        materialize(build("make_varref", StrV("x")))
     with pytest.raises(MalformedFragment):
-        materialize(IntV(3), "f", [])
+        materialize(IntV(3))
 
 
 # -- coherence with the direct specializer ------------------------------------------
@@ -371,6 +371,44 @@ def test_self_recursive_specialization_fails_on_both_routes():
         with pytest.raises(SelfRecursiveSpecialization):
             specialize_program(check_stages(parse(source), 2), "f",
                                [IntV(2)], via_flatten=via_flatten)
+
+
+ROUTES = pytest.mark.parametrize("via_flatten", [False, True],
+                                 ids=["direct", "flatten"])
+
+
+@ROUTES
+def test_unit_is_named_from_its_static_arguments_before_its_body(
+        via_flatten):
+    # the body stores into the static array; name and provenance both
+    # describe the array the unit was met with
+    source = "function f(int@** m)(int d) { m[0][1] = 5; return d + m[0][1]; }"
+    m = ArrayV(PointerTV(INT), [ArrayV(INT, [IntV(1), IntV(2)])])
+    rp = specialize_program(check_stages(parse(source), 2), "f", [m],
+                            via_flatten=via_flatten)
+    assert rp.comments == {"f__a1xa0037808": "specialized-from: f([[1, 2]])"}
+    assert "// specialized-from: f([[1, 2]])\nint f__a1xa0037808(int d)" in \
+        emit(rp)
+
+
+@ROUTES
+def test_no_unit_stays_reserved_after_a_store_into_a_static_argument(
+        via_flatten):
+    source = """
+        function f(int@* a)(int d) { a[0] = a[0] + 5; return d + a[0]; }
+        function h(int@* a, int@* b)(int d) {
+            int x = f(a)(d); int y = f(b)(x); return y + b[0];
+        }
+    """
+    staged = check_stages(parse(source), 2)
+    cache = SpecializationCache(staged)
+    pair = [ArrayV(INT, [IntV(1), IntV(2)]) for _ in range(2)]
+    rp = specialize_program(staged, "h", pair, cache=cache,
+                            via_flatten=via_flatten)
+    assert rp.entry_name == "h__a2x1519555e_a2x1519555e"
+    assert rp.comments["h__a2x1519555e_a2x1519555e"] == \
+        "specialized-from: h([1, 2], [1, 2])"
+    assert [type(e) for e in cache.entries.values()] == [ResidualFunction] * 2
 
 
 def test_flatten_cache_is_freed_by_reference_counting():

@@ -1,0 +1,64 @@
+"""The flatten route agrees with the direct route: on every corpus fixture
+with an entry, both list the same units in the same order, under the same
+names and provenance comments, and each pair of units is alpha-equivalent.
+Both routes also stop a specialization chain at the same depth."""
+
+import pytest
+
+from catat import DepthExceeded, EvalLimits, IntV, check_stages, parse
+from catat.cli import parse_arg_list
+from catat.corpus import provide_corpus
+from catat.specializer import (
+    ResidualFunction, alpha_equivalent, specialize_program,
+)
+
+# a fixture the flatten route still gets wrong, with the defect's name
+KNOWN_DEFECTS = {"unroll_locals.cat": "flatten-redeclared-local"}
+
+
+def both_routes(source, entry, static_args, limits=None):
+    return [specialize_program(check_stages(parse(source), 2), entry,
+                               static_args, limits, via_flatten=via_flatten)
+            for via_flatten in (False, True)]
+
+
+def entry_fixtures():
+    for fixture in provide_corpus():
+        if not fixture.first("entry"):
+            continue
+        marks = []
+        if fixture.name in KNOWN_DEFECTS:
+            marks = [pytest.mark.xfail(strict=True,
+                                       reason=KNOWN_DEFECTS[fixture.name])]
+        yield pytest.param(fixture, id=fixture.name, marks=marks)
+
+
+@pytest.mark.parametrize("fixture", entry_fixtures())
+def test_routes_agree_on_every_entry_fixture(fixture):
+    direct, flattened = both_routes(
+        fixture.source(), fixture.first("entry"),
+        parse_arg_list(fixture.first("static-args")))
+    assert [u.name for u in direct.units] == \
+        [u.name for u in flattened.units]
+    assert direct.comments == flattened.comments
+    for a, b in zip(direct.units, flattened.units):
+        if isinstance(a, ResidualFunction):
+            assert alpha_equivalent(a, b), a.name
+        else:  # a class unit comes from the direct route on both
+            assert a == b
+
+
+CHAIN = "function f(int@ n)(int d) { if@ (n > 0) return f(n - 1)(d); " \
+    "return d; }"
+
+
+def test_routes_share_the_depth_boundary():
+    # f(5) needs six levels: one per unit, and on the flatten route the
+    # generator's call is the entry unit's level
+    for rp in both_routes(CHAIN, "f", [IntV(5)], EvalLimits(max_depth=6)):
+        assert [u.name for u in rp.units] == [f"f__{k}" for k in range(6)]
+    for via_flatten in (False, True):
+        with pytest.raises(DepthExceeded):
+            specialize_program(check_stages(parse(CHAIN), 2), "f", [IntV(5)],
+                               EvalLimits(max_depth=5),
+                               via_flatten=via_flatten)

@@ -182,10 +182,10 @@ def test_mangle_collision_gets_numeric_suffix():
     cache = SpecializationCache(staged)
     k1 = SpecializationKey.for_function("g", [IntV(2)])
     k2 = SpecializationKey.for_function("g__2", [])
-    assert cache.reserve(k1, "g") == "g__2"
-    assert cache.reserve(k2, "g__2") == "g__2_2"
+    assert cache.reserve(k1, [IntV(2)]).name == "g__2"
+    assert cache.reserve(k2, []).name == "g__2_2"
     # injectivity held: the two keys map to distinct names
-    assert cache.names_by_key[k1] != cache.names_by_key[k2]
+    assert cache.reserved_name(k1) != cache.reserved_name(k2)
 
 
 # -- canonical keys --------------------------------------------------------------
