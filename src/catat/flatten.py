@@ -32,7 +32,10 @@ make_vardecl, make_op, make_return) plus append/body for block plumbing,
 and the extensions needed to cover every residual node kind: make_literal,
 make_subscript, make_call, make_for, make_if, make_block, make_incr,
 make_unary, make_ptr, make_arr.  A builder takes the evaluated arguments,
-the call's span and the interpreter that runs it.
+the call's span and the interpreter that runs it.  While a generator runs,
+``make_vardecl`` draws the declared name from the unit's ``NameSupply``
+(outside a specialization it keeps the name); ``make_varref`` also takes
+a declaration fragment, and ``append`` returns what it appended.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
 )
 from .values import (
     BoolV, ClassTV, CodeV, FixedArrayTV, FloatV, IntV, PointerTV, StrV,
-    TypeValue, UNIT, Value, describe, render_type,
+    TypeValue, Value, describe, render_type,
 )
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
@@ -186,12 +189,15 @@ def _b_append(args, span, interp):
     if not isinstance(stmt, CodeV) or isinstance(stmt.frag, Shell):
         raise MalformedFragment("append expects a statement fragment", span)
     block.frag.stmts.append(_as_stmt(stmt, span))
-    return UNIT
+    return stmt
 
 
 def _b_make_varref(args, span, interp):
     _need_count(args, 1, 1, "make_varref", span)
-    return CodeV(n.VarRef(_need_str(args[0], "variable name", span)))
+    v = args[0]
+    if v.__class__ is CodeV and v.frag.__class__ is n.VarDecl:
+        return CodeV(n.VarRef(v.frag.declarators[0].name))
+    return CodeV(n.VarRef(_need_str(v, "variable name", span)))
 
 
 def _b_make_literal(args, span, interp):
@@ -206,6 +212,8 @@ def _b_make_vardecl(args, span, interp):
     _need_count(args, 2, 3, "make_vardecl", span)
     tv = _need_type(args[0], "declared type", span)
     name = _need_str(args[1], "declared name", span)
+    if interp.name_supply is not None:
+        name = interp.name_supply.draw(name)
     init = _as_expr(args[2], span) if len(args) == 3 else None
     dtype, size = type_value_to_decl(tv)
     return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
@@ -345,33 +353,47 @@ KNOWN_BUILTINS = frozenset(BUILDERS)
 # The flattening transform
 
 
-def rename_apart(name: str, taken: set) -> str:
-    """``name``, or the first of ``name_2``, ``name_3``, ... that ``taken``
-    does not hold; the result is added to ``taken``."""
-    candidate = name
-    suffix = 1
-    while candidate in taken:
-        suffix += 1
-        candidate = f"{name}_{suffix}"
-    taken.add(candidate)
-    return candidate
+class NameSupply:
+    """Fresh names: a draw of ``base`` gives ``base``, or else the first of
+    ``base_2``, ``base_3``, ... that was neither seeded, kept nor drawn.
+    The next suffix of each base is remembered, so a draw costs constant
+    time however many names share its base."""
+
+    def __init__(self, taken=()):
+        self.taken = set(taken)
+        self.suffix: dict[str, int] = {}
+
+    def keep(self, name: str) -> str:
+        """Take ``name`` itself, for a variable that keeps its name."""
+        self.taken.add(name)
+        return name
+
+    def draw(self, base: str) -> str:
+        name = base
+        k = self.suffix.get(base, 2)
+        while name in self.taken:
+            name = f"{base}_{k}"
+            k += 1
+        self.suffix[base] = k
+        self.taken.add(name)
+        return name
+
+
+def _tree_var(name: str, init: n.Expr) -> n.Stmt:
+    """The generator declaration ``ASTree name = init;``."""
+    return n.VarDecl(n.PrimType("ASTree"), [n.Declarator(name, None, init)])
 
 
 class _Flattener:
     def __init__(self, fn: n.FunctionDef):
         self.fn = fn
-        params = (fn.static_params or []) + fn.params
-        self.used_names = {p.name for p in params}
-        self.used_names.update(d.name for d in n.walk(fn.body)
-                               if isinstance(d, n.Declarator))
-        self.ref_vars: dict[str, str] = {}
-        # residual names in the outermost residual scope, which the body's
-        # top level shares with the parameters, as on the direct route
-        self.top_names = {p.name for p in fn.params}
-        self.shell = self._fresh("func")
-
-    def _fresh(self, base: str) -> str:
-        return rename_apart(base, self.used_names)
+        # the generator's own variables are named apart from the source's
+        self.names = NameSupply(x.name for x in n.walk(fn)
+                                if isinstance(x, (n.Param, n.Declarator)))
+        # source names whose generator variable of the same name holds the
+        # varref of their residual: the dynamic parameters and locals
+        self.bound: set[str] = set()
+        self.shell = self.names.draw("func")
 
     # -- generator construction ------------------------------------------------
 
@@ -381,15 +403,12 @@ class _Flattener:
         for p in self.fn.params:
             lambda_args.append(n.StringLit(p.name))
             lambda_args.append(self.type_to_static_expr(p.dtype))
-        out.append(n.VarDecl(
-            n.PrimType("ASTree"),
-            [n.Declarator(self.shell, None,
-                          n.Call("make_lambda", lambda_args))]))
+        out.append(_tree_var(self.shell, n.Call("make_lambda", lambda_args)))
         for p in self.fn.params:
-            self._bind_ref(p.name, out)
+            out.append(self._bind_ref(p.name, n.StringLit(p.name)))
         target = n.Call("body", [n.VarRef(self.shell)])
         body: list[n.Stmt] = []  # a scope of its own: it may shadow a param
-        self.transform_region(self.fn.body.stmts, target, body, top=True)
+        self.transform_region(self.fn.body.stmts, target, body)
         out.append(n.Block(body))
         out.append(n.Return(n.VarRef(self.shell)))
         gen_params = []
@@ -412,32 +431,31 @@ class _Flattener:
                                        n.strip_annotations(t.size)])
         raise FlattenUnsupported("class types do not flatten", t.span)
 
-    def _bind_ref(self, name: str, out: list,
-                  residual: str | None = None) -> None:
-        """Declare a generator variable holding the varref of ``name``,
-        whose residual name is ``residual`` (by default ``name``)."""
-        ref = self._fresh(name) if name == self.shell else name
-        self.ref_vars[name] = ref
-        out.append(n.VarDecl(
-            n.PrimType("ASTree"),
-            [n.Declarator(ref, None,
-                          n.Call("make_varref",
-                                 [n.StringLit(residual or name)]))]))
+    def _bind_ref(self, name: str, frag: n.Expr) -> n.Stmt:
+        """Declare the generator variable ``name`` holding the varref of
+        ``frag``, a name or a declaration fragment."""
+        self.bound.add(name)
+        return _tree_var(name, n.Call("make_varref", [frag]))
 
     def transform_region(self, stmts: list, target: n.Expr,
-                         out: list, top: bool = False) -> None:
-        """A region is a source scope: what its declarations bind in
-        ``ref_vars`` ends with it."""
-        saved = dict(self.ref_vars)
+                         out: list) -> None:
+        """A region is a source scope: what its declarations bind ends
+        with it."""
+        saved = set(self.bound)
         for s in stmts:
-            self.transform_stmt(s, target, out, top)
-        self.ref_vars = saved
+            self.transform_stmt(s, target, out)
+        self.bound = saved
 
     def _append_stmt(self, target: n.Expr, frag_expr: n.Expr) -> n.Stmt:
         return n.ExprStmt(n.Call("append", [target, frag_expr]))
 
-    def transform_stmt(self, s: n.Stmt, target: n.Expr, out: list,
-                       top: bool) -> None:
+    def _vardecl(self, dtype: n.TypeExpr, d: n.Declarator) -> n.Expr:
+        args = [self.type_to_static_expr(dtype), n.StringLit(d.name)]
+        if d.init is not None:
+            args.append(self.conv_expr(d.init))
+        return n.Call("make_vardecl", args)
+
+    def transform_stmt(self, s: n.Stmt, target: n.Expr, out: list) -> None:
         if isinstance(s, n.Block):
             out.append(self._append_stmt(target, self.sub_to_frag(s, out)))
             return
@@ -452,17 +470,8 @@ class _Flattener:
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
-                name = rename_apart(d.name, self.top_names) if top \
-                    else d.name
-                args = [self.type_to_static_expr(dtype), n.StringLit(name)]
-                if d.init is not None:
-                    args.append(self.conv_expr(d.init))
-                out.append(self._append_stmt(target,
-                                             n.Call("make_vardecl", args)))
-                if top:
-                    self._bind_ref(d.name, out, name)
-                else:  # shadows an outer generator variable
-                    self.ref_vars.pop(d.name, None)
+                decl = n.Call("append", [target, self._vardecl(dtype, d)])
+                out.append(self._bind_ref(d.name, decl))
             return
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage == 0:
             out.append(n.strip_annotations(s))
@@ -493,18 +502,20 @@ class _Flattener:
                     self._unrolled(s.body, target), 0, span=s.span,
                     unrolling=True))
                 return
-            saved = dict(self.ref_vars)
-            init_frag = self.clause_to_frag(s.init)
-            if isinstance(s.init, n.VarDecl):  # in scope in the rest
-                self.ref_vars.pop(s.init.declarators[0].name, None)
+            saved = set(self.bound)
+            # a loop variable's generator variables get a scope of their own
+            code = [] if isinstance(s.init, n.VarDecl) else out
+            init_frag = self.clause_to_frag(s.init, code)
             cond_frag = self.conv_expr(s.cond) if s.cond is not None \
                 else n.Call("make_block", [])
-            incr_frag = self.clause_to_frag(s.incr)
-            body_frag = self.sub_to_frag(s.body, out)
-            self.ref_vars = saved
-            out.append(self._append_stmt(
+            incr_frag = self.clause_to_frag(s.incr, code)
+            body_frag = self.sub_to_frag(s.body, code)
+            self.bound = saved
+            code.append(self._append_stmt(
                 target, n.Call("make_for",
                                [init_frag, cond_frag, incr_frag, body_frag])))
+            if code is not out:
+                out.append(n.Block(code))
             return
         if isinstance(s, n.Switch):
             if s.at_count:
@@ -527,16 +538,16 @@ class _Flattener:
         self.transform_region(stmts, target, inner)
         return inner[0] if len(inner) == 1 else n.Block(inner)
 
-    def clause_to_frag(self, clause: n.Stmt | None) -> n.Expr:
+    def clause_to_frag(self, clause: n.Stmt | None, out: list) -> n.Expr:
         if clause is None:
             return n.Call("make_block", [])
         if isinstance(clause, n.VarDecl):
+            # drawn and bound before the body draws, as on the direct route
             d = clause.declarators[0]
-            args = [self.type_to_static_expr(clause.dtype),
-                    n.StringLit(d.name)]
-            if d.init is not None:
-                args.append(self.conv_expr(d.init))
-            return n.Call("make_vardecl", args)
+            decl = self.names.draw("init")
+            out.append(_tree_var(decl, self._vardecl(clause.dtype, d)))
+            out.append(self._bind_ref(d.name, n.VarRef(decl)))
+            return n.VarRef(decl)
         return self._stmt_frag(clause)
 
     def sub_to_frag(self, s: n.Stmt, out: list) -> n.Expr:
@@ -548,10 +559,8 @@ class _Flattener:
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage != 0 or \
                 isinstance(s, n.Return):
             return self._stmt_frag(s)
-        tmp = self._fresh("blk")
-        out.append(n.VarDecl(n.PrimType("ASTree"),
-                             [n.Declarator(tmp, None,
-                                           n.Call("make_block", []))]))
+        tmp = self.names.draw("blk")
+        out.append(_tree_var(tmp, n.Call("make_block", [])))
         stmts = s.stmts if isinstance(s, n.Block) else [s]
         inner: list = []
         self.transform_region(stmts, n.VarRef(tmp), inner)
@@ -586,8 +595,8 @@ class _Flattener:
         if e.stage == 0:
             return n.strip_annotations(e)
         if isinstance(e, n.VarRef):
-            if e.name in self.ref_vars:
-                return n.VarRef(self.ref_vars[e.name])
+            if e.name in self.bound:
+                return n.VarRef(e.name)
             return n.Call("make_varref", [n.StringLit(e.name)])
         if isinstance(e, n.Binary):
             if e.op in ("&&", "||") and e.lhs.stage == 0:

@@ -50,7 +50,8 @@ from .errors import (
     SelfRecursiveSpecialization, Span, StageLeak, TypeMismatch,
     UnboundVariable,
 )
-from .flatten import lift, rename_apart, type_value_to_decl, type_value_to_texpr
+from .flatten import (NameSupply, lift, type_value_to_decl,
+                      type_value_to_texpr)
 from .staging import StagedAST
 from .staticeval import (
     CallMemo, DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
@@ -158,6 +159,7 @@ class SpecializationCache:
         self.entries: dict[SpecializationKey, object] = {}
         self.order: list = []
         self.names: dict[str, SpecializationKey] = {}
+        self.unit_names = NameSupply()
 
     @property
     def globals(self) -> Env:
@@ -180,15 +182,10 @@ class SpecializationCache:
         """Name the unit of ``key`` and render its provenance from
         ``static_args`` as they are before its body runs, which may store
         into them."""
-        name = mangle(key.name, key)
-        candidate = name
-        suffix = 1
-        while candidate in self.names and self.names[candidate] != key:
-            suffix += 1
-            candidate = f"{name}_{suffix}"
-        self.names[candidate] = key
+        name = self.unit_names.draw(mangle(key.name, key))
+        self.names[name] = key
         entry = self.entries[key] = _Reserved(
-            candidate, key_comment(key, static_args))
+            name, key_comment(key, static_args))
         return entry
 
     def complete(self, key: SpecializationKey, entity) -> None:
@@ -312,7 +309,7 @@ def infer_return_type(body: list, var_types: dict, callee_types=None,
 
 class _ReturnTyper:
     def __init__(self, var_types: dict, callee_types):
-        self.scopes = [dict(var_types)]
+        self.types = dict(var_types)
         self.callee_types = callee_types
         self.found: list = []
 
@@ -322,37 +319,25 @@ class _ReturnTyper:
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
-                self.scopes[-1][d.name] = _texpr_to_tv(dtype)
+                self.types[d.name] = _texpr_to_tv(dtype)
         elif isinstance(s, n.Return):
             self.found.append(VOID if s.value is None
                               else self.type_of(s.value))
         elif isinstance(s, n.Block):
-            self.scopes.append({})
             for sub in s.stmts:
                 self.visit(sub)
-            self.scopes.pop()
         elif isinstance(s, n.If):
             self.visit(s.then_stmt)
             if s.else_stmt is not None:
                 self.visit(s.else_stmt)
         elif isinstance(s, n.For):
-            self.scopes.append({})
             if s.init is not None:
                 self.visit(s.init)
             self.visit(s.body)
-            self.scopes.pop()
         elif isinstance(s, n.Switch):
             for case in s.cases:
-                self.scopes.append({})
                 for sub in case.body:
                     self.visit(sub)
-                self.scopes.pop()
-
-    def lookup(self, name: str) -> TypeValue | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
 
     def type_of(self, e: n.Expr) -> TypeValue | None:
         if isinstance(e, n.IntLit):
@@ -362,7 +347,7 @@ class _ReturnTyper:
         if isinstance(e, n.BoolLit):
             return BOOL
         if isinstance(e, n.VarRef):
-            return self.lookup(e.name)
+            return self.types.get(e.name)
         if isinstance(e, n.Unary):
             if e.op == "!":
                 return BOOL
@@ -403,14 +388,16 @@ class _SpecCtx:
     """The environment of one specialization.
 
     ``env`` binds every source variable in scope, static or dynamic (see
-    ``Slot``).  ``res_declared`` holds the names declared in each open
-    residual scope: an unrolled iteration or a selected branch ends its
-    source scope but not its residual one, so a dynamic variable it
-    declares is renamed apart from its siblings."""
+    ``Slot``).  ``names`` is the unit's name supply: a dynamic variable
+    declared in ``root``, the unit's outermost frame, is a parameter, a
+    class member or a global and keeps its name; any other draws a name
+    unique in the unit, so a declaration that an unrolled iteration or a
+    selected branch splices into an enclosing block captures no variable."""
 
-    def __init__(self, env: Env):
+    def __init__(self, env: Env, names: NameSupply):
         self.env = env
-        self.res_declared: list[set] = [set()]
+        self.root = env
+        self.names = names
 
     # scope plumbing --------------------------------------------------------
 
@@ -420,17 +407,12 @@ class _SpecCtx:
     def pop_source(self) -> None:
         self.env = self.env.parent
 
-    def push_residual(self) -> None:
-        self.res_declared.append(set())
-
-    def pop_residual(self) -> None:
-        self.res_declared.pop()
-
     def declare_dyn(self, name: str, tv: TypeValue | None,
                     span: Span | None = None) -> str:
-        candidate = rename_apart(name, self.res_declared[-1])
-        self.env.declare(name, Slot(None, tv, candidate), span)
-        return candidate
+        residual = self.names.keep(name) if self.env is self.root \
+            else self.names.draw(name)
+        self.env.declare(name, Slot(None, tv, residual), span)
+        return residual
 
 
 class _Specializer:
@@ -446,10 +428,10 @@ class _Specializer:
         """The one lifecycle of a specialization unit, a function on either
         route or a class: key and look it up, check the arity, take a depth
         level, reserve the name and provenance, run ``body``, type the
-        returns and complete.  ``body(defn, static_args)`` gives a
-        function's parameters and statements, or a class's members, static
-        members and constructor body.  The generator body is not
-        ``guarded``: its call takes the level itself."""
+        returns and complete.  ``body(defn, static_args, names)``, with the
+        unit's name supply, gives a function's parameters and statements,
+        or a class's members, static members and constructor body.  The
+        generator body is not ``guarded``: its call takes the level itself."""
         key = SpecializationKey(kind, defn.name, key_args(static_args))
         cached = self.cache.lookup(key)
         if cached is not None:
@@ -464,14 +446,14 @@ class _Specializer:
             guard.enter(defn.span)
         try:
             reserved = self.cache.reserve(key, static_args)
-            parts = body(defn, static_args)
+            global_types = residual_types(self.cache.globals)
+            parts = body(defn, static_args, NameSupply(global_types))
             if kind == "class":
                 entity = ResidualClass(reserved.name, *parts, key,
                                        reserved.comment)
             else:
                 params, stmts = parts
-                var_types = {**residual_types(self.cache.globals),
-                             **dict(params)}
+                var_types = {**global_types, **dict(params)}
                 rtype = infer_return_type(stmts, var_types,
                                           self.cache.return_type_of,
                                           defn.span)
@@ -506,9 +488,10 @@ class _Specializer:
                 return name
         return self.specialize_function(fn, static_args).name
 
-    def function_body(self, fn: n.FunctionDef, static_args: list) -> tuple:
+    def function_body(self, fn: n.FunctionDef, static_args: list,
+                      names: NameSupply) -> tuple:
         """Residualize ``fn``'s body: the direct route."""
-        ctx = _SpecCtx(self.cache.globals.child())
+        ctx = _SpecCtx(self.cache.globals.child(), names)
         body = self.bind_static_params(fn.static_params or [], static_args,
                                        ctx)
         params = []
@@ -519,22 +502,28 @@ class _Specializer:
         body.extend(self.stmts(fn.body.stmts, ctx))
         return params, body
 
-    def generator_body(self, fn: n.FunctionDef, static_args: list) -> tuple:
+    def generator_body(self, fn: n.FunctionDef, static_args: list,
+                       names: NameSupply) -> tuple:
         """Run ``fn``'s generator on ``static_args`` and unpack the shell
-        it returns: the flatten route.  The cache names the calls the
-        generator builds, during this run only."""
+        it returns: the flatten route.  During this run only, the cache
+        names the calls it builds and ``names`` its locals."""
         generator = flatten.flatten_function(fn, self.cache.staged.levels)
+        for p in fn.params:
+            names.keep(p.name)
         interp = self.interp
         interp.resolve_call = self.cache.resolve_call
+        interp.name_supply = names
         try:
             code = interp.call_function(generator, list(static_args), fn.span)
         finally:
             interp.resolve_call = None
+            interp.name_supply = None
         return flatten.materialize(code)
 
-    def class_body(self, cls: n.ClassDef, static_args: list) -> tuple:
+    def class_body(self, cls: n.ClassDef, static_args: list,
+                   names: NameSupply) -> tuple:
         env = self.cache.globals.child()
-        ctx = _SpecCtx(env)
+        ctx = _SpecCtx(env, names)
         later = self.bind_static_params(cls.static_params, static_args, ctx)
         # Static members first (unset slots unless initialized), so the
         # compile-time constructor can assign them before sizes resolve.
@@ -646,10 +635,8 @@ class _Specializer:
         """Residualize the body of a residual control construct.  As on
         the flatten route, only a dynamic assignment or expression
         statement, or a return, stays a bare statement."""
-        ctx.push_residual()
         out: list = []
         self.splice(body, ctx, out)
-        ctx.pop_residual()
         if len(out) == 1 and (body.__class__ is n.Return or (
                 body.__class__ in (n.Assign, n.ExprStmt) and body.stage != 0)):
             return out[0]
@@ -730,11 +717,9 @@ class _Specializer:
         out.append(n.Return(value, span=s.span))
 
     def block(self, s: n.Block, ctx: _SpecCtx, out: list) -> None:
-        ctx.push_residual()
         ctx.push_source()
         inner = self.stmts(s.stmts, ctx)
         ctx.pop_source()
-        ctx.pop_residual()
         out.append(n.Block(inner, span=s.span))
 
     def if_stmt(self, s: n.If, ctx: _SpecCtx, out: list) -> None:
@@ -772,7 +757,6 @@ class _Specializer:
                     interp.exec_stmt(s.incr, env)
             ctx.pop_source()
             return
-        ctx.push_residual()
         ctx.push_source()
         init_out: list = []
         if s.init is not None:
@@ -787,7 +771,6 @@ class _Specializer:
         incr = incr_out[0] if incr_out else None
         body = self.sub_stmt(s.body, ctx)
         ctx.pop_source()
-        ctx.pop_residual()
         out.append(n.For(init, cond, incr, body, s.at_count, span=s.span))
 
     def switch_stmt(self, s: n.Switch, ctx: _SpecCtx, out: list) -> None:
@@ -808,11 +791,9 @@ class _Specializer:
         subject = self.as_node(self.rexpr(s.subject, ctx), s.span)
         cases = []
         for case in s.cases:
-            ctx.push_residual()
             ctx.push_source()
             body = self.stmts(case.body, ctx)
             ctx.pop_source()
-            ctx.pop_residual()
             label = None
             if case.label is not None:
                 label = self.as_node(self.rexpr(case.label, ctx), case.span)
@@ -992,7 +973,7 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
         spec = _Specializer(cache)
-        ctx = _SpecCtx(cache.globals)
+        ctx = _SpecCtx(cache.globals, NameSupply())
         top_res: list = []
         for item in staged.program.items:
             if isinstance(item, n.Stmt):

@@ -129,8 +129,10 @@ class Interpreter:
         # set by specializer.SpecializationCache for one specialization run
         self.memo: CallMemo | None = None
         # set by the specializer while a generator runs:
-        # (callee, static args, span) -> residual name for make_call
+        # (callee, static args, span) -> residual name for make_call, and
+        # the unit's NameSupply that make_vardecl draws from
         self.resolve_call = None
+        self.name_supply = None
         if program is not None:
             self.load(program)
 

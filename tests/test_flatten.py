@@ -11,7 +11,8 @@ from catat.errors import (
     FlattenUnsupported, MalformedFragment, SelfRecursiveSpecialization,
 )
 from catat.flatten import (
-    BUILDERS, flatten_function, materialize, specialize_via_flatten,
+    BUILDERS, NameSupply, flatten_function, materialize,
+    specialize_via_flatten,
 )
 from catat.staticeval import Interpreter
 from catat.specializer import (
@@ -19,10 +20,10 @@ from catat.specializer import (
     alpha_equivalent, specialize_function, specialize_program,
 )
 from catat.values import (
-    ArrayV, CodeV, FLOAT, FloatV, INT, IntV, PointerTV, StrV, UNIT,
+    ArrayV, CodeV, FLOAT, FloatV, INT, IntV, PointerTV, StrV,
 )
 
-from conftest import fixture_source, staged_fixture
+from conftest import both_routes, fixture_source, staged_fixture
 
 
 def build(name, *args):
@@ -57,11 +58,37 @@ def test_append_preserves_order():
     shell = build("make_lambda", StrV("x"), FLOAT)
     block = build("body", shell)
     for i in range(3):
-        assert build("append", block,
-                     build("make_vardecl", INT, StrV(f"v{i}"),
-                           IntV(i))) == UNIT
+        decl = build("make_vardecl", INT, StrV(f"v{i}"), IntV(i))
+        assert build("append", block, decl) is decl
     names = [f.declarators[0].name for f in shell.frag.body.stmts]
     assert names == ["v0", "v1", "v2"]
+
+
+def test_make_varref_of_a_declaration_refers_to_its_name():
+    decl = build("make_vardecl", INT, StrV("t"), IntV(1))
+    assert build("make_varref", decl).frag == n.VarRef("t")
+
+
+def test_make_vardecl_draws_from_the_interpreter_supply():
+    interp = Interpreter()
+    interp.name_supply = NameSupply({"t"})
+    decl = BUILDERS["make_vardecl"]([INT, StrV("t")], None, interp)
+    assert decl.frag.declarators[0].name == "t_2"
+
+
+def test_name_supply_draw_order():
+    names = NameSupply()
+    assert [names.draw("t") for _ in range(3)] == ["t", "t_2", "t_3"]
+
+
+def test_name_supply_skips_seeded_kept_and_drawn_names():
+    names = NameSupply({"t", "t_3"})
+    assert names.keep("u") == "u"
+    assert names.draw("t") == "t_2"
+    assert names.draw("t") == "t_4"
+    assert names.draw("u") == "u_2"
+    # a drawn name is taken for a base that happens to spell it
+    assert names.draw("t_2") == "t_2_2"
 
 
 def test_make_literal_rejects_unliftable():
@@ -143,7 +170,9 @@ def test_pow_generator_structure():
     text = emit_function(gen)
     assert text.splitlines()[0] == "function pow_gen(int N) {"
     assert 'ASTree func = make_lambda("x", float);' in text
-    assert 'append(body(func), make_vardecl(float, "result", 1));' in text
+    # each dynamic declaration is bound to the varref of its drawn name
+    assert 'ASTree result = make_varref(append(body(func), ' \
+        'make_vardecl(float, "result", 1)));' in text
     # a static loop appending one "*=" per iteration
     lines = text.splitlines()
     loop_at = next(i for i, l in enumerate(lines) if "for (" in l)
@@ -329,12 +358,6 @@ def test_one_statement_bodies_match_the_direct_route(body):
 
 # -- nested calls resolve alike on both routes ------------------------------------
 
-def both_routes(source, entry, static_args):
-    return [specialize_program(check_stages(parse(source), 2), entry,
-                               static_args, via_flatten=via_flatten)
-            for via_flatten in (False, True)]
-
-
 @pytest.mark.parametrize("source, entry, static_args, units", [
     ("function f(int@ k)(int x) {\n"
      "    if@ (k > 0) return f(k - 1)(x) + 1;\n"
@@ -363,6 +386,37 @@ def test_nested_calls_match_the_direct_route(source, entry, static_args,
     assert [u.name for u in direct.units] == units
     assert [u.name for u in flattened.units] == units
     assert emit(direct) == emit(flattened)
+
+
+# -- residual locals capture no other variable --------------------------------
+
+@pytest.mark.parametrize("source, entry, static_args, run_args", [
+    # a declaration spliced out of a selected if@ under dynamic control
+    ("function f(int@ k)(int d) { int r = d; if (d > 0) { if@ (k > 0) "
+     "{ int r = 5; d += r; } d += r; } return d; }",
+     "f", [IntV(1)], [IntV(7)]),
+    # an unrolled declaration that shadows a parameter
+    ("function f(int@ k)(int d) { int r = 0; for@ (int@ i = 0; i < 1; ++i) "
+     "{ int d = 5; r += d; } return r + d; }",
+     "f", [IntV(1)], [IntV(7)]),
+    # a declaration of an unrolled body, once per iteration
+    (fixture_source("unroll_locals.cat"), "windowed", [IntV(3)],
+     [ArrayV(INT, [IntV(3), IntV(4), IntV(5)])]),
+    # spliced declarations that shadow a dynamic global
+    ("int H = 4; function f(int@ k)(int x) { if (x > 0) { if@ (k > 0) "
+     "{ int H = 1; x += H; } x += H; } return x; }",
+     "f", [IntV(1)], [IntV(7)]),
+    ("int H = 4; function f(int@ k)(int x) { for@ (int@ i = 0; i < k; ++i) "
+     "{ int H = 1; x += H; } return x + H; }",
+     "f", [IntV(2)], [IntV(7)]),
+], ids=["selected-branch", "unrolled-parameter", "windowed", "global-if",
+        "global-for"])
+def test_no_residual_local_captures_another_variable(source, entry,
+                                                     static_args, run_args):
+    direct, flattened = both_routes(source, entry, static_args,
+                                    run_args=run_args)
+    name = direct.entry_name
+    assert alpha_equivalent(direct.function(name), flattened.function(name))
 
 
 def test_self_recursive_specialization_fails_on_both_routes():

@@ -1,7 +1,8 @@
 """The flatten route agrees with the direct route: on every corpus fixture
 with an entry, both list the same units in the same order, under the same
-names and provenance comments, and each pair of units is alpha-equivalent.
-Both routes also stop a specialization chain at the same depth."""
+names and provenance comments, each pair of units is alpha-equivalent, and
+each residual gives the value of ``run_unstaged`` on the fixture's run
+arguments.  Both routes also stop a specialization chain at the same depth."""
 
 import pytest
 
@@ -12,32 +13,22 @@ from catat.specializer import (
     ResidualFunction, alpha_equivalent, specialize_program,
 )
 
-# a fixture the flatten route still gets wrong, with the defect's name
-KNOWN_DEFECTS = {"unroll_locals.cat": "flatten-redeclared-local"}
-
-
-def both_routes(source, entry, static_args, limits=None):
-    return [specialize_program(check_stages(parse(source), 2), entry,
-                               static_args, limits, via_flatten=via_flatten)
-            for via_flatten in (False, True)]
+from conftest import both_routes
 
 
 def entry_fixtures():
     for fixture in provide_corpus():
-        if not fixture.first("entry"):
-            continue
-        marks = []
-        if fixture.name in KNOWN_DEFECTS:
-            marks = [pytest.mark.xfail(strict=True,
-                                       reason=KNOWN_DEFECTS[fixture.name])]
-        yield pytest.param(fixture, id=fixture.name, marks=marks)
+        if fixture.first("entry"):
+            yield pytest.param(fixture, id=fixture.name)
 
 
 @pytest.mark.parametrize("fixture", entry_fixtures())
 def test_routes_agree_on_every_entry_fixture(fixture):
+    run_args = fixture.first("run-args")
     direct, flattened = both_routes(
         fixture.source(), fixture.first("entry"),
-        parse_arg_list(fixture.first("static-args")))
+        parse_arg_list(fixture.first("static-args")),
+        run_args=None if run_args is None else parse_arg_list(run_args))
     assert [u.name for u in direct.units] == \
         [u.name for u in flattened.units]
     assert direct.comments == flattened.comments
