@@ -487,10 +487,12 @@ class _Flattener:
                                 self._unrolled(s.then_stmt, target),
                                 else_stmt, 0, 0))
                 return
+            mark = len(out)
             frag_args = [self.conv_expr(s.cond),
                          self.sub_to_frag(s.then_stmt, out)]
             if s.else_stmt is not None:
                 frag_args.append(self.sub_to_frag(s.else_stmt, out))
+            self._before(out, mark, frag_args, ("cond",))
             out.append(self._append_stmt(target, n.Call("make_if", frag_args)))
             return
         if isinstance(s, n.For):
@@ -506,14 +508,16 @@ class _Flattener:
             # a loop variable's generator variables get a scope of their own
             code = [] if isinstance(s.init, n.VarDecl) else out
             init_frag = self.clause_to_frag(s.init, code)
-            cond_frag = self.conv_expr(s.cond) if s.cond is not None \
-                else n.Call("make_block", [])
-            incr_frag = self.clause_to_frag(s.incr, code)
-            body_frag = self.sub_to_frag(s.body, code)
+            mark = len(code)
+            frag_args = [init_frag,
+                         self.conv_expr(s.cond) if s.cond is not None
+                         else n.Call("make_block", []),
+                         self.clause_to_frag(s.incr, code)]
+            frag_args.append(self.sub_to_frag(s.body, code))
+            self._before(code, mark, frag_args, ("init", "cond", "step"))
             self.bound = saved
             code.append(self._append_stmt(
-                target, n.Call("make_for",
-                               [init_frag, cond_frag, incr_frag, body_frag])))
+                target, n.Call("make_for", frag_args)))
             if code is not out:
                 out.append(n.Block(code))
             return
@@ -530,6 +534,23 @@ class _Flattener:
             raise FlattenUnsupported("dynamic switch does not flatten",
                                      s.span)
         raise FlattenUnsupported(f"cannot flatten {type(s).__name__}", s.span)
+
+    def _before(self, out: list, mark: int, frag_args: list,
+                bases: tuple) -> None:
+        """Build the condition and clauses of a dynamic ``if`` or ``for``,
+        the first ``len(bases)`` fragments, before its bodies, as the
+        direct route does, when generator code in ``out[mark:]`` fills a
+        body: each is bound to a generator variable in front of that
+        code."""
+        if len(out) == mark:
+            return
+        for i, base in enumerate(bases):
+            frag = frag_args[i]
+            if frag.__class__ is not n.VarRef:
+                var = self.names.draw(base)
+                out.insert(mark, _tree_var(var, frag))
+                mark += 1
+                frag_args[i] = n.VarRef(var)
 
     def _unrolled(self, s: n.Stmt, target: n.Expr) -> n.Stmt:
         """Generator code for the body of an ``if@`` or ``for@``."""

@@ -34,7 +34,20 @@ deterministic mangling scheme.  Every unit, a function on either route or
 a class, opens and closes in ``_Specializer.unit``, which fixes its name
 and provenance from the static arguments before the body runs, as a C++
 compiler names an instance when it first meets its template-id.
-Completion order is callees-first, so the residual program emits in one pass.
+Completion order is callees-first, so the residual program emits in one
+pass.  ``SpecializationCache.order`` is the instantiation record: every
+unit, in that order, with its name and provenance comment.
+
+Specialization keeps the source's call structure, so a specialized
+interpreter is a chain of one-use units.  ``specialize_program`` ends,
+on both routes, with ``compress``, the transition compression of ``mix``:
+a function unit with one call site, or whose body is one ``return e`` no
+larger than its call, is unfolded into its callers, and units that
+nothing calls any more are dropped.  The specializer counts every
+residual call as it names its callee (``CallSites``), so the pass finds
+its candidates without walking the residual, and returns at once when no
+unit calls another.  Unfolding keeps each run's value, error category
+and order of effects, and adds neither steps nor emitted text.
 """
 
 from __future__ import annotations
@@ -62,7 +75,7 @@ from .values import (
     mangle_name, promote, render_static_arg, render_type, truth,
 )
 
-_COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
+COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +157,30 @@ class _Reserved:
     comment: str
 
 
+@dataclass
+class CallSites:
+    """The residual call graph, counted as the specializer builds each call:
+    how many calls name each unit, which units call a unit, and which
+    units lie on a call cycle.  ``compress`` reads it, so it needs no walk
+    to find its candidates."""
+
+    count: dict = field(default_factory=dict)  # unit name -> call sites
+    callers: set = field(default_factory=set)  # units that call a unit
+    cyclic: set = field(default_factory=set)
+    building: list = field(default_factory=list)  # units under way
+
+    def record(self, callee: str, recursive: bool) -> None:
+        """Count a call of ``callee`` in the unit being built.  A
+        recursive call closes a cycle through every unit under way from
+        ``callee`` on."""
+        self.count[callee] = self.count.get(callee, 0) + 1
+        building = self.building
+        if building:
+            self.callers.add(building[-1])
+        if recursive:
+            self.cyclic.update(building[building.index(callee):])
+
+
 class SpecializationCache:
     """Memoization table, name registry, and shared depth accounting."""
 
@@ -160,6 +197,7 @@ class SpecializationCache:
         self.order: list = []
         self.names: dict[str, SpecializationKey] = {}
         self.unit_names = NameSupply()
+        self.sites = CallSites()
 
     @property
     def globals(self) -> Env:
@@ -254,16 +292,18 @@ class ResidualProgram:
 # Type values of residual type expressions
 
 
-def _texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
+def texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
+    """The type value a residual type expression denotes, if it is known
+    without an environment."""
     if isinstance(t, n.PrimType):
         return PRIM_BY_NAME.get(t.name)
     if isinstance(t, n.NamedType):
         return ClassTV(t.name)
     if isinstance(t, n.PointerType):
-        inner = _texpr_to_tv(t.base)
+        inner = texpr_to_tv(t.base)
         return None if inner is None else PointerTV(inner)
     if isinstance(t, n.ArrayType) and isinstance(t.size, n.IntLit):
-        inner = _texpr_to_tv(t.base)
+        inner = texpr_to_tv(t.base)
         return None if inner is None else FixedArrayTV(inner, t.size.value)
     return None
 
@@ -319,7 +359,7 @@ class _ReturnTyper:
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
-                self.types[d.name] = _texpr_to_tv(dtype)
+                self.types[d.name] = texpr_to_tv(dtype)
         elif isinstance(s, n.Return):
             self.found.append(VOID if s.value is None
                               else self.type_of(s.value))
@@ -355,7 +395,7 @@ class _ReturnTyper:
         if isinstance(e, n.Incr):
             return self.type_of(e.target)
         if isinstance(e, n.Binary):
-            if e.op in _COMPARISONS:
+            if e.op in COMPARISONS:
                 return BOOL
             lhs = self.type_of(e.lhs)
             rhs = self.type_of(e.rhs)
@@ -444,10 +484,15 @@ class _Specializer:
         guard = self.cache.guard
         if guarded:
             guard.enter(defn.span)
+        building = self.cache.sites.building
         try:
             reserved = self.cache.reserve(key, static_args)
             global_types = residual_types(self.cache.globals)
-            parts = body(defn, static_args, NameSupply(global_types))
+            building.append(reserved.name)
+            try:
+                parts = body(defn, static_args, NameSupply(global_types))
+            finally:
+                building.pop()
             if kind == "class":
                 entity = ResidualClass(reserved.name, *parts, key,
                                        reserved.comment)
@@ -480,13 +525,17 @@ class _Specializer:
         """The residual name of a call to ``fn`` on ``static_args``, on
         either route.  A call without static arguments into a function
         whose specialization is under way is recursive: it takes the
-        reserved name."""
+        reserved name.  Each call is counted in ``cache.sites``."""
+        sites = self.cache.sites
         if not static_args:
             name = self.cache.reserved_name(
                 SpecializationKey.for_function(fn.name, []))
             if name is not None:
+                sites.record(name, True)
                 return name
-        return self.specialize_function(fn, static_args).name
+        name = self.specialize_function(fn, static_args).name
+        sites.record(name, False)
+        return name
 
     def function_body(self, fn: n.FunctionDef, static_args: list,
                       names: NameSupply) -> tuple:
@@ -968,7 +1017,9 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     """Specialize a whole program: global statements are processed in
     order (static ones evaluated, dynamic ones residualized), then the
     entry function is specialized with the given static arguments; the
-    residual contains the transitive closure of needed specializations."""
+    residual contains the transitive closure of needed specializations,
+    compressed (``compress``) when it is single-level code.  ``cache.order``
+    keeps every unit made."""
     cache = cache or SpecializationCache(staged, limits)
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
@@ -999,8 +1050,12 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
         bindings = [(name, slot.value)
                     for name, slot in cache.globals.slots.items()
                     if slot.residual is None]
-        return ResidualProgram(list(cache.order), top_res, entry_name,
-                               comments, bindings)
+        rp = ResidualProgram(list(cache.order), top_res, entry_name,
+                             comments, bindings)
+        if staged.levels == 2:  # a deeper residual is specialized again
+            from .compress import compress
+            rp = compress(rp, cache.sites)
+        return rp
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None
     finally:

@@ -34,7 +34,7 @@ from .errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
     DYNAMIC_TO_STATIC_FLOW, ParseError, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
     STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, Span, StageError,
-    TYPENAME_DYNAMIC_BINDING, UnboundVariable,
+    TYPENAME_DYNAMIC_BINDING, TypeMismatch, UnboundVariable,
 )
 from .flatten import KNOWN_BUILTINS
 
@@ -73,8 +73,14 @@ class _Scope:
     def pop(self):
         self.frames.pop()
 
-    def declare(self, name: str, sym: _Sym):
-        self.frames[-1][name] = sym
+    def declare(self, name: str, sym: _Sym, span: Span | None = None):
+        """Bind ``name`` in the innermost frame, which may hold it once, as
+        a run-time scope may (``Env.declare``)."""
+        frame = self.frames[-1]
+        if name in frame:
+            raise TypeMismatch(f"redeclaration of '{name}' in the same scope",
+                               span)
+        frame[name] = sym
 
     def find(self, name: str) -> _Sym | None:
         for frame in reversed(self.frames):
@@ -125,7 +131,8 @@ class _Checker:
                         ANNOTATION_TOO_DEEP,
                         f"parameter '{p.name}' annotated past stage 0", p.span)
                 self.check_param_type(p, scope)
-                scope.declare(p.name, _Sym(stage, n.is_typename_type(p.dtype)))
+                scope.declare(p.name, _Sym(stage, n.is_typename_type(p.dtype)),
+                              p.span)
         for p in fn.params:
             self.check_param_type(p, scope)
             is_tn = n.is_typename_type(p.dtype)
@@ -137,7 +144,7 @@ class _Checker:
                         TYPENAME_DYNAMIC_BINDING,
                         f"typename parameter '{p.name}' must be static "
                         "(annotate it in the static list)", p.span)
-            scope.declare(p.name, _Sym(scope.default, is_tn))
+            scope.declare(p.name, _Sym(scope.default, is_tn), p.span)
         if needed_static:
             self.static_only.add(fn.name)
         self.check_block(fn.body, scope)
@@ -177,7 +184,8 @@ class _Checker:
                                  f"parameter '{p.name}' annotated past stage 0",
                                  p.span)
             self.check_param_type(p, scope)
-            scope.declare(p.name, _Sym(stage, n.is_typename_type(p.dtype)))
+            scope.declare(p.name, _Sym(stage, n.is_typename_type(p.dtype)),
+                          p.span)
         # Members are all in scope before any constructor body is checked
         # (constructor bodies may assign members declared below them).
         member_decls = cls.member_decls()
@@ -192,7 +200,7 @@ class _Checker:
                 raise StageError(TYPENAME_DYNAMIC_BINDING,
                                  "typename members must be static", decl.span)
             for d in decl.declarators:
-                scope.declare(d.name, _Sym(stage, is_tn))
+                scope.declare(d.name, _Sym(stage, is_tn), d.span)
         for decl in member_decls:
             stage = scope.default - n.annotation_count(decl.dtype)
             self.check_decl_parts(decl, stage, scope)
@@ -295,7 +303,7 @@ class _Checker:
                 "typename variables must be static (add @)", stmt.span)
         self.check_decl_parts(stmt, stage, scope)
         for d in stmt.declarators:
-            scope.declare(d.name, _Sym(stage, is_tn))
+            scope.declare(d.name, _Sym(stage, is_tn), d.span)
         stmt.stage = stage
 
     def check_mutation(self, target_stage: int, span: Span | None,

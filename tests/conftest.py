@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+
 from catat import check_stages, parse, run, run_unstaged
 from catat.corpus import corpus_path, provide_corpus
-from catat.specializer import specialize_program
+from catat.specializer import (
+    ResidualProgram, SpecializationCache, specialize_program,
+)
 
 
 def fixture_source(name: str) -> str:
@@ -32,3 +36,36 @@ def both_routes(source, entry, static_args, limits=None, run_args=None):
         for rp in rps:
             assert run(rp, rp.entry_name, run_args).value == expected
     return rps
+
+
+def specialize_with_record(source, entry, static_args, run_args,
+                           limits=None, via_flatten=False):
+    """The residual of ``source`` and its instantiation record: every unit
+    the specializer made, in order, before ``compress`` unfolded any
+    (``cache.order`` of a cache of this call's own).  The residual runs
+    its entry on ``run_args`` and must give the value of ``run_unstaged``,
+    which runs on copies: a specialization or a run may store into an
+    array argument."""
+    expected = run_unstaged(parse(source), entry,
+                            copy.deepcopy(static_args + run_args)).value
+    staged = check_stages(parse(source), 2)
+    cache = SpecializationCache(staged, limits)
+    rp = specialize_program(staged, entry, static_args, cache=cache,
+                            via_flatten=via_flatten)
+    assert run(rp, rp.entry_name, copy.deepcopy(run_args)).value == expected
+    return rp, cache.order
+
+
+def both_records(source, entry, static_args, run_args, limits=None):
+    """``specialize_with_record`` on the direct and the flatten route."""
+    return [specialize_with_record(source, entry, copy.deepcopy(static_args),
+                                   run_args, limits, via_flatten)
+            for via_flatten in (False, True)]
+
+
+def record_program(rp, order) -> ResidualProgram:
+    """The residual ``rp`` would be without compression, rebuilt from its
+    instantiation record."""
+    return ResidualProgram(list(order), rp.top_stmts, rp.entry_name,
+                           {u.name: u.comment for u in order},
+                           rp.static_bindings)

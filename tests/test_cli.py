@@ -87,6 +87,30 @@ def test_via_flatten_matches_direct(tmp_path):
         assert direct.stdout == flattened.stdout, name
 
 
+def test_specialized_interpreter_prints_one_function():
+    # (in + 3) * (in + 1) + in * 2 + 4 * (in * 5 + 1), 27 units unfolded
+    toks = "[3, 5, 1, 6, 3, 4, 2, 3, 5, 1, 6, 1, 4, 1, 5, 2, 6, 2, 1, 6, 4, " \
+        "2, 3, 5, 2, 6, 5, 1, 6, 1, 4, 0]"
+    result = catat("specialize", fixture("dsl_interp.cat"), "--entry",
+                   "dsl_program", "--static-args", f"{toks},31")
+    assert result.returncode == 0
+    lines = result.stdout.splitlines()
+    assert [line for line in lines if line.endswith("{")] == \
+        ["int dsl_program__a32x997fa227_31(int in) {"]
+    assert lines[-2:] == ["    return acc;", "}"]
+
+
+def test_second_declaration_in_one_scope_exits_3(tmp_path):
+    bad = tmp_path / "redeclared.cat"
+    bad.write_text("function f(int@ k)(int d) { if (d > 5) { int t = 1; "
+                   "int t = 2; d += t; } return d; }\n")
+    result = catat("check", bad)
+    assert result.returncode == 3
+    assert result.stderr.strip() == (
+        f"{bad}:1:57: compile-time error: redeclaration of 't' in the same "
+        "scope")
+
+
 def test_via_flatten_with_a_class_entry_is_a_flatten_error():
     result = catat("specialize", fixture("vector_sum.cat"), "--entry",
                    "Vector", "--static-args", "int,3", "--via-flatten")

@@ -23,7 +23,10 @@ from catat.values import (
     ArrayV, CodeV, FLOAT, FloatV, INT, IntV, PointerTV, StrV,
 )
 
-from conftest import both_routes, fixture_source, staged_fixture
+from conftest import (
+    both_records, both_routes, fixture_source, record_program,
+    staged_fixture,
+)
 
 
 def build(name, *args):
@@ -382,10 +385,31 @@ def test_one_statement_bodies_match_the_direct_route(body):
         "nested-static-arguments", "nested-plain"])
 def test_nested_calls_match_the_direct_route(source, entry, static_args,
                                              units):
-    direct, flattened = both_routes(source, entry, static_args)
-    assert [u.name for u in direct.units] == units
-    assert [u.name for u in flattened.units] == units
+    (direct, direct_order), (flattened, flattened_order) = both_records(
+        source, entry, static_args, [IntV(3)])
+    assert [u.name for u in direct_order] == units
+    assert [u.name for u in flattened_order] == units
+    assert emit(record_program(direct, direct_order)) == \
+        emit(record_program(flattened, flattened_order))
     assert emit(direct) == emit(flattened)
+
+
+@pytest.mark.parametrize("body, units", [
+    ("if (p(k)(d) > 0) { d += q(k)(d); }", ["p__2", "q__2"]),
+    ("if (p(k)(d) > 0) { d += q(k)(d); } else { d -= q(k + 1)(d); }",
+     ["p__2", "q__2", "q__3"]),
+    ("for (int i = 0; i < p(k)(d); ++i) { i += q(k)(1); }",
+     ["p__2", "q__2"]),
+    ("for (d = p(k)(d); d < 50; d += p(k + 1)(d)) { d += q(k)(d); }",
+     ["p__2", "p__3", "q__2"]),
+], ids=["if", "if-else", "for", "for-clauses"])
+def test_a_condition_resolves_its_calls_before_the_body(body, units):
+    # the instantiation record, not the residual, which unfolds p and q
+    source = ("function p(int@ k)(int d) { return d - k; }\n"
+              "function q(int@ k)(int d) { return d * k; }\n"
+              f"function f(int@ k)(int d) {{ {body} return d; }}\n")
+    for _, order in both_records(source, "f", [IntV(2)], [IntV(5)]):
+        assert [u.name for u in order] == units + ["f__2"]
 
 
 # -- residual locals capture no other variable --------------------------------

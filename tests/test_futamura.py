@@ -15,6 +15,7 @@ from catat.corpus import (
 from catat.errors import UserStaticError
 from catat.staticeval import value_of
 from catat.dyninterp import run
+from catat.specializer import SpecializationCache
 from catat.values import IntV
 
 
@@ -79,6 +80,24 @@ def test_random_programs_match_reference():
         residual_text = emit(rp)
         assert "switch" not in residual_text
         assert "toks" not in residual_text
+        # one straight-line function: every unit was unfolded into it
+        assert len(rp.units) == 1
+        assert not any(isinstance(x, n.Call)
+                       for s in rp.units[0].body for x in n.walk(s))
         for value in range(-10, 11):
             expected = dsl_reference_eval(text, value)
             assert run_specialized(rp, value) == expected, (text, value)
+
+
+def test_the_interpreters_call_chain_compresses_to_one_function():
+    text = "(in + 3) * (in + 1) + in * 2 + 4 * (in * 5 + 1)"
+    staged = check_stages(parse(dsl_interpreter_source()), 2)
+    cache = SpecializationCache(staged)
+    rp = specialize_program(staged, "dsl_program", list(encode_dsl(text)),
+                            cache=cache)
+    assert len(cache.order) == 27
+    assert len(rp.units) == 1
+    result = run(rp, rp.entry_name, [IntV(7)])
+    assert result.value == IntV(238) == IntV(dsl_reference_eval(text, 7))
+    assert result.steps <= 36
+    assert len(emit(rp)) < 600

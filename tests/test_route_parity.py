@@ -1,8 +1,9 @@
 """The flatten route agrees with the direct route: on every corpus fixture
-with an entry, both list the same units in the same order, under the same
-names and provenance comments, each pair of units is alpha-equivalent, and
-each residual gives the value of ``run_unstaged`` on the fixture's run
-arguments.  Both routes also stop a specialization chain at the same depth."""
+with an entry, both record the same units in the same order, under the
+same names and provenance comments, each pair of units is
+alpha-equivalent, and so is each pair of compressed residuals, each of
+which gives the value of ``run_unstaged`` on the fixture's run arguments.
+Both routes also stop a specialization chain at the same depth."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from catat.specializer import (
     ResidualFunction, alpha_equivalent, specialize_program,
 )
 
-from conftest import both_routes
+from conftest import both_records
 
 
 def entry_fixtures():
@@ -22,21 +23,26 @@ def entry_fixtures():
             yield pytest.param(fixture, id=fixture.name)
 
 
-@pytest.mark.parametrize("fixture", entry_fixtures())
-def test_routes_agree_on_every_entry_fixture(fixture):
-    run_args = fixture.first("run-args")
-    direct, flattened = both_routes(
-        fixture.source(), fixture.first("entry"),
-        parse_arg_list(fixture.first("static-args")),
-        run_args=None if run_args is None else parse_arg_list(run_args))
-    assert [u.name for u in direct.units] == \
-        [u.name for u in flattened.units]
-    assert direct.comments == flattened.comments
-    for a, b in zip(direct.units, flattened.units):
+def assert_agree(direct, flattened):
+    assert [u.name for u in direct] == [u.name for u in flattened]
+    for a, b in zip(direct, flattened):
+        assert a.comment == b.comment
         if isinstance(a, ResidualFunction):
             assert alpha_equivalent(a, b), a.name
         else:  # a class unit comes from the direct route on both
             assert a == b
+
+
+@pytest.mark.parametrize("fixture", entry_fixtures())
+def test_routes_agree_on_every_entry_fixture(fixture):
+    # the instantiation record and the compressed residual alike
+    (direct, direct_order), (flattened, flattened_order) = both_records(
+        fixture.source(), fixture.first("entry"),
+        parse_arg_list(fixture.first("static-args")),
+        parse_arg_list(fixture.first("run-args")))
+    assert_agree(direct_order, flattened_order)
+    assert_agree(direct.units, flattened.units)
+    assert direct.comments == flattened.comments
 
 
 CHAIN = "function f(int@ n)(int d) { if@ (n > 0) return f(n - 1)(d); " \
@@ -46,8 +52,9 @@ CHAIN = "function f(int@ n)(int d) { if@ (n > 0) return f(n - 1)(d); " \
 def test_routes_share_the_depth_boundary():
     # f(5) needs six levels: one per unit, and on the flatten route the
     # generator's call is the entry unit's level
-    for rp in both_routes(CHAIN, "f", [IntV(5)], EvalLimits(max_depth=6)):
-        assert [u.name for u in rp.units] == [f"f__{k}" for k in range(6)]
+    for rp, order in both_records(CHAIN, "f", [IntV(5)], [IntV(2)],
+                                  EvalLimits(max_depth=6)):
+        assert [u.name for u in order] == [f"f__{k}" for k in range(6)]
     for via_flatten in (False, True):
         with pytest.raises(DepthExceeded):
             specialize_program(check_stages(parse(CHAIN), 2), "f", [IntV(5)],

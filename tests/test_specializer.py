@@ -26,7 +26,9 @@ from catat.values import (
     VOID, canonical_key, mangle_name, render_static_arg, render_type,
 )
 
-from conftest import fixture_source, staged_fixture
+from conftest import (
+    both_records, fixture_source, specialize_with_record, staged_fixture,
+)
 
 
 def specialize_fixture(name, entry, static_args, **kw):
@@ -146,8 +148,9 @@ def test_repeated_key_returns_same_entity():
 
 
 def test_residual_ordering_callees_first():
-    rp = specialize_fixture("volume_cube.cat", "volumeOfCube", [])
-    names = [u.name for u in rp.units]
+    _, order = specialize_with_record(fixture_source("volume_cube.cat"),
+                                      "volumeOfCube", [], [FloatV(2.0)])
+    names = [u.name for u in order]
     assert names.index("pow__3") < names.index("volumeOfCube")
 
 
@@ -279,25 +282,23 @@ def test_negative_zero_gets_its_own_specialization():
               "    float a = h(-0.0)(x); float b = h(0.0)(x); return b;\n}\n")
     unstaged = run_unstaged(parse(source), "f", [IntV(0), FloatV(1.0)])
     assert math.copysign(1.0, unstaged.value.value) == 1.0
-    for rp in both_routes(source, [IntV(0)]):
-        assert [u.name for u in rp.units] == ["h__m0_0", "h__0_0", "f__0"]
+    for rp, order in both_records(source, "f", [IntV(0)], [FloatV(1.0)]):
+        assert [u.name for u in order] == ["h__m0_0", "h__0_0", "f__0"]
         result = run(rp, rp.entry_name, [FloatV(1.0)]).value
         assert math.copysign(1.0, result.value) == 1.0
 
 
-def g_units(rp):
-    return [(u.name, u.comment) for u in rp.units if u.name.startswith("g")]
+def g_units(order):
+    return [(u.name, u.comment) for u in order if u.name.startswith("g")]
 
 
 def test_array_stored_into_between_specializations_gives_two_units():
     source = ("function g(int@* a)(int d) { return d + a[0]; }\n"
               "function f(int@* a)(int d) {\n"
               "    int e = g(a)(d); a[0] = 5; return g(a)(e);\n}\n")
-    for via_flatten in (False, True):
-        arr = ArrayV(INT, [IntV(1), IntV(2)])
-        rp = specialize_program(check_stages(parse(source), 2), "f", [arr],
-                                via_flatten=via_flatten)
-        (first, first_from), (second, second_from) = g_units(rp)
+    arr = ArrayV(INT, [IntV(1), IntV(2)])
+    for rp, order in both_records(source, "f", [arr], [IntV(1)]):
+        (first, first_from), (second, second_from) = g_units(order)
         assert first != second
         assert (first_from, second_from) == ("specialized-from: g([1, 2])",
                                              "specialized-from: g([5, 2])")
@@ -308,11 +309,9 @@ def test_equal_arrays_share_one_unit():
     source = ("function g(int@* a)(int d) { return d + a[1]; }\n"
               "function f(int@* a, int@* b)(int d) {\n"
               "    return g(a)(d) + g(b)(d);\n}\n")
-    for via_flatten in (False, True):
-        args = [ArrayV(INT, [IntV(1), IntV(2)]) for _ in range(2)]
-        rp = specialize_program(check_stages(parse(source), 2), "f", args,
-                                via_flatten=via_flatten)
-        assert len(g_units(rp)) == 1
+    args = [ArrayV(INT, [IntV(1), IntV(2)]) for _ in range(2)]
+    for rp, order in both_records(source, "f", args, [IntV(1)]):
+        assert len(g_units(order)) == 1
         assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(6)
 
 
@@ -320,11 +319,9 @@ def test_array_of_arrays_stored_into_gives_two_units():
     source = ("function g(int@** m)(int d) { return d + m[0][1]; }\n"
               "function f(int@** m)(int d) {\n"
               "    int e = g(m)(d); m[0][1] = 5; return g(m)(e);\n}\n")
-    for via_flatten in (False, True):
-        m = ArrayV(PointerTV(INT), [ArrayV(INT, [IntV(1), IntV(2)])])
-        rp = specialize_program(check_stages(parse(source), 2), "f", [m],
-                                via_flatten=via_flatten)
-        (first, _), (second, _) = g_units(rp)
+    m = ArrayV(PointerTV(INT), [ArrayV(INT, [IntV(1), IntV(2)])])
+    for rp, order in both_records(source, "f", [m], [IntV(1)]):
+        (first, _), (second, _) = g_units(order)
         assert first != second
         assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(8)
 
@@ -340,9 +337,10 @@ def test_each_array_version_is_keyed_once(monkeypatch):
             return real(v, *rest)
         monkeypatch.setattr(values, name, counting)
     toks, count = encode_dsl("((in + 1) * (2 + in)) * (in + 3 * in)")
-    rp = specialize_program(staged_fixture("dsl_interp.cat"), "dsl_program",
-                            [toks, count])
-    assert len(rp.units) == 25
+    rp, order = specialize_with_record(fixture_source("dsl_interp.cat"),
+                                       "dsl_program", [toks, count],
+                                       [IntV(3)])
+    assert len(order) == 25
     assert len(cells) == 2 * len(toks.cells)
 
 

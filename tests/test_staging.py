@@ -1,13 +1,14 @@
 import pytest
 
-from catat import check_stages, parse
+from catat import IntV, check_stages, parse, run_unstaged
 from catat.errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
     DYNAMIC_TO_STATIC_FLOW, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
     STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, StageError,
-    ParseError, TYPENAME_DYNAMIC_BINDING, UnboundVariable,
+    ParseError, TYPENAME_DYNAMIC_BINDING, TypeMismatch, UnboundVariable,
 )
 from catat.parser import parse_expression
+from catat.specializer import specialize_program
 from catat.staging import stage_of
 
 from conftest import fixture_source, staged_fixture
@@ -240,3 +241,41 @@ def test_return_inside_functions_and_constructors_passes():
     check_stages(parse("int f(int x) { { return x; } }\n"
                        "class Box() { public: int v; Box() { return; } }\n"),
                  2)
+
+
+# -- one declaration of a name per scope ---------------------------------------
+
+REDECLARED = ("function f(int@ k)(int d) { if (d > 5) { int t = 1; "
+              "int t = 2; d += t; } return d; }\n")
+
+
+@pytest.mark.parametrize("source, column", [
+    (REDECLARED, 57),
+    ("function f(int@ k)(int k) { return k; }\n", 24),
+    ("int g = 1;\nint g = 2;\n", 5),
+], ids=["local", "parameter", "global"])
+def test_second_declaration_in_one_scope_is_rejected(source, column):
+    # the checker raises what the specializer and the interpreter raise,
+    # at the second declarator
+    with pytest.raises(TypeMismatch,
+                       match="redeclaration of '[tkg]' in the same scope") \
+            as error:
+        check_stages(parse(source), 2)
+    assert error.value.span.col == column
+
+
+def test_redeclaration_fails_on_every_path():
+    for via_flatten in (False, True):
+        with pytest.raises(TypeMismatch, match="redeclaration of 't'"):
+            specialize_program(check_stages(parse(REDECLARED), 2), "f",
+                               [IntV(1)], via_flatten=via_flatten)
+    # run_unstaged does not check: the block runs only when d > 5
+    assert run_unstaged(parse(REDECLARED), "f", [IntV(1), IntV(0)]).value \
+        == IntV(0)
+    with pytest.raises(TypeMismatch, match="redeclaration of 't'"):
+        run_unstaged(parse(REDECLARED), "f", [IntV(1), IntV(6)])
+
+
+def test_a_body_may_still_shadow_a_parameter():
+    check_stages(parse("function f(int@ k)(int d) { int d = 1; "
+                       "{ int d = 2; } return d + k; }\n"), 2)
