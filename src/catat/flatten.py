@@ -21,6 +21,12 @@ registers the unit on both routes.  Residual nodes may be shared between
 statements (one varref stands for a variable everywhere), so nothing
 downstream may mutate them except the checker's ``.stage``.
 
+The specializer runs each generator compiled to Python (``pyemit``), once
+per specialization cache; the tree walker stays the reference engine, and
+both call the builders below with the same arguments and spans.  What
+does not flatten raises ``FlattenUnsupported``: a dynamic ``switch``, a
+run-time class declaration and a class entry.
+
 Flattening is defined for two levels, and it runs no binding-time analysis
 of its own: a declaration, assignment or expression is static when the
 stage checker wrote ``stage == 0`` on it, so the input must come from
@@ -30,12 +36,13 @@ from its annotation, because a construct's stage is its guard's stage.
 Builder suite: the five core constructors (make_lambda, make_varref,
 make_vardecl, make_op, make_return) plus append/body for block plumbing,
 and the extensions needed to cover every residual node kind: make_literal,
-make_subscript, make_call, make_for, make_if, make_block, make_incr,
-make_unary, make_ptr, make_arr.  A builder takes the evaluated arguments,
-the call's span and the interpreter that runs it.  While a generator runs,
-``make_vardecl`` draws the declared name from the unit's ``NameSupply``
-(outside a specialization it keeps the name); ``make_varref`` also takes
-a declaration fragment, and ``append`` returns what it appended.
+make_subscript, make_call, make_for, make_if, make_cond, make_block,
+make_incr, make_unary, make_ptr, make_arr.  A builder takes the evaluated
+arguments, the call's span and the interpreter that runs it.  While a
+generator runs, ``make_vardecl`` draws the declared name from the unit's
+``NameSupply`` (outside a specialization it keeps the name);
+``make_varref`` also takes a declaration fragment, and ``append`` returns
+what it appended.
 """
 
 from __future__ import annotations
@@ -277,6 +284,12 @@ def _b_make_if(args, span, interp):
                       else_stmt, 0, 0))
 
 
+def _b_make_cond(args, span, interp):
+    _need_count(args, 3, 3, "make_cond", span)
+    return CodeV(n.Cond(_as_expr(args[0], span), _as_expr(args[1], span),
+                        _as_expr(args[2], span)))
+
+
 def _b_make_block(args, span, interp):
     return CodeV(n.Block([_as_stmt(a, span) for a in args]))
 
@@ -339,6 +352,7 @@ BUILDERS = {
     "make_subscript": _b_make_subscript,
     "make_for": _b_make_for,
     "make_if": _b_make_if,
+    "make_cond": _b_make_cond,
     "make_block": _b_make_block,
     "make_call": _b_make_call,
     "make_ptr": _b_make_ptr,
@@ -639,6 +653,16 @@ class _Flattener:
         if isinstance(e, n.Incr):
             return n.Call("make_incr", [n.StringLit(e.op),
                                         self.conv_expr(e.target)])
+        if isinstance(e, n.Cond):
+            # a static condition selects its arm at generator run time, as
+            # on the direct route; the arms build after the condition
+            if e.cond.stage == 0:
+                return n.Cond(n.strip_annotations(e.cond),
+                              self.conv_expr(e.then_expr),
+                              self.conv_expr(e.else_expr), span=e.span)
+            return n.Call("make_cond", [self.conv_expr(e.cond),
+                                        self.conv_expr(e.then_expr),
+                                        self.conv_expr(e.else_expr)])
         if isinstance(e, n.Subscript):
             return n.Call("make_subscript", [self.conv_expr(e.base),
                                              self.conv_expr(e.index)])

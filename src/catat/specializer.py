@@ -198,6 +198,21 @@ class SpecializationCache:
         self.names: dict[str, SpecializationKey] = {}
         self.unit_names = NameSupply()
         self.sites = CallSites()
+        self.generators: dict = {}  # id(FunctionDef) -> its generator
+
+    def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
+        """``fn``'s generator, flattened and compiled to Python once per
+        cache; the interpreter runs it compiled."""
+        generator = self.generators.get(id(fn))
+        if generator is None:
+            # imported on the first flattening: a program that never
+            # flattens does not load the translator
+            from . import pyemit
+            generator = flatten.flatten_function(fn, self.staged.levels)
+            self.interp.compiled[id(generator)] = \
+                pyemit.compile_function(generator)
+            self.generators[id(fn)] = generator
+        return generator
 
     @property
     def globals(self) -> Env:
@@ -553,13 +568,15 @@ class _Specializer:
 
     def generator_body(self, fn: n.FunctionDef, static_args: list,
                        names: NameSupply) -> tuple:
-        """Run ``fn``'s generator on ``static_args`` and unpack the shell
-        it returns: the flatten route.  During this run only, the cache
-        names the calls it builds and ``names`` its locals."""
-        generator = flatten.flatten_function(fn, self.cache.staged.levels)
+        """Run ``fn``'s generator, compiled, on ``static_args`` and unpack
+        the shell it returns: the flatten route.  During this run only,
+        the cache names the calls it builds and ``names`` its locals."""
+        interp = self.interp
+        if interp.count_steps:
+            raise TypeError("a compiled generator counts no steps")
+        generator = self.cache.generator(fn)
         for p in fn.params:
             names.keep(p.name)
-        interp = self.interp
         interp.resolve_call = self.cache.resolve_call
         interp.name_supply = names
         try:

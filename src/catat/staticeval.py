@@ -19,11 +19,17 @@ pass it up; ``call_function`` makes it the call's result.
 ``Catat_error@`` and the code builders (make_lambda, make_op, ...) are the
 builtin functions.
 
+A function whose body ``pyemit`` compiled (``Interpreter.compiled``) runs
+compiled: ``call_function`` binds its arguments and takes its depth level
+as for any call, then runs the Python function in place of the walker.
+The compiled code calls the module functions below the handler tables, as
+the walker does, so both raise the same errors with the same spans.
+
 While specializing, calls of pure functions are memoized, as a C++
 compiler instantiates each template-id once.  ``specializer`` gives its
 interpreter a ``CallMemo`` for one specialization run, which a call
-expression consults before ``call_function``; ``run`` and
-``run_unstaged`` count steps and have none.
+from static code consults before ``call_function`` (``call_static``, in
+either engine); ``run`` and ``run_unstaged`` count steps and have none.
 
 * **Pure** is decided per definition when the memo is made: the function
   has one parameter list, its parameter types and body hold only node
@@ -133,6 +139,9 @@ class Interpreter:
         # the unit's NameSupply that make_vardecl draws from
         self.resolve_call = None
         self.name_supply = None
+        # id(FunctionDef) -> its body compiled to Python (``pyemit``), run
+        # by ``call_function`` in place of the walker
+        self.compiled: dict = {}
         if program is not None:
             self.load(program)
 
@@ -159,6 +168,18 @@ class Interpreter:
         fn = self.functions.get((name, static_arity))
         if fn is None:
             raise UnboundVariable(f"unknown function '{name}'", span)
+        return self.call_function(fn, args, span)
+
+    def call_static(self, callee: str, args: list,
+                    span: Span | None) -> Value:
+        """A call of a user function from static code, in either engine:
+        through the memo when the function is pure."""
+        fn = self.functions.get((callee, 0))
+        if fn is None:
+            raise UnboundVariable(f"unknown function '{callee}'", span)
+        memo = self.memo
+        if memo is not None and memo.pure.get(id(fn)) is fn:
+            return self._call_memoized(memo, fn, args, span)
         return self.call_function(fn, args, span)
 
     def _call_memoized(self, memo: CallMemo, fn: n.FunctionDef,
@@ -213,7 +234,9 @@ class Interpreter:
                         f"redeclaration of '{p.name}' in the same scope",
                         p.span)
                 slots[p.name] = Slot(value, tv)
-            result = self.exec_block(fn.body, env)
+            compiled = self.compiled.get(id(fn)) if self.compiled else None
+            result = self.exec_block(fn.body, env) if compiled is None \
+                else compiled(self, env)
             return UNIT if result is None else result
         finally:
             guard.depth -= 1
@@ -227,10 +250,7 @@ class Interpreter:
         if isinstance(t, n.NamedType):
             slot = env.find(t.name)
             if slot is not None:
-                if not isinstance(slot.value, TypeValue):
-                    raise TypeMismatch(
-                        f"'{t.name}' does not hold a type value", span)
-                return slot.value
+                return held_type(t.name, slot.value, span)
             if t.name in self.classes:
                 return ClassTV(t.name)
             raise UnboundVariable(f"unknown type name '{t.name}'", span)
@@ -238,19 +258,13 @@ class Interpreter:
             return PointerTV(self.resolve_type(t.base, env, span))
         if isinstance(t, n.ArrayType):
             return FixedArrayTV(self.resolve_type(t.base, env, span),
-                                self._array_size(t.size, env))
+                                array_size(self.eval_expr(t.size, env),
+                                           t.size.span))
         if isinstance(t, n.ClassAppType):
             if t.name not in self.classes:
                 raise UnboundVariable(f"unknown class '{t.name}'", span)
             return ClassTV(t.name)
         raise TypeMismatch(f"unsupported type {t!r}", span)
-
-    def _array_size(self, size_expr: n.Expr, env: Env) -> int:
-        size = self.eval_expr(size_expr, env)
-        if not isinstance(size, IntV) or size.value < 0:
-            raise TypeMismatch("array size must be a non-negative int",
-                               size_expr.span)
-        return size.value
 
     # -- classes ----------------------------------------------------------------
 
@@ -293,6 +307,20 @@ class Interpreter:
         if ctor is not None:
             self.exec_block(ctor.body, env.child())
         return InstanceV(cls.name, {m: env.slots[m].value for m in members})
+
+    def class_instance(self, name: str, args: list,
+                       span: Span | None) -> InstanceV:
+        """The value a ``Name(args) x;`` declaration binds."""
+        cls = self.classes.get(name)
+        if cls is None:
+            raise UnboundVariable(f"unknown class '{name}'", span)
+        return self.instantiate_class(cls, args, span)
+
+    def default_value(self, tv: TypeValue, span: Span | None) -> Value:
+        """The value of a declaration without an initializer."""
+        if isinstance(tv, ClassTV):
+            return self.instantiate_class(self.classes[tv.name], [], span)
+        return zero_value(tv, span)
 
     def _default(self, tv: TypeValue, span: Span | None) -> Value | None:
         try:
@@ -347,58 +375,29 @@ class Interpreter:
                 dtype = n.ArrayType(dtype, d.array_size)
             if isinstance(dtype, n.ClassAppType):
                 args = [self.eval_expr(a, env) for a in dtype.args]
-                cls = self.classes.get(dtype.name)
-                if cls is None:
-                    raise UnboundVariable(f"unknown class '{dtype.name}'",
-                                          stmt.span)
-                value = self.instantiate_class(cls, args, stmt.span)
+                value = self.class_instance(dtype.name, args, stmt.span)
                 env.declare(d.name, Slot(value, ClassTV(dtype.name)), d.span)
                 continue
             tv = self.resolve_type(dtype, env, stmt.span)
             if d.init is not None:
                 value = coerce(self.eval_expr(d.init, env), tv, d.span)
-            elif isinstance(tv, ClassTV):
-                value = self.instantiate_class(self.classes[tv.name], [],
-                                               d.span)
             else:
-                value = zero_value(tv, d.span)
+                value = self.default_value(tv, d.span)
             env.declare(d.name, Slot(value, tv), d.span)
 
     def exec_assign(self, stmt: n.Assign, env: Env) -> None:
         value = self.eval_expr(stmt.value, env)
-        if isinstance(stmt.target, n.VarRef):
-            slot = env.lookup(stmt.target.name, stmt.span)
-            if stmt.op != "=":
-                if slot.value is None:
-                    raise UnboundVariable(
-                        f"'{stmt.target.name}' read before assignment",
-                        stmt.span)
-                value = binop(stmt.op[0], slot.value, value, stmt.span)
-            slot.value = coerce(value, slot.tv, stmt.span)
+        target = stmt.target
+        if isinstance(target, n.VarRef):
+            store(env, target.name, stmt.op, value, stmt.span)
             return
-        if isinstance(stmt.target, n.Subscript):
-            arr, idx = self._subscript_target(stmt.target, env)
-            if stmt.op != "=":
-                value = binop(stmt.op[0], arr.cells[idx], value, stmt.span)
-            arr.cells[idx] = coerce(value, arr.elem, stmt.span)
-            arr.stores += 1
+        if isinstance(target, n.Subscript):
+            arr = array_of(self.eval_expr(target.base, env), target.span)
+            store_cell(arr, cell_index(arr, self.eval_expr(target.index, env),
+                                       target.span),
+                       stmt.op, value, stmt.span)
             return
         raise TypeMismatch("invalid assignment target", stmt.span)
-
-    def _subscript_target(self, target: n.Subscript,
-                          env: Env) -> tuple[ArrayV, int]:
-        base = self.eval_expr(target.base, env)
-        if not isinstance(base, ArrayV):
-            raise TypeMismatch(f"cannot subscript {describe(base)}",
-                               target.span)
-        idx = self.eval_expr(target.index, env)
-        if not isinstance(idx, IntV):
-            raise TypeMismatch("array index must be an int", target.span)
-        if not (0 <= idx.value < len(base.cells)):
-            raise OutOfBounds(
-                f"index {idx.value} outside array of length "
-                f"{len(base.cells)}", target.span)
-        return base, idx.value
 
     def exec_for(self, stmt: n.For, env: Env) -> Value | None:
         loop_env = Env(env)
@@ -414,10 +413,8 @@ class Interpreter:
                     return None
             iterations += 1
             if iterations > self.limits.loop_cap:
-                raise LoopLimitExceeded(
-                    f"loop iteration cap ({self.limits.loop_cap}) exceeded"
-                    + (" during unrolling" if stmt.unrolling else ""),
-                    stmt.span)
+                raise loop_limit(self.limits.loop_cap, stmt.unrolling,
+                                 stmt.span)
             result = self.exec_stmt(body, _scope_for(body, loop_env))
             if result is not None:
                 return result
@@ -431,8 +428,7 @@ class Interpreter:
             if case.label is None:
                 default_case = case
                 continue
-            label = self.eval_expr(case.label, env)
-            if truth(arith("==", subject, label, case.span), case.span):
+            if matches(subject, self.eval_expr(case.label, env), case.span):
                 return self._exec_case(case, env)
         if default_case is not None:
             return self._exec_case(default_case, env)
@@ -482,11 +478,7 @@ class Interpreter:
             slot = env.slots.get(name)
             if slot is not None:
                 if slot.value is None:
-                    raise UnboundVariable(
-                        f"'{name}' read before assignment"
-                        if slot.residual is None else
-                        f"dynamic variable '{name}' read at compile time",
-                        e.span)
+                    raise unassigned(name, slot, e.span)
                 return slot.value
             env = env.parent
         raise UnboundVariable(f"unbound variable '{name}'", e.span)
@@ -495,23 +487,13 @@ class Interpreter:
         v = self.eval_expr(e.operand, env)
         if e.op == "!":
             return FALSE if truth(v, e.span) else TRUE
-        if isinstance(v, IntV):
-            return arith("-", IntV(0), v, e.span)
-        if isinstance(v, FloatV):
-            return FloatV(-v.value)
-        raise TypeMismatch(f"cannot negate {describe(v)}", e.span)
+        return negate(v, e.span)
 
     def _eval_incr(self, e: n.Incr, env: Env) -> Value:
         if not isinstance(e.target, n.VarRef):
             raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
-        slot = env.lookup(e.target.name, e.span)
-        if slot.value is None:
-            raise UnboundVariable(
-                f"'{e.target.name}' read before assignment", e.span)
-        delta = _ONE if e.op == "++" else _MINUS_ONE
-        slot.value = coerce(binop("+", slot.value, delta, e.span), slot.tv,
-                            e.span)
-        return slot.value
+        return store(env, e.target.name, "+=",
+                     _ONE if e.op == "++" else _MINUS_ONE, e.span)
 
     def _eval_binary(self, e: n.Binary, env: Env) -> Value:
         op = e.op
@@ -533,8 +515,11 @@ class Interpreter:
         return self.eval_expr(e.else_expr, env)
 
     def _eval_subscript(self, e: n.Subscript, env: Env) -> Value:
-        arr, idx = self._subscript_target(e, env)
-        return arr.cells[idx]
+        arr = self.eval_expr(e.base, env)
+        if arr.__class__ is not ArrayV:  # array_of's test, inline: hot
+            array_of(arr, e.span)  # raises
+        return arr.cells[cell_index(arr, self.eval_expr(e.index, env),
+                                    e.span)]
 
     def _eval_call(self, e: n.Call, env: Env) -> Value:
         if e.callee in BUILDERS:
@@ -544,14 +529,9 @@ class Interpreter:
             raise TypeMismatch(
                 f"specializing call '{e.callee}(s...)(d...)' cannot be "
                 "evaluated directly; specialize the program first", e.span)
-        fn = self.functions.get((e.callee, 0))
-        if fn is None:
-            raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
-        args = [self.eval_expr(a, env) for a in e.args]
-        memo = self.memo
-        if memo is not None and memo.pure.get(id(fn)) is fn:
-            return self._call_memoized(memo, fn, args, e.span)
-        return self.call_function(fn, args, e.span)
+        return self.call_static(e.callee,
+                                [self.eval_expr(a, env) for a in e.args],
+                                e.span)
 
 
 # Handlers by exact node class.  A handler takes (interpreter, node, env);
@@ -706,6 +686,104 @@ def binop(op: str, a: Value, b: Value, span: Span | None) -> Value:
             if INT64_MIN <= result <= INT64_MAX:
                 return small_int(result)
     return arith(op, a, b, span)
+
+
+# -- semantics both engines share ---------------------------------------------
+#
+# The walker above and the code ``pyemit`` compiles call these, so an
+# operation raises the same error, with the same message and span, in both.
+
+
+def unassigned(name: str, slot: Slot, span: Span | None) -> UnboundVariable:
+    """The error of reading a variable that holds no value."""
+    return UnboundVariable(
+        f"'{name}' read before assignment" if slot.residual is None else
+        f"dynamic variable '{name}' read at compile time", span)
+
+
+def read(env: Env, name: str, span: Span | None) -> Value:
+    """The value of ``name`` in ``env``: ``_eval_var``, not inlined."""
+    slot = env.find(name)
+    if slot is None:
+        raise UnboundVariable(f"unbound variable '{name}'", span)
+    if slot.value is None:
+        raise unassigned(name, slot, span)
+    return slot.value
+
+
+def store(env: Env, name: str, op: str, value: Value,
+          span: Span | None) -> Value:
+    """Assign ``value`` to the variable ``name`` in ``env`` with ``=``,
+    ``+=``, ...; the stored value.  While specializing, a dynamic
+    variable's slot is not writable."""
+    slot = env.find(name)
+    if slot is None:
+        raise UnboundVariable(f"unbound variable '{name}'", span)
+    if slot.residual is not None:
+        raise UnboundVariable(
+            f"dynamic variable '{name}' written at compile time", span)
+    if op != "=":
+        if slot.value is None:
+            raise UnboundVariable(f"'{name}' read before assignment", span)
+        value = binop(op[0], slot.value, value, span)
+    slot.value = coerce(value, slot.tv, span)
+    return slot.value
+
+
+def array_of(base: Value, span: Span | None) -> ArrayV:
+    if base.__class__ is not ArrayV:
+        raise TypeMismatch(f"cannot subscript {describe(base)}", span)
+    return base
+
+
+def cell_index(arr: ArrayV, idx: Value, span: Span | None) -> int:
+    if not isinstance(idx, IntV):
+        raise TypeMismatch("array index must be an int", span)
+    if not (0 <= idx.value < len(arr.cells)):
+        raise OutOfBounds(f"index {idx.value} outside array of length "
+                          f"{len(arr.cells)}", span)
+    return idx.value
+
+
+def store_cell(arr: ArrayV, idx: int, op: str, value: Value,
+               span: Span | None) -> None:
+    if op != "=":
+        value = binop(op[0], arr.cells[idx], value, span)
+    arr.cells[idx] = coerce(value, arr.elem, span)
+    arr.stores += 1
+
+
+def negate(v: Value, span: Span | None) -> Value:
+    if isinstance(v, IntV):
+        return arith("-", IntV(0), v, span)
+    if isinstance(v, FloatV):
+        return FloatV(-v.value)
+    raise TypeMismatch(f"cannot negate {describe(v)}", span)
+
+
+def matches(subject: Value, label: Value, span: Span | None) -> bool:
+    """Whether a switch ``case`` label selects its case."""
+    return truth(arith("==", subject, label, span), span)
+
+
+def held_type(name: str, value: Value | None, span: Span | None) -> TypeValue:
+    """The type value a variable used as a type name holds."""
+    if not isinstance(value, TypeValue):
+        raise TypeMismatch(f"'{name}' does not hold a type value", span)
+    return value
+
+
+def array_size(size: Value, span: Span | None) -> int:
+    if not isinstance(size, IntV) or size.value < 0:
+        raise TypeMismatch("array size must be a non-negative int", span)
+    return size.value
+
+
+def loop_limit(cap: int, unrolling: bool,
+               span: Span | None) -> LoopLimitExceeded:
+    return LoopLimitExceeded(
+        f"loop iteration cap ({cap}) exceeded"
+        + (" during unrolling" if unrolling else ""), span)
 
 
 # IntV is immutable, so the evaluator shares one value per small integer, as

@@ -16,9 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DivisionByZero, IntegerOverflow, Span, TypeMismatch, UnboundVariable,
-)
+from .errors import DivisionByZero, IntegerOverflow, Span, TypeMismatch
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
@@ -504,17 +502,6 @@ class Env:
                 return slot
             env = env.parent
         return None
-
-    def lookup(self, name: str, span: Span | None = None) -> Slot:
-        """The slot an assignment or ``++``/``--`` writes.  While
-        specializing, a dynamic variable's slot is not writable."""
-        slot = self.find(name)
-        if slot is None:
-            raise UnboundVariable(f"unbound variable '{name}'", span)
-        if slot.residual is not None:
-            raise UnboundVariable(
-                f"dynamic variable '{name}' written at compile time", span)
-        return slot
 
     def bindings(self) -> list[tuple[str, Value | None]]:
         return [(name, slot.value) for name, slot in self.slots.items()]

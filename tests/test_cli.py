@@ -362,3 +362,49 @@ def test_dynamic_global_read_at_compile_time_exits_2(tmp_path):
     assert result.returncode == 2
     assert "dynamic variable 'g' read at compile time" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# Each error class the flatten route's generator can raise, with the line
+# ``catat specialize --via-flatten`` prints and its exit code.  A malformed
+# fragment has no position: the builder call the flattener wrote has none.
+GENERATOR_ERRORS = {
+    "loop cap": (
+        "function f(int@ k)(int d) {\n    int r = d;\n"
+        "    for@ (int@ i = 0; i < k; ++i) r += 1;\n    return r;\n}\n",
+        ["--static-args", "6", "--loop-cap", "5"], 4,
+        "3:5: loop error: loop iteration cap (5) exceeded during unrolling"),
+    "depth of the chain": (
+        "function f(int@ n)(int d) {\n"
+        "    if@ (n > 0) return f(n - 1)(d);\n    return d;\n}\n",
+        ["--static-args", "5", "--max-depth", "5"], 4,
+        "1:1: depth error: static call/specialization chain exceeded the "
+        "depth limit (5)"),
+    "depth of a static call": (
+        "function r(int n) { if (n == 0) return 0; return r(n - 1) + 1; }\n"
+        "function f(int@ k)(int d) {\n    int@ z = r@(k);\n"
+        "    return d + z;\n}\n",
+        ["--static-args", "9", "--max-depth", "6"], 4,
+        "1:50: depth error: static call/specialization chain exceeded the "
+        "depth limit (6)"),
+    "malformed fragment": (
+        "function f(int@* a)(int d) {\n    return d + a;\n}\n",
+        ["--static-args", "[1]"], 3,
+        "0:0: compile-time error: an array cannot appear in a code "
+        "fragment"),
+    "Catat_error@": (
+        "function f(int@ k)(int d) {\n"
+        "    if@ (k > 2) Catat_error@(\"too big\");\n    return d;\n}\n",
+        ["--static-args", "3"], 3, "2:17: compile-time error: too big"),
+}
+
+
+@pytest.mark.parametrize("case", GENERATOR_ERRORS.values(),
+                         ids=GENERATOR_ERRORS.keys())
+def test_generator_errors_keep_their_message_and_exit_code(tmp_path, case):
+    text, args, code, message = case
+    source = tmp_path / "gen.cat"
+    source.write_text(text)
+    result = catat("specialize", source, "--entry", "f", "--via-flatten",
+                   *args)
+    assert result.returncode == code
+    assert result.stderr.strip() == f"{source}:{message}"

@@ -17,7 +17,7 @@ from catat.corpus import (
     dsl_interpreter_source, dsl_reference_eval, encode_dsl,
     random_dsl_program,
 )
-from catat.errors import CatatError, FlattenUnsupported
+from catat.errors import CatatError
 from catat.specializer import (
     SpecializationCache, alpha_equivalent, specialize_program,
 )
@@ -46,12 +46,8 @@ def assert_compression_holds(source, entry, static_args, inputs):
     for via_flatten in (False, True):
         staged = check_stages(parse(source), 2)
         cache = SpecializationCache(staged)
-        try:
-            rp = specialize_program(staged, entry, list(static_args),
-                                    cache=cache, via_flatten=via_flatten)
-        except FlattenUnsupported as error:  # a dynamic ?: does not flatten
-            assert "Cond" in str(error)
-            return routes[0]
+        rp = specialize_program(staged, entry, list(static_args),
+                                cache=cache, via_flatten=via_flatten)
         full = record_program(rp, cache.order)
         assert len(emit(rp)) <= len(emit(full))
         for args in inputs:

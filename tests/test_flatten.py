@@ -412,6 +412,27 @@ def test_a_condition_resolves_its_calls_before_the_body(body, units):
         assert [u.name for u in order] == units + ["f__2"]
 
 
+@pytest.mark.parametrize("body, units", [
+    # a dynamic condition: the condition's call, then each arm's
+    ("d = d > 2 ? p(k)(d) : d;", ["p__2"]),
+    ("d = p(k)(d) > 2 ? q(k)(d) : q(k + 1)(d);", ["p__2", "q__2", "q__3"]),
+    # a static condition selects one arm, and only its calls
+    ("d = k > 1 ? q(k)(d) : p(k)(d);", ["q__2"]),
+    ("d += k < 1 ? d : 7;", []),
+], ids=["found", "calls-in-order", "static-condition", "static-arm"])
+def test_a_dynamic_conditional_flattens(body, units):
+    source = ("function p(int@ k)(int d) { return d - k; }\n"
+              "function q(int@ k)(int d) { return d * k; }\n"
+              f"function f(int@ k)(int d) {{ {body} return d; }}\n")
+    records = both_records(source, "f", [IntV(2)], [IntV(5)])
+    for _, order in records:
+        assert [u.name for u in order] == units + ["f__2"]
+    (direct, direct_order), (flattened, flattened_order) = records
+    for a, b in zip(direct_order, flattened_order):
+        assert alpha_equivalent(a, b), a.name
+    assert emit(direct) == emit(flattened)
+
+
 # -- residual locals capture no other variable --------------------------------
 
 @pytest.mark.parametrize("source, entry, static_args, run_args", [

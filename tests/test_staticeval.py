@@ -59,7 +59,7 @@ def test_factorial_block():
     program = parse(fixture_source("factorial_script.cat"))
     interp = Interpreter(program)
     interp.run_top(program)
-    assert interp.globals.lookup("Nfact").value == IntV(24)
+    assert interp.globals.find("Nfact").value == IntV(24)
 
 
 def test_empty_iteration_space():
@@ -67,7 +67,7 @@ def test_empty_iteration_space():
                     "    hits += 1;")
     interp = Interpreter(program)
     interp.run_top(program)
-    assert interp.globals.lookup("hits").value == IntV(0)
+    assert interp.globals.find("hits").value == IntV(0)
 
 
 def test_user_error_builtin():
@@ -115,8 +115,8 @@ def test_assign_typename():
                     "typename@ U = float_type;")
     interp = Interpreter(program)
     interp.run_top(program)
-    assert interp.globals.lookup("float_type").value == FLOAT
-    assert interp.globals.lookup("U").value == FLOAT
+    assert interp.globals.find("float_type").value == FLOAT
+    assert interp.globals.find("U").value == FLOAT
     with pytest.raises(TypeMismatch):
         Interpreter().run_top(parse("typename@ V = 5;"))
 
@@ -125,7 +125,7 @@ def test_typedef_style_declaration():
     program = parse("typename@ float_type = float;")
     interp = Interpreter(program)
     interp.run_top(program)
-    assert interp.globals.lookup("float_type").value == FLOAT
+    assert interp.globals.find("float_type").value == FLOAT
 
 
 def test_truncating_division_and_modulo():
