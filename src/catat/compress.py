@@ -15,7 +15,11 @@ walk.  It works top down, from the callers: units complete callees first,
 so in reverse order of completion every caller of a unit comes before it,
 and an unfolded body is rebuilt once, where it lands.  Each unit's body is
 walked once (``_Compressor.body``), and only the statements that hold a
-call, or that a renaming touches, are rebuilt.
+call, or that a renaming touches, are rebuilt.  The pass infers no types:
+it reads the types the specializer gave each unit's names when the unit
+completed (``ResidualFunction.types``) and types an expression with the
+specializer's ``residual_type``.  A rebuilt unit keeps those types, with
+the locals hoisted into it added.
 """
 
 from __future__ import annotations
@@ -27,16 +31,12 @@ from .emitter import emit_expr, emit_stmt
 from .errors import TypeMismatch
 from .flatten import NameSupply, type_value_to_decl
 from .specializer import (
-    COMPARISONS, CallSites, ResidualFunction, ResidualProgram, texpr_to_tv,
+    CallSites, ResidualFunction, ResidualProgram, residual_type,
 )
-from .values import (
-    BOOL, FLOAT, FixedArrayTV, INT, PointerTV, SCALAR_CELLS, TYPENAME,
-    TypeValue, promote,
-)
+from .values import SCALAR_CELLS, TYPENAME
 
 
 _LITERALS = (n.IntLit, n.FloatLit, n.BoolLit)
-_LITERAL_TYPES = {n.IntLit: INT, n.FloatLit: FLOAT, n.BoolLit: BOOL}
 # the types of a parameter that may be bound to a fresh local
 _BINDABLE = SCALAR_CELLS - {TYPENAME}
 
@@ -65,39 +65,6 @@ def _calls_or_reads(e: n.Expr, name: str) -> bool:
         any(_calls_or_reads(c, name) for c in n.children(e))
 
 
-def _exact_type(e: n.Expr, types: dict) -> TypeValue | None:
-    """A type whose value class every value of ``e`` has, so that a
-    declaration of that type holds the value unchanged; None if unknown.
-    A call's type is not known here."""
-    cls = e.__class__
-    if cls is n.VarRef:
-        return types.get(e.name)
-    if cls is n.IntLit:
-        return INT
-    if cls is n.FloatLit:
-        return FLOAT
-    if cls is n.BoolLit:
-        return BOOL
-    if cls is n.Unary:
-        return BOOL if e.op == "!" else _exact_type(e.operand, types)
-    if cls is n.Incr:
-        return _exact_type(e.target, types)
-    if cls is n.Binary:
-        if e.op in COMPARISONS:
-            return BOOL
-        lhs = _exact_type(e.lhs, types)
-        rhs = _exact_type(e.rhs, types)
-        return None if lhs is None or rhs is None else promote(lhs, rhs)
-    if cls is n.Cond:
-        then = _exact_type(e.then_expr, types)
-        return then if then == _exact_type(e.else_expr, types) else None
-    if cls is n.Subscript:
-        base = _exact_type(e.base, types)
-        return base.elem if isinstance(base, (PointerTV, FixedArrayTV)) \
-            else None
-    return None
-
-
 class _Body:
     """What unfolding needs to know of a function unit's body, from one
     walk of it."""
@@ -112,7 +79,7 @@ class _Body:
         self.unit = unit
         self.stmts: list = []  # the live top-level statements
         self.hot: set = set()  # ids of the nodes to rebuild
-        self.locals: dict = {}  # declared name -> TypeValue | None
+        self.locals: dict = {}  # declared name -> its type in ``unit.types``
         self.assigned: set = set()  # names assigned or stepped
         self.calls: list = []  # the callee of each call
         self.refs: dict = {}  # name -> occurrences
@@ -142,13 +109,8 @@ class _Compressor:
         self.counts = dict(sites.count)
         self.units = {u.name: u for u in rp.units
                       if isinstance(u, ResidualFunction)}
-        self.globals = {}
-        for s in rp.top_stmts:
-            if s.__class__ is n.VarDecl:
-                for d in s.declarators:
-                    self.globals[d.name] = texpr_to_tv(
-                        s.dtype if d.array_size is None
-                        else n.ArrayType(s.dtype, d.array_size))
+        self.globals = {d.name for s in rp.top_stmts
+                        if s.__class__ is n.VarDecl for d in s.declarators}
         self.entry = rp.entry_name
         self.cyclic = sites.cyclic
         self.bodies: dict[str, _Body] = {}
@@ -199,7 +161,7 @@ class _Compressor:
             return body
         body = self.bodies[u.name] = _Body(u)
         refs, hot, locals_ = body.refs, body.hot, body.locals
-        assigned, calls = body.assigned, body.calls
+        assigned, calls, types = body.assigned, body.calls, u.types
         returns = 0
 
         def scan(x: n.Node) -> bool:
@@ -221,9 +183,7 @@ class _Compressor:
             held = False
             if cls is n.VarDecl:
                 for d in x.declarators:
-                    locals_[d.name] = texpr_to_tv(
-                        x.dtype if d.array_size is None
-                        else n.ArrayType(x.dtype, d.array_size))
+                    locals_[d.name] = types[d.name]
                     refs[d.name] = refs.get(d.name, 0) + 1
                     if d.init is not None and scan(d.init):
                         held = True
@@ -286,7 +246,7 @@ class _Compressor:
     def compress_unit(self, u: ResidualFunction) -> ResidualFunction:
         body = self.body(u)
         self.params = {p for p, _ in u.params}
-        self.types = {**self.globals, **dict(u.params), **body.locals}
+        self.types = dict(u.types)
         self.supply = NameSupply(self.types)
         frame = _Frame(body, {})
         out: list = []
@@ -299,7 +259,7 @@ class _Compressor:
                        else n.Return(value, span=ret.span))
         if len(out) == len(u.body) and all(a is b for a, b in zip(out, u.body)):
             return u
-        return replace(u, body=out)
+        return replace(u, body=out, types=self.types)
 
     def forward(self, value: n.Expr | None, out: list,
                 start: int) -> n.Expr | None:
@@ -314,8 +274,8 @@ class _Compressor:
         d = decl.declarators[0]
         if d.name != value.name or d.array_size is not None or d.init is None:
             return value
-        if _exact_type(d.init, self.types) != texpr_to_tv(decl.dtype) or \
-                _calls_or_reads(d.init, d.name):
+        if residual_type(d.init, self.types, exact=True) != \
+                self.types[d.name] or _calls_or_reads(d.init, d.name):
             return value
         out.pop()
         return d.init
@@ -342,7 +302,7 @@ class _Compressor:
                               s.dtype, [n.Declarator(name, None, e,
                                                      span=d.span)],
                               s.static_kw, span=s.span),
-                          out, depth, bare, (name, s.dtype))
+                          out, depth, bare, (name, self.types[name]))
                 return
             out.append(self.decl(s, frame))
         elif cls is n.Assign:
@@ -452,7 +412,7 @@ class _Compressor:
              into: tuple | None = None) -> None:
         """Append ``make(value)``, the statement whose whole value is
         ``value``, unfolding ``value`` first if it is a call that may be.
-        ``into`` is the name and type of the variable the statement
+        ``into`` is the name and type value of the variable the statement
         declares, if it is a declaration."""
         if value.__class__ is n.Call and \
                 self.unfold(value, make, out, depth, bare, into):
@@ -488,7 +448,8 @@ class _Compressor:
         substitute, bound = {}, []
         for (p, tv), a in zip(params, args):
             cls = a.__class__
-            t = types.get(a.name) if cls is n.VarRef else _LITERAL_TYPES.get(cls)
+            t = residual_type(a, types) \
+                if cls is n.VarRef or cls in _LITERALS else None
             if t is not None and (t is tv or t == tv) and p not in assigned:
                 substitute[p] = a
             elif tv in _BINDABLE:
@@ -598,7 +559,7 @@ class _Compressor:
         if into is not None and value.__class__ is n.VarRef and \
                 value.name in body.top:
             tv = body.locals[value.name]
-            if tv is not None and tv == texpr_to_tv(into[1]):
+            if tv is not None and tv == into[1]:
                 result = value.name
         draw = self.supply.draw
         types = self.types
@@ -623,7 +584,7 @@ class _Compressor:
             dtype, _ = type_value_to_decl(tv)
             self.site(a, lambda e, dtype=dtype, name=name: n.VarDecl(
                 dtype, [n.Declarator(name, None, e)]), out, depth, bare,
-                (name, dtype))
+                (name, tv))
         start = len(out)
         for s in body.stmts[:-1]:
             self.stmt(s, frame, out, depth, bare)

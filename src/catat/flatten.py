@@ -12,7 +12,10 @@ whose ``frag`` is an ``n.Expr``, an ``n.Stmt`` or, from ``make_lambda``, a
 ``Shell`` (the parameters and the ``n.Block`` the body is appended to).
 Whether a fragment is an expression or a statement is decided when a
 builder embeds it, and a malformed fragment is reported there, with that
-builder call's span.  A call is resolved when ``make_call`` builds it:
+builder call's span; a static value it embeds is lifted there
+(``lift``).  Each builder call the flattener writes has the span of the
+source node it stands for, so a generator reports an error where the
+direct route does.  A call is resolved when ``make_call`` builds it:
 while a generator runs, the interpreter holds the specialization cache's
 resolver, so a call with static arguments names its specialized residual at
 once.  ``materialize`` only checks and unpacks the shell the generator
@@ -124,10 +127,7 @@ def _as_expr(v: Value, span: Span | None) -> n.Expr:
                 f"assignment '{node.op}' used in expression position", span)
         raise MalformedFragment(
             f"{type(node).__name__} is not an expression fragment", span)
-    if isinstance(v, (IntV, FloatV, BoolV)):
-        return lift(v)
-    raise MalformedFragment(
-        f"{describe(v)} cannot appear in a code fragment", span)
+    return lift(v, span)
 
 
 def _as_stmt(v: Value, span: Span | None) -> n.Stmt:
@@ -209,10 +209,7 @@ def _b_make_varref(args, span, interp):
 
 def _b_make_literal(args, span, interp):
     _need_count(args, 1, 1, "make_literal", span)
-    v = args[0]
-    if not isinstance(v, (IntV, FloatV, BoolV)):
-        raise LiftError(f"{describe(v)} has no literal form", span)
-    return CodeV(lift(v))
+    return CodeV(lift(args[0], span))
 
 
 def _b_make_vardecl(args, span, interp):
@@ -417,10 +414,12 @@ class _Flattener:
         for p in self.fn.params:
             lambda_args.append(n.StringLit(p.name))
             lambda_args.append(self.type_to_static_expr(p.dtype))
-        out.append(_tree_var(self.shell, n.Call("make_lambda", lambda_args)))
+        span = self.fn.span
+        out.append(_tree_var(self.shell, n.Call("make_lambda", lambda_args,
+                                                span=span)))
         for p in self.fn.params:
-            out.append(self._bind_ref(p.name, n.StringLit(p.name)))
-        target = n.Call("body", [n.VarRef(self.shell)])
+            out.append(self._bind_ref(p.name, n.StringLit(p.name), p.span))
+        target = n.Call("body", [n.VarRef(self.shell)], span=span)
         body: list[n.Stmt] = []  # a scope of its own: it may shadow a param
         self.transform_region(self.fn.body.stmts, target, body)
         out.append(n.Block(body))
@@ -439,17 +438,19 @@ class _Flattener:
         if isinstance(t, n.NamedType):
             return n.VarRef(t.name)
         if isinstance(t, n.PointerType):
-            return n.Call("make_ptr", [self.type_to_static_expr(t.base)])
+            return n.Call("make_ptr", [self.type_to_static_expr(t.base)],
+                          span=t.span)
         if isinstance(t, n.ArrayType):
             return n.Call("make_arr", [self.type_to_static_expr(t.base),
-                                       n.strip_annotations(t.size)])
+                                       n.strip_annotations(t.size)],
+                          span=t.span)
         raise FlattenUnsupported("class types do not flatten", t.span)
 
-    def _bind_ref(self, name: str, frag: n.Expr) -> n.Stmt:
+    def _bind_ref(self, name: str, frag: n.Expr, span: Span | None) -> n.Stmt:
         """Declare the generator variable ``name`` holding the varref of
         ``frag``, a name or a declaration fragment."""
         self.bound.add(name)
-        return _tree_var(name, n.Call("make_varref", [frag]))
+        return _tree_var(name, n.Call("make_varref", [frag], span=span))
 
     def transform_region(self, stmts: list, target: n.Expr,
                          out: list) -> None:
@@ -460,18 +461,20 @@ class _Flattener:
             self.transform_stmt(s, target, out)
         self.bound = saved
 
-    def _append_stmt(self, target: n.Expr, frag_expr: n.Expr) -> n.Stmt:
-        return n.ExprStmt(n.Call("append", [target, frag_expr]))
+    def _append_stmt(self, target: n.Expr, frag_expr: n.Expr,
+                     span: Span | None) -> n.Stmt:
+        return n.ExprStmt(n.Call("append", [target, frag_expr], span=span))
 
     def _vardecl(self, dtype: n.TypeExpr, d: n.Declarator) -> n.Expr:
         args = [self.type_to_static_expr(dtype), n.StringLit(d.name)]
         if d.init is not None:
             args.append(self.conv_expr(d.init))
-        return n.Call("make_vardecl", args)
+        return n.Call("make_vardecl", args, span=d.span)
 
     def transform_stmt(self, s: n.Stmt, target: n.Expr, out: list) -> None:
         if isinstance(s, n.Block):
-            out.append(self._append_stmt(target, self.sub_to_frag(s, out)))
+            out.append(self._append_stmt(target, self.sub_to_frag(s, out),
+                                         s.span))
             return
         if isinstance(s, n.VarDecl):
             if isinstance(s.dtype, n.ClassAppType) and not s.dtype.ctime:
@@ -484,14 +487,15 @@ class _Flattener:
                 dtype = s.dtype
                 if d.array_size is not None:
                     dtype = n.ArrayType(dtype, d.array_size)
-                decl = n.Call("append", [target, self._vardecl(dtype, d)])
-                out.append(self._bind_ref(d.name, decl))
+                decl = n.Call("append", [target, self._vardecl(dtype, d)],
+                              span=s.span)
+                out.append(self._bind_ref(d.name, decl, d.span))
             return
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage == 0:
             out.append(n.strip_annotations(s))
             return
         if isinstance(s, (n.Assign, n.ExprStmt, n.Return)):
-            out.append(self._append_stmt(target, self._stmt_frag(s)))
+            out.append(self._append_stmt(target, self._stmt_frag(s), s.span))
             return
         if isinstance(s, n.If):
             if s.at_count:
@@ -507,7 +511,8 @@ class _Flattener:
             if s.else_stmt is not None:
                 frag_args.append(self.sub_to_frag(s.else_stmt, out))
             self._before(out, mark, frag_args, ("cond",))
-            out.append(self._append_stmt(target, n.Call("make_if", frag_args)))
+            out.append(self._append_stmt(
+                target, n.Call("make_if", frag_args, span=s.span), s.span))
             return
         if isinstance(s, n.For):
             if s.at_count:
@@ -521,17 +526,17 @@ class _Flattener:
             saved = set(self.bound)
             # a loop variable's generator variables get a scope of their own
             code = [] if isinstance(s.init, n.VarDecl) else out
-            init_frag = self.clause_to_frag(s.init, code)
+            init_frag = self.clause_to_frag(s.init, code, s.span)
             mark = len(code)
             frag_args = [init_frag,
                          self.conv_expr(s.cond) if s.cond is not None
-                         else n.Call("make_block", []),
-                         self.clause_to_frag(s.incr, code)]
+                         else n.Call("make_block", [], span=s.span),
+                         self.clause_to_frag(s.incr, code, s.span)]
             frag_args.append(self.sub_to_frag(s.body, code))
             self._before(code, mark, frag_args, ("init", "cond", "step"))
             self.bound = saved
             code.append(self._append_stmt(
-                target, n.Call("make_for", frag_args)))
+                target, n.Call("make_for", frag_args, span=s.span), s.span))
             if code is not out:
                 out.append(n.Block(code))
             return
@@ -573,15 +578,17 @@ class _Flattener:
         self.transform_region(stmts, target, inner)
         return inner[0] if len(inner) == 1 else n.Block(inner)
 
-    def clause_to_frag(self, clause: n.Stmt | None, out: list) -> n.Expr:
+    def clause_to_frag(self, clause: n.Stmt | None, out: list,
+                       span: Span | None) -> n.Expr:
+        """The fragment of a ``for`` clause; ``span`` is the loop's."""
         if clause is None:
-            return n.Call("make_block", [])
+            return n.Call("make_block", [], span=span)
         if isinstance(clause, n.VarDecl):
             # drawn and bound before the body draws, as on the direct route
             d = clause.declarators[0]
             decl = self.names.draw("init")
             out.append(_tree_var(decl, self._vardecl(clause.dtype, d)))
-            out.append(self._bind_ref(d.name, n.VarRef(decl)))
+            out.append(self._bind_ref(d.name, n.VarRef(decl), d.span))
             return n.VarRef(decl)
         return self._stmt_frag(clause)
 
@@ -595,7 +602,7 @@ class _Flattener:
                 isinstance(s, n.Return):
             return self._stmt_frag(s)
         tmp = self.names.draw("blk")
-        out.append(_tree_var(tmp, n.Call("make_block", [])))
+        out.append(_tree_var(tmp, n.Call("make_block", [], span=s.span)))
         stmts = s.stmts if isinstance(s, n.Block) else [s]
         inner: list = []
         self.transform_region(stmts, n.VarRef(tmp), inner)
@@ -608,15 +615,16 @@ class _Flattener:
         if isinstance(s, n.Assign):
             return n.Call("make_op", [n.StringLit(s.op),
                                       self.conv_expr(s.target),
-                                      self.conv_expr(s.value)])
+                                      self.conv_expr(s.value)], span=s.span)
         if isinstance(s, n.ExprStmt) and isinstance(s.expr, n.Incr):
             return n.Call("make_incr", [n.StringLit(s.expr.op),
-                                        self.conv_expr(s.expr.target)])
+                                        self.conv_expr(s.expr.target)],
+                          span=s.expr.span)
         if isinstance(s, n.ExprStmt):
             return self.conv_expr(s.expr)
         if isinstance(s, n.Return):
             args = [] if s.value is None else [self.conv_expr(s.value)]
-            return n.Call("make_return", args)
+            return n.Call("make_return", args, span=s.span)
         raise FlattenUnsupported(f"cannot flatten {type(s).__name__}",
                                  s.span)
 
@@ -632,7 +640,7 @@ class _Flattener:
         if isinstance(e, n.VarRef):
             if e.name in self.bound:
                 return n.VarRef(e.name)
-            return n.Call("make_varref", [n.StringLit(e.name)])
+            return n.Call("make_varref", [n.StringLit(e.name)], span=e.span)
         if isinstance(e, n.Binary):
             if e.op in ("&&", "||") and e.lhs.stage == 0:
                 # a static left operand that decides folds at generator run
@@ -640,19 +648,21 @@ class _Flattener:
                 lhs = n.strip_annotations(e.lhs)
                 kept = n.Call("make_op", [n.StringLit(e.op),
                                           n.BoolLit(e.op == "&&"),
-                                          self.conv_expr(e.rhs)])
+                                          self.conv_expr(e.rhs)], span=e.span)
                 if e.op == "&&":
                     return n.Cond(lhs, kept, n.BoolLit(False), span=e.span)
                 return n.Cond(lhs, n.BoolLit(True), kept, span=e.span)
             return n.Call("make_op", [n.StringLit(e.op),
                                       self.conv_expr(e.lhs),
-                                      self.conv_expr(e.rhs)])
+                                      self.conv_expr(e.rhs)], span=e.span)
         if isinstance(e, n.Unary):
             return n.Call("make_unary", [n.StringLit(e.op),
-                                         self.conv_expr(e.operand)])
+                                         self.conv_expr(e.operand)],
+                          span=e.span)
         if isinstance(e, n.Incr):
             return n.Call("make_incr", [n.StringLit(e.op),
-                                        self.conv_expr(e.target)])
+                                        self.conv_expr(e.target)],
+                          span=e.span)
         if isinstance(e, n.Cond):
             # a static condition selects its arm at generator run time, as
             # on the direct route; the arms build after the condition
@@ -662,20 +672,22 @@ class _Flattener:
                               self.conv_expr(e.else_expr), span=e.span)
             return n.Call("make_cond", [self.conv_expr(e.cond),
                                         self.conv_expr(e.then_expr),
-                                        self.conv_expr(e.else_expr)])
+                                        self.conv_expr(e.else_expr)],
+                          span=e.span)
         if isinstance(e, n.Subscript):
             return n.Call("make_subscript", [self.conv_expr(e.base),
-                                             self.conv_expr(e.index)])
+                                             self.conv_expr(e.index)],
+                          span=e.span)
         if isinstance(e, n.Call):
             if e.static_args is not None:
                 args = [n.StringLit(e.callee),
                         n.IntLit(len(e.static_args))]
                 args.extend(n.strip_annotations(a) for a in e.static_args)
                 args.extend(self.conv_expr(a) for a in e.args)
-                return n.Call("make_call", args)
+                return n.Call("make_call", args, span=e.span)
             args = [n.StringLit(e.callee), n.IntLit(0)]
             args.extend(self.conv_expr(a) for a in e.args)
-            return n.Call("make_call", args)
+            return n.Call("make_call", args, span=e.span)
         raise FlattenUnsupported(
             f"cannot flatten dynamic {type(e).__name__}", e.span)
 

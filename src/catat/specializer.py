@@ -26,7 +26,9 @@ holds no value and names the variable's residual (``Slot.residual``).
 Shadowing and redeclaration therefore follow the same scope rules on
 both stages, as they do in ``run_unstaged``.  A residualized expression
 is plain residual syntax, an ``n.Expr``; a static one is its ``Value``.
-Residual syntax is typed in one place, ``_ReturnTyper``.
+Residual syntax is typed in one place, ``residual_type``: each function
+unit keeps the types its body was typed with (``ResidualFunction.types``),
+which ``compress`` reads.
 
 Specializations are memoized per (definition, static-argument tuple);
 each key yields exactly one residual entity per run, named by a
@@ -59,19 +61,19 @@ from . import flatten
 from . import nodes as n
 from .errors import (
     STACK_EXHAUSTED, DepthExceeded, FlattenUnsupported, LiftError,
-    LoopLimitExceeded, MalformedFragment, ReturnTypeMismatch,
-    SelfRecursiveSpecialization, Span, StageLeak, TypeMismatch,
-    UnboundVariable,
+    MalformedFragment, ReturnTypeMismatch, SelfRecursiveSpecialization, Span,
+    StageLeak, TypeMismatch, UnboundVariable,
 )
 from .flatten import (NameSupply, lift, type_value_to_decl,
                       type_value_to_texpr)
 from .staging import StagedAST
 from .staticeval import (
-    CallMemo, DepthGuard, EvalLimits, Interpreter, raise_recursion_limit,
+    CallMemo, DepthGuard, EvalLimits, Interpreter, loop_limit, matches,
+    raise_recursion_limit,
 )
 from .values import (
-    BOOL, BoolV, ClassTV, Env, FixedArrayTV, InstanceV, PointerTV,
-    PRIM_BY_NAME, Slot, TypeValue, VOID, Value, arith, canonical_key, coerce,
+    BOOL, BoolV, ClassTV, Env, FLOAT, FixedArrayTV, INT, InstanceV, PointerTV,
+    PRIM_BY_NAME, Slot, TypeValue, VOID, Value, canonical_key, coerce,
     mangle_name, promote, render_static_arg, render_type, truth,
 )
 
@@ -115,6 +117,9 @@ class ResidualFunction:
     body: list  # single-level statements
     key: SpecializationKey
     comment: str = ""
+    # residual name -> type of each dynamic global, parameter and local it
+    # may read, as ``infer_return_type`` typed its body
+    types: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_function_def(self) -> n.FunctionDef:
         params = [n.Param(name, type_value_to_texpr(tv))
@@ -324,7 +329,7 @@ def texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
 
 
 # ---------------------------------------------------------------------------
-# Residual return-type inference
+# Residual typing
 
 
 def residual_types(env: Env) -> dict:
@@ -337,17 +342,61 @@ def residual_types(env: Env) -> dict:
             for slot in frame.slots.values() if slot.residual is not None}
 
 
-def infer_return_type(body: list, var_types: dict, callee_types=None,
+def residual_type(e: n.Expr, types: dict, callee_types=None,
+                  exact: bool = False) -> TypeValue | None:
+    """The type of residual expression ``e`` under ``types``, residual name
+    -> type; a call's is ``callee_types(callee)``.  None if unknown.  An
+    ``exact`` type is one whose value class every value of ``e`` has, so
+    that a declaration of that type holds the value unchanged: a ``?:``
+    whose arms differ in type, and a call, have none."""
+    cls = e.__class__
+    if cls is n.VarRef:
+        return types.get(e.name)
+    if cls is n.IntLit:
+        return INT
+    if cls is n.FloatLit:
+        return FLOAT
+    if cls is n.BoolLit:
+        return BOOL
+    if cls is n.Unary:
+        return BOOL if e.op == "!" else \
+            residual_type(e.operand, types, callee_types, exact)
+    if cls is n.Incr:
+        return residual_type(e.target, types, callee_types, exact)
+    if cls is n.Binary:
+        if e.op in COMPARISONS:
+            return BOOL
+        lhs = residual_type(e.lhs, types, callee_types, exact)
+        rhs = residual_type(e.rhs, types, callee_types, exact)
+        return None if lhs is None or rhs is None else promote(lhs, rhs)
+    if cls is n.Cond:
+        then = residual_type(e.then_expr, types, callee_types, exact)
+        other = residual_type(e.else_expr, types, callee_types, exact)
+        if exact:
+            return then if then == other else None
+        return None if then is None or other is None \
+            else promote(then, other)
+    if cls is n.Subscript:
+        base = residual_type(e.base, types, callee_types, exact)
+        return base.elem if isinstance(base, (PointerTV, FixedArrayTV)) \
+            else None
+    if cls is n.Call and not exact and callee_types is not None:
+        return callee_types(e.callee)
+    return None
+
+
+def infer_return_type(body: list, types: dict, callee_types=None,
                       span: Span | None = None) -> TypeValue:
     """Unify the types of all return expressions in a residual body under
-    numeric promotion; no returns means void.  ``var_types`` holds the
-    types of the parameters and of the globals the body may read."""
-    walker = _ReturnTyper(var_types, callee_types)
+    numeric promotion; no returns means void.  ``types`` holds the types
+    of the parameters and of the globals the body may read; the type of
+    each local the body declares is added to it."""
+    found: list = []
     for s in body:
-        walker.visit(s)
-    known = [tv for tv in walker.found if tv is not None]
+        _type_stmt(s, types, callee_types, found)
+    known = [tv for tv in found if tv is not None]
     if not known:
-        if walker.found:
+        if found:
             raise ReturnTypeMismatch(
                 "return type depends only on unresolvable calls", span)
         return VOID
@@ -362,77 +411,33 @@ def infer_return_type(body: list, var_types: dict, callee_types=None,
     return result
 
 
-class _ReturnTyper:
-    def __init__(self, var_types: dict, callee_types):
-        self.types = dict(var_types)
-        self.callee_types = callee_types
-        self.found: list = []
-
-    def visit(self, s: n.Stmt) -> None:
-        if isinstance(s, n.VarDecl):
-            for d in s.declarators:
-                dtype = s.dtype
-                if d.array_size is not None:
-                    dtype = n.ArrayType(dtype, d.array_size)
-                self.types[d.name] = texpr_to_tv(dtype)
-        elif isinstance(s, n.Return):
-            self.found.append(VOID if s.value is None
-                              else self.type_of(s.value))
-        elif isinstance(s, n.Block):
-            for sub in s.stmts:
-                self.visit(sub)
-        elif isinstance(s, n.If):
-            self.visit(s.then_stmt)
-            if s.else_stmt is not None:
-                self.visit(s.else_stmt)
-        elif isinstance(s, n.For):
-            if s.init is not None:
-                self.visit(s.init)
-            self.visit(s.body)
-        elif isinstance(s, n.Switch):
-            for case in s.cases:
-                for sub in case.body:
-                    self.visit(sub)
-
-    def type_of(self, e: n.Expr) -> TypeValue | None:
-        if isinstance(e, n.IntLit):
-            return PRIM_BY_NAME["int"]
-        if isinstance(e, n.FloatLit):
-            return PRIM_BY_NAME["float"]
-        if isinstance(e, n.BoolLit):
-            return BOOL
-        if isinstance(e, n.VarRef):
-            return self.types.get(e.name)
-        if isinstance(e, n.Unary):
-            if e.op == "!":
-                return BOOL
-            return self.type_of(e.operand)
-        if isinstance(e, n.Incr):
-            return self.type_of(e.target)
-        if isinstance(e, n.Binary):
-            if e.op in COMPARISONS:
-                return BOOL
-            lhs = self.type_of(e.lhs)
-            rhs = self.type_of(e.rhs)
-            if lhs is None or rhs is None:
-                return None
-            return promote(lhs, rhs)
-        if isinstance(e, n.Cond):
-            lhs = self.type_of(e.then_expr)
-            rhs = self.type_of(e.else_expr)
-            if lhs is None or rhs is None:
-                return None
-            return promote(lhs, rhs)
-        if isinstance(e, n.Subscript):
-            base = self.type_of(e.base)
-            if isinstance(base, (PointerTV, FixedArrayTV)):
-                return base.elem
-            return None
-        if isinstance(e, n.Call):
-            if self.callee_types is None:
-                return None
-            return self.callee_types(e.callee)
-        return None
+def _type_stmt(s: n.Stmt, types: dict, callee_types, found: list) -> None:
+    """Add the locals ``s`` declares to ``types`` and the type of each
+    value it returns to ``found``."""
+    cls = s.__class__
+    if cls is n.VarDecl:
+        for d in s.declarators:
+            types[d.name] = texpr_to_tv(
+                s.dtype if d.array_size is None
+                else n.ArrayType(s.dtype, d.array_size))
+    elif cls is n.Return:
+        found.append(VOID if s.value is None
+                     else residual_type(s.value, types, callee_types))
+    elif cls is n.Block:
+        for sub in s.stmts:
+            _type_stmt(sub, types, callee_types, found)
+    elif cls is n.If:
+        _type_stmt(s.then_stmt, types, callee_types, found)
+        if s.else_stmt is not None:
+            _type_stmt(s.else_stmt, types, callee_types, found)
+    elif cls is n.For:
+        if s.init is not None:
+            _type_stmt(s.init, types, callee_types, found)
+        _type_stmt(s.body, types, callee_types, found)
+    elif cls is n.Switch:
+        for case in s.cases:
+            for sub in case.body:
+                _type_stmt(sub, types, callee_types, found)
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +518,12 @@ class _Specializer:
                                        reserved.comment)
             else:
                 params, stmts = parts
-                var_types = {**global_types, **dict(params)}
-                rtype = infer_return_type(stmts, var_types,
+                types = {**global_types, **dict(params)}
+                rtype = infer_return_type(stmts, types,
                                           self.cache.return_type_of,
                                           defn.span)
                 entity = ResidualFunction(reserved.name, rtype, params, stmts,
-                                          key, reserved.comment)
+                                          key, reserved.comment, types)
             self.cache.complete(key, entity)
             return entity
         finally:
@@ -815,9 +820,7 @@ class _Specializer:
                     truth(interp.eval_expr(s.cond, env), s.span):
                 iterations += 1
                 if iterations > self.cache.limits.loop_cap:
-                    raise LoopLimitExceeded(
-                        f"loop iteration cap ({self.cache.limits.loop_cap}) "
-                        "exceeded during unrolling", s.span)
+                    raise loop_limit(self.cache.limits.loop_cap, True, s.span)
                 self.splice(s.body, ctx, out)
                 if s.incr is not None:
                     interp.exec_stmt(s.incr, env)
@@ -848,7 +851,7 @@ class _Specializer:
                     default_case = case
                     continue
                 label = self.interp.eval_expr(case.label, ctx.env)
-                if truth(arith("==", subject, label, case.span), case.span):
+                if matches(subject, label, case.span):
                     self.splice(n.Block(case.body), ctx, out)
                     return
             if default_case is not None:
@@ -959,9 +962,9 @@ class _Specializer:
         """Single-list call to a two-list function: infer typename statics
         from the element types of pointer-typed dynamic arguments."""
         args = self.residual_args(e, ctx)
-        typer = _ReturnTyper(residual_types(ctx.env),
-                             self.cache.return_type_of)
-        arg_types = [typer.type_of(a) for a in args]
+        types = residual_types(ctx.env)
+        arg_types = [residual_type(a, types, self.cache.return_type_of)
+                     for a in args]
         candidates = [fn for (name, arity), fn in self.cache.functions.items()
                       if name == e.callee and arity > 0]
         for fn in candidates:

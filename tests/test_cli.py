@@ -5,6 +5,8 @@ import pytest
 
 from catat.corpus import corpus_path
 
+from test_compress import DYNAMIC_SWITCH
+
 CLI = [sys.executable, "-m", "catat.cli"]
 
 
@@ -365,8 +367,9 @@ def test_dynamic_global_read_at_compile_time_exits_2(tmp_path):
 
 
 # Each error class the flatten route's generator can raise, with the line
-# ``catat specialize --via-flatten`` prints and its exit code.  A malformed
-# fragment has no position: the builder call the flattener wrote has none.
+# ``catat specialize --via-flatten`` prints and its exit code.  A static
+# value with no literal form is reported where the direct route reports it:
+# each builder call the flattener writes has its source node's span.
 GENERATOR_ERRORS = {
     "loop cap": (
         "function f(int@ k)(int d) {\n    int r = d;\n"
@@ -386,16 +389,32 @@ GENERATOR_ERRORS = {
         ["--static-args", "9", "--max-depth", "6"], 4,
         "1:50: depth error: static call/specialization chain exceeded the "
         "depth limit (6)"),
-    "malformed fragment": (
+    "a static array in dynamic code": (
         "function f(int@* a)(int d) {\n    return d + a;\n}\n",
         ["--static-args", "[1]"], 3,
-        "0:0: compile-time error: an array cannot appear in a code "
-        "fragment"),
+        "2:14: compile-time error: an array has no literal form in dynamic "
+        "code"),
+    "malformed fragment": (
+        "function f(int@ k)(int d) {\n"
+        "    ASTree@ t = make_op(\"+\", make_varref(\"d\"), make_block());\n"
+        "    return d;\n}\n",
+        ["--static-args", "1"], 3,
+        "2:17: compile-time error: Block is not an expression fragment"),
     "Catat_error@": (
         "function f(int@ k)(int d) {\n"
         "    if@ (k > 2) Catat_error@(\"too big\");\n    return d;\n}\n",
         ["--static-args", "3"], 3, "2:17: compile-time error: too big"),
 }
+
+
+def test_a_dynamic_switch_is_a_flatten_error(tmp_path):
+    source = tmp_path / "switch.cat"
+    source.write_text(DYNAMIC_SWITCH)
+    result = catat("specialize", source, "--entry", "f", "--static-args",
+                   "2", "--via-flatten")
+    assert result.returncode == 3
+    assert result.stderr.strip() == (
+        f"{source}:4:5: flatten error: dynamic switch does not flatten")
 
 
 @pytest.mark.parametrize("case", GENERATOR_ERRORS.values(),

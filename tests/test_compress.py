@@ -21,8 +21,11 @@ from catat.errors import CatatError
 from catat.specializer import (
     SpecializationCache, alpha_equivalent, specialize_program,
 )
+from catat.values import INT
 
-from conftest import both_records, both_routes, record_program
+from conftest import (
+    both_records, both_routes, record_program, specialize_with_record,
+)
 
 
 def outcome(program, entry, args, unstaged=False):
@@ -178,6 +181,29 @@ def test_a_one_call_unit_is_hoisted_and_renamed_apart():
         "    t += t_2;",
         "    return t + u;",
         "}"]
+
+
+DYNAMIC_SWITCH = ("function g(int@ k)(int x) {\n"
+                  "    int u = x + k; return u + 1; }\n"
+                  "function f(int@ k)(int d) {\n"
+                  "    switch (d) {\n"
+                  "        case 1: return g(k)(d);\n"
+                  "        case 2: { int u = d * 2; return u + 1; }\n"
+                  "        default: return d + 3;\n"
+                  "    }\n}\n")
+
+
+@pytest.mark.parametrize("d, value", [(1, 4), (2, 5), (5, 8)])
+def test_a_call_is_hoisted_into_a_switch_case(d, value):
+    # the direct route only: a dynamic switch does not flatten
+    rp, _ = specialize_with_record(DYNAMIC_SWITCH, "f", [IntV(2)], [IntV(d)])
+    assert run(rp, rp.entry_name, [IntV(d)]).value == IntV(value)
+    assert [u.name for u in rp.units] == ["f__2"]
+    assert emit(rp).splitlines()[3:6] == [
+        "        case 1:",
+        "            int u_2 = d + 2;",
+        "            return u_2 + 1;"]
+    assert rp.units[0].types["u_2"] == INT
 
 
 def test_arguments_keep_their_coercion_and_evaluation():

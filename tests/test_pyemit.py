@@ -153,9 +153,13 @@ ERRORS = {
                            "DepthExceeded"),
     "depth of a static call": (STATIC_RECURSION, [IntV(9)],
                                EvalLimits(max_depth=6), "DepthExceeded"),
-    "malformed fragment": ("function f(int@* a)(int d) { return d + a; }",
-                           [ArrayV(INT, [IntV(1)])], None,
-                           "MalformedFragment"),
+    "a static array in dynamic code": (
+        "function f(int@* a)(int d) { return d + a; }",
+        [ArrayV(INT, [IntV(1)])], None, "LiftError"),
+    "malformed fragment": (
+        "function f(int@ k)(int d) { ASTree@ t = make_op(\"+\", "
+        "make_varref(\"d\"), make_block()); return d; }", [IntV(1)], None,
+        "MalformedFragment"),
     "out of bounds": ("function f(int@* a)(int x) { a[0] = 5; "
                       "return x + a[2]; }",
                       [ArrayV(INT, [IntV(7), IntV(8)])], None, "OutOfBounds"),
@@ -282,6 +286,12 @@ PROGRAMS = {
                     "return x; }", [IntV(1)], None),
     "negating a bool": ("function f(bool b) { return -b; }",
                         [staticeval.TRUE], None),
+    "a global stepped": ("int g = 5;\nfunction f(int x) { ++g; --g; ++g; "
+                         "return x + g; }", [IntV(1)], 7),
+    "a return from an outlined loop": (
+        "function f(int x) { "
+        + "".join(f"for (int i{j} = 0; i{j} < 1; ++i{j}) " for j in range(14))
+        + "return x + i0 + 6; return 0; }", [IntV(1)], 7),
 }
 
 

@@ -3,16 +3,20 @@ with an entry, both record the same units in the same order, under the
 same names and provenance comments, each pair of units is
 alpha-equivalent, and so is each pair of compressed residuals, each of
 which gives the value of ``run_unstaged`` on the fixture's run arguments.
-Both routes also stop a specialization chain at the same depth."""
+Both routes also stop a specialization chain at the same depth, and
+report a static value that has no literal form with the same error."""
 
 import pytest
 
-from catat import DepthExceeded, EvalLimits, IntV, check_stages, parse
+from catat import (
+    ArrayV, CatatError, DepthExceeded, EvalLimits, IntV, check_stages, parse,
+)
 from catat.cli import parse_arg_list
 from catat.corpus import provide_corpus
 from catat.specializer import (
     ResidualFunction, alpha_equivalent, specialize_program,
 )
+from catat.values import INT
 
 from conftest import both_records
 
@@ -60,3 +64,35 @@ def test_routes_share_the_depth_boundary():
             specialize_program(check_stages(parse(CHAIN), 2), "f", [IntV(5)],
                                EvalLimits(max_depth=5),
                                via_flatten=via_flatten)
+
+
+STATIC_SWITCH = ("function h(int@ k)(int x) { return x * k; }\n"
+                 "function f(int@ k)(int d) {\n"
+                 "    switch@ (k) {\n"
+                 "        case 1: return d + 1;\n"
+                 "        case 2: { int t = h(k)(d); return t + k; }\n"
+                 "        default: return h(k + 1)(d);\n"
+                 "    }\n}\n")
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_routes_agree_on_a_static_switch(k):
+    (direct, direct_order), (flattened, flattened_order) = both_records(
+        STATIC_SWITCH, "f", [IntV(k)], [IntV(3)])
+    assert_agree(direct_order, flattened_order)
+    assert_agree(direct.units, flattened.units)
+
+
+def test_routes_report_a_static_array_in_dynamic_code_alike():
+    source = "function f(int@* a)(int d) {\n    return d + a;\n}\n"
+    errors = []
+    for via_flatten in (False, True):
+        with pytest.raises(CatatError) as error:
+            specialize_program(check_stages(parse(source), 2), "f",
+                               [ArrayV(INT, [IntV(1)])],
+                               via_flatten=via_flatten)
+        errors.append((type(error.value).__name__, error.value.message,
+                       tuple(error.value.span)))
+    assert errors == [("LiftError",
+                       "an array has no literal form in dynamic code",
+                       (2, 14))] * 2

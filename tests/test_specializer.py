@@ -13,8 +13,8 @@ from catat.errors import (
 )
 from catat.specializer import (
     ResidualFunction, SpecializationCache, SpecializationKey,
-    alpha_equivalent, infer_return_type, lift, mangle, specialize_class,
-    specialize_function, specialize_program,
+    alpha_equivalent, infer_return_type, lift, mangle, residual_type,
+    specialize_class, specialize_function, specialize_program,
 )
 from catat import values
 from catat.corpus import encode_dsl
@@ -390,6 +390,37 @@ def test_infer_mismatch():
     body = [n.If(n.VarRef("c"), n.Return(n.IntLit(1)), n.Return(None), 0, 0)]
     with pytest.raises(ReturnTypeMismatch):
         infer_return_type(body, {"c": None})
+
+
+TYPES = {"i": INT, "x": FLOAT, "b": BOOL, "p": PointerTV(FLOAT),
+         "a": FixedArrayTV(INT, 3)}
+
+
+@pytest.mark.parametrize("text, typed, exact", [
+    ("!i", BOOL, BOOL),
+    ("-x", FLOAT, FLOAT),
+    ("++i", INT, INT),
+    *((f"i {op} x", BOOL, BOOL)
+      for op in ("==", "!=", "<", ">", "<=", ">=", "&&", "||")),
+    ("i + x", FLOAT, FLOAT),
+    ("b ? i : i + 1", INT, INT),
+    ("b ? i : x", FLOAT, None),
+    ("p[i]", FLOAT, FLOAT),
+    ("a[i]", INT, INT),
+    ("g(i)", FLOAT, None),
+    ("g(i) + 1", FLOAT, None),
+    ("h(i)", None, None),
+    ("q", None, None),
+    ("i[0]", None, None),
+])
+def test_residual_type(text, typed, exact):
+    # exact: every value has the type's value class, so a call (whatever
+    # it returns) and a ?: whose arms differ have none
+    e = parse(f"function f() {{ return {text}; }}").functions()[0] \
+        .body.stmts[0].value
+    callee_types = {"g": FLOAT}.get
+    assert residual_type(e, TYPES, callee_types) == typed
+    assert residual_type(e, TYPES, callee_types, exact=True) == exact
 
 
 def test_infer_through_locals_and_calls():
