@@ -148,49 +148,54 @@ class _Writer:
     # -- statements ---------------------------------------------------------
 
     def stmt(self, s: n.Stmt) -> None:
-        if isinstance(s, n.VarDecl):
-            self.line(self.var_decl_text(s) + ";")
-        elif isinstance(s, n.Assign):
-            self.line(f"{self.expr(s.target, 0)} {s.op} "
-                      f"{self.expr(s.value, 0)};")
-        elif isinstance(s, n.ExprStmt):
-            self.line(self.expr(s.expr, 0) + ";")
-        elif isinstance(s, n.Return):
-            if s.value is None:
-                self.line("return;")
+        handler = _STMT.get(s.__class__)
+        if handler is None:
+            raise TypeError(f"unknown statement node {s!r}")
+        handler(self, s)
+
+    def var_decl(self, s: n.VarDecl) -> None:
+        self.line(self.var_decl_text(s) + ";")
+
+    def assign(self, s: n.Assign) -> None:
+        self.line(f"{self.expr(s.target, 0)} {s.op} {self.expr(s.value, 0)};")
+
+    def expr_stmt(self, s: n.ExprStmt) -> None:
+        self.line(self.expr(s.expr, 0) + ";")
+
+    def return_stmt(self, s: n.Return) -> None:
+        if s.value is None:
+            self.line("return;")
+        else:
+            self.line(f"return {self.expr(s.value, 0)};")
+
+    def block(self, s: n.Block) -> None:
+        self.line("{")
+        self.indent += 1
+        for sub in s.stmts:
+            self.stmt(sub)
+        self.indent -= 1
+        self.line("}")
+
+    def for_stmt(self, s: n.For) -> None:
+        head = (f"for{'@' * s.at_count} ({self.clause(s.init)}; "
+                f"{self.expr(s.cond, 0) if s.cond is not None else ''}; "
+                f"{self.clause(s.incr)})")
+        self.attach_body(head, s.body)
+
+    def switch_stmt(self, s: n.Switch) -> None:
+        self.line(f"switch{'@' * s.at_count} ({self.expr(s.subject, 0)}) {{")
+        self.indent += 1
+        for case in s.cases:
+            if case.label is None:
+                self.line("default:")
             else:
-                self.line(f"return {self.expr(s.value, 0)};")
-        elif isinstance(s, n.Block):
-            self.line("{")
+                self.line(f"case {self.expr(case.label, 0)}:")
             self.indent += 1
-            for sub in s.stmts:
+            for sub in case.body:
                 self.stmt(sub)
             self.indent -= 1
-            self.line("}")
-        elif isinstance(s, n.If):
-            self.if_stmt(s)
-        elif isinstance(s, n.For):
-            head = (f"for{'@' * s.at_count} ({self.clause(s.init)}; "
-                    f"{self.expr(s.cond, 0) if s.cond is not None else ''}; "
-                    f"{self.clause(s.incr)})")
-            self.attach_body(head, s.body)
-        elif isinstance(s, n.Switch):
-            self.line(f"switch{'@' * s.at_count} "
-                      f"({self.expr(s.subject, 0)}) {{")
-            self.indent += 1
-            for case in s.cases:
-                if case.label is None:
-                    self.line("default:")
-                else:
-                    self.line(f"case {self.expr(case.label, 0)}:")
-                self.indent += 1
-                for sub in case.body:
-                    self.stmt(sub)
-                self.indent -= 1
-            self.indent -= 1
-            self.line("}")
-        else:
-            raise TypeError(f"unknown statement node {s!r}")
+        self.indent -= 1
+        self.line("}")
 
     def var_decl_text(self, s: n.VarDecl) -> str:
         parts = []
@@ -265,50 +270,91 @@ class _Writer:
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e: n.Expr, parent_prec: int) -> str:
-        text, prec = self._expr(e)
+        handler = _EXPR.get(e.__class__)
+        if handler is None:
+            raise TypeError(f"unknown expression node {e!r}")
+        text, prec = handler(self, e)
         if prec < parent_prec:
             return f"({text})"
         return text
 
-    def _expr(self, e: n.Expr) -> tuple[str, int]:
-        if isinstance(e, n.IntLit):
-            return str(e.value), _POSTFIX_PREC
-        if isinstance(e, n.FloatLit):
-            return repr(e.value), _POSTFIX_PREC
-        if isinstance(e, n.BoolLit):
-            return ("true" if e.value else "false"), _POSTFIX_PREC
-        if isinstance(e, n.StringLit):
-            escaped = e.value.replace("\\", "\\\\").replace('"', '\\"') \
-                             .replace("\n", "\\n").replace("\t", "\\t")
-            return f'"{escaped}"', _POSTFIX_PREC
-        if isinstance(e, n.TypeLit):
-            return self.type(e.type_expr), _POSTFIX_PREC
-        if isinstance(e, n.VarRef):
-            return e.name, _POSTFIX_PREC
-        if isinstance(e, n.Unary):
-            inner = self.expr(e.operand, _UNARY_PREC)
-            if e.op == "-" and inner.startswith("-"):
-                inner = " " + inner  # keep "- -x" from lexing as "--"
-            return f"{e.op}{inner}", _UNARY_PREC
-        if isinstance(e, n.Incr):
-            return f"{e.op}{self.expr(e.target, _UNARY_PREC)}", _UNARY_PREC
-        if isinstance(e, n.Binary):
-            prec = _PREC[e.op]
-            lhs = self.expr(e.lhs, prec)
-            rhs = self.expr(e.rhs, prec + 1)
-            return f"{lhs} {e.op} {rhs}", prec
-        if isinstance(e, n.Cond):
-            cond = self.expr(e.cond, _COND_PREC + 1)
-            then_e = self.expr(e.then_expr, 0)
-            else_e = self.expr(e.else_expr, _COND_PREC)
-            return f"{cond} ? {then_e} : {else_e}", _COND_PREC
-        if isinstance(e, n.Subscript):
-            base = self.expr(e.base, _POSTFIX_PREC)
-            return f"{base}[{self.expr(e.index, 0)}]", _POSTFIX_PREC
-        if isinstance(e, n.Call):
-            args = ", ".join(self.expr(a, 0) for a in e.args)
-            if e.static_args is not None:
-                sargs = ", ".join(self.expr(a, 0) for a in e.static_args)
-                return f"{e.callee}({sargs})({args})", _POSTFIX_PREC
-            return f"{e.callee}{'@' * e.at_count}({args})", _POSTFIX_PREC
-        raise TypeError(f"unknown expression node {e!r}")
+    def int_lit(self, e: n.IntLit) -> tuple[str, int]:
+        return str(e.value), _POSTFIX_PREC
+
+    def float_lit(self, e: n.FloatLit) -> tuple[str, int]:
+        return repr(e.value), _POSTFIX_PREC
+
+    def bool_lit(self, e: n.BoolLit) -> tuple[str, int]:
+        return ("true" if e.value else "false"), _POSTFIX_PREC
+
+    def string_lit(self, e: n.StringLit) -> tuple[str, int]:
+        escaped = e.value.replace("\\", "\\\\").replace('"', '\\"') \
+                         .replace("\n", "\\n").replace("\t", "\\t")
+        return f'"{escaped}"', _POSTFIX_PREC
+
+    def type_lit(self, e: n.TypeLit) -> tuple[str, int]:
+        return self.type(e.type_expr), _POSTFIX_PREC
+
+    def var_ref(self, e: n.VarRef) -> tuple[str, int]:
+        return e.name, _POSTFIX_PREC
+
+    def unary(self, e: n.Unary) -> tuple[str, int]:
+        inner = self.expr(e.operand, _UNARY_PREC)
+        if e.op == "-" and inner.startswith("-"):
+            inner = " " + inner  # keep "- -x" from lexing as "--"
+        return f"{e.op}{inner}", _UNARY_PREC
+
+    def incr(self, e: n.Incr) -> tuple[str, int]:
+        return f"{e.op}{self.expr(e.target, _UNARY_PREC)}", _UNARY_PREC
+
+    def binary(self, e: n.Binary) -> tuple[str, int]:
+        prec = _PREC[e.op]
+        lhs = self.expr(e.lhs, prec)
+        rhs = self.expr(e.rhs, prec + 1)
+        return f"{lhs} {e.op} {rhs}", prec
+
+    def cond(self, e: n.Cond) -> tuple[str, int]:
+        cond = self.expr(e.cond, _COND_PREC + 1)
+        then_e = self.expr(e.then_expr, 0)
+        else_e = self.expr(e.else_expr, _COND_PREC)
+        return f"{cond} ? {then_e} : {else_e}", _COND_PREC
+
+    def subscript(self, e: n.Subscript) -> tuple[str, int]:
+        base = self.expr(e.base, _POSTFIX_PREC)
+        return f"{base}[{self.expr(e.index, 0)}]", _POSTFIX_PREC
+
+    def call(self, e: n.Call) -> tuple[str, int]:
+        args = ", ".join(self.expr(a, 0) for a in e.args)
+        if e.static_args is not None:
+            sargs = ", ".join(self.expr(a, 0) for a in e.static_args)
+            return f"{e.callee}({sargs})({args})", _POSTFIX_PREC
+        return f"{e.callee}{'@' * e.at_count}({args})", _POSTFIX_PREC
+
+
+# Handlers by exact node class, as in ``staticeval``: a statement handler
+# writes lines, an expression handler returns its text and precedence.
+_STMT = {
+    n.VarDecl: _Writer.var_decl,
+    n.Assign: _Writer.assign,
+    n.ExprStmt: _Writer.expr_stmt,
+    n.Return: _Writer.return_stmt,
+    n.Block: _Writer.block,
+    n.If: _Writer.if_stmt,
+    n.For: _Writer.for_stmt,
+    n.Switch: _Writer.switch_stmt,
+}
+
+_EXPR = {
+    n.IntLit: _Writer.int_lit,
+    n.FloatLit: _Writer.float_lit,
+    n.BoolLit: _Writer.bool_lit,
+    n.StringLit: _Writer.string_lit,
+    n.TypeLit: _Writer.type_lit,
+    n.VarRef: _Writer.var_ref,
+    n.Unary: _Writer.unary,
+    n.Incr: _Writer.incr,
+    n.Binary: _Writer.binary,
+    n.Cond: _Writer.cond,
+    n.Subscript: _Writer.subscript,
+    n.Call: _Writer.call,
+}

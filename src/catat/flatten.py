@@ -40,10 +40,11 @@ Builder suite: the five core constructors (make_lambda, make_varref,
 make_vardecl, make_op, make_return) plus append/body for block plumbing,
 and the extensions needed to cover every residual node kind: make_literal,
 make_subscript, make_call, make_for, make_if, make_cond, make_block,
-make_incr, make_unary, make_ptr, make_arr.  A builder takes the evaluated
-arguments, the call's span and the interpreter that runs it.  While a
-generator runs, ``make_vardecl`` draws the declared name from the unit's
-``NameSupply`` (outside a specialization it keeps the name);
+make_incr, make_unary, make_ptr, make_arr.  A builder is a shape, checked
+where a call's text fixes it, and a construction from the argument values
+(see the builders section below).  While a generator runs,
+``make_vardecl`` draws the declared name from the unit's ``NameSupply``
+(outside a specialization it keeps the name);
 ``make_varref`` also takes a declaration fragment, and ``append`` returns
 what it appended.
 """
@@ -106,6 +107,27 @@ def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
 
 # ---------------------------------------------------------------------------
 # Builders (registered as compile-time builtins)
+#
+# A builder has two parts.  Its *shape* is what the text of a call fixes:
+# the argument count and, where an argument names an operator, a declared
+# variable, a parameter or a callee, that string (and ``make_call``'s
+# static argument count).  ``SHAPES[name](args, span)`` checks the shape
+# and returns the builder's *construction* and the positions of those
+# arguments.  A construction takes the call's span, the interpreter and the
+# call's arguments in order, those positions as Python strings and ints and
+# the rest as values.  It makes only the checks that depend on the values:
+# a fragment's kind (``_as_expr``, ``_as_stmt``), a type value, a static
+# value lifted at the call's span, an assignment's target; and it draws
+# declared names and resolves calls.
+#
+# ``BUILDERS[name](args, span, interp)`` is the checked entry: the shape
+# checked on the argument values when the call runs, then the construction
+# (so a call wrong in both reports its shape).  The walker calls it.
+# ``pyemit`` checks a call's shape once, when it translates the generator,
+# on the literals in its text.  Where the shape holds, the compiled code
+# calls the construction directly; where the text leaves the shape open or
+# breaks it, the compiled code calls the checked entry, so the call fails
+# when it runs, after its arguments, as in the walker.
 
 
 @dataclass
@@ -167,145 +189,114 @@ def _need_count(args: list, lo: int, hi: int | None, name: str,
                                 span)
 
 
-def _b_make_lambda(args, span, interp):
-    if len(args) % 2 != 0:
-        raise MalformedFragment(
-            "make_lambda takes (name, type) pairs", span)
-    params = []
-    for i in range(0, len(args), 2):
-        name = _need_str(args[i], "parameter name", span)
-        tv = _need_type(args[i + 1], f"type of parameter '{name}'", span)
-        params.append((name, tv))
+# -- constructions ------------------------------------------------------------
+
+
+def _build_lambda(span, interp, *pairs):
+    params = [(name, _need_type(tv, f"type of parameter '{name}'", span))
+              for name, tv in zip(pairs[::2], pairs[1::2])]
     return CodeV(Shell(params, n.Block([])))
 
 
-def _b_body(args, span, interp):
-    _need_count(args, 1, 1, "body", span)
-    v = args[0]
-    if isinstance(v, CodeV) and isinstance(v.frag, Shell):
-        return CodeV(v.frag.body)
+def _build_body(span, interp, shell):
+    if shell.__class__ is CodeV and shell.frag.__class__ is Shell:
+        return CodeV(shell.frag.body)
     raise MalformedFragment("body expects a function shell", span)
 
 
-def _b_append(args, span, interp):
-    _need_count(args, 2, 2, "append", span)
-    block = args[0]
-    if not (isinstance(block, CodeV) and isinstance(block.frag, n.Block)):
+def _build_append(span, interp, block, stmt):
+    if block.__class__ is not CodeV or block.frag.__class__ is not n.Block:
         raise MalformedFragment("append target is not a block", span)
-    stmt = args[1]
-    if not isinstance(stmt, CodeV) or isinstance(stmt.frag, Shell):
+    if stmt.__class__ is not CodeV or stmt.frag.__class__ is Shell:
         raise MalformedFragment("append expects a statement fragment", span)
     block.frag.stmts.append(_as_stmt(stmt, span))
     return stmt
 
 
-def _b_make_varref(args, span, interp):
-    _need_count(args, 1, 1, "make_varref", span)
-    v = args[0]
+def _build_varref(span, interp, v):
     if v.__class__ is CodeV and v.frag.__class__ is n.VarDecl:
         return CodeV(n.VarRef(v.frag.declarators[0].name))
     return CodeV(n.VarRef(_need_str(v, "variable name", span)))
 
 
-def _b_make_literal(args, span, interp):
-    _need_count(args, 1, 1, "make_literal", span)
-    return CodeV(lift(args[0], span))
+def _build_literal(span, interp, v):
+    return CodeV(lift(v, span))
 
 
-def _b_make_vardecl(args, span, interp):
-    _need_count(args, 2, 3, "make_vardecl", span)
-    tv = _need_type(args[0], "declared type", span)
-    name = _need_str(args[1], "declared name", span)
+def _build_vardecl(span, interp, tv, name, init=None):
+    _need_type(tv, "declared type", span)
     if interp.name_supply is not None:
         name = interp.name_supply.draw(name)
-    init = _as_expr(args[2], span) if len(args) == 3 else None
+    init = None if init is None else _as_expr(init, span)
     dtype, size = type_value_to_decl(tv)
     return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
 
 
-def _b_make_op(args, span, interp):
-    _need_count(args, 3, 3, "make_op", span)
-    op = _need_str(args[0], "operator name", span)
-    if op not in _BINARY_OPS:
-        raise MalformedFragment(f"unknown operator '{op}'", span)
-    lhs = _as_expr(args[1], span)
-    if op in _ASSIGN_OPS:
-        if not isinstance(lhs, (n.VarRef, n.Subscript)):
-            raise MalformedFragment("invalid assignment target fragment",
-                                    span)
-        return CodeV(n.Assign(lhs, op, _as_expr(args[2], span)))
-    return CodeV(n.Binary(op, lhs, _as_expr(args[2], span)))
+def _build_binary(span, interp, op, lhs, rhs):
+    return CodeV(n.Binary(op, _as_expr(lhs, span), _as_expr(rhs, span)))
 
 
-def _b_make_unary(args, span, interp):
-    _need_count(args, 2, 2, "make_unary", span)
-    op = _need_str(args[0], "operator name", span)
-    if op not in ("!", "-"):
-        raise MalformedFragment(f"unknown unary operator '{op}'", span)
-    return CodeV(n.Unary(op, _as_expr(args[1], span)))
+def _build_assign(span, interp, op, target, value):
+    target = _as_expr(target, span)
+    if target.__class__ is not n.VarRef and \
+            target.__class__ is not n.Subscript:
+        raise MalformedFragment("invalid assignment target fragment", span)
+    return CodeV(n.Assign(target, op, _as_expr(value, span)))
 
 
-def _b_make_incr(args, span, interp):
-    _need_count(args, 2, 2, "make_incr", span)
-    op = _need_str(args[0], "operator name", span)
-    if op not in ("++", "--"):
-        raise MalformedFragment(f"unknown step operator '{op}'", span)
-    return CodeV(n.Incr(op, _as_expr(args[1], span)))
+def _build_unary(span, interp, op, operand):
+    return CodeV(n.Unary(op, _as_expr(operand, span)))
 
 
-def _b_make_return(args, span, interp):
-    _need_count(args, 0, 1, "make_return", span)
-    value = _as_expr(args[0], span) if args else None
-    return CodeV(n.Return(value))
+def _build_incr(span, interp, op, target):
+    return CodeV(n.Incr(op, _as_expr(target, span)))
 
 
-def _b_make_subscript(args, span, interp):
-    _need_count(args, 2, 2, "make_subscript", span)
-    return CodeV(n.Subscript(_as_expr(args[0], span),
-                             _as_expr(args[1], span)))
+def _build_return(span, interp, value=None):
+    return CodeV(n.Return(None if value is None else _as_expr(value, span)))
 
 
-def _b_make_for(args, span, interp):
-    _need_count(args, 4, 4, "make_for", span)
-    init, cond, incr, body = args
+# The error of a static array under a dynamic index, on both routes.
+STATIC_BASE_MESSAGE = ("a static array cannot flow into dynamic code "
+                       "(dynamic index into static data)")
+
+
+def _build_subscript(span, interp, base, index):
+    if base.__class__ is not CodeV:
+        raise LiftError(STATIC_BASE_MESSAGE, span)
+    return CodeV(n.Subscript(_as_expr(base, span), _as_expr(index, span)))
+
+
+def _build_for(span, interp, init, cond, incr, body):
     return CodeV(n.For(None if _missing(init) else _as_stmt(init, span),
                        None if _missing(cond) else _as_expr(cond, span),
                        None if _missing(incr) else _as_stmt(incr, span),
                        _as_stmt(body, span), 0))
 
 
-def _b_make_if(args, span, interp):
-    _need_count(args, 2, 3, "make_if", span)
-    else_stmt = _as_stmt(args[2], span) if len(args) == 3 else None
-    return CodeV(n.If(_as_expr(args[0], span), _as_stmt(args[1], span),
+def _build_if(span, interp, cond, then_stmt, else_stmt=None):
+    if else_stmt is not None:
+        else_stmt = _as_stmt(else_stmt, span)
+    return CodeV(n.If(_as_expr(cond, span), _as_stmt(then_stmt, span),
                       else_stmt, 0, 0))
 
 
-def _b_make_cond(args, span, interp):
-    _need_count(args, 3, 3, "make_cond", span)
-    return CodeV(n.Cond(_as_expr(args[0], span), _as_expr(args[1], span),
-                        _as_expr(args[2], span)))
+def _build_cond(span, interp, cond, then_expr, else_expr):
+    return CodeV(n.Cond(_as_expr(cond, span), _as_expr(then_expr, span),
+                        _as_expr(else_expr, span)))
 
 
-def _b_make_block(args, span, interp):
-    return CodeV(n.Block([_as_stmt(a, span) for a in args]))
+def _build_block(span, interp, *stmts):
+    return CodeV(n.Block([_as_stmt(s, span) for s in stmts]))
 
 
-def _b_make_call(args, span, interp):
-    _need_count(args, 2, None, "make_call", span)
-    callee = _need_str(args[0], "callee name", span)
-    if not isinstance(args[1], IntV) or args[1].value < 0:
-        raise MalformedFragment(
-            "make_call's second argument is the static argument count", span)
-    nstatic = args[1].value
-    if len(args) < 2 + nstatic:
-        raise MalformedFragment("make_call is missing static arguments", span)
-    statics = list(args[2:2 + nstatic])
+def _build_call(span, interp, callee, nstatic, *args):
+    statics = list(args[:nstatic])
     for v in statics:
         if isinstance(v, CodeV):
             raise MalformedFragment(
                 "static arguments of make_call must be values", span)
-    dyn = [_as_expr(a, span) for a in args[2 + nstatic:]]
+    dyn = [_as_expr(a, span) for a in args[nstatic:]]
     if interp.resolve_call is not None:
         callee = interp.resolve_call(callee, statics, span)
     elif statics:
@@ -314,48 +305,115 @@ def _b_make_call(args, span, interp):
     return CodeV(n.Call(callee, dyn))
 
 
-def _b_make_ptr(args, span, interp):
-    _need_count(args, 1, 1, "make_ptr", span)
-    return PointerTV(_need_type(args[0], "element type", span))
+def _build_ptr(span, interp, tv):
+    return PointerTV(_need_type(tv, "element type", span))
 
 
-def _b_make_arr(args, span, interp):
-    _need_count(args, 2, 2, "make_arr", span)
-    tv = _need_type(args[0], "element type", span)
-    if not isinstance(args[1], IntV) or args[1].value < 0:
+def _build_arr(span, interp, tv, size):
+    tv = _need_type(tv, "element type", span)
+    if not isinstance(size, IntV) or size.value < 0:
         raise MalformedFragment("array size must be a non-negative int", span)
-    return FixedArrayTV(tv, args[1].value)
+    return FixedArrayTV(tv, size.value)
 
 
-def _b_catat_error(args, span, interp):
-    _need_count(args, 1, 1, "Catat_error", span)
-    msg = args[0]
+def _build_error(span, interp, msg):
     if not isinstance(msg, StrV):
         raise MalformedFragment("Catat_error expects a message string", span)
     raise UserStaticError(msg.value, span)
 
 
-BUILDERS = {
-    "make_lambda": _b_make_lambda,
-    "body": _b_body,
-    "append": _b_append,
-    "make_varref": _b_make_varref,
-    "make_literal": _b_make_literal,
-    "make_vardecl": _b_make_vardecl,
-    "make_op": _b_make_op,
-    "make_unary": _b_make_unary,
-    "make_incr": _b_make_incr,
-    "make_return": _b_make_return,
-    "make_subscript": _b_make_subscript,
-    "make_for": _b_make_for,
-    "make_if": _b_make_if,
-    "make_cond": _b_make_cond,
-    "make_block": _b_make_block,
-    "make_call": _b_make_call,
-    "make_ptr": _b_make_ptr,
-    "make_arr": _b_make_arr,
-    "Catat_error": _b_catat_error,
+# -- shapes -------------------------------------------------------------------
+
+
+def _counted(name: str, lo: int, hi: int | None, build):
+    """The shape of a builder whose text fixes only its argument count."""
+    def shape(args, span):
+        _need_count(args, lo, hi, name, span)
+        return build, ()
+    return shape
+
+
+def _lambda_shape(args, span):
+    if len(args) % 2 != 0:
+        raise MalformedFragment("make_lambda takes (name, type) pairs", span)
+    for i in range(0, len(args), 2):
+        _need_str(args[i], "parameter name", span)
+    return _build_lambda, tuple(range(0, len(args), 2))
+
+
+def _vardecl_shape(args, span):
+    _need_count(args, 2, 3, "make_vardecl", span)
+    _need_str(args[1], "declared name", span)
+    return _build_vardecl, (1,)
+
+
+def _op_shape(args, span):
+    _need_count(args, 3, 3, "make_op", span)
+    op = _need_str(args[0], "operator name", span)
+    if op not in _BINARY_OPS:
+        raise MalformedFragment(f"unknown operator '{op}'", span)
+    return (_build_assign if op in _ASSIGN_OPS else _build_binary), (0,)
+
+
+def _operator_shape(name: str, ops: tuple, what: str, build):
+    """The shape of ``make_unary`` and ``make_incr``."""
+    def shape(args, span):
+        _need_count(args, 2, 2, name, span)
+        op = _need_str(args[0], "operator name", span)
+        if op not in ops:
+            raise MalformedFragment(f"unknown {what} operator '{op}'", span)
+        return build, (0,)
+    return shape
+
+
+def _call_shape(args, span):
+    _need_count(args, 2, None, "make_call", span)
+    _need_str(args[0], "callee name", span)
+    if not isinstance(args[1], IntV) or args[1].value < 0:
+        raise MalformedFragment(
+            "make_call's second argument is the static argument count", span)
+    if len(args) < 2 + args[1].value:
+        raise MalformedFragment("make_call is missing static arguments", span)
+    return _build_call, (0, 1)
+
+
+SHAPES = {
+    "make_lambda": _lambda_shape,
+    "body": _counted("body", 1, 1, _build_body),
+    "append": _counted("append", 2, 2, _build_append),
+    "make_varref": _counted("make_varref", 1, 1, _build_varref),
+    "make_literal": _counted("make_literal", 1, 1, _build_literal),
+    "make_vardecl": _vardecl_shape,
+    "make_op": _op_shape,
+    "make_unary": _operator_shape("make_unary", ("!", "-"), "unary",
+                                  _build_unary),
+    "make_incr": _operator_shape("make_incr", ("++", "--"), "step",
+                                 _build_incr),
+    "make_return": _counted("make_return", 0, 1, _build_return),
+    "make_subscript": _counted("make_subscript", 2, 2, _build_subscript),
+    "make_for": _counted("make_for", 4, 4, _build_for),
+    "make_if": _counted("make_if", 2, 3, _build_if),
+    "make_cond": _counted("make_cond", 3, 3, _build_cond),
+    "make_block": _counted("make_block", 0, None, _build_block),
+    "make_call": _call_shape,
+    "make_ptr": _counted("make_ptr", 1, 1, _build_ptr),
+    "make_arr": _counted("make_arr", 2, 2, _build_arr),
+    "Catat_error": _counted("Catat_error", 1, 1, _build_error),
 }
+
+
+def _checked(shape):
+    def entry(args, span, interp):
+        build, fixed = shape(args, span)
+        if fixed:
+            args = [a.value if i in fixed else a
+                    for i, a in enumerate(args)]
+        return build(span, interp, *args)
+    return entry
+
+
+# The checked entries, by builder name.
+BUILDERS = {name: _checked(shape) for name, shape in SHAPES.items()}
 
 KNOWN_BUILTINS = frozenset(BUILDERS)
 

@@ -22,12 +22,20 @@ raises the same errors with the same messages and spans:
   subscripts, negation and switch labels through the helpers the walker
   calls (``staticeval``).  Operands are evaluated left to right, and an
   assignment evaluates its value before its target, as in the walker.
-* A builder call calls its ``BUILDERS`` function with the node's own span;
-  a call of a user function goes through ``Interpreter.call_static``, so
-  the memo, the arity check and the depth level stay in one place.
+* A builder call's shape (``flatten.SHAPES``: its argument count and the
+  literal strings that name its operator, variable or callee) is checked
+  here, once, on the call's text.  Where it holds, the compiled code calls
+  the builder's construction directly with the node's own span, and only
+  the checks that depend on argument values run with the generator.
+  Where the text leaves the shape open or breaks it, the compiled code
+  calls the checked ``BUILDERS`` entry, which checks the shape when the
+  call runs, after its arguments, as in the walker.  A call of a user
+  function goes through ``Interpreter.call_static``, so the memo, the
+  arity check and the depth level stay in one place.
 * Every loop counts its iterations against the loop cap.
-* Spans and literal values are bound as constants of the namespace the
-  code runs in, never written into its text.
+* Spans and the values of literals are bound as constants of the
+  namespace the code runs in, never written into its text; the text holds
+  only operators and the strings and counts a builder call's shape fixes.
 * Step accounting is not compiled: an interpreter that counts steps must
   not run compiled code.
 
@@ -41,14 +49,14 @@ with the rest of the function are ``nonlocal``.  Every function compiles.
 from __future__ import annotations
 
 from . import nodes as n
-from .errors import TypeMismatch
-from .flatten import BUILDERS
+from .errors import MalformedFragment, TypeMismatch
+from .flatten import BUILDERS, SHAPES
 from .staticeval import (
     FALSE, TRUE, array_of, array_size, binop, cell_index, held_type,
     loop_limit, matches, negate, read, small_int, store, store_cell,
 )
 from .values import (
-    ClassTV, FixedArrayTV, FloatV, PointerTV, PRIM_BY_NAME, StrV, UNIT,
+    ClassTV, FixedArrayTV, FloatV, IntV, PointerTV, PRIM_BY_NAME, StrV, UNIT,
     coerce, truth,
 )
 
@@ -77,6 +85,17 @@ _HELPERS = {
     "fail": _fail,
     **{"B_" + name: builder for name, builder in BUILDERS.items()},
 }
+
+
+def _literal(e: n.Expr):
+    """What a builder's shape sees of an argument when the generator is
+    translated: the value of a string or int literal, and for any other
+    argument ``UNIT``, which fits no position the shape fixes."""
+    if e.__class__ is n.StringLit:
+        return StrV(e.value)
+    if e.__class__ is n.IntLit:
+        return IntV(e.value)
+    return UNIT
 
 
 class _Local:
@@ -483,15 +502,27 @@ class _Translator:
 
     def call(self, e: n.Call) -> str:
         span = self.span(e.span)
+        shape = SHAPES.get(e.callee)
+        if shape is not None:
+            return self.builder_call(e, shape, span)
         args = ", ".join(self.expr(a) for a in e.args)
-        if e.callee in BUILDERS:
-            return f"B_{e.callee}([{args}], {span}, interp)"
         if e.static_args is not None:
             message = (f"specializing call '{e.callee}(s...)(d...)' cannot "
                        "be evaluated directly; specialize the program first")
             return f"fail(TypeMismatch({self.const(message)}, {span}))"
         return f"interp.call_static({self.const(e.callee)}, [{args}], " \
                f"{span})"
+
+    def builder_call(self, e: n.Call, shape, span: str) -> str:
+        try:
+            build, fixed = shape([_literal(a) for a in e.args], None)
+        except MalformedFragment:
+            args = ", ".join(self.expr(a) for a in e.args)
+            return f"B_{e.callee}([{args}], {span}, interp)"
+        self.ns[build.__name__] = build
+        args = "".join(", " + (repr(a.value) if i in fixed else self.expr(a))
+                       for i, a in enumerate(e.args))
+        return f"{build.__name__}({span}, interp{args})"
 
     def type_expr(self, t: n.TypeExpr, span) -> str:
         """The text of ``t``'s type value, resolved as ``resolve_type``

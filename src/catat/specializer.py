@@ -928,8 +928,7 @@ class _Specializer:
     def subscript(self, e: n.Subscript, ctx: _SpecCtx) -> n.Expr:
         base = self.rexpr(e.base, ctx)
         if not isinstance(base, n.Expr):
-            raise LiftError("a static array cannot flow into dynamic code "
-                            "(dynamic index into static data)", e.span)
+            raise LiftError(flatten.STATIC_BASE_MESSAGE, e.span)
         index = self.as_node(self.rexpr(e.index, ctx), e.span)
         return n.Subscript(base, index, span=e.span)
 

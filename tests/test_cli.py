@@ -394,6 +394,11 @@ GENERATOR_ERRORS = {
         ["--static-args", "[1]"], 3,
         "2:14: compile-time error: an array has no literal form in dynamic "
         "code"),
+    "a static array indexed by a dynamic value": (
+        "function f(int@* a)(int d) {\n    return a[d];\n}\n",
+        ["--static-args", "[1,2]"], 3,
+        "2:13: compile-time error: a static array cannot flow into dynamic "
+        "code (dynamic index into static data)"),
     "malformed fragment": (
         "function f(int@ k)(int d) {\n"
         "    ASTree@ t = make_op(\"+\", make_varref(\"d\"), make_block());\n"
@@ -427,3 +432,18 @@ def test_generator_errors_keep_their_message_and_exit_code(tmp_path, case):
                    *args)
     assert result.returncode == code
     assert result.stderr.strip() == f"{source}:{message}"
+
+
+@pytest.mark.parametrize("case", [
+    GENERATOR_ERRORS["a static array in dynamic code"],
+    GENERATOR_ERRORS["a static array indexed by a dynamic value"],
+], ids=["lifted", "indexed"])
+def test_static_arrays_in_dynamic_code_print_alike_on_both_routes(tmp_path,
+                                                                  case):
+    text, args, code, message = case
+    source = tmp_path / "array.cat"
+    source.write_text(text)
+    spec = ["specialize", source, "--entry", "f", *args]
+    for result in (catat(*spec), catat(*spec, "--via-flatten")):
+        assert result.returncode == code
+        assert result.stderr.strip() == f"{source}:{message}"

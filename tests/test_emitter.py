@@ -1,6 +1,7 @@
 import pytest
 
 from catat import IntV, check_stages, emit, parse, specialize_program
+from catat import emitter, nodes as n
 from catat.emitter import emit_expr, emit_function, emit_stmt
 from catat.parser import parse_expression
 from catat.values import INT
@@ -73,3 +74,26 @@ def test_switch_layout():
     text = emit(parse(fixture_source("average.cat")))
     assert "switch (T) {" in text
     assert "case long int:" in text
+
+
+def node_classes(base):
+    return {cls for cls in vars(n).values() if isinstance(cls, type)
+            and issubclass(cls, base) and cls is not base}
+
+
+def test_every_node_class_has_an_emitter_entry():
+    assert emitter._STMT.keys() == node_classes(n.Stmt)
+    assert emitter._EXPR.keys() == node_classes(n.Expr)
+
+
+def test_an_unknown_node_class_is_a_type_error():
+    class Strange(n.Expr):
+        pass
+
+    class Odd(n.Stmt):
+        pass
+
+    with pytest.raises(TypeError, match="unknown expression node"):
+        emit_expr(Strange())
+    with pytest.raises(TypeError, match="unknown statement node"):
+        emit_stmt(Odd())

@@ -27,6 +27,7 @@ from catat.cli import parse_arg_list
 from catat.corpus import (
     dsl_interpreter_source, encode_dsl, provide_corpus, random_dsl_program,
 )
+from catat.flatten import BUILDERS
 from catat.specializer import SpecializationCache, specialize_program
 from catat.values import ArrayV, INT
 
@@ -146,6 +147,9 @@ STATIC_RECURSION = ("function r(int n) { if (n == 0) return 0; "
                     "return r(n - 1) + 1; }\n"
                     "function f(int@ k)(int d) { int@ z = r@(k); "
                     "return d + z; }")
+SHAPE_IN_A_BRANCH = ("function f(int@ k)(int d) { if@ (k > 0) { ASTree@ t = "
+                     "make_op(\"+\", make_varref(\"d\")); } return d; }")
+BUILT = "function f(int@ k)(int d) {{ ASTree@ t = {}; return d; }}"
 ERRORS = {
     "loop cap": (UNROLLED, [IntV(6)], EvalLimits(loop_cap=5),
                  "LoopLimitExceeded"),
@@ -170,6 +174,19 @@ ERRORS = {
         "int@ counter = 0;\nfunction f(int@ k)(int d) { counter += k; "
         "int@ z = 10 / (k - k); return d + z; }", [IntV(3)], None,
         "DivisionByZero"),
+    # hand-written builder calls: a shape the text breaks fails when the
+    # call runs, and a value the shape admits fails in the construction
+    "a builder call of the wrong arity": (
+        SHAPE_IN_A_BRANCH, [IntV(1)], None, "MalformedFragment"),
+    "an unknown operator": (
+        BUILT.format('make_op("**", make_varref("d"), make_literal(k))'),
+        [IntV(1)], None, "MalformedFragment"),
+    "an assignment to a literal": (
+        BUILT.format('make_op("=", make_literal(1), make_varref("d"))'),
+        [IntV(1)], None, "MalformedFragment"),
+    "append to a non-block": (
+        BUILT.format('append(make_varref("d"), make_return())'),
+        [IntV(1)], None, "MalformedFragment"),
 }
 
 
@@ -178,6 +195,41 @@ def test_errors(case):
     source, static_args, limits, category = case
     result = assert_engines_agree(source, "f", static_args, limits)
     assert result[0].__name__ == category
+
+
+SHAPES = {
+    "a wrong arity in a branch that does not run": (
+        SHAPE_IN_A_BRANCH, "B_make_op"),
+    "an operator chosen when the generator runs": (
+        BUILT.format('make_op(k > 0 ? "+" : "-", make_varref("d"), '
+                     'make_literal(k))'), "B_make_op"),
+    "a literal shape": (
+        BUILT.format('make_op("-", make_varref("d"), make_literal(k))'),
+        "_build_binary("),
+}
+
+
+@pytest.mark.parametrize("case", SHAPES.values(), ids=SHAPES.keys())
+def test_a_builder_call_is_checked_where_its_text_fixes_its_shape(case):
+    source, call = case
+    result = assert_engines_agree(source, "f", [IntV(0)])
+    assert isinstance(result[0], str)
+    fn = check_stages(parse(source), 2).program.functions()[0]
+    text = pyemit.emit_python(flatten_function(fn))[0]
+    assert call in text
+    assert "B_make_" not in text.replace(call, "")
+
+
+@pytest.mark.parametrize("fixture", entry_fixtures())
+def test_the_flattener_writes_only_literal_shapes(fixture):
+    # every builder call of every generator is a direct construction
+    *_, cache = flatten_outcome(fixture.source(), fixture.first("entry"),
+                                parse_arg_list(fixture.first("static-args")))
+    assert cache.generators
+    for generator in cache.generators.values():
+        text = pyemit.emit_python(generator)[0]
+        checked = [name for name in BUILDERS if f"B_{name}([" in text]
+        assert not checked, generator.name
 
 
 def test_a_global_is_stored_once_before_an_error():
@@ -229,6 +281,9 @@ def run_engines(source, entry, args, limits=None):
     return outcomes[1][0]
 
 
+SHAPE_IN_A_RUN_BRANCH = (
+    "function f(int x) { if (x > 0) { ASTree t = make_op(\"+\", "
+    "make_varref(\"d\")); } return x; }")
 PROGRAMS = {
     "scopes and shadowing": (
         "int g = 4;\n"
@@ -288,6 +343,22 @@ PROGRAMS = {
                         [staticeval.TRUE], None),
     "a global stepped": ("int g = 5;\nfunction f(int x) { ++g; --g; ++g; "
                          "return x + g; }", [IntV(1)], 7),
+    "a builder call of the wrong arity": (
+        SHAPE_IN_A_RUN_BRANCH, [IntV(1)], None),
+    "a builder call of the wrong arity that does not run": (
+        SHAPE_IN_A_RUN_BRANCH, [IntV(-1)], -1),
+    "an operator chosen at run time": (
+        "function f(int x) { ASTree t = make_op(x > 0 ? \"+\" : \"-\", "
+        "make_varref(\"a\"), make_literal(x)); return x; }", [IntV(2)], 2),
+    "an unknown operator": (
+        "function f(int x) { ASTree t = make_op(\"**\", make_varref(\"a\"), "
+        "make_literal(x)); return x; }", [IntV(2)], None),
+    "an assignment to a literal": (
+        "function f(int x) { ASTree t = make_op(\"=\", make_literal(1), "
+        "make_varref(\"a\")); return x; }", [IntV(2)], None),
+    "append to a non-block": (
+        "function f(int x) { ASTree t = append(make_varref(\"a\"), "
+        "make_return()); return x; }", [IntV(2)], None),
     "a return from an outlined loop": (
         "function f(int x) { "
         + "".join(f"for (int i{j} = 0; i{j} < 1; ++i{j}) " for j in range(14))

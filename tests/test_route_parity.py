@@ -83,16 +83,28 @@ def test_routes_agree_on_a_static_switch(k):
     assert_agree(direct.units, flattened.units)
 
 
-def test_routes_report_a_static_array_in_dynamic_code_alike():
-    source = "function f(int@* a)(int d) {\n    return d + a;\n}\n"
+def route_errors(source, cells):
+    """The error each route raises for ``f`` on a static int array."""
     errors = []
     for via_flatten in (False, True):
         with pytest.raises(CatatError) as error:
             specialize_program(check_stages(parse(source), 2), "f",
-                               [ArrayV(INT, [IntV(1)])],
+                               [ArrayV(INT, cells)],
                                via_flatten=via_flatten)
         errors.append((type(error.value).__name__, error.value.message,
                        tuple(error.value.span)))
-    assert errors == [("LiftError",
-                       "an array has no literal form in dynamic code",
-                       (2, 14))] * 2
+    return errors
+
+
+def test_routes_report_a_static_array_in_dynamic_code_alike():
+    source = "function f(int@* a)(int d) {\n    return d + a;\n}\n"
+    assert route_errors(source, [IntV(1)]) == [
+        ("LiftError", "an array has no literal form in dynamic code",
+         (2, 14))] * 2
+
+
+def test_routes_report_a_static_array_under_a_dynamic_index_alike():
+    source = "function f(int@* a)(int d) {\n    return a[d];\n}\n"
+    assert route_errors(source, [IntV(1), IntV(2)]) == [
+        ("LiftError", "a static array cannot flow into dynamic code "
+         "(dynamic index into static data)", (2, 13))] * 2
