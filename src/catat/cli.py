@@ -125,9 +125,7 @@ def cmd_specialize(args) -> int:
     rp = specialize_program(staged, args.entry or None, static_args,
                             _limits(args), via_flatten=args.via_flatten)
     if rp.is_pure_static:
-        for name, value in rp.static_bindings:
-            print(format_binding(name, value))
-        return 0
+        return _print_bindings(rp.static_bindings)
     text = emit(rp)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -148,9 +146,7 @@ def cmd_run(args) -> int:
                                 parse_arg_list(args.static_args),
                                 _limits(args))
         if rp.is_pure_static:
-            for name, value in rp.static_bindings:
-                print(format_binding(name, value))
-            return 0
+            return _print_bindings(rp.static_bindings)
         if args.out:
             Path(args.out).write_text(emit(rp), encoding="utf-8")
         return _run_phase(rp, rp.entry_name, dyn_args, args)
@@ -160,19 +156,21 @@ def cmd_run(args) -> int:
 
 def _run_phase(program, entry, dyn_args, args) -> int:
     try:
-        result = run(program, entry, dyn_args,
-                     EvalLimits(loop_cap=args.loop_cap,
-                                max_depth=args.max_depth,
-                                step_limit=args.step_limit), check=False)
+        result = run(program, entry, dyn_args, _limits(args), check=False)
     except CatatError as e:
         e.category = "runtime error"
         e.exit_code = 5
         raise
-    if entry is not None:
-        print(format_result(result.value))
-    else:
-        for name, value in result.bindings or []:
-            print(format_binding(name, value))
+    if entry is None:
+        return _print_bindings(result.bindings or [])
+    print(format_result(result.value))
+    return 0
+
+
+def _print_bindings(bindings) -> int:
+    """Print a program's top-level (name, value) bindings."""
+    for name, value in bindings:
+        print(format_binding(name, value))
     return 0
 
 

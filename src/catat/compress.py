@@ -16,10 +16,11 @@ so in reverse order of completion every caller of a unit comes before it,
 and an unfolded body is rebuilt once, where it lands.  Each unit's body is
 walked once (``_Compressor.body``), and only the statements that hold a
 call, or that a renaming touches, are rebuilt.  The pass infers no types:
-it reads the types the specializer gave each unit's names when the unit
-completed (``ResidualFunction.types``) and types an expression with the
-specializer's ``residual_type``.  A rebuilt unit keeps those types, with
-the locals hoisted into it added.
+the name supply of the unit being compressed is seeded with the types its
+names were drawn with (``ResidualFunction.types``), each hoisted local is
+drawn from it with its type, and an expression is typed with the
+specializer's ``residual_type``.  A rebuilt unit keeps that supply's
+types.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class _Compressor:
         self.dead: set = set()  # called only from dropped statements
         # the unit being compressed
         self.params: set = set()
-        self.types: dict = {}
         self.supply = NameSupply()
 
     def run(self) -> ResidualProgram:
@@ -246,8 +246,7 @@ class _Compressor:
     def compress_unit(self, u: ResidualFunction) -> ResidualFunction:
         body = self.body(u)
         self.params = {p for p, _ in u.params}
-        self.types = dict(u.types)
-        self.supply = NameSupply(self.types)
+        self.supply = NameSupply(u.types)
         frame = _Frame(body, {})
         out: list = []
         for s in body.stmts:
@@ -259,7 +258,7 @@ class _Compressor:
                        else n.Return(value, span=ret.span))
         if len(out) == len(u.body) and all(a is b for a, b in zip(out, u.body)):
             return u
-        return replace(u, body=out, types=self.types)
+        return replace(u, body=out, types=self.supply.types)
 
     def forward(self, value: n.Expr | None, out: list,
                 start: int) -> n.Expr | None:
@@ -274,8 +273,9 @@ class _Compressor:
         d = decl.declarators[0]
         if d.name != value.name or d.array_size is not None or d.init is None:
             return value
-        if residual_type(d.init, self.types, exact=True) != \
-                self.types[d.name] or _calls_or_reads(d.init, d.name):
+        types = self.supply.types
+        if residual_type(d.init, types, exact=True) != types[d.name] or \
+                _calls_or_reads(d.init, d.name):
             return value
         out.pop()
         return d.init
@@ -302,7 +302,7 @@ class _Compressor:
                               s.dtype, [n.Declarator(name, None, e,
                                                      span=d.span)],
                               s.static_kw, span=s.span),
-                          out, depth, bare, (name, self.types[name]))
+                          out, depth, bare, (name, self.supply.types[name]))
                 return
             out.append(self.decl(s, frame))
         elif cls is n.Assign:
@@ -444,7 +444,7 @@ class _Compressor:
         params = body.unit.params
         if len(params) != len(args):
             return None
-        types, assigned = self.types, body.assigned
+        types, assigned = self.supply.types, body.assigned
         substitute, bound = {}, []
         for (p, tv), a in zip(params, args):
             cls = a.__class__
@@ -562,17 +562,14 @@ class _Compressor:
             if tv is not None and tv == into[1]:
                 result = value.name
         draw = self.supply.draw
-        types = self.types
         names = []
         for p, tv, _ in bound:
-            new = draw(p)
+            new = draw(p, tv)
             names.append(new)
-            types[new] = tv
             if new != p:
                 rename[p] = n.VarRef(new)
         for name, tv in body.locals.items():
-            new = into[0] if name == result else draw(name)
-            types[new] = tv
+            new = into[0] if name == result else draw(name, tv)
             if new != name:
                 rename[name] = n.VarRef(new)
         if (rename or bound or bare or depth > 1) and not self.fits(

@@ -235,37 +235,15 @@ class _Writer:
             self.indent -= 1
 
     def if_stmt(self, s: n.If) -> None:
-        head = f"if{'@' * s.at_count} ({self.expr(s.cond, 0)})"
+        self.attach_body(f"if{'@' * s.at_count} ({self.expr(s.cond, 0)})",
+                         s.then_stmt)
+        if s.else_stmt is None:
+            return
+        else_head = f"else{'@' * s.else_at_count}"
         if isinstance(s.then_stmt, n.Block):
-            self.line(head + " {")
-            self.indent += 1
-            for sub in s.then_stmt.stmts:
-                self.stmt(sub)
-            self.indent -= 1
-            if s.else_stmt is None:
-                self.line("}")
-                return
-            else_head = f"}} else{'@' * s.else_at_count}"
-        else:
-            self.line(head)
-            self.indent += 1
-            self.stmt(s.then_stmt)
-            self.indent -= 1
-            if s.else_stmt is None:
-                return
-            else_head = f"else{'@' * s.else_at_count}"
-        if isinstance(s.else_stmt, n.Block):
-            self.line(else_head + " {")
-            self.indent += 1
-            for sub in s.else_stmt.stmts:
-                self.stmt(sub)
-            self.indent -= 1
-            self.line("}")
-        else:
-            self.line(else_head)
-            self.indent += 1
-            self.stmt(s.else_stmt)
-            self.indent -= 1
+            self.lines.pop()  # the then-branch's "}" opens the else line
+            else_head = "} " + else_head
+        self.attach_body(else_head, s.else_stmt)
 
     # -- expressions ----------------------------------------------------------
 

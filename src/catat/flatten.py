@@ -16,13 +16,15 @@ builder call's span; a static value it embeds is lifted there
 (``lift``).  Each builder call the flattener writes has the span of the
 source node it stands for, so a generator reports an error where the
 direct route does.  A call is resolved when ``make_call`` builds it:
-while a generator runs, the interpreter holds the specialization cache's
-resolver, so a call with static arguments names its specialized residual at
-once.  ``materialize`` only checks and unpacks the shell the generator
-returns: the specializer's ``_Specializer.unit`` keys, names, types and
-registers the unit on both routes.  Residual nodes may be shared between
-statements (one varref stands for a variable everywhere), so nothing
-downstream may mutate them except the checker's ``.stage``.
+while a generator runs, the interpreter holds the specializer's resolver,
+the one the direct route names its calls with, so a call names its
+specialized residual at once, its typename statics inferred from its
+pointer arguments where it has none.  ``materialize`` only checks and
+unpacks the shell the generator returns: the specializer's
+``_Specializer.unit`` keys, names, types and registers the unit on both
+routes.  Residual nodes may be shared between statements (one varref
+stands for a variable everywhere), so nothing downstream may mutate them
+except the checker's ``.stage``.
 
 The specializer runs each generator compiled to Python (``pyemit``), once
 per specialization cache; the tree walker stays the reference engine, and
@@ -43,8 +45,9 @@ make_subscript, make_call, make_for, make_if, make_cond, make_block,
 make_incr, make_unary, make_ptr, make_arr.  A builder is a shape, checked
 where a call's text fixes it, and a construction from the argument values
 (see the builders section below).  While a generator runs,
-``make_vardecl`` draws the declared name from the unit's ``NameSupply``
-(outside a specialization it keeps the name);
+``make_vardecl`` draws the declared name, with its type, from the unit's
+``NameSupply`` (outside a specialization it keeps the name), and the
+generator's shell types the unit's parameters there;
 ``make_varref`` also takes a declaration fragment, and ``append`` returns
 what it appended.
 """
@@ -195,6 +198,9 @@ def _need_count(args: list, lo: int, hi: int | None, name: str,
 def _build_lambda(span, interp, *pairs):
     params = [(name, _need_type(tv, f"type of parameter '{name}'", span))
               for name, tv in zip(pairs[::2], pairs[1::2])]
+    if interp.name_supply is not None:
+        for name, tv in params:
+            interp.name_supply.settle(name, tv)
     return CodeV(Shell(params, n.Block([])))
 
 
@@ -226,7 +232,7 @@ def _build_literal(span, interp, v):
 def _build_vardecl(span, interp, tv, name, init=None):
     _need_type(tv, "declared type", span)
     if interp.name_supply is not None:
-        name = interp.name_supply.draw(name)
+        name = interp.name_supply.draw(name, tv)
     init = None if init is None else _as_expr(init, span)
     dtype, size = type_value_to_decl(tv)
     return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
@@ -298,7 +304,8 @@ def _build_call(span, interp, callee, nstatic, *args):
                 "static arguments of make_call must be values", span)
     dyn = [_as_expr(a, span) for a in args[nstatic:]]
     if interp.resolve_call is not None:
-        callee = interp.resolve_call(callee, statics, span)
+        callee = interp.resolve_call(callee, statics, dyn,
+                                     interp.name_supply.types, span)
     elif statics:
         raise FlattenUnsupported(
             "nested specializing calls need a specialization cache", span)
@@ -423,28 +430,40 @@ KNOWN_BUILTINS = frozenset(BUILDERS)
 
 
 class NameSupply:
-    """Fresh names: a draw of ``base`` gives ``base``, or else the first of
-    ``base_2``, ``base_3``, ... that was neither seeded, kept nor drawn.
-    The next suffix of each base is remembered, so a draw costs constant
-    time however many names share its base."""
+    """Fresh names and their types: a draw of ``base`` gives ``base``, or
+    else the first of ``base_2``, ``base_3``, ... that was neither seeded,
+    kept nor drawn.  The next suffix of each base is remembered, so a draw
+    costs constant time however many names share its base.
 
-    def __init__(self, taken=()):
-        self.taken = set(taken)
+    ``types`` maps each name seeded, kept or drawn to the type it was given,
+    or None: a residual unit's supply is the unit's type environment.  A
+    dict seeds names with their types, any other iterable names alone."""
+
+    def __init__(self, seed=()):
+        self.types: dict = dict(seed) if isinstance(seed, dict) \
+            else dict.fromkeys(seed)
         self.suffix: dict[str, int] = {}
 
-    def keep(self, name: str) -> str:
+    def keep(self, name: str, tv: TypeValue | None = None) -> str:
         """Take ``name`` itself, for a variable that keeps its name."""
-        self.taken.add(name)
+        self.types[name] = tv
         return name
 
-    def draw(self, base: str) -> str:
+    def settle(self, name: str, tv: TypeValue) -> None:
+        """Type ``name`` if it was kept without a type: a generator's own
+        shell, built first, types the unit's parameters, and a shell that
+        static code builds later retypes none of them."""
+        if name in self.types and self.types[name] is None:
+            self.types[name] = tv
+
+    def draw(self, base: str, tv: TypeValue | None = None) -> str:
         name = base
         k = self.suffix.get(base, 2)
-        while name in self.taken:
+        while name in self.types:
             name = f"{base}_{k}"
             k += 1
         self.suffix[base] = k
-        self.taken.add(name)
+        self.types[name] = tv
         return name
 
 

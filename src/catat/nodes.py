@@ -298,6 +298,18 @@ class FunctionDef(Node):
     def is_single_list(self) -> bool:
         return self.static_params is None
 
+    def infers_statics(self, nargs: int) -> bool:
+        """Whether a call without a static list, on ``nargs`` arguments,
+        may infer this function's static arguments: each static parameter
+        is a typename that is the element type of a pointer parameter."""
+        if not self.static_params or len(self.params) != nargs:
+            return False
+        pointed = {p.dtype.base.name for p in self.params
+                   if isinstance(p.dtype, PointerType)
+                   and isinstance(p.dtype.base, NamedType)}
+        return all(is_typename_type(p.dtype) and p.name in pointed
+                   for p in self.static_params)
+
 
 @dataclass
 class VisibilityLabel(Node):

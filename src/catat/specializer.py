@@ -26,9 +26,12 @@ holds no value and names the variable's residual (``Slot.residual``).
 Shadowing and redeclaration therefore follow the same scope rules on
 both stages, as they do in ``run_unstaged``.  A residualized expression
 is plain residual syntax, an ``n.Expr``; a static one is its ``Value``.
-Residual syntax is typed in one place, ``residual_type``: each function
-unit keeps the types its body was typed with (``ResidualFunction.types``),
-which ``compress`` reads.
+Each residual name is typed once, where its unit draws it: a unit's
+``NameSupply`` is its type environment, kept as ``ResidualFunction.types``
+for ``compress`` to read, and residual syntax is typed under it in one
+place, ``residual_type``.  One resolver, ``_Specializer.resolve``, names
+every call on both routes, and infers the typename statics of a call
+that has none.
 
 Specializations are memoized per (definition, static-argument tuple);
 each key yields exactly one residual entity per run, named by a
@@ -73,7 +76,7 @@ from .staticeval import (
 )
 from .values import (
     BOOL, BoolV, ClassTV, Env, FLOAT, FixedArrayTV, INT, InstanceV, PointerTV,
-    PRIM_BY_NAME, Slot, TypeValue, VOID, Value, canonical_key, coerce,
+    Slot, TypeValue, VOID, Value, canonical_key, coerce,
     mangle_name, promote, render_static_arg, render_type, truth,
 )
 
@@ -118,7 +121,7 @@ class ResidualFunction:
     key: SpecializationKey
     comment: str = ""
     # residual name -> type of each dynamic global, parameter and local it
-    # may read, as ``infer_return_type`` typed its body
+    # may read: the unit's ``NameSupply.types``
     types: dict = field(default_factory=dict, compare=False, repr=False)
 
     def to_function_def(self) -> n.FunctionDef:
@@ -259,17 +262,6 @@ class SpecializationCache:
             return entity.return_type
         return None
 
-    def resolve_call(self, callee: str, statics: list,
-                     span: Span | None) -> str:
-        """The residual name for a call a generator builds (``make_call``):
-        ``callee`` specialized on ``statics``."""
-        defn = self.functions.get((callee, len(statics)))
-        if defn is None:
-            raise MalformedFragment(
-                f"no definition of '{callee}' with {len(statics)} static "
-                "argument(s)", span)
-        return _Specializer(self).callee_name(defn, statics)
-
 
 @dataclass
 class ResidualProgram:
@@ -309,37 +301,7 @@ class ResidualProgram:
 
 
 # ---------------------------------------------------------------------------
-# Type values of residual type expressions
-
-
-def texpr_to_tv(t: n.TypeExpr) -> TypeValue | None:
-    """The type value a residual type expression denotes, if it is known
-    without an environment."""
-    if isinstance(t, n.PrimType):
-        return PRIM_BY_NAME.get(t.name)
-    if isinstance(t, n.NamedType):
-        return ClassTV(t.name)
-    if isinstance(t, n.PointerType):
-        inner = texpr_to_tv(t.base)
-        return None if inner is None else PointerTV(inner)
-    if isinstance(t, n.ArrayType) and isinstance(t.size, n.IntLit):
-        inner = texpr_to_tv(t.base)
-        return None if inner is None else FixedArrayTV(inner, t.size.value)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Residual typing
-
-
-def residual_types(env: Env) -> dict:
-    """Residual name -> type of each dynamic variable visible in ``env``."""
-    chain = []
-    while env is not None:
-        chain.append(env)
-        env = env.parent
-    return {slot.residual: slot.tv for frame in reversed(chain)
-            for slot in frame.slots.values() if slot.residual is not None}
 
 
 def residual_type(e: n.Expr, types: dict, callee_types=None,
@@ -388,9 +350,9 @@ def residual_type(e: n.Expr, types: dict, callee_types=None,
 def infer_return_type(body: list, types: dict, callee_types=None,
                       span: Span | None = None) -> TypeValue:
     """Unify the types of all return expressions in a residual body under
-    numeric promotion; no returns means void.  ``types`` holds the types
-    of the parameters and of the globals the body may read; the type of
-    each local the body declares is added to it."""
+    numeric promotion; no returns means void.  ``types`` holds the type of
+    each global, parameter and local the body may read: its unit's
+    ``NameSupply.types``."""
     found: list = []
     for s in body:
         _type_stmt(s, types, callee_types, found)
@@ -412,15 +374,9 @@ def infer_return_type(body: list, types: dict, callee_types=None,
 
 
 def _type_stmt(s: n.Stmt, types: dict, callee_types, found: list) -> None:
-    """Add the locals ``s`` declares to ``types`` and the type of each
-    value it returns to ``found``."""
+    """Add the type of each value ``s`` returns to ``found``."""
     cls = s.__class__
-    if cls is n.VarDecl:
-        for d in s.declarators:
-            types[d.name] = texpr_to_tv(
-                s.dtype if d.array_size is None
-                else n.ArrayType(s.dtype, d.array_size))
-    elif cls is n.Return:
+    if cls is n.Return:
         found.append(VOID if s.value is None
                      else residual_type(s.value, types, callee_types))
     elif cls is n.Block:
@@ -469,8 +425,8 @@ class _SpecCtx:
 
     def declare_dyn(self, name: str, tv: TypeValue | None,
                     span: Span | None = None) -> str:
-        residual = self.names.keep(name) if self.env is self.root \
-            else self.names.draw(name)
+        residual = self.names.keep(name, tv) if self.env is self.root \
+            else self.names.draw(name, tv)
         self.env.declare(name, Slot(None, tv, residual), span)
         return residual
 
@@ -507,10 +463,13 @@ class _Specializer:
         building = self.cache.sites.building
         try:
             reserved = self.cache.reserve(key, static_args)
-            global_types = residual_types(self.cache.globals)
+            # seeded with the dynamic globals, which keep their names
+            names = NameSupply({slot.residual: slot.tv for slot
+                                in self.cache.globals.slots.values()
+                                if slot.residual is not None})
             building.append(reserved.name)
             try:
-                parts = body(defn, static_args, NameSupply(global_types))
+                parts = body(defn, static_args, names)
             finally:
                 building.pop()
             if kind == "class":
@@ -518,12 +477,11 @@ class _Specializer:
                                        reserved.comment)
             else:
                 params, stmts = parts
-                types = {**global_types, **dict(params)}
-                rtype = infer_return_type(stmts, types,
+                rtype = infer_return_type(stmts, names.types,
                                           self.cache.return_type_of,
                                           defn.span)
                 entity = ResidualFunction(reserved.name, rtype, params, stmts,
-                                          key, reserved.comment, types)
+                                          key, reserved.comment, names.types)
             self.cache.complete(key, entity)
             return entity
         finally:
@@ -541,19 +499,49 @@ class _Specializer:
                          static_args: list) -> ResidualClass:
         return self.unit("class", cls, static_args, self.class_body)
 
-    def callee_name(self, fn: n.FunctionDef, static_args: list) -> str:
-        """The residual name of a call to ``fn`` on ``static_args``, on
-        either route.  A call without static arguments into a function
-        whose specialization is under way is recursive: it takes the
-        reserved name.  Each call is counted in ``cache.sites``."""
+    def resolve(self, callee: str, statics: list, args: list, types: dict,
+                span: Span | None) -> str:
+        """The residual name of a call of ``callee`` on ``statics`` and the
+        residual ``args``, whose names ``types`` types, on either route:
+        the flatten route's ``make_call`` calls it too.  A call without
+        static arguments and no definition that takes none infers the
+        statics of one that ``infers_statics`` from the element types of
+        its pointer arguments.  A call without static arguments into a
+        function whose specialization is under way is recursive: it takes
+        the reserved name.  Each call is counted in ``cache.sites``."""
+        functions = self.cache.functions
+        fn = functions.get((callee, len(statics)))
+        if fn is None:
+            if statics:
+                raise MalformedFragment(
+                    f"no definition of '{callee}' with {len(statics)} "
+                    "static argument(s)", span)
+            fn = next((f for (name, _), f in functions.items()
+                       if name == callee and f.infers_statics(len(args))),
+                      None)
+            if fn is None:
+                raise UnboundVariable(f"unknown function '{callee}'", span)
+            inferred: dict[str, TypeValue] = {}
+            for p, a in zip(fn.params, args):
+                tv = residual_type(a, types, self.cache.return_type_of)
+                if isinstance(p.dtype, n.PointerType) and \
+                        isinstance(p.dtype.base, n.NamedType) and \
+                        isinstance(tv, (PointerTV, FixedArrayTV)):
+                    inferred.setdefault(p.dtype.base.name, tv.elem)
+            try:
+                statics = [inferred[p.name] for p in fn.static_params]
+            except KeyError as missing:
+                raise TypeMismatch(
+                    f"cannot infer static parameter {missing} of "
+                    f"'{callee}' from the call's argument types", span)
         sites = self.cache.sites
-        if not static_args:
+        if not statics:
             name = self.cache.reserved_name(
                 SpecializationKey.for_function(fn.name, []))
             if name is not None:
                 sites.record(name, True)
                 return name
-        name = self.specialize_function(fn, static_args).name
+        name = self.specialize_function(fn, statics).name
         sites.record(name, False)
         return name
 
@@ -582,7 +570,7 @@ class _Specializer:
         generator = self.cache.generator(fn)
         for p in fn.params:
             names.keep(p.name)
-        interp.resolve_call = self.cache.resolve_call
+        interp.resolve_call = self.resolve
         interp.name_supply = names
         try:
             code = interp.call_function(generator, list(static_args), fn.span)
@@ -934,58 +922,21 @@ class _Specializer:
 
     def call(self, e: n.Call, ctx: _SpecCtx) -> n.Expr:
         """A dynamic call.  Its arguments are residualized before its
-        callee is specialized, so the callees of a nested call come first."""
+        callee is named, so the callees of a nested call come first."""
+        statics = []
         if e.static_args is not None:
-            svals = [self.interp.eval_expr(a, ctx.env) for a in e.static_args]
-            defn = self.cache.functions.get((e.callee, len(svals)))
-            if defn is None:
-                raise UnboundVariable(
-                    f"no definition of '{e.callee}' takes {len(svals)} "
-                    "static argument(s)", e.span)
-            args = self.residual_args(e, ctx)
-            return n.Call(self.callee_name(defn, svals), args, span=e.span)
-        if e.at_count >= 1:
+            statics = [self.interp.eval_expr(a, ctx.env)
+                       for a in e.static_args]
+        elif e.at_count >= 1:
             # multi-level: executes at a later (still static) stage
             return n.Call(e.callee, self.residual_args(e, ctx),
                           at_count=e.at_count, span=e.span)
-        defn = self.cache.functions.get((e.callee, 0))
-        if defn is None:
-            return self.inferred_call(e, ctx)
         args = self.residual_args(e, ctx)
-        return n.Call(self.callee_name(defn, []), args, span=e.span)
+        callee = self.resolve(e.callee, statics, args, ctx.names.types, e.span)
+        return n.Call(callee, args, span=e.span)
 
     def residual_args(self, e: n.Call, ctx: _SpecCtx) -> list:
         return [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
-
-    def inferred_call(self, e: n.Call, ctx: _SpecCtx) -> n.Expr:
-        """Single-list call to a two-list function: infer typename statics
-        from the element types of pointer-typed dynamic arguments."""
-        args = self.residual_args(e, ctx)
-        types = residual_types(ctx.env)
-        arg_types = [residual_type(a, types, self.cache.return_type_of)
-                     for a in args]
-        candidates = [fn for (name, arity), fn in self.cache.functions.items()
-                      if name == e.callee and arity > 0]
-        for fn in candidates:
-            if len(fn.params) != len(args):
-                continue
-            if not all(n.is_typename_type(p.dtype)
-                       for p in fn.static_params):
-                continue
-            inferred: dict[str, TypeValue] = {}
-            for p, tv in zip(fn.params, arg_types):
-                if isinstance(p.dtype, n.PointerType) and \
-                        isinstance(p.dtype.base, n.NamedType):
-                    if isinstance(tv, (PointerTV, FixedArrayTV)):
-                        inferred.setdefault(p.dtype.base.name, tv.elem)
-            try:
-                svals = [inferred[p.name] for p in fn.static_params]
-            except KeyError as missing:
-                raise TypeMismatch(
-                    f"cannot infer static parameter {missing} of "
-                    f"'{e.callee}' from the call's argument types", e.span)
-            return n.Call(self.callee_name(fn, svals), args, span=e.span)
-        raise UnboundVariable(f"unknown function '{e.callee}'", e.span)
 
 
 # Handlers by exact node class; each takes (specializer, node, ctx) and a

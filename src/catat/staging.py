@@ -526,7 +526,9 @@ class _Checker:
         # Plain call: happens at the scope's stage.
         for a in e.args:
             self.expr_stage(a, scope)
-        if 0 not in arities and not self._inferable(e):
+        if 0 not in arities and not any(
+                self.functions[(e.callee, arity)].infers_statics(len(e.args))
+                for arity in arities):
             raise UnboundVariable(
                 f"'{e.callee}' requires static arguments; call it as "
                 f"{e.callee}(s...)(d...)", e.span)
@@ -536,29 +538,6 @@ class _Checker:
                 f"'{e.callee}' binds typename parameters and can only be "
                 f"invoked statically ({e.callee}@(...))", e.span)
         return scope.default
-
-    def _inferable(self, e: n.Call) -> bool:
-        """Static parameters inferable from dynamic argument types: every
-        static parameter is a typename appearing as the pointer element type
-        of some dynamic parameter."""
-        for arity in self.fn_names.get(e.callee, []):
-            fn = self.functions[(e.callee, arity)]
-            if fn.static_params is None:
-                continue
-            names = set()
-            for p in fn.static_params:
-                if not n.is_typename_type(p.dtype):
-                    break
-                names.add(p.name)
-            else:
-                covered = set()
-                for p in fn.params:
-                    if isinstance(p.dtype, n.PointerType) and \
-                            isinstance(p.dtype.base, n.NamedType):
-                        covered.add(p.dtype.base.name)
-                if names and names <= covered and len(fn.params) == len(e.args):
-                    return True
-        return False
 
 
 # Checks by exact node class; each takes (checker, node, scope).  Statement

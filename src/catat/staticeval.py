@@ -134,9 +134,10 @@ class Interpreter:
         self.globals = Env()
         # set by specializer.SpecializationCache for one specialization run
         self.memo: CallMemo | None = None
-        # set by the specializer while a generator runs:
-        # (callee, static args, span) -> residual name for make_call, and
-        # the unit's NameSupply that make_vardecl draws from
+        # set by the specializer while a generator runs: its resolver,
+        # (callee, static args, residual args, types, span) -> residual
+        # name, for make_call, and the unit's NameSupply that make_vardecl
+        # draws from
         self.resolve_call = None
         self.name_supply = None
         # id(FunctionDef) -> its body compiled to Python (``pyemit``), run

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
-from catat.corpus import corpus_path
+from catat import cli
+from catat.corpus import corpus_path, provide_corpus
+from catat.lexer import AT, IDENT, INT, PUNCT, STRING, tokenize
 
 from test_compress import DYNAMIC_SWITCH
 
@@ -447,3 +453,77 @@ def test_static_arrays_in_dynamic_code_print_alike_on_both_routes(tmp_path,
     for result in (catat(*spec), catat(*spec, "--via-flatten")):
         assert result.returncode == code
         assert result.stderr.strip() == f"{source}:{message}"
+
+
+# -- the CLI contract on mutated input: every command on every mutant exits
+# -- with a documented code, 0 to 5, and no exception escapes
+
+MUTANT_INTS = ("0", "1", "2", "3", "7", "100", str(2 ** 63 - 1))
+MUTANT_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", ">", "<=", ">=",
+              "&&", "||")
+STRING_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"')
+
+
+def token_extents(source):
+    """(start, end, token) of each token of ``source``."""
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    extents = []
+    for tok in tokenize(source):
+        start = starts[tok.line - 1] + tok.col - 1
+        end = STRING_TOKEN.match(source, start).end() \
+            if tok.kind == STRING else start + len(tok.text)
+        extents.append((start, end, tok))
+    return extents
+
+
+def mutate(source, extents, rng):
+    """``source`` with one token changed: an int literal replaced, a binary
+    operator swapped, an ``@`` run dropped or doubled, an identifier
+    replaced by another of the file's or given an ``@``, or any other
+    token deleted."""
+    start, end, tok = rng.choice(extents)
+    if tok.kind == INT:
+        new = rng.choice(MUTANT_INTS)
+    elif tok.kind == PUNCT and tok.text in MUTANT_OPS:
+        new = rng.choice([op for op in MUTANT_OPS if op != tok.text])
+    elif tok.kind == AT:
+        new = rng.choice(("", tok.text * 2))
+    elif tok.kind == IDENT:
+        names = sorted({t.text for _, _, t in extents if t.kind == IDENT})
+        new = rng.choice([*names, tok.text + "@"])
+    else:
+        new = ""
+    return source[:start] + new + source[end:]
+
+
+def mutant_commands(path, fixture):
+    """The commands each mutant of ``fixture`` runs, with a loop cap."""
+    commands = [["check", path]]
+    entry = fixture.first("entry")
+    if entry:
+        spec = ["--entry", entry]
+        if fixture.first("static-args") is not None:
+            spec += ["--static-args", fixture.first("static-args")]
+        commands += [["specialize", path, *spec],
+                     ["specialize", path, *spec, "--via-flatten"],
+                     ["run", path, *spec,
+                      "--dyn-args", fixture.first("run-args", ""),
+                      "--step-limit", "100000"]]
+    return [[*c, "--loop-cap", "1000"] for c in commands]
+
+
+def test_mutated_corpus_exits_with_a_documented_code(tmp_path):
+    rng = random.Random(0)
+    fixtures = [(f, f.source()) for f in provide_corpus()]
+    fixtures = [(f, text, token_extents(text)) for f, text in fixtures]
+    for i in range(400):
+        fixture, source, extents = fixtures[i % len(fixtures)]
+        path = tmp_path / f"mutant{i}.cat"
+        path.write_text(mutate(source, extents, rng), encoding="utf-8")
+        for command in mutant_commands(str(path), fixture):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(command)
+            assert code in range(6), (command, path.read_text())

@@ -3,22 +3,26 @@ with an entry, both record the same units in the same order, under the
 same names and provenance comments, each pair of units is
 alpha-equivalent, and so is each pair of compressed residuals, each of
 which gives the value of ``run_unstaged`` on the fixture's run arguments.
-Both routes also stop a specialization chain at the same depth, and
-report a static value that has no literal form with the same error."""
+Both routes also stop a specialization chain at the same depth, report a
+static value that has no literal form with the same error, resolve a call
+whose typename statics are inferred alike, and type each residual name
+alike."""
 
 import pytest
 
 from catat import (
     ArrayV, CatatError, DepthExceeded, EvalLimits, IntV, check_stages, parse,
+    run, run_unstaged,
 )
 from catat.cli import parse_arg_list
 from catat.corpus import provide_corpus
 from catat.specializer import (
-    ResidualFunction, alpha_equivalent, specialize_program,
+    ResidualFunction, SpecializationCache, alpha_equivalent,
+    specialize_program,
 )
 from catat.values import INT
 
-from conftest import both_records
+from conftest import both_records, fixture_source
 
 
 def entry_fixtures():
@@ -108,3 +112,72 @@ def test_routes_report_a_static_array_under_a_dynamic_index_alike():
     assert route_errors(source, [IntV(1), IntV(2)]) == [
         ("LiftError", "a static array cannot flow into dynamic code "
          "(dynamic index into static data)", (2, 13))] * 2
+
+
+INFERRED = """function average(typename@ T)(T* array, int N) {
+    T sum = 0;
+    for (int i = 0; i < N; ++i)
+        sum += array[i];
+    return sum / N;
+}
+function g(int@ k)(int* a, int n) {
+    return average(a, n) + k;
+}
+"""
+
+
+def test_routes_resolve_an_inferred_call_alike():
+    # run_unstaged runs no call whose statics are inferred, so its value is
+    # taken on the program that writes them out
+    explicit = INFERRED.replace("average(a, n)", "average(int)(a, n)")
+    data = [IntV(1), IntV(2), IntV(3), IntV(4)]
+    assert run_unstaged(parse(explicit), "g", [
+        IntV(2), ArrayV(INT, list(data)), IntV(4)]).value == IntV(4)
+    records = []
+    for via_flatten in (False, True):
+        staged = check_stages(parse(INFERRED), 2)
+        cache = SpecializationCache(staged)
+        rp = specialize_program(staged, "g", [IntV(2)], cache=cache,
+                                via_flatten=via_flatten)
+        assert run(rp, "g__2", [ArrayV(INT, list(data)), IntV(4)]).value \
+            == IntV(4)
+        assert [u.name for u in cache.order] == ["average__int", "g__2"]
+        records.append((rp, cache.order))
+    (direct, direct_order), (flattened, flattened_order) = records
+    assert_agree(direct_order, flattened_order)
+    assert_agree(direct.units, flattened.units)
+
+
+def test_routes_report_an_uninferable_call_alike():
+    source = INFERRED.replace("int* a, int n", "int a, int n")
+    errors = []
+    for via_flatten in (False, True):
+        with pytest.raises(CatatError) as error:
+            specialize_program(check_stages(parse(source), 2), "g",
+                               [IntV(2)], via_flatten=via_flatten)
+        errors.append((type(error.value).__name__, error.value.message,
+                       tuple(error.value.span)))
+    assert errors == [
+        ("TypeMismatch", "cannot infer static parameter 'T' of 'average' "
+         "from the call's argument types", (8, 12))] * 2
+
+
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "via-flatten"])
+def test_unit_types_come_from_its_names(via_flatten):
+    rp = specialize_program(
+        check_stages(parse(fixture_source("unroll_locals.cat")), 2),
+        "windowed", [IntV(3)], via_flatten=via_flatten)
+    types = rp.function("windowed__3").types
+    assert [types[t] for t in ("t", "t_2", "t_3")] == [INT] * 3
+
+
+def test_a_shell_built_by_static_code_retypes_no_parameter():
+    # on the flatten route the generator's own shell types ``a``; the
+    # one the static code builds later must not make it a float
+    source = ("function f(int@ k)(int a) {\n"
+              "    ASTree@ other = make_lambda@(\"a\", float);\n"
+              "    return a + k;\n}\n")
+    for rp, _ in both_records(source, "f", [IntV(2)], [IntV(3)]):
+        unit = rp.function("f__2")
+        assert unit.types["a"] == INT and unit.return_type == INT
