@@ -132,9 +132,7 @@ class _Compressor:
                 u = self.compress_unit(u)
             kept.append(u)
         kept.reverse()
-        comments = {u.name: rp.comments[u.name] for u in kept
-                    if u.name in rp.comments}
-        return ResidualProgram(kept, rp.top_stmts, rp.entry_name, comments,
+        return ResidualProgram(kept, rp.top_stmts, rp.entry_name,
                                rp.static_bindings)
 
     def release(self, callees) -> None:
@@ -611,9 +609,8 @@ class _Compressor:
             grow += 4 * depth + 4
         unit = body.unit
         saved = 2 * len(unit.name) + 25
-        comment = self.rp.comments.get(unit.name)
-        if comment is not None:
-            saved += len(comment) + 4
+        if unit.comment:
+            saved += len(unit.comment) + 4
         for p, _ in unit.params:
             saved += len(p) + 4
         for a in substitute.values():

@@ -15,11 +15,14 @@ builder embeds it, and a malformed fragment is reported there, with that
 builder call's span; a static value it embeds is lifted there
 (``lift``).  Each builder call the flattener writes has the span of the
 source node it stands for, so a generator reports an error where the
-direct route does.  A call is resolved when ``make_call`` builds it:
-while a generator runs, the interpreter holds the specializer's resolver,
-the one the direct route names its calls with, so a call names its
+direct route does.  A call is resolved when ``make_call`` builds it, in
+the unit under way (``interp.unit``, the specializer's ``Unit``), by the
+resolver the direct route names its calls with, so a call names its
 specialized residual at once, its typename statics inferred from its
-pointer arguments where it has none.  ``materialize`` only checks and
+pointer arguments where it has none.  A ``return`` under static control
+ends the generator: it returns its shell right after appending the
+return, and a plain block is attached to its target before it is filled,
+so the shell is whole there.  ``materialize`` only checks and
 unpacks the shell the generator returns: the specializer's
 ``_Specializer.unit`` keys, names, types and registers the unit on both
 routes.  Residual nodes may be shared between statements (one varref
@@ -44,10 +47,10 @@ and the extensions needed to cover every residual node kind: make_literal,
 make_subscript, make_call, make_for, make_if, make_cond, make_block,
 make_incr, make_unary, make_ptr, make_arr.  A builder is a shape, checked
 where a call's text fixes it, and a construction from the argument values
-(see the builders section below).  While a generator runs,
-``make_vardecl`` draws the declared name, with its type, from the unit's
-``NameSupply`` (outside a specialization it keeps the name), and the
-generator's shell types the unit's parameters there;
+(see the builders section below).  In a unit under way, from a generator
+or static code, ``make_vardecl`` draws the declared name, with its type,
+from the unit's ``NameSupply`` (outside one it keeps the name), and
+``make_lambda`` types the unit's untyped parameters there;
 ``make_varref`` also takes a declaration fragment, and ``append`` returns
 what it appended.
 """
@@ -198,9 +201,9 @@ def _need_count(args: list, lo: int, hi: int | None, name: str,
 def _build_lambda(span, interp, *pairs):
     params = [(name, _need_type(tv, f"type of parameter '{name}'", span))
               for name, tv in zip(pairs[::2], pairs[1::2])]
-    if interp.name_supply is not None:
+    if interp.unit is not None:
         for name, tv in params:
-            interp.name_supply.settle(name, tv)
+            interp.unit.names.settle(name, tv)
     return CodeV(Shell(params, n.Block([])))
 
 
@@ -231,8 +234,8 @@ def _build_literal(span, interp, v):
 
 def _build_vardecl(span, interp, tv, name, init=None):
     _need_type(tv, "declared type", span)
-    if interp.name_supply is not None:
-        name = interp.name_supply.draw(name, tv)
+    if interp.unit is not None:
+        name = interp.unit.names.draw(name, tv)
     init = None if init is None else _as_expr(init, span)
     dtype, size = type_value_to_decl(tv)
     return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
@@ -303,9 +306,9 @@ def _build_call(span, interp, callee, nstatic, *args):
             raise MalformedFragment(
                 "static arguments of make_call must be values", span)
     dyn = [_as_expr(a, span) for a in args[nstatic:]]
-    if interp.resolve_call is not None:
-        callee = interp.resolve_call(callee, statics, dyn,
-                                     interp.name_supply.types, span)
+    unit = interp.unit
+    if unit is not None:
+        callee = unit.spec.resolve(callee, statics, dyn, unit, span)
     elif statics:
         raise FlattenUnsupported(
             "nested specializing calls need a specialization cache", span)
@@ -472,6 +475,10 @@ def _tree_var(name: str, init: n.Expr) -> n.Stmt:
     return n.VarDecl(n.PrimType("ASTree"), [n.Declarator(name, None, init)])
 
 
+def _empty_block(span: Span | None) -> n.Expr:
+    return n.Call("make_block", [], span=span)
+
+
 class _Flattener:
     def __init__(self, fn: n.FunctionDef):
         self.fn = fn
@@ -482,6 +489,7 @@ class _Flattener:
         # varref of their residual: the dynamic parameters and locals
         self.bound: set[str] = set()
         self.shell = self.names.draw("func")
+        self.dynamic = 0  # dynamic constructs around the statement
 
     # -- generator construction ------------------------------------------------
 
@@ -550,8 +558,10 @@ class _Flattener:
 
     def transform_stmt(self, s: n.Stmt, target: n.Expr, out: list) -> None:
         if isinstance(s, n.Block):
-            out.append(self._append_stmt(target, self.sub_to_frag(s, out),
-                                         s.span))
+            # attached before it is filled, so a return inside ends the
+            # generator with the block in place
+            self._filled(n.Call("append", [target, _empty_block(s.span)],
+                                span=s.span), s.stmts, out)
             return
         if isinstance(s, n.VarDecl):
             if isinstance(s.dtype, n.ClassAppType) and not s.dtype.ctime:
@@ -573,6 +583,9 @@ class _Flattener:
             return
         if isinstance(s, (n.Assign, n.ExprStmt, n.Return)):
             out.append(self._append_stmt(target, self._stmt_frag(s), s.span))
+            if s.__class__ is n.Return and not self.dynamic:
+                # under static control the unit ends here, as unstaged
+                out.append(n.Return(n.VarRef(self.shell)))
             return
         if isinstance(s, n.If):
             if s.at_count:
@@ -607,7 +620,7 @@ class _Flattener:
             mark = len(code)
             frag_args = [init_frag,
                          self.conv_expr(s.cond) if s.cond is not None
-                         else n.Call("make_block", [], span=s.span),
+                         else _empty_block(s.span),
                          self.clause_to_frag(s.incr, code, s.span)]
             frag_args.append(self.sub_to_frag(s.body, code))
             self._before(code, mark, frag_args, ("init", "cond", "step"))
@@ -659,7 +672,7 @@ class _Flattener:
                        span: Span | None) -> n.Expr:
         """The fragment of a ``for`` clause; ``span`` is the loop's."""
         if clause is None:
-            return n.Call("make_block", [], span=span)
+            return _empty_block(span)
         if isinstance(clause, n.VarDecl):
             # drawn and bound before the body draws, as on the direct route
             d = clause.declarators[0]
@@ -678,9 +691,18 @@ class _Flattener:
         if isinstance(s, (n.Assign, n.ExprStmt)) and s.stage != 0 or \
                 isinstance(s, n.Return):
             return self._stmt_frag(s)
+        self.dynamic += 1
+        frag = self._filled(_empty_block(s.span),
+                            s.stmts if isinstance(s, n.Block) else [s], out)
+        self.dynamic -= 1
+        return frag
+
+    def _filled(self, block: n.Expr, stmts: list, out: list) -> n.Expr:
+        """A temporary generator variable holding the block fragment
+        ``block`` makes, and, in a block of its own, the generator code
+        that fills it from ``stmts``."""
         tmp = self.names.draw("blk")
-        out.append(_tree_var(tmp, n.Call("make_block", [], span=s.span)))
-        stmts = s.stmts if isinstance(s, n.Block) else [s]
+        out.append(_tree_var(tmp, block))
         inner: list = []
         self.transform_region(stmts, n.VarRef(tmp), inner)
         out.append(n.Block(inner))

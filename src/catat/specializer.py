@@ -38,7 +38,13 @@ each key yields exactly one residual entity per run, named by a
 deterministic mangling scheme.  Every unit, a function on either route or
 a class, opens and closes in ``_Specializer.unit``, which fixes its name
 and provenance from the static arguments before the body runs, as a C++
-compiler names an instance when it first meets its template-id.
+compiler names an instance when it first meets its template-id.  The
+unit under way is one record, a ``Unit``: the cache holds it under the
+unit's key until the unit completes, and the interpreter holds it as
+``unit`` while the body runs, so a static builder call draws its names
+and resolves its calls in that unit, on both routes.  A ``return`` under
+static control ends the unit's specialization, as it ends the unstaged
+run: the statements after it are neither specialized nor run.
 Completion order is callees-first, so the residual program emits in one
 pass.  ``SpecializationCache.order`` is the instantiation record: every
 unit, in that order, with its name and provenance comment.
@@ -156,13 +162,42 @@ class ResidualClass:
         return n.ClassDef(self.name, [], items)
 
 
-@dataclass
-class _Reserved:
-    """The entry of a unit whose body is being specialized: its residual
-    name and provenance comment, fixed when the unit was met."""
+class Unit:
+    """The unit under way, from ``SpecializationCache.reserve`` to
+    ``complete``: its residual ``name`` and provenance ``comment``; ``env``,
+    which binds every source variable in scope, static or dynamic (see
+    ``Slot``); and ``names``, its name supply.  A dynamic variable declared
+    in ``root``, the outermost frame, keeps its name; any other draws one
+    unique in the unit, so a declaration that an unrolled iteration or a
+    selected branch splices into an enclosing block captures no variable.
+    Builders draw names here too and resolve calls through ``spec``.
+    ``outer`` is the unit under way when this one began.  ``returned``
+    marks a ``return`` under static control, outside the ``dynamic``
+    constructs: the unit's specialization ends there, as unstaged."""
 
-    name: str
-    comment: str
+    def __init__(self, name: str | None, comment: str, names: NameSupply,
+                 env: Env, outer: "Unit | None" = None, spec=None):
+        self.name = name
+        self.comment = comment
+        self.names = names
+        self.env = self.root = env
+        self.outer = outer
+        self.spec = spec
+        self.returned = False
+        self.dynamic = 0
+
+    def push_source(self) -> None:
+        self.env = self.env.child()
+
+    def pop_source(self) -> None:
+        self.env = self.env.parent
+
+    def declare_dyn(self, name: str, tv: TypeValue | None,
+                    span: Span | None = None) -> str:
+        residual = self.names.keep(name, tv) if self.env is self.root \
+            else self.names.draw(name, tv)
+        self.env.declare(name, Slot(None, tv, residual), span)
+        return residual
 
 
 @dataclass
@@ -175,18 +210,19 @@ class CallSites:
     count: dict = field(default_factory=dict)  # unit name -> call sites
     callers: set = field(default_factory=set)  # units that call a unit
     cyclic: set = field(default_factory=set)
-    building: list = field(default_factory=list)  # units under way
 
-    def record(self, callee: str, recursive: bool) -> None:
-        """Count a call of ``callee`` in the unit being built.  A
-        recursive call closes a cycle through every unit under way from
-        ``callee`` on."""
+    def record(self, callee: str, unit: Unit, recursive: bool) -> None:
+        """Count a call of ``callee`` in ``unit``, or in a top-level
+        statement when ``unit`` has no name.  A recursive call closes a
+        cycle through every unit under way from ``unit`` out to
+        ``callee``."""
         self.count[callee] = self.count.get(callee, 0) + 1
-        building = self.building
-        if building:
-            self.callers.add(building[-1])
-        if recursive:
-            self.cyclic.update(building[building.index(callee):])
+        if unit.name is not None:
+            self.callers.add(unit.name)
+        while recursive:
+            self.cyclic.add(unit.name)
+            recursive = unit.name != callee
+            unit = unit.outer
 
 
 class SpecializationCache:
@@ -228,7 +264,7 @@ class SpecializationCache:
 
     def lookup(self, key: SpecializationKey):
         entry = self.entries.get(key)
-        if entry.__class__ is _Reserved:
+        if entry.__class__ is Unit:
             raise SelfRecursiveSpecialization(
                 f"specialization of '{key.name}' recursively requires "
                 "itself with identical static arguments")
@@ -237,17 +273,23 @@ class SpecializationCache:
     def reserved_name(self, key: SpecializationKey) -> str | None:
         """The name of the unit of ``key`` if its body is under way."""
         entry = self.entries.get(key)
-        return entry.name if entry.__class__ is _Reserved else None
+        return entry.name if entry.__class__ is Unit else None
 
-    def reserve(self, key: SpecializationKey, static_args: list) -> _Reserved:
-        """Name the unit of ``key`` and render its provenance from
-        ``static_args`` as they are before its body runs, which may store
-        into them."""
+    def reserve(self, key: SpecializationKey, static_args: list,
+                spec=None) -> Unit:
+        """Open the unit of ``key`` inside the one under way: name it and
+        render its provenance from ``static_args`` as they are before its
+        body runs, which may store into them."""
         name = self.unit_names.draw(mangle(key.name, key))
         self.names[name] = key
-        entry = self.entries[key] = _Reserved(
-            name, key_comment(key, static_args))
-        return entry
+        # seeded with the dynamic globals, which keep their names
+        names = NameSupply({slot.residual: slot.tv
+                            for slot in self.globals.slots.values()
+                            if slot.residual is not None})
+        unit = self.entries[key] = Unit(
+            name, key_comment(key, static_args), names, self.globals.child(),
+            self.interp.unit, spec)
+        return unit
 
     def complete(self, key: SpecializationKey, entity) -> None:
         self.entries[key] = entity
@@ -270,12 +312,16 @@ class ResidualProgram:
     units: list = field(default_factory=list)
     top_stmts: list = field(default_factory=list)
     entry_name: str | None = None
-    comments: dict = field(default_factory=dict)  # name -> provenance text
     static_bindings: list = field(default_factory=list)  # (name, Value)
     # set by dyninterp.run once the Program has passed check_stages(levels=1)
     checked: bool = field(default=False, init=False, compare=False)
     _program: n.Program | None = field(default=None, init=False,
                                        repr=False, compare=False)
+
+    @property
+    def comments(self) -> dict:
+        """Unit name -> provenance text."""
+        return {u.name: u.comment for u in self.units if u.comment}
 
     @property
     def is_pure_static(self) -> bool:
@@ -400,37 +446,6 @@ def _type_stmt(s: n.Stmt, types: dict, callee_types, found: list) -> None:
 # Residualization
 
 
-class _SpecCtx:
-    """The environment of one specialization.
-
-    ``env`` binds every source variable in scope, static or dynamic (see
-    ``Slot``).  ``names`` is the unit's name supply: a dynamic variable
-    declared in ``root``, the unit's outermost frame, is a parameter, a
-    class member or a global and keeps its name; any other draws a name
-    unique in the unit, so a declaration that an unrolled iteration or a
-    selected branch splices into an enclosing block captures no variable."""
-
-    def __init__(self, env: Env, names: NameSupply):
-        self.env = env
-        self.root = env
-        self.names = names
-
-    # scope plumbing --------------------------------------------------------
-
-    def push_source(self) -> None:
-        self.env = self.env.child()
-
-    def pop_source(self) -> None:
-        self.env = self.env.parent
-
-    def declare_dyn(self, name: str, tv: TypeValue | None,
-                    span: Span | None = None) -> str:
-        residual = self.names.keep(name, tv) if self.env is self.root \
-            else self.names.draw(name, tv)
-        self.env.declare(name, Slot(None, tv, residual), span)
-        return residual
-
-
 class _Specializer:
     def __init__(self, cache: SpecializationCache):
         self.cache = cache
@@ -443,11 +458,12 @@ class _Specializer:
              guarded: bool = True):
         """The one lifecycle of a specialization unit, a function on either
         route or a class: key and look it up, check the arity, take a depth
-        level, reserve the name and provenance, run ``body``, type the
-        returns and complete.  ``body(defn, static_args, names)``, with the
-        unit's name supply, gives a function's parameters and statements,
-        or a class's members, static members and constructor body.  The
-        generator body is not ``guarded``: its call takes the level itself."""
+        level, open the unit's record, hold it as the interpreter's
+        ``unit`` while ``body`` runs, type the returns and complete.
+        ``body(defn, static_args, unit)`` gives a function's parameters and
+        statements, or a class's members, static members and constructor
+        body.  The generator body is not ``guarded``: its call takes the
+        level itself."""
         key = SpecializationKey(kind, defn.name, key_args(static_args))
         cached = self.cache.lookup(key)
         if cached is not None:
@@ -460,28 +476,22 @@ class _Specializer:
         guard = self.cache.guard
         if guarded:
             guard.enter(defn.span)
-        building = self.cache.sites.building
+        interp = self.interp
         try:
-            reserved = self.cache.reserve(key, static_args)
-            # seeded with the dynamic globals, which keep their names
-            names = NameSupply({slot.residual: slot.tv for slot
-                                in self.cache.globals.slots.values()
-                                if slot.residual is not None})
-            building.append(reserved.name)
+            unit = interp.unit = self.cache.reserve(key, static_args, self)
             try:
-                parts = body(defn, static_args, names)
+                parts = body(defn, static_args, unit)
             finally:
-                building.pop()
+                interp.unit = unit.outer
             if kind == "class":
-                entity = ResidualClass(reserved.name, *parts, key,
-                                       reserved.comment)
+                entity = ResidualClass(unit.name, *parts, key, unit.comment)
             else:
                 params, stmts = parts
-                rtype = infer_return_type(stmts, names.types,
+                rtype = infer_return_type(stmts, unit.names.types,
                                           self.cache.return_type_of,
                                           defn.span)
-                entity = ResidualFunction(reserved.name, rtype, params, stmts,
-                                          key, reserved.comment, names.types)
+                entity = ResidualFunction(unit.name, rtype, params, stmts,
+                                          key, unit.comment, unit.names.types)
             self.cache.complete(key, entity)
             return entity
         finally:
@@ -499,16 +509,16 @@ class _Specializer:
                          static_args: list) -> ResidualClass:
         return self.unit("class", cls, static_args, self.class_body)
 
-    def resolve(self, callee: str, statics: list, args: list, types: dict,
+    def resolve(self, callee: str, statics: list, args: list, unit: Unit,
                 span: Span | None) -> str:
         """The residual name of a call of ``callee`` on ``statics`` and the
-        residual ``args``, whose names ``types`` types, on either route:
-        the flatten route's ``make_call`` calls it too.  A call without
-        static arguments and no definition that takes none infers the
-        statics of one that ``infers_statics`` from the element types of
-        its pointer arguments.  A call without static arguments into a
-        function whose specialization is under way is recursive: it takes
-        the reserved name.  Each call is counted in ``cache.sites``."""
+        residual ``args`` of ``unit``, on either route: ``make_call`` calls
+        it too.  A call without static arguments and no definition that
+        takes none infers the statics of one that ``infers_statics`` from
+        the element types of its pointer arguments.  A call without static
+        arguments into a function whose specialization is under way is
+        recursive: it takes the reserved name.  Each call is counted in
+        ``cache.sites``."""
         functions = self.cache.functions
         fn = functions.get((callee, len(statics)))
         if fn is None:
@@ -523,7 +533,8 @@ class _Specializer:
                 raise UnboundVariable(f"unknown function '{callee}'", span)
             inferred: dict[str, TypeValue] = {}
             for p, a in zip(fn.params, args):
-                tv = residual_type(a, types, self.cache.return_type_of)
+                tv = residual_type(a, unit.names.types,
+                                   self.cache.return_type_of)
                 if isinstance(p.dtype, n.PointerType) and \
                         isinstance(p.dtype.base, n.NamedType) and \
                         isinstance(tv, (PointerTV, FixedArrayTV)):
@@ -539,51 +550,43 @@ class _Specializer:
             name = self.cache.reserved_name(
                 SpecializationKey.for_function(fn.name, []))
             if name is not None:
-                sites.record(name, True)
+                sites.record(name, unit, True)
                 return name
         name = self.specialize_function(fn, statics).name
-        sites.record(name, False)
+        sites.record(name, unit, False)
         return name
 
     def function_body(self, fn: n.FunctionDef, static_args: list,
-                      names: NameSupply) -> tuple:
+                      unit: Unit) -> tuple:
         """Residualize ``fn``'s body: the direct route."""
-        ctx = _SpecCtx(self.cache.globals.child(), names)
         body = self.bind_static_params(fn.static_params or [], static_args,
-                                       ctx)
+                                       unit)
         params = []
         for p in fn.params:
-            tv = self.interp.resolve_type(p.dtype, ctx.env, p.span)
-            params.append((ctx.declare_dyn(p.name, tv, p.span), tv))
-        ctx.push_source()  # the body may shadow a parameter
-        body.extend(self.stmts(fn.body.stmts, ctx))
+            tv = self.interp.resolve_type(p.dtype, unit.env, p.span)
+            params.append((unit.declare_dyn(p.name, tv, p.span), tv))
+        unit.push_source()  # the body may shadow a parameter
+        body.extend(self.stmts(fn.body.stmts, unit))
         return params, body
 
     def generator_body(self, fn: n.FunctionDef, static_args: list,
-                       names: NameSupply) -> tuple:
+                       unit: Unit) -> tuple:
         """Run ``fn``'s generator, compiled, on ``static_args`` and unpack
-        the shell it returns: the flatten route.  During this run only,
-        the cache names the calls it builds and ``names`` its locals."""
+        the shell it returns: the flatten route.  Its builders name the
+        unit's locals and resolve its calls through ``unit``."""
         interp = self.interp
         if interp.count_steps:
             raise TypeError("a compiled generator counts no steps")
         generator = self.cache.generator(fn)
         for p in fn.params:
-            names.keep(p.name)
-        interp.resolve_call = self.resolve
-        interp.name_supply = names
-        try:
-            code = interp.call_function(generator, list(static_args), fn.span)
-        finally:
-            interp.resolve_call = None
-            interp.name_supply = None
-        return flatten.materialize(code)
+            unit.names.keep(p.name)
+        return flatten.materialize(
+            interp.call_function(generator, list(static_args), fn.span))
 
     def class_body(self, cls: n.ClassDef, static_args: list,
-                   names: NameSupply) -> tuple:
-        env = self.cache.globals.child()
-        ctx = _SpecCtx(env, names)
-        later = self.bind_static_params(cls.static_params, static_args, ctx)
+                   unit: Unit) -> tuple:
+        env = unit.env
+        later = self.bind_static_params(cls.static_params, static_args, unit)
         # Static members first (unset slots unless initialized), so the
         # compile-time constructor can assign them before sizes resolve.
         static_names: list[str] = []
@@ -615,19 +618,19 @@ class _Specializer:
             if d.array_size is not None:
                 dtype = n.ArrayType(dtype, d.array_size)
             tv = self.interp.resolve_type(dtype, env, decl.span)
-            ctx.declare_dyn(d.name, tv, d.span)
+            unit.declare_dyn(d.name, tv, d.span)
             members.append((visibility, d.name, tv))
         ctor_body = None
         dyn_ctor = cls.dynamic_ctor()
         if dyn_ctor is not None:
-            ctx.push_source()
-            ctor_body = later + self.stmts(dyn_ctor.body.stmts, ctx)
+            unit.push_source()
+            ctor_body = later + self.stmts(dyn_ctor.body.stmts, unit)
         static_members = {m: env.slots[m].value for m in static_names}
         return members, static_members, ctor_body
 
     def bind_static_params(self, params: list, args: list,
-                           ctx: _SpecCtx) -> list:
-        """Bind static parameters to their arguments in ``ctx.env``.
+                           unit: Unit) -> list:
+        """Bind static parameters to their arguments in ``unit.env``.
 
         At three or more levels the checker may put a static parameter at
         a later stage.  The residual then declares it at that stage,
@@ -636,15 +639,15 @@ class _Specializer:
         declarations are."""
         decls = []
         for p, a in zip(params, args):
-            tv = self.interp.resolve_type(p.dtype, ctx.env, p.span)
+            tv = self.interp.resolve_type(p.dtype, unit.env, p.span)
             value = coerce(a, tv, p.span)
             if p.at_count >= self.default or n.is_typename_type(p.dtype):
-                ctx.env.declare(p.name, Slot(value, tv), p.span)
+                unit.env.declare(p.name, Slot(value, tv), p.span)
                 continue
             init = lift(value, p.span)
             dtype = type_value_to_texpr(tv)  # a liftable type: a PrimType
             dtype.at_count = p.at_count
-            res_name = ctx.declare_dyn(p.name, tv, p.span)
+            res_name = unit.declare_dyn(p.name, tv, p.span)
             decls.append(n.VarDecl(
                 dtype, [n.Declarator(res_name, None, init)], span=p.span))
         return decls
@@ -674,61 +677,65 @@ class _Specializer:
 
     # -- statements -------------------------------------------------------------
 
-    def stmts(self, source: list, ctx: _SpecCtx) -> list:
-        out: list = []
+    def stmts(self, source: list, unit: Unit,
+              out: list | None = None) -> list:
+        """Residualize ``source`` into ``out``, up to a return under static
+        control."""
+        out = [] if out is None else out
         for s in source:
-            self.stmt(s, ctx, out)
+            self.stmt(s, unit, out)
+            if unit.returned:
+                break
         return out
 
-    def splice(self, body: n.Stmt, ctx: _SpecCtx, out: list) -> None:
+    def splice(self, body: n.Stmt, unit: Unit, out: list) -> None:
         """Inline a selected/unrolled region into the current residual block."""
-        ctx.push_source()
-        if isinstance(body, n.Block):
-            for s in body.stmts:
-                self.stmt(s, ctx, out)
-        else:
-            self.stmt(body, ctx, out)
-        ctx.pop_source()
+        unit.push_source()
+        self.stmts(body.stmts if body.__class__ is n.Block else [body], unit,
+                   out)
+        unit.pop_source()
 
-    def sub_stmt(self, body: n.Stmt, ctx: _SpecCtx) -> n.Stmt:
+    def sub_stmt(self, body: n.Stmt, unit: Unit) -> n.Stmt:
         """Residualize the body of a residual control construct.  As on
         the flatten route, only a dynamic assignment or expression
         statement, or a return, stays a bare statement."""
         out: list = []
-        self.splice(body, ctx, out)
+        unit.dynamic += 1
+        self.splice(body, unit, out)
+        unit.dynamic -= 1
         if len(out) == 1 and (body.__class__ is n.Return or (
                 body.__class__ in (n.Assign, n.ExprStmt) and body.stage != 0)):
             return out[0]
         return n.Block(out)
 
-    def stmt(self, s: n.Stmt, ctx: _SpecCtx, out: list) -> None:
+    def stmt(self, s: n.Stmt, unit: Unit, out: list) -> None:
         handler = _STMT.get(s.__class__)
         if handler is None:
             raise TypeMismatch(f"cannot specialize {type(s).__name__}",
                                s.span)
-        handler(self, s, ctx, out)
+        handler(self, s, unit, out)
 
-    def var_decl(self, s: n.VarDecl, ctx: _SpecCtx, out: list) -> None:
+    def var_decl(self, s: n.VarDecl, unit: Unit, out: list) -> None:
         is_class = isinstance(s.dtype, n.ClassAppType)
         if (s.stage == 0 or n.is_typename_type(s.dtype)) and \
                 not (is_class and s.dtype.ctime):
-            self.interp.exec_stmt(s, ctx.env)
+            self.interp.exec_stmt(s, unit.env)
             return
         if is_class:
             cls = self.cache.classes.get(s.dtype.name)
             if cls is None:
                 raise UnboundVariable(f"unknown class '{s.dtype.name}'",
                                       s.span)
-            args = [self.interp.eval_expr(a, ctx.env) for a in s.dtype.args]
+            args = [self.interp.eval_expr(a, unit.env) for a in s.dtype.args]
             if s.dtype.ctime:
                 for d in s.declarators:
                     inst = self.static_instance(cls, args, s.span)
-                    ctx.env.declare(d.name, Slot(inst, ClassTV(cls.name)),
-                                    d.span)
+                    unit.env.declare(d.name, Slot(inst, ClassTV(cls.name)),
+                                     d.span)
                 return
             rc = self.specialize_class(cls, args)
             for d in s.declarators:
-                res_name = ctx.declare_dyn(
+                res_name = unit.declare_dyn(
                     d.name, ClassTV(cls.name, rc.key.args), d.span)
                 out.append(n.VarDecl(n.NamedType(rc.name),
                                      [n.Declarator(res_name, None, None)],
@@ -739,11 +746,11 @@ class _Specializer:
             dtype = s.dtype
             if d.array_size is not None:
                 dtype = n.ArrayType(dtype, d.array_size)
-            tv = self.interp.resolve_type(dtype, ctx.env, s.span)
+            tv = self.interp.resolve_type(dtype, unit.env, s.span)
             init_node = None
             if d.init is not None:
-                init_node = self.as_node(self.rexpr(d.init, ctx), d.span)
-            res_name = ctx.declare_dyn(d.name, tv, d.span)
+                init_node = self.as_node(self.rexpr(d.init, unit), d.span)
+            res_name = unit.declare_dyn(d.name, tv, d.span)
             res_dtype, res_size = type_value_to_decl(tv)
             if k > 0 and isinstance(res_dtype, (n.PrimType, n.NamedType)):
                 # deeper-staged declaration: the annotation run is relative,
@@ -753,54 +760,56 @@ class _Specializer:
                                  [n.Declarator(res_name, res_size, init_node)],
                                  span=s.span))
 
-    def assign(self, s: n.Assign, ctx: _SpecCtx, out: list) -> None:
+    def assign(self, s: n.Assign, unit: Unit, out: list) -> None:
         if s.stage == 0:
-            self.interp.exec_stmt(s, ctx.env)
+            self.interp.exec_stmt(s, unit.env)
             return
-        target = self.rexpr(s.target, ctx)
-        value = self.as_node(self.rexpr(s.value, ctx), s.span)
+        target = self.rexpr(s.target, unit)
+        value = self.as_node(self.rexpr(s.value, unit), s.span)
         out.append(n.Assign(target, s.op, value, span=s.span))
 
-    def expr_stmt(self, s: n.ExprStmt, ctx: _SpecCtx, out: list) -> None:
+    def expr_stmt(self, s: n.ExprStmt, unit: Unit, out: list) -> None:
         if s.stage == 0:
-            self.interp.exec_stmt(s, ctx.env)
+            self.interp.exec_stmt(s, unit.env)
             return
-        r = self.rexpr(s.expr, ctx)
+        r = self.rexpr(s.expr, unit)
         if isinstance(r, n.Expr):
             out.append(n.ExprStmt(r, span=s.span))
 
-    def return_stmt(self, s: n.Return, ctx: _SpecCtx, out: list) -> None:
+    def return_stmt(self, s: n.Return, unit: Unit, out: list) -> None:
         value = None
         if s.value is not None:
-            value = self.as_node(self.rexpr(s.value, ctx), s.span)
+            value = self.as_node(self.rexpr(s.value, unit), s.span)
         out.append(n.Return(value, span=s.span))
+        if not unit.dynamic:
+            unit.returned = True
 
-    def block(self, s: n.Block, ctx: _SpecCtx, out: list) -> None:
-        ctx.push_source()
-        inner = self.stmts(s.stmts, ctx)
-        ctx.pop_source()
+    def block(self, s: n.Block, unit: Unit, out: list) -> None:
+        unit.push_source()
+        inner = self.stmts(s.stmts, unit)
+        unit.pop_source()
         out.append(n.Block(inner, span=s.span))
 
-    def if_stmt(self, s: n.If, ctx: _SpecCtx, out: list) -> None:
+    def if_stmt(self, s: n.If, unit: Unit, out: list) -> None:
         if s.at_count >= self.default:
-            if truth(self.interp.eval_expr(s.cond, ctx.env), s.span):
-                self.splice(s.then_stmt, ctx, out)
+            if truth(self.interp.eval_expr(s.cond, unit.env), s.span):
+                self.splice(s.then_stmt, unit, out)
             elif s.else_stmt is not None:
-                self.splice(s.else_stmt, ctx, out)
+                self.splice(s.else_stmt, unit, out)
             return
-        cond = self.rexpr(s.cond, ctx)
-        then_stmt = self.sub_stmt(s.then_stmt, ctx)
-        else_stmt = self.sub_stmt(s.else_stmt, ctx) \
+        cond = self.rexpr(s.cond, unit)
+        then_stmt = self.sub_stmt(s.then_stmt, unit)
+        else_stmt = self.sub_stmt(s.else_stmt, unit) \
             if s.else_stmt is not None else None
         out.append(n.If(self.as_node(cond, s.span), then_stmt, else_stmt,
                         s.at_count, s.else_at_count, span=s.span))
 
-    def for_stmt(self, s: n.For, ctx: _SpecCtx, out: list) -> None:
+    def for_stmt(self, s: n.For, unit: Unit, out: list) -> None:
         if s.at_count >= self.default:
             # the checker made the init, guard and step static
             interp = self.interp
-            ctx.push_source()
-            env = ctx.env
+            unit.push_source()
+            env = unit.env
             if s.init is not None:
                 interp.exec_stmt(s.init, env)
             iterations = 0
@@ -809,52 +818,56 @@ class _Specializer:
                 iterations += 1
                 if iterations > self.cache.limits.loop_cap:
                     raise loop_limit(self.cache.limits.loop_cap, True, s.span)
-                self.splice(s.body, ctx, out)
+                self.splice(s.body, unit, out)
+                if unit.returned:
+                    break
                 if s.incr is not None:
                     interp.exec_stmt(s.incr, env)
-            ctx.pop_source()
+            unit.pop_source()
             return
-        ctx.push_source()
+        unit.push_source()
         init_out: list = []
         if s.init is not None:
-            self.stmt(s.init, ctx, init_out)
+            self.stmt(s.init, unit, init_out)
         init = init_out[0] if init_out else None
         cond = None
         if s.cond is not None:
-            cond = self.as_node(self.rexpr(s.cond, ctx), s.span)
+            cond = self.as_node(self.rexpr(s.cond, unit), s.span)
         incr_out: list = []
         if s.incr is not None:
-            self.stmt(s.incr, ctx, incr_out)
+            self.stmt(s.incr, unit, incr_out)
         incr = incr_out[0] if incr_out else None
-        body = self.sub_stmt(s.body, ctx)
-        ctx.pop_source()
+        body = self.sub_stmt(s.body, unit)
+        unit.pop_source()
         out.append(n.For(init, cond, incr, body, s.at_count, span=s.span))
 
-    def switch_stmt(self, s: n.Switch, ctx: _SpecCtx, out: list) -> None:
+    def switch_stmt(self, s: n.Switch, unit: Unit, out: list) -> None:
         if s.at_count >= self.default:
-            subject = self.interp.eval_expr(s.subject, ctx.env)
+            subject = self.interp.eval_expr(s.subject, unit.env)
             default_case = None
             for case in s.cases:
                 if case.label is None:
                     default_case = case
                     continue
-                label = self.interp.eval_expr(case.label, ctx.env)
+                label = self.interp.eval_expr(case.label, unit.env)
                 if matches(subject, label, case.span):
-                    self.splice(n.Block(case.body), ctx, out)
+                    self.splice(n.Block(case.body), unit, out)
                     return
             if default_case is not None:
-                self.splice(n.Block(default_case.body), ctx, out)
+                self.splice(n.Block(default_case.body), unit, out)
             return
-        subject = self.as_node(self.rexpr(s.subject, ctx), s.span)
+        subject = self.as_node(self.rexpr(s.subject, unit), s.span)
         cases = []
+        unit.dynamic += 1
         for case in s.cases:
-            ctx.push_source()
-            body = self.stmts(case.body, ctx)
-            ctx.pop_source()
+            unit.push_source()
+            body = self.stmts(case.body, unit)
+            unit.pop_source()
             label = None
             if case.label is not None:
-                label = self.as_node(self.rexpr(case.label, ctx), case.span)
+                label = self.as_node(self.rexpr(case.label, unit), case.span)
             cases.append(n.SwitchCase(label, body, span=case.span))
+        unit.dynamic -= 1
         out.append(n.Switch(subject, cases, s.at_count, span=s.span))
 
     # -- expressions --------------------------------------------------------
@@ -862,84 +875,84 @@ class _Specializer:
     def as_node(self, r: Value | n.Expr, span: Span | None) -> n.Expr:
         return r if isinstance(r, n.Expr) else lift(r, span)
 
-    def rexpr(self, e: n.Expr, ctx: _SpecCtx) -> Value | n.Expr:
+    def rexpr(self, e: n.Expr, unit: Unit) -> Value | n.Expr:
         """The value of ``e`` if it is static, else its residual."""
         if e.stage == 0:
-            return self.interp.eval_expr(e, ctx.env)
+            return self.interp.eval_expr(e, unit.env)
         handler = _REXPR.get(e.__class__)
         if handler is None:
             raise TypeMismatch(f"cannot specialize {type(e).__name__}",
                                e.span)
-        return handler(self, e, ctx)
+        return handler(self, e, unit)
 
     # The handlers below see dynamic expressions only.  An operand may still
     # come back static: a dynamic ``?:`` or ``&&`` with a static guard keeps
     # the one operand it selects.
 
-    def var_ref(self, e: n.VarRef, ctx: _SpecCtx) -> n.Expr:
-        slot = ctx.env.find(e.name)
+    def var_ref(self, e: n.VarRef, unit: Unit) -> n.Expr:
+        slot = unit.env.find(e.name)
         if slot is None or slot.residual is None:
             raise StageLeak(f"variable '{e.name}' reached the specializer "
                             "unresolved", e.span)
         return n.VarRef(slot.residual, span=e.span)
 
-    def unary(self, e: n.Unary, ctx: _SpecCtx) -> n.Expr:
-        operand = self.as_node(self.rexpr(e.operand, ctx), e.span)
+    def unary(self, e: n.Unary, unit: Unit) -> n.Expr:
+        operand = self.as_node(self.rexpr(e.operand, unit), e.span)
         return n.Unary(e.op, operand, span=e.span)
 
-    def incr(self, e: n.Incr, ctx: _SpecCtx) -> n.Expr:
+    def incr(self, e: n.Incr, unit: Unit) -> n.Expr:
         if not isinstance(e.target, n.VarRef):
             raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
-        return n.Incr(e.op, self.var_ref(e.target, ctx), span=e.span)
+        return n.Incr(e.op, self.var_ref(e.target, unit), span=e.span)
 
-    def binary(self, e: n.Binary, ctx: _SpecCtx) -> Value | n.Expr:
-        lhs = self.rexpr(e.lhs, ctx)
+    def binary(self, e: n.Binary, unit: Unit) -> Value | n.Expr:
+        lhs = self.rexpr(e.lhs, unit)
         if e.op in ("&&", "||") and not isinstance(lhs, n.Expr):
             # a static left operand that decides folds; one that does not
             # stays, so the right operand is still tested as a bool
             decided = truth(lhs, e.span)
             if decided == (e.op == "||"):
                 return BoolV(decided)
-        rhs = self.rexpr(e.rhs, ctx)
+        rhs = self.rexpr(e.rhs, unit)
         return n.Binary(e.op, self.as_node(lhs, e.span),
                         self.as_node(rhs, e.span), span=e.span)
 
-    def cond(self, e: n.Cond, ctx: _SpecCtx) -> Value | n.Expr:
-        c = self.rexpr(e.cond, ctx)
+    def cond(self, e: n.Cond, unit: Unit) -> Value | n.Expr:
+        c = self.rexpr(e.cond, unit)
         if not isinstance(c, n.Expr):
             return self.rexpr(e.then_expr if truth(c, e.span)
-                              else e.else_expr, ctx)
-        t = self.as_node(self.rexpr(e.then_expr, ctx), e.span)
-        f = self.as_node(self.rexpr(e.else_expr, ctx), e.span)
+                              else e.else_expr, unit)
+        t = self.as_node(self.rexpr(e.then_expr, unit), e.span)
+        f = self.as_node(self.rexpr(e.else_expr, unit), e.span)
         return n.Cond(c, t, f, span=e.span)
 
-    def subscript(self, e: n.Subscript, ctx: _SpecCtx) -> n.Expr:
-        base = self.rexpr(e.base, ctx)
+    def subscript(self, e: n.Subscript, unit: Unit) -> n.Expr:
+        base = self.rexpr(e.base, unit)
         if not isinstance(base, n.Expr):
             raise LiftError(flatten.STATIC_BASE_MESSAGE, e.span)
-        index = self.as_node(self.rexpr(e.index, ctx), e.span)
+        index = self.as_node(self.rexpr(e.index, unit), e.span)
         return n.Subscript(base, index, span=e.span)
 
-    def call(self, e: n.Call, ctx: _SpecCtx) -> n.Expr:
+    def call(self, e: n.Call, unit: Unit) -> n.Expr:
         """A dynamic call.  Its arguments are residualized before its
         callee is named, so the callees of a nested call come first."""
         statics = []
         if e.static_args is not None:
-            statics = [self.interp.eval_expr(a, ctx.env)
+            statics = [self.interp.eval_expr(a, unit.env)
                        for a in e.static_args]
         elif e.at_count >= 1:
             # multi-level: executes at a later (still static) stage
-            return n.Call(e.callee, self.residual_args(e, ctx),
+            return n.Call(e.callee, self.residual_args(e, unit),
                           at_count=e.at_count, span=e.span)
-        args = self.residual_args(e, ctx)
-        callee = self.resolve(e.callee, statics, args, ctx.names.types, e.span)
+        args = self.residual_args(e, unit)
+        callee = self.resolve(e.callee, statics, args, unit, e.span)
         return n.Call(callee, args, span=e.span)
 
-    def residual_args(self, e: n.Call, ctx: _SpecCtx) -> list:
-        return [self.as_node(self.rexpr(a, ctx), e.span) for a in e.args]
+    def residual_args(self, e: n.Call, unit: Unit) -> list:
+        return [self.as_node(self.rexpr(a, unit), e.span) for a in e.args]
 
 
-# Handlers by exact node class; each takes (specializer, node, ctx) and a
+# Handlers by exact node class; each takes (specializer, node, unit) and a
 # statement handler also the residual list it appends to.  ``rexpr``
 # evaluates every stage-0 expression itself, so ``_REXPR`` holds the
 # dynamic handlers only: literals and type literals are always stage 0.
@@ -994,11 +1007,11 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
         spec = _Specializer(cache)
-        ctx = _SpecCtx(cache.globals, NameSupply())
+        top = Unit(None, "", NameSupply(), cache.globals)
         top_res: list = []
         for item in staged.program.items:
             if isinstance(item, n.Stmt):
-                spec.stmt(item, ctx, top_res)
+                spec.stmt(item, top, top_res)
         entry_name = None
         if entry is not None:
             static_args = list(entry_static_args or [])
@@ -1016,12 +1029,11 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
                 raise UnboundVariable(
                     f"no function '{entry}' taking {len(static_args)} static "
                     "argument(s) and no class of that name")
-        comments = {unit.name: unit.comment for unit in cache.order}
         bindings = [(name, slot.value)
                     for name, slot in cache.globals.slots.items()
                     if slot.residual is None]
         rp = ResidualProgram(list(cache.order), top_res, entry_name,
-                             comments, bindings)
+                             bindings)
         if staged.levels == 2:  # a deeper residual is specialized again
             from .compress import compress
             rp = compress(rp, cache.sites)

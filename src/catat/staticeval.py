@@ -17,7 +17,13 @@ loops and switches stop at the first statement that returns a value and
 pass it up; ``call_function`` makes it the call's result.
 
 ``Catat_error@`` and the code builders (make_lambda, make_op, ...) are the
-builtin functions.
+builtin functions.  The builders draw names and resolve calls in the
+specializer's unit under way, the interpreter's ``unit``.
+
+A call of a function whose parameter lists ``erase_stages`` merged may
+leave its leading typename arguments to inference, as its two-level call
+did: ``call_function`` infers them from the element types of the arrays
+the call passes, and only for a call that would otherwise fail its arity.
 
 A function whose body ``pyemit`` compiled (``Interpreter.compiled``) runs
 compiled: ``call_function`` binds its arguments and takes its depth level
@@ -134,12 +140,9 @@ class Interpreter:
         self.globals = Env()
         # set by specializer.SpecializationCache for one specialization run
         self.memo: CallMemo | None = None
-        # set by the specializer while a generator runs: its resolver,
-        # (callee, static args, residual args, types, span) -> residual
-        # name, for make_call, and the unit's NameSupply that make_vardecl
-        # draws from
-        self.resolve_call = None
-        self.name_supply = None
+        # the specializer's unit under way (``specializer.Unit``), held by
+        # ``_Specializer.unit`` for the unit's body on either route
+        self.unit = None
         # id(FunctionDef) -> its body compiled to Python (``pyemit``), run
         # by ``call_function`` in place of the walker
         self.compiled: dict = {}
@@ -215,9 +218,12 @@ class Interpreter:
         params = fn.params if fn.static_params is None \
             else fn.static_params + fn.params
         if len(args) != len(params):
-            raise TypeMismatch(
-                f"'{fn.name}' expects {len(params)} argument(s), got "
-                f"{len(args)}", span)
+            statics = _inferred_statics(fn, args)
+            if statics is None:
+                raise TypeMismatch(
+                    f"'{fn.name}' expects {len(params)} argument(s), got "
+                    f"{len(args)}", span)
+            args = statics + args
         guard = self.depth_guard
         guard.depth += 1
         if guard.depth > guard.limit:
@@ -533,6 +539,29 @@ class Interpreter:
         return self.call_static(e.callee,
                                 [self.eval_expr(a, env) for a in e.args],
                                 e.span)
+
+
+def _inferred_statics(fn: n.FunctionDef, args: list) -> list | None:
+    """The leading typename arguments that a call of ``fn``, a function
+    whose parameter lists ``erase_stages`` merged, leaves to inference
+    (``FunctionDef.infers_statics``): each the element type of the array
+    passed for a ``T*`` parameter.  None when the call infers nothing."""
+    k = len(fn.params) - len(args)
+    if fn.static_params is not None or k <= 0:
+        return None
+    staged = n.FunctionDef(fn.name, fn.params[:k], fn.params[k:])
+    if not staged.infers_statics(len(args)):
+        return None
+    inferred: dict = {}
+    for p, a in zip(staged.params, args):
+        t = p.dtype
+        if isinstance(t, n.PointerType) and \
+                isinstance(t.base, n.NamedType) and isinstance(a, ArrayV):
+            inferred.setdefault(t.base.name, a.elem)
+    try:
+        return [inferred[p.name] for p in staged.static_params]
+    except KeyError:
+        return None
 
 
 # Handlers by exact node class.  A handler takes (interpreter, node, env);

@@ -67,5 +67,4 @@ def record_program(rp, order) -> ResidualProgram:
     """The residual ``rp`` would be without compression, rebuilt from its
     instantiation record."""
     return ResidualProgram(list(order), rp.top_stmts, rp.entry_name,
-                           {u.name: u.comment for u in order},
                            rp.static_bindings)

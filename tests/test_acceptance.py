@@ -136,6 +136,20 @@ def test_criterion_02_mix_equation():
                   run_unstaged(avg_program, "average",
                                [elem, arr, IntV(length)]))
 
+    # a call whose typename statics are inferred, on both routes
+    g_source = corpus_path("average.cat").read_text(encoding="utf-8") + (
+        "function g(int@ k)(int* a, int n) { return average(a, n) + k; }\n")
+    g_program = parse(g_source)
+    for via_flatten in (False, True):
+        rp = specialize_program(check_stages(parse(g_source), 2), "g",
+                                [IntV(2)], via_flatten=via_flatten)
+        for _ in range(10):
+            length = rng.randint(1, 16)
+            arr = ArrayV(INT, [IntV(rng.randint(-100, 100))
+                               for _ in range(length)])
+            agree(run(rp, rp.entry_name, [arr, IntV(length)]),
+                  run_unstaged(g_program, "g", [IntV(2), arr, IntV(length)]))
+
 
 @criterion(3, "compile-time computation values")
 def test_criterion_03_compile_time_values():

@@ -119,6 +119,19 @@ def test_second_declaration_in_one_scope_exits_3(tmp_path):
         "scope")
 
 
+def test_a_static_make_call_specializes_alike_on_both_routes(tmp_path):
+    source = tmp_path / "builder.cat"
+    source.write_text(
+        "function h(int@ k)(int x) { return x * k; }\n"
+        "function f(int@ k)(int d) { ASTree@ c = make_call@(\"h\", 1, 3, 1); "
+        "return d + k; }\n")
+    base = ("specialize", source, "--entry", "f", "--static-args", "2")
+    direct, flattened = catat(*base), catat(*base, "--via-flatten")
+    assert direct.returncode == flattened.returncode == 0
+    assert direct.stdout == flattened.stdout
+    assert "int h__3(int x) {" in direct.stdout
+
+
 def test_via_flatten_with_a_class_entry_is_a_flatten_error():
     result = catat("specialize", fixture("vector_sum.cat"), "--entry",
                    "Vector", "--static-args", "int,3", "--via-flatten")

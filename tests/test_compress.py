@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catat import (
-    DepthExceeded, IntV, check_stages, emit, nodes as n, parse, run,
-    run_unstaged,
+    DepthExceeded, EvalLimits, IntV, check_stages, emit, nodes as n, parse,
+    run, run_unstaged,
 )
 from catat.corpus import (
     dsl_interpreter_source, dsl_reference_eval, encode_dsl,
@@ -339,13 +339,26 @@ def test_a_forwarded_return_keeps_its_type():
 
 
 def test_dead_statements_after_a_return_are_dropped():
-    # at n = 0 the selected return is followed by the unselected one
+    # at n = 0 the specializer stops at the selected return, so the
+    # unselected one is never made
     source = ("function t(int@ n)(int x) { if@ (n == 0) return x; "
               "return x + n; }\n"
               "function g(int@ n)(int x) { int y = t(n)(x); return y * 2; }\n")
     (rp, order), _ = both_records(source, "g", [IntV(0)], [IntV(4)])
-    assert [type(s).__name__ for s in order[0].body] == ["Return", "Return"]
+    assert [type(s).__name__ for s in order[0].body] == ["Return"]
     assert "x + 0" not in emit(rp)
+    # a return under dynamic control leaves the statements after it in its
+    # block; compress drops them, and with them the one call of f(0)
+    source = ("function f(int@ k)(int d) { return d + k; }\n"
+              "function t(int@ n)(int x) { if (x > n) { return x; "
+              "x = f(n)(x); } return x + n; }\n"
+              "function g(int@ n)(int x) { int y = t(n)(x); return y * 2; }\n")
+    for rp, order in both_records(source, "g", [IntV(0)], [IntV(4)]):
+        assert [u.name for u in order] == ["f__0", "t__0", "g__0"]
+        then = order[1].body[0].then_stmt
+        assert [type(s).__name__ for s in then.stmts] == ["Return", "Assign"]
+        assert [u.name for u in rp.units] == ["t__0", "g__0"]
+        assert "f__0" not in emit(rp)
 
 
 def test_a_unit_called_only_from_dropped_statements_is_dropped():
@@ -413,11 +426,8 @@ def test_compressing_a_chain_builds_nodes_in_proportion(monkeypatch):
     assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(1 + 199 * 100)
 
 
-# -- a known fault ---------------------------------------------------------------
+# -- a return under static control ends the unit -------------------------------
 
-@pytest.mark.xfail(strict=True, raises=DepthExceeded, reason=(
-    "the specializer keeps specializing the statements after a selected "
-    "static return, so this static recursion never ends"))
 @pytest.mark.parametrize("via_flatten", [False, True],
                          ids=["direct", "flatten"])
 def test_code_after_a_static_return_is_not_specialized(via_flatten):
@@ -434,6 +444,44 @@ def test_code_after_a_static_return_is_not_specialized(via_flatten):
         assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(8)
         return
     raise DepthExceeded(message)
+
+
+STATIC_RETURNS = {
+    # a later unrolled iteration must not run its static store
+    "for-then-read": (
+        "int@ g = 0;\n"
+        "function f(int@ k)(int d) { for@ (int@ i = 0; i < k; ++i) "
+        "{ g = g + 1; return d + i; } return d; }\n"
+        "function h(int@ k)(int d) { int a = f(k)(d); int@ c = g; "
+        "return a + c; }\n", "h"),
+    # a loop that never ends statically ends at its first return
+    "endless-for": (
+        "function f(int@ k)(int d) { for@ (int@ i = 0; i < 1; i = i) "
+        "{ return d + k; } return d; }\n", "f"),
+    # the static division after the block would divide by zero at k = 3
+    "plain-block": (
+        "function f(int@ k)(int d) { { if@ (k > 0) return d; } "
+        "int@ z = 1 / (k - 3); return d + 1; }\n", "f"),
+    # so does a return in the selected case of a switch@
+    "switch": (
+        "function f(int@ k)(int d) { switch@ (k) { case 3: return d; "
+        "default: d += 1; } int@ z = 1 / (k - 3); return d + k; }\n", "f"),
+}
+
+
+@pytest.mark.parametrize("name", STATIC_RETURNS)
+def test_a_return_under_static_control_ends_the_unit(name):
+    source, entry = STATIC_RETURNS[name]
+    direct, flattened = both_routes(source, entry, [IntV(3)],
+                                    EvalLimits(loop_cap=1000), [IntV(10)])
+    assert emit(direct) == emit(flattened)
+
+
+def test_a_return_under_dynamic_control_does_not_end_the_unit():
+    source = ("function f(int@ k)(int d) { for@ (int@ i = 0; i < k; ++i) "
+              "{ if (d > i) return d + i; } return d; }\n")
+    for rp in both_routes(source, "f", [IntV(3)], run_args=[IntV(1)]):
+        assert emit(rp).count("return") == 4
 
 
 def test_a_unit_called_from_a_class_unit_is_kept():

@@ -4,7 +4,7 @@ from catat import check_stages, emit, parse, specialize_program
 from catat.dyninterp import (
     erase_stages, format_binding, format_result, run, run_unstaged,
 )
-from catat.errors import OutOfBounds, StepLimitExceeded
+from catat.errors import OutOfBounds, StepLimitExceeded, TypeMismatch
 from catat.staticeval import EvalLimits, value_of
 from catat.values import ArrayV, FLOAT, FloatV, INT, IntV, UNIT
 
@@ -61,6 +61,19 @@ def test_unstaged_average_promotes():
     result = run_unstaged(program, "average",
                           [INT, int_array([1, 2, 3, 4]), IntV(4)])
     assert result.value == FloatV(2.5)
+
+
+def test_unstaged_call_infers_its_typename_statics():
+    # erasure merges average's lists, and the call that left T to be
+    # inferred passes the element type of its array
+    source = fixture_source("average.cat") + (
+        "function g(int@ k)(int* a, int n) { return average(a, n) + k; }\n")
+    result = run_unstaged(parse(source), "g",
+                          [IntV(2), int_array([1, 2, 3, 4]), IntV(4)])
+    assert result.value == FloatV(4.5)
+    with pytest.raises(TypeMismatch, match="expects 3 argument"):
+        run_unstaged(parse(source.replace("average(a, n)", "average(n)")),
+                     "g", [IntV(2), int_array([1]), IntV(1)])
 
 
 def test_erasure_merges_call_lists():

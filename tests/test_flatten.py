@@ -16,7 +16,7 @@ from catat.flatten import (
 )
 from catat.staticeval import Interpreter
 from catat.specializer import (
-    ResidualFunction, SpecializationCache, SpecializationKey,
+    ResidualFunction, SpecializationCache, SpecializationKey, Unit,
     alpha_equivalent, specialize_function, specialize_program,
 )
 from catat.values import (
@@ -74,7 +74,7 @@ def test_make_varref_of_a_declaration_refers_to_its_name():
 
 def test_make_vardecl_draws_from_the_interpreter_supply():
     interp = Interpreter()
-    interp.name_supply = NameSupply({"t"})
+    interp.unit = Unit(None, "", NameSupply({"t"}), interp.globals)
     decl = BUILDERS["make_vardecl"]([INT, StrV("t")], None, interp)
     assert decl.frag.declarators[0].name == "t_2"
 
@@ -198,6 +198,29 @@ def test_generator_for_dot_is_single_level():
     text = emit_function(gen)
     assert 'make_lambda("a", make_ptr(T), "b", make_ptr(T))' in text
     assert 'make_subscript' in text
+
+
+def test_a_return_under_static_control_ends_the_generator():
+    # the plain block is attached before it is filled, so the generator
+    # can return inside it; the return in the dynamic if ends nothing
+    source = ("function f(int@ k)(int d) { { if@ (k > 0) return d; } "
+              "if (d > 0) { return k; } int@ z = 1 / (k - 3); "
+              "return d + 1; }")
+    staged = check_stages(parse(source), 2)
+    text = emit_function(flatten_function(staged.functions_by_key()[
+        ("f", 1)], 2))
+    lines = [line.strip() for line in text.splitlines()]
+    assert lines[4] == "ASTree blk = append(body(func), make_block());"
+    assert lines[6:9] == ["if (k > 0) {", "append(blk, make_return(d));",
+                          "return func;"]
+    assert lines[14] == "append(blk_2, make_return(k));"
+    assert lines[-5:-3] == ["append(body(func), make_return(make_op(\"+\", "
+                            "d, 1)));", "return func;"]
+    cache = SpecializationCache(staged)
+    rf = specialize_via_flatten(staged.functions_by_key()[("f", 1)],
+                                [IntV(3)], cache)
+    assert emit_function(rf.to_function_def()) == \
+        "int f__3(int d) {\n    {\n        return d;\n    }\n}\n"
 
 
 def test_empty_body_generator_materializes_to_void():

@@ -5,17 +5,18 @@ alpha-equivalent, and so is each pair of compressed residuals, each of
 which gives the value of ``run_unstaged`` on the fixture's run arguments.
 Both routes also stop a specialization chain at the same depth, report a
 static value that has no literal form with the same error, resolve a call
-whose typename statics are inferred alike, and type each residual name
-alike."""
+whose typename statics are inferred alike, type each residual name
+alike, and let a static builder call act in the unit under way alike."""
 
 import pytest
 
 from catat import (
-    ArrayV, CatatError, DepthExceeded, EvalLimits, IntV, check_stages, parse,
-    run, run_unstaged,
+    ArrayV, CatatError, DepthExceeded, EvalLimits, IntV, check_stages, emit,
+    parse, run, run_unstaged,
 )
 from catat.cli import parse_arg_list
 from catat.corpus import provide_corpus
+from catat.errors import UserStaticError
 from catat.specializer import (
     ResidualFunction, SpecializationCache, alpha_equivalent,
     specialize_program,
@@ -181,3 +182,56 @@ def test_a_shell_built_by_static_code_retypes_no_parameter():
     for rp, _ in both_records(source, "f", [IntV(2)], [IntV(3)]):
         unit = rp.function("f__2")
         assert unit.types["a"] == INT and unit.return_type == INT
+
+
+# A static builder call draws its names and resolves its calls in the unit
+# under way, on both routes, and never in an outer unit or a callee.
+UNIT_PROGRAMS = {
+    "static-make-call": (
+        "function h(int@ k)(int x) { return x * k; }\n"
+        "function f(int@ k)(int d) {\n"
+        "    ASTree@ c = make_call@(\"h\", 1, 3, 1);\n"
+        "    return d + k;\n}\n", 7),
+    "callee-draws-its-own-names": (
+        "function g(int@ k)(int d) {\n"
+        "    ASTree@ c = make_vardecl@(int, \"r\");\n"
+        "    int r = d + k;\n    return r;\n}\n"
+        "function f(int@ k)(int d) { int r = g(k)(d); return r + 1; }\n",
+        8),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_PROGRAMS)
+def test_static_builder_calls_act_in_the_unit_under_way(name):
+    # run_unstaged cannot run a static make_call: the value is written out
+    source, value = UNIT_PROGRAMS[name]
+    records = []
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(source), 2))
+        rp = specialize_program(cache.staged, "f", [IntV(2)], cache=cache,
+                                via_flatten=via_flatten)
+        assert run(rp, rp.entry_name, [IntV(5)]).value == IntV(value)
+        records.append((rp, cache.order))
+    (direct, direct_order), (flattened, flattened_order) = records
+    assert_agree(direct_order, flattened_order)
+    assert emit(direct) == emit(flattened)
+    if name == "static-make-call":
+        assert [u.name for u in direct_order] == ["h__3", "f__2"]
+    else:
+        assert "int r = d + 2;" in emit(direct)
+
+
+def test_no_unit_is_under_way_after_specialization():
+    source, _ = UNIT_PROGRAMS["callee-draws-its-own-names"]
+    failing = source.replace("int r = d + k;",
+                             "Catat_error@(\"no\"); int r = d + k;")
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(source), 2))
+        specialize_program(cache.staged, "f", [IntV(2)], cache=cache,
+                           via_flatten=via_flatten)
+        assert cache.interp.unit is None
+        cache = SpecializationCache(check_stages(parse(failing), 2))
+        with pytest.raises(UserStaticError):
+            specialize_program(cache.staged, "f", [IntV(2)], cache=cache,
+                               via_flatten=via_flatten)
+        assert cache.interp.unit is None
