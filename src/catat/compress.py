@@ -9,18 +9,23 @@ function unit into its callers when the unit has one call site, or when
 its body is one ``return e`` no larger than the call, and drops the units
 that nothing calls any more.
 
-The specializer counts every residual call as it names its callee
-(``specializer.CallSites``), so the pass finds its candidates without a
-walk.  It works top down, from the callers: units complete callees first,
+Before it unfolds anything, the pass counts the calls of each unit: in
+the function units' bodies, which it walks once anyway
+(``_Compressor.body``), in the class units' constructors and in the
+top-level statements.  A call in a statement that follows a ``return``
+is not counted.  The specialization run records only whether some unit
+calls another, so that the pass returns at once when none does, and
+which units lie on a call cycle.
+
+The pass works top down, from the callers: units complete callees first,
 so in reverse order of completion every caller of a unit comes before it,
-and an unfolded body is rebuilt once, where it lands.  Each unit's body is
-walked once (``_Compressor.body``), and only the statements that hold a
-call, or that a renaming touches, are rebuilt.  The pass infers no types:
-the name supply of the unit being compressed is seeded with the types its
-names were drawn with (``ResidualFunction.types``), each hoisted local is
-drawn from it with its type, and an expression is typed with the
-specializer's ``residual_type``.  A rebuilt unit keeps that supply's
-types.
+and an unfolded body is rebuilt once, where it lands.  Only the
+statements that hold a call, or that a renaming touches, are rebuilt.
+The pass infers no types: the name supply of the unit being compressed
+is seeded with the types its names were drawn with
+(``ResidualFunction.types``), each hoisted local is drawn from it with
+its type, and an expression is typed with the specializer's
+``residual_type``.  A rebuilt unit keeps that supply's types.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .emitter import emit_expr, emit_stmt
 from .errors import TypeMismatch
 from .flatten import NameSupply, type_value_to_decl
 from .specializer import (
-    CallSites, ResidualFunction, ResidualProgram, residual_type,
+    ResidualClass, ResidualFunction, ResidualProgram, SpecializationCache,
+    residual_type,
 )
 from .values import SCALAR_CELLS, TYPENAME
 
@@ -105,24 +111,37 @@ class _Frame:
 
 
 class _Compressor:
-    def __init__(self, rp: ResidualProgram, sites: CallSites):
+    def __init__(self, rp: ResidualProgram, cyclic: set):
         self.rp = rp
-        self.counts = dict(sites.count)
         self.units = {u.name: u for u in rp.units
                       if isinstance(u, ResidualFunction)}
         self.globals = {d.name for s in rp.top_stmts
                         if s.__class__ is n.VarDecl for d in s.declarators}
         self.entry = rp.entry_name
-        self.cyclic = sites.cyclic
+        self.cyclic = cyclic
         self.bodies: dict[str, _Body] = {}
+        self.counts: dict = {}  # unit name -> the calls of it still made
         self.absorbed: set = set()  # unfolded where it was called
-        self.dead: set = set()  # called only from dropped statements
+        self.dead: set = set()  # called from no statement kept
         # the unit being compressed
         self.params: set = set()
         self.supply = NameSupply()
 
     def run(self) -> ResidualProgram:
         rp = self.rp
+        counts = self.counts
+        for u in self.units.values():
+            for callee in self.body(u).calls:
+                counts[callee] = counts.get(callee, 0) + 1
+        for s in rp.top_stmts + [s for u in rp.units
+                                 if isinstance(u, ResidualClass)
+                                 for s in u.ctor_body or ()]:
+            for x in n.walk(s):
+                if x.__class__ is n.Call:
+                    counts[x.callee] = counts.get(x.callee, 0) + 1
+        for name in self.units:
+            if not counts.get(name):
+                self.drop(name)
         kept = []
         for u in reversed(rp.units):
             name = u.name
@@ -135,28 +154,23 @@ class _Compressor:
         return ResidualProgram(kept, rp.top_stmts, rp.entry_name,
                                rp.static_bindings)
 
-    def release(self, callees) -> None:
-        """Forget calls of ``callees`` that no longer happen.  A unit that
-        nothing calls any more is dead, and so are its own calls."""
+    def drop(self, name: str) -> None:
+        """Drop unit ``name``, which nothing calls, unless it is the entry,
+        and with it its calls: a unit they alone made is dropped too."""
+        if name == self.entry or name in self.dead:
+            return
+        self.dead.add(name)
         counts = self.counts
-        for callee in callees:
-            count = counts.get(callee)
-            if count is None:
-                continue
-            counts[callee] = count - 1
-            if count == 1 and callee != self.entry and \
-                    callee not in self.absorbed and callee in self.units:
-                self.dead.add(callee)
-                self.release(self.body(self.units[callee]).calls)
+        for callee in self.bodies[name].calls:
+            counts[callee] -= 1
+            if not counts[callee] and callee in self.units:
+                self.drop(callee)
 
     # -- what a body holds -----------------------------------------------------
 
     def body(self, u: ResidualFunction) -> _Body:
-        """The body of ``u``, walked once: the statements that follow a
-        ``return`` in any block are dropped, and their calls forgotten."""
-        body = self.bodies.get(u.name)
-        if body is not None:
-            return body
+        """The body of ``u``, walked once, without the statements that
+        follow a ``return`` in any block."""
         body = self.bodies[u.name] = _Body(u)
         refs, hot, locals_ = body.refs, body.hot, body.locals
         assigned, calls, types = body.assigned, body.calls, u.types
@@ -199,7 +213,6 @@ class _Compressor:
                             live = _live(v)
                             if live is not v:
                                 held = True
-                                self.release_dead(v[len(live):])
                                 v = live
                         for c in v:
                             if scan(c):
@@ -211,18 +224,12 @@ class _Compressor:
                 hot.add(id(x))
             return held
 
-        stmts = u.body
-        for i, s in enumerate(stmts):
+        stmts = body.stmts = _live(u.body)
+        for s in stmts:
             scan(s)
             if s.__class__ is n.VarDecl:
                 for d in s.declarators:
                     body.top.add(d.name)
-            elif s.__class__ is n.Return:
-                if i + 1 < len(stmts):
-                    self.release_dead(stmts[i + 1:])
-                    stmts = stmts[:i + 1]
-                break
-        body.stmts = stmts
         body.returns = returns
         last = stmts[-1] if stmts else None
         if returns == 1 and last.__class__ is n.Return and \
@@ -234,15 +241,10 @@ class _Compressor:
                          if x not in locals_ and x not in params}
         return body
 
-    def release_dead(self, stmts: list) -> None:
-        """Forget the calls of statements that follow a ``return``."""
-        self.release(x.callee for s in stmts for x in n.walk(s)
-                     if x.__class__ is n.Call)
-
     # -- one unit ----------------------------------------------------------------
 
     def compress_unit(self, u: ResidualFunction) -> ResidualFunction:
-        body = self.body(u)
+        body = self.bodies[u.name]
         self.params = {p for p, _ in u.params}
         self.supply = NameSupply(u.types)
         frame = _Frame(body, {})
@@ -427,7 +429,7 @@ class _Compressor:
         unit = self.units.get(name)
         if unit is None or name == self.entry or name in self.cyclic:
             return None
-        body = self.bodies.get(name) or self.body(unit)
+        body = self.bodies[name]
         if body.value is None or \
                 (body.free and not body.free.isdisjoint(self.params)):
             return None
@@ -487,7 +489,7 @@ class _Compressor:
             self.absorbed.add(name)
             return
         for callee in body.calls:
-            self.counts[callee] = self.counts.get(callee, 0) + 1
+            self.counts[callee] += 1
 
     def unfold(self, call: n.Call, make, out: list, depth: int, bare: bool,
                into: tuple | None) -> bool:
@@ -497,9 +499,9 @@ class _Compressor:
         plan = self.plan(body, call.args)
         if plan is None:
             return False
-        if self.counts[call.callee] == 1 and \
-                self.hoist(body, plan, make, out, depth, bare, into):
-            return True
+        if self.counts[call.callee] == 1:
+            # splicing accepts no body that hoisting refuses
+            return self.hoist(body, plan, make, out, depth, bare, into)
         spliced = self.splice(call, body, plan)
         if spliced is None:
             return False
@@ -618,7 +620,8 @@ class _Compressor:
         return grow <= saved
 
 
-def compress(rp: ResidualProgram, sites: CallSites) -> ResidualProgram:
+def compress(rp: ResidualProgram,
+             run: SpecializationCache) -> ResidualProgram:
     """Transition compression of a two-level program's residual, as
     ``specialize_program`` leaves it: unfold each function unit that has
     one call site, or whose body is one ``return e`` no larger than the
@@ -639,11 +642,14 @@ def compress(rp: ResidualProgram, sites: CallSites) -> ResidualProgram:
       first, which keeps its coercion and when it is evaluated.  The
       callee's locals are renamed apart from the caller's names.
     * ``T v = e; return v;`` becomes ``return e;`` when ``e`` makes no call.
+    * A function unit other than the entry that no kept statement calls
+      is dropped, with the calls it makes.
 
     Each unfolding keeps the run's value, error and order of effects, and
-    takes neither more steps nor more emitted text.  ``sites`` holds the
-    call counts the specializer kept, so a residual in which no unit calls
-    another is returned at once."""
-    if not sites.callers:
+    takes neither more steps nor more emitted text.  ``run`` is the
+    specialization run that made ``rp``: a residual in which no unit calls
+    another is returned at once, and a unit on one of its ``cyclic`` calls
+    is never unfolded."""
+    if not run.linked:
         return rp
-    return _Compressor(rp, sites).run()
+    return _Compressor(rp, run.cyclic).run()

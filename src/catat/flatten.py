@@ -24,8 +24,8 @@ ends the generator: it returns its shell right after appending the
 return, and a plain block is attached to its target before it is filled,
 so the shell is whole there.  ``materialize`` only checks and
 unpacks the shell the generator returns: the specializer's
-``_Specializer.unit`` keys, names, types and registers the unit on both
-routes.  Residual nodes may be shared between statements (one varref
+``SpecializationCache.unit`` keys, names, types and registers the unit on
+both routes.  Residual nodes may be shared between statements (one varref
 stands for a variable everywhere), so nothing downstream may mutate them
 except the checker's ``.stage``.
 
@@ -308,7 +308,7 @@ def _build_call(span, interp, callee, nstatic, *args):
     dyn = [_as_expr(a, span) for a in args[nstatic:]]
     unit = interp.unit
     if unit is not None:
-        callee = unit.spec.resolve(callee, statics, dyn, unit, span)
+        callee = unit.cache.resolve(callee, statics, dyn, unit, span)
     elif statics:
         raise FlattenUnsupported(
             "nested specializing calls need a specialization cache", span)
@@ -807,14 +807,8 @@ def flatten_function(fn: n.FunctionDef, levels: int = 2) -> n.FunctionDef:
 def materialize(code: Value) -> tuple[list, list]:
     """The parameters and body statements of the completed function shell
     a generator returned.  The specializer names, types and registers the
-    unit they make (``specializer._Specializer.unit``)."""
+    unit they make (``SpecializationCache.unit``)."""
     if code.__class__ is not CodeV or code.frag.__class__ is not Shell:
         raise MalformedFragment("materialize expects a function shell")
     return list(code.frag.params), code.frag.body.stmts
 
-
-def specialize_via_flatten(fn: n.FunctionDef, static_args: list, cache):
-    """``fn`` specialized on ``static_args`` through its generator."""
-    from . import specializer as spec
-    return spec._Specializer(cache).specialize_function(
-        fn, list(static_args), via_flatten=True)

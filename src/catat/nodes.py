@@ -311,6 +311,22 @@ class FunctionDef(Node):
                    for p in self.static_params)
 
 
+def inferred_statics(static_params: list, params: list, elems: list) -> list:
+    """The static arguments of a call that leaves them to inference
+    (``FunctionDef.infers_statics``): for each typename in
+    ``static_params``, the element type in ``elems`` of the first argument
+    passed for a ``T*`` parameter in ``params``, or None if there is none.
+    ``elems`` holds each argument's element type, None if it has none."""
+    found: dict = {}
+    for p, elem in zip(params, elems):
+        t = p.dtype
+        if elem is not None and isinstance(t, PointerType) and \
+                isinstance(t.base, NamedType):
+            found.setdefault(t.base.name, elem)
+    return [found.get(p.name) if is_typename_type(p.dtype) else None
+            for p in static_params]
+
+
 @dataclass
 class VisibilityLabel(Node):
     name: str = ""  # "public" | "private"

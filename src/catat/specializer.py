@@ -29,35 +29,40 @@ is plain residual syntax, an ``n.Expr``; a static one is its ``Value``.
 Each residual name is typed once, where its unit draws it: a unit's
 ``NameSupply`` is its type environment, kept as ``ResidualFunction.types``
 for ``compress`` to read, and residual syntax is typed under it in one
-place, ``residual_type``.  One resolver, ``_Specializer.resolve``, names
-every call on both routes, and infers the typename statics of a call
-that has none.
+place, ``residual_type``.  One resolver, ``SpecializationCache.resolve``,
+names every call on both routes, and infers the typename statics of a
+call that has none.
 
-Specializations are memoized per (definition, static-argument tuple);
-each key yields exactly one residual entity per run, named by a
-deterministic mangling scheme.  Every unit, a function on either route or
-a class, opens and closes in ``_Specializer.unit``, which fixes its name
-and provenance from the static arguments before the body runs, as a C++
-compiler names an instance when it first meets its template-id.  The
-unit under way is one record, a ``Unit``: the cache holds it under the
-unit's key until the unit completes, and the interpreter holds it as
-``unit`` while the body runs, so a static builder call draws its names
-and resolves its calls in that unit, on both routes.  A ``return`` under
-static control ends the unit's specialization, as it ends the unstaged
-run: the statements after it are neither specialized nor run.
-Completion order is callees-first, so the residual program emits in one
-pass.  ``SpecializationCache.order`` is the instantiation record: every
-unit, in that order, with its name and provenance comment.
+One object holds a specialization run, the ``SpecializationCache``: the
+compile-time interpreter, with the program's functions, classes and
+depth guard, the units made so far, and the handlers that residualize a
+unit's body.  Specializations are memoized per (definition,
+static-argument tuple); each key yields exactly one residual entity per
+run, named by a deterministic mangling scheme.  Every unit, a function on
+either route or a class, opens and closes in ``SpecializationCache.unit``,
+which fixes its name and provenance from the static arguments before the
+body runs, as a C++ compiler names an instance when it first meets its
+template-id.  The unit under way is one record, a ``Unit``: the cache
+holds it under the unit's key until the unit completes, and the
+interpreter holds it as ``unit`` while the body runs, so a static builder
+call draws its names and resolves its calls in that unit, on both
+routes.  A unit whose body raises leaves the cache, so the same cache
+reports the same error again.  A ``return`` under static control ends
+the unit's specialization, as it ends the unstaged run: the statements
+after it are neither specialized nor run.  Completion order is
+callees-first, so the residual program emits in one pass.
+``SpecializationCache.order`` is the instantiation record: every unit, in
+that order, with its name and provenance comment.
 
 Specialization keeps the source's call structure, so a specialized
 interpreter is a chain of one-use units.  ``specialize_program`` ends,
 on both routes, with ``compress``, the transition compression of ``mix``:
 a function unit with one call site, or whose body is one ``return e`` no
-larger than its call, is unfolded into its callers, and units that
-nothing calls any more are dropped.  The specializer counts every
-residual call as it names its callee (``CallSites``), so the pass finds
-its candidates without walking the residual, and returns at once when no
-unit calls another.  Unfolding keeps each run's value, error category
+larger than its call, is unfolded into its callers, and a unit that no
+residual statement calls is dropped.  ``compress`` counts the calls in
+the residual it walks; the run records only whether some unit calls
+another, so that the pass returns at once when none does, and which units
+lie on a call cycle.  Unfolding keeps each run's value, error category
 and order of effects, and adds neither steps nor emitted text.
 """
 
@@ -77,7 +82,7 @@ from .flatten import (NameSupply, lift, type_value_to_decl,
                       type_value_to_texpr)
 from .staging import StagedAST
 from .staticeval import (
-    CallMemo, DepthGuard, EvalLimits, Interpreter, loop_limit, matches,
+    CallMemo, EvalLimits, Interpreter, loop_limit, matches,
     raise_recursion_limit,
 )
 from .values import (
@@ -90,7 +95,7 @@ COMPARISONS = ("==", "!=", "<", ">", "<=", ">=", "&&", "||")
 
 
 # ---------------------------------------------------------------------------
-# Keys, residual entities, cache
+# Keys, residual entities, the unit under way
 
 
 def key_args(static_args: list) -> tuple:
@@ -170,19 +175,19 @@ class Unit:
     in ``root``, the outermost frame, keeps its name; any other draws one
     unique in the unit, so a declaration that an unrolled iteration or a
     selected branch splices into an enclosing block captures no variable.
-    Builders draw names here too and resolve calls through ``spec``.
+    Builders draw names here too and resolve calls through ``cache``.
     ``outer`` is the unit under way when this one began.  ``returned``
     marks a ``return`` under static control, outside the ``dynamic``
     constructs: the unit's specialization ends there, as unstaged."""
 
     def __init__(self, name: str | None, comment: str, names: NameSupply,
-                 env: Env, outer: "Unit | None" = None, spec=None):
+                 env: Env, outer: "Unit | None" = None, cache=None):
         self.name = name
         self.comment = comment
         self.names = names
         self.env = self.root = env
         self.outer = outer
-        self.spec = spec
+        self.cache = cache
         self.returned = False
         self.dynamic = 0
 
@@ -198,111 +203,6 @@ class Unit:
             else self.names.draw(name, tv)
         self.env.declare(name, Slot(None, tv, residual), span)
         return residual
-
-
-@dataclass
-class CallSites:
-    """The residual call graph, counted as the specializer builds each call:
-    how many calls name each unit, which units call a unit, and which
-    units lie on a call cycle.  ``compress`` reads it, so it needs no walk
-    to find its candidates."""
-
-    count: dict = field(default_factory=dict)  # unit name -> call sites
-    callers: set = field(default_factory=set)  # units that call a unit
-    cyclic: set = field(default_factory=set)
-
-    def record(self, callee: str, unit: Unit, recursive: bool) -> None:
-        """Count a call of ``callee`` in ``unit``, or in a top-level
-        statement when ``unit`` has no name.  A recursive call closes a
-        cycle through every unit under way from ``unit`` out to
-        ``callee``."""
-        self.count[callee] = self.count.get(callee, 0) + 1
-        if unit.name is not None:
-            self.callers.add(unit.name)
-        while recursive:
-            self.cyclic.add(unit.name)
-            recursive = unit.name != callee
-            unit = unit.outer
-
-
-class SpecializationCache:
-    """Memoization table, name registry, and shared depth accounting."""
-
-    def __init__(self, staged: StagedAST, limits: EvalLimits | None = None):
-        self.staged = staged
-        self.limits = limits or EvalLimits()
-        self.guard = DepthGuard(self.limits.max_depth)
-        self.interp = Interpreter(staged.program, self.limits,
-                                  depth_guard=self.guard)
-        self.interp.memo = CallMemo(self.interp.functions)
-        self.functions = staged.functions_by_key()
-        self.classes = staged.classes_by_name()
-        self.entries: dict[SpecializationKey, object] = {}
-        self.order: list = []
-        self.names: dict[str, SpecializationKey] = {}
-        self.unit_names = NameSupply()
-        self.sites = CallSites()
-        self.generators: dict = {}  # id(FunctionDef) -> its generator
-
-    def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
-        """``fn``'s generator, flattened and compiled to Python once per
-        cache; the interpreter runs it compiled."""
-        generator = self.generators.get(id(fn))
-        if generator is None:
-            # imported on the first flattening: a program that never
-            # flattens does not load the translator
-            from . import pyemit
-            generator = flatten.flatten_function(fn, self.staged.levels)
-            self.interp.compiled[id(generator)] = \
-                pyemit.compile_function(generator)
-            self.generators[id(fn)] = generator
-        return generator
-
-    @property
-    def globals(self) -> Env:
-        return self.interp.globals
-
-    def lookup(self, key: SpecializationKey):
-        entry = self.entries.get(key)
-        if entry.__class__ is Unit:
-            raise SelfRecursiveSpecialization(
-                f"specialization of '{key.name}' recursively requires "
-                "itself with identical static arguments")
-        return entry
-
-    def reserved_name(self, key: SpecializationKey) -> str | None:
-        """The name of the unit of ``key`` if its body is under way."""
-        entry = self.entries.get(key)
-        return entry.name if entry.__class__ is Unit else None
-
-    def reserve(self, key: SpecializationKey, static_args: list,
-                spec=None) -> Unit:
-        """Open the unit of ``key`` inside the one under way: name it and
-        render its provenance from ``static_args`` as they are before its
-        body runs, which may store into them."""
-        name = self.unit_names.draw(mangle(key.name, key))
-        self.names[name] = key
-        # seeded with the dynamic globals, which keep their names
-        names = NameSupply({slot.residual: slot.tv
-                            for slot in self.globals.slots.values()
-                            if slot.residual is not None})
-        unit = self.entries[key] = Unit(
-            name, key_comment(key, static_args), names, self.globals.child(),
-            self.interp.unit, spec)
-        return unit
-
-    def complete(self, key: SpecializationKey, entity) -> None:
-        self.entries[key] = entity
-        self.order.append(entity)
-
-    def return_type_of(self, residual_name: str) -> TypeValue | None:
-        key = self.names.get(residual_name)
-        if key is None:
-            return None
-        entity = self.entries.get(key)
-        if isinstance(entity, ResidualFunction):
-            return entity.return_type
-        return None
 
 
 @dataclass
@@ -443,14 +343,82 @@ def _type_stmt(s: n.Stmt, types: dict, callee_types, found: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Residualization
+# The specialization run
 
 
-class _Specializer:
-    def __init__(self, cache: SpecializationCache):
-        self.cache = cache
-        self.interp = cache.interp
-        self.default = cache.staged.levels - 1
+class SpecializationCache:
+    """One specialization run: the interpreter that runs its static code
+    and the units it makes, each kept under its key, from ``reserve`` to
+    ``complete``, with the name and return type of each, and the handlers
+    that residualize a unit's body.  ``resolve`` records the two facts of
+    the residual call graph that ``compress`` cannot count itself: whether
+    some unit calls another (``linked``) and which units lie on a call
+    cycle (``cyclic``)."""
+
+    def __init__(self, staged: StagedAST, limits: EvalLimits | None = None):
+        self.staged = staged
+        self.limits = limits or EvalLimits()
+        self.interp = Interpreter(staged.program, self.limits)
+        self.interp.memo = CallMemo(self.interp.functions)
+        self.default = staged.levels - 1
+        self.entries: dict[SpecializationKey, object] = {}
+        self.order: list = []
+        self.returns: dict[str, TypeValue] = {}  # function unit -> its type
+        self.unit_names = NameSupply()
+        self.linked = False
+        self.cyclic: set = set()
+        self.generators: dict = {}  # id(FunctionDef) -> its generator
+
+    def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
+        """``fn``'s generator, flattened and compiled to Python once per
+        cache; the interpreter runs it compiled."""
+        generator = self.generators.get(id(fn))
+        if generator is None:
+            # imported on the first flattening: a program that never
+            # flattens does not load the translator
+            from . import pyemit
+            generator = flatten.flatten_function(fn, self.staged.levels)
+            self.interp.compiled[id(generator)] = \
+                pyemit.compile_function(generator)
+            self.generators[id(fn)] = generator
+        return generator
+
+    @property
+    def globals(self) -> Env:
+        return self.interp.globals
+
+    def lookup(self, key: SpecializationKey):
+        entry = self.entries.get(key)
+        if entry.__class__ is Unit:
+            raise SelfRecursiveSpecialization(
+                f"specialization of '{key.name}' recursively requires "
+                "itself with identical static arguments")
+        return entry
+
+    def reserved_name(self, key: SpecializationKey) -> str | None:
+        """The name of the unit of ``key`` if its body is under way."""
+        entry = self.entries.get(key)
+        return entry.name if entry.__class__ is Unit else None
+
+    def reserve(self, key: SpecializationKey, static_args: list) -> Unit:
+        """Open the unit of ``key`` inside the one under way: name it and
+        render its provenance from ``static_args`` as they are before its
+        body runs, which may store into them."""
+        name = self.unit_names.draw(mangle(key.name, key))
+        # seeded with the dynamic globals, which keep their names
+        names = NameSupply({slot.residual: slot.tv
+                            for slot in self.globals.slots.values()
+                            if slot.residual is not None})
+        unit = self.entries[key] = Unit(
+            name, key_comment(key, static_args), names, self.globals.child(),
+            self.interp.unit, self)
+        return unit
+
+    def complete(self, key: SpecializationKey, entity) -> None:
+        self.entries[key] = entity
+        self.order.append(entity)
+        if entity.__class__ is ResidualFunction:
+            self.returns[entity.name] = entity.return_type
 
     # -- specialization units -------------------------------------------------
 
@@ -463,9 +431,10 @@ class _Specializer:
         ``body(defn, static_args, unit)`` gives a function's parameters and
         statements, or a class's members, static members and constructor
         body.  The generator body is not ``guarded``: its call takes the
-        level itself."""
+        level itself.  A unit whose body or typing raises is removed
+        before the error propagates."""
         key = SpecializationKey(kind, defn.name, key_args(static_args))
-        cached = self.cache.lookup(key)
+        cached = self.lookup(key)
         if cached is not None:
             return cached
         if len(static_args) != defn.static_arity:
@@ -473,26 +442,32 @@ class _Specializer:
             raise TypeMismatch(
                 f"{what}'{defn.name}' expects {defn.static_arity} static "
                 f"argument(s), got {len(static_args)}", defn.span)
-        guard = self.cache.guard
+        interp = self.interp
+        guard = interp.depth_guard
         if guarded:
             guard.enter(defn.span)
-        interp = self.interp
         try:
-            unit = interp.unit = self.cache.reserve(key, static_args, self)
+            unit = interp.unit = self.reserve(key, static_args)
             try:
                 parts = body(defn, static_args, unit)
+                if kind == "class":
+                    entity = ResidualClass(unit.name, *parts, key,
+                                           unit.comment)
+                else:
+                    params, stmts = parts
+                    rtype = infer_return_type(stmts, unit.names.types,
+                                              self.returns.get, defn.span)
+                    entity = ResidualFunction(unit.name, rtype, params, stmts,
+                                              key, unit.comment,
+                                              unit.names.types)
+            except BaseException:
+                # the unit leaves the run: a second try meets the same error
+                del self.entries[key]
+                del self.unit_names.types[unit.name]
+                raise
             finally:
                 interp.unit = unit.outer
-            if kind == "class":
-                entity = ResidualClass(unit.name, *parts, key, unit.comment)
-            else:
-                params, stmts = parts
-                rtype = infer_return_type(stmts, unit.names.types,
-                                          self.cache.return_type_of,
-                                          defn.span)
-                entity = ResidualFunction(unit.name, rtype, params, stmts,
-                                          key, unit.comment, unit.names.types)
-            self.cache.complete(key, entity)
+            self.complete(key, entity)
             return entity
         finally:
             if guarded:
@@ -517,9 +492,9 @@ class _Specializer:
         takes none infers the statics of one that ``infers_statics`` from
         the element types of its pointer arguments.  A call without static
         arguments into a function whose specialization is under way is
-        recursive: it takes the reserved name.  Each call is counted in
-        ``cache.sites``."""
-        functions = self.cache.functions
+        recursive: it takes the reserved name, and every unit under way
+        from ``unit`` out to that one lies on a cycle."""
+        functions = self.interp.functions
         fn = functions.get((callee, len(statics)))
         if fn is None:
             if statics:
@@ -531,29 +506,29 @@ class _Specializer:
                       None)
             if fn is None:
                 raise UnboundVariable(f"unknown function '{callee}'", span)
-            inferred: dict[str, TypeValue] = {}
-            for p, a in zip(fn.params, args):
-                tv = residual_type(a, unit.names.types,
-                                   self.cache.return_type_of)
-                if isinstance(p.dtype, n.PointerType) and \
-                        isinstance(p.dtype.base, n.NamedType) and \
-                        isinstance(tv, (PointerTV, FixedArrayTV)):
-                    inferred.setdefault(p.dtype.base.name, tv.elem)
-            try:
-                statics = [inferred[p.name] for p in fn.static_params]
-            except KeyError as missing:
+            types = [residual_type(a, unit.names.types, self.returns.get)
+                     for a in args]
+            statics = n.inferred_statics(fn.static_params, fn.params, [
+                tv.elem if isinstance(tv, (PointerTV, FixedArrayTV)) else None
+                for tv in types])
+            if None in statics:
+                missing = fn.static_params[statics.index(None)].name
                 raise TypeMismatch(
-                    f"cannot infer static parameter {missing} of "
+                    f"cannot infer static parameter '{missing}' of "
                     f"'{callee}' from the call's argument types", span)
-        sites = self.cache.sites
         if not statics:
-            name = self.cache.reserved_name(
+            name = self.reserved_name(
                 SpecializationKey.for_function(fn.name, []))
             if name is not None:
-                sites.record(name, unit, True)
+                self.linked = True
+                self.cyclic.add(name)
+                while unit.name != name:
+                    self.cyclic.add(unit.name)
+                    unit = unit.outer
                 return name
         name = self.specialize_function(fn, statics).name
-        sites.record(name, unit, False)
+        if unit.name is not None:
+            self.linked = True
         return name
 
     def function_body(self, fn: n.FunctionDef, static_args: list,
@@ -577,7 +552,7 @@ class _Specializer:
         interp = self.interp
         if interp.count_steps:
             raise TypeError("a compiled generator counts no steps")
-        generator = self.cache.generator(fn)
+        generator = self.generator(fn)
         for p in fn.params:
             unit.names.keep(p.name)
         return flatten.materialize(
@@ -667,11 +642,12 @@ class _Specializer:
             raise TypeMismatch(
                 f"'{cls.name}' cannot be instantiated at compile time: "
                 f"member(s) {names} are dynamic", span)
-        self.cache.guard.enter(span)
+        guard = self.interp.depth_guard
+        guard.enter(span)
         try:
             inst = self.interp.instantiate_class(cls, static_args, span)
         finally:
-            self.cache.guard.exit()
+            guard.exit()
         return InstanceV(mangle_name(cls.name, key_args(static_args)),
                          inst.members)
 
@@ -722,7 +698,7 @@ class _Specializer:
             self.interp.exec_stmt(s, unit.env)
             return
         if is_class:
-            cls = self.cache.classes.get(s.dtype.name)
+            cls = self.interp.classes.get(s.dtype.name)
             if cls is None:
                 raise UnboundVariable(f"unknown class '{s.dtype.name}'",
                                       s.span)
@@ -816,8 +792,8 @@ class _Specializer:
             while s.cond is None or \
                     truth(interp.eval_expr(s.cond, env), s.span):
                 iterations += 1
-                if iterations > self.cache.limits.loop_cap:
-                    raise loop_limit(self.cache.limits.loop_cap, True, s.span)
+                if iterations > self.limits.loop_cap:
+                    raise loop_limit(self.limits.loop_cap, True, s.span)
                 self.splice(s.body, unit, out)
                 if unit.returned:
                     break
@@ -952,29 +928,29 @@ class _Specializer:
         return [self.as_node(self.rexpr(a, unit), e.span) for a in e.args]
 
 
-# Handlers by exact node class; each takes (specializer, node, unit) and a
+# Handlers by exact node class; each takes (cache, node, unit) and a
 # statement handler also the residual list it appends to.  ``rexpr``
 # evaluates every stage-0 expression itself, so ``_REXPR`` holds the
 # dynamic handlers only: literals and type literals are always stage 0.
 _STMT = {
-    n.VarDecl: _Specializer.var_decl,
-    n.Assign: _Specializer.assign,
-    n.ExprStmt: _Specializer.expr_stmt,
-    n.Return: _Specializer.return_stmt,
-    n.Block: _Specializer.block,
-    n.If: _Specializer.if_stmt,
-    n.For: _Specializer.for_stmt,
-    n.Switch: _Specializer.switch_stmt,
+    n.VarDecl: SpecializationCache.var_decl,
+    n.Assign: SpecializationCache.assign,
+    n.ExprStmt: SpecializationCache.expr_stmt,
+    n.Return: SpecializationCache.return_stmt,
+    n.Block: SpecializationCache.block,
+    n.If: SpecializationCache.if_stmt,
+    n.For: SpecializationCache.for_stmt,
+    n.Switch: SpecializationCache.switch_stmt,
 }
 
 _REXPR = {
-    n.VarRef: _Specializer.var_ref,
-    n.Unary: _Specializer.unary,
-    n.Incr: _Specializer.incr,
-    n.Binary: _Specializer.binary,
-    n.Cond: _Specializer.cond,
-    n.Subscript: _Specializer.subscript,
-    n.Call: _Specializer.call,
+    n.VarRef: SpecializationCache.var_ref,
+    n.Unary: SpecializationCache.unary,
+    n.Incr: SpecializationCache.incr,
+    n.Binary: SpecializationCache.binary,
+    n.Cond: SpecializationCache.cond,
+    n.Subscript: SpecializationCache.subscript,
+    n.Call: SpecializationCache.call,
 }
 
 
@@ -983,13 +959,14 @@ _REXPR = {
 
 
 def specialize_function(fn: n.FunctionDef, static_args: list,
-                        cache: SpecializationCache) -> ResidualFunction:
-    return _Specializer(cache).specialize_function(fn, list(static_args))
+                        cache: SpecializationCache,
+                        via_flatten: bool = False) -> ResidualFunction:
+    return cache.specialize_function(fn, list(static_args), via_flatten)
 
 
 def specialize_class(cls: n.ClassDef, static_args: list,
                      cache: SpecializationCache) -> ResidualClass:
-    return _Specializer(cache).specialize_class(cls, list(static_args))
+    return cache.specialize_class(cls, list(static_args))
 
 
 def specialize_program(staged: StagedAST, entry: str | None = None,
@@ -1006,25 +983,24 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
     cache = cache or SpecializationCache(staged, limits)
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
-        spec = _Specializer(cache)
         top = Unit(None, "", NameSupply(), cache.globals)
         top_res: list = []
         for item in staged.program.items:
             if isinstance(item, n.Stmt):
-                spec.stmt(item, top, top_res)
+                cache.stmt(item, top, top_res)
         entry_name = None
         if entry is not None:
             static_args = list(entry_static_args or [])
-            fn = cache.functions.get((entry, len(static_args)))
+            fn = cache.interp.functions.get((entry, len(static_args)))
+            cls = cache.interp.classes.get(entry)
             if fn is not None:
-                entry_name = spec.specialize_function(fn, static_args,
-                                                      via_flatten).name
-            elif entry in cache.classes:
-                cls = cache.classes[entry]
+                entry_name = cache.specialize_function(fn, static_args,
+                                                       via_flatten).name
+            elif cls is not None:
                 if via_flatten:
                     raise FlattenUnsupported("class types do not flatten",
                                              cls.span)
-                entry_name = spec.specialize_class(cls, static_args).name
+                entry_name = cache.specialize_class(cls, static_args).name
             else:
                 raise UnboundVariable(
                     f"no function '{entry}' taking {len(static_args)} static "
@@ -1036,7 +1012,7 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
                              bindings)
         if staged.levels == 2:  # a deeper residual is specialized again
             from .compress import compress
-            rp = compress(rp, cache.sites)
+            rp = compress(rp, cache)
         return rp
     except RecursionError:
         raise DepthExceeded(STACK_EXHAUSTED) from None

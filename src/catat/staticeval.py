@@ -109,9 +109,10 @@ class DepthGuard:
         self.depth = 0
 
     def enter(self, span: Span | None = None) -> None:
-        self.depth += 1
-        if self.depth > self.limit:
+        """Take a level; one past the limit raises and takes none."""
+        if self.depth >= self.limit:
             raise self.exceeded(span)
+        self.depth += 1
 
     def exceeded(self, span: Span | None) -> DepthExceeded:
         return DepthExceeded(
@@ -127,10 +128,9 @@ class Interpreter:
 
     def __init__(self, program: n.Program | None = None,
                  limits: EvalLimits | None = None,
-                 depth_guard: DepthGuard | None = None,
                  count_steps: bool = False):
         self.limits = limits or EvalLimits()
-        self.depth_guard = depth_guard or DepthGuard(self.limits.max_depth)
+        self.depth_guard = DepthGuard(self.limits.max_depth)
         self.count_steps = count_steps
         self.steps = 0
         self._step_cap = float("inf") if self.limits.step_limit is None \
@@ -141,7 +141,7 @@ class Interpreter:
         # set by specializer.SpecializationCache for one specialization run
         self.memo: CallMemo | None = None
         # the specializer's unit under way (``specializer.Unit``), held by
-        # ``_Specializer.unit`` for the unit's body on either route
+        # ``SpecializationCache.unit`` for the unit's body on either route
         self.unit = None
         # id(FunctionDef) -> its body compiled to Python (``pyemit``), run
         # by ``call_function`` in place of the walker
@@ -167,9 +167,9 @@ class Interpreter:
                     self.exec_stmt(item, self.globals) is not None:
                 raise TypeMismatch("return outside a function", item.span)
 
-    def call_by_name(self, name: str, args: list, span: Span | None = None,
-                     static_arity: int = 0) -> Value:
-        fn = self.functions.get((name, static_arity))
+    def call_by_name(self, name: str, args: list,
+                     span: Span | None = None) -> Value:
+        fn = self.functions.get((name, 0))
         if fn is None:
             raise UnboundVariable(f"unknown function '{name}'", span)
         return self.call_function(fn, args, span)
@@ -225,9 +225,9 @@ class Interpreter:
                     f"{len(args)}", span)
             args = statics + args
         guard = self.depth_guard
-        guard.depth += 1
-        if guard.depth > guard.limit:
+        if guard.depth >= guard.limit:
             raise guard.exceeded(span)
+        guard.depth += 1
         try:
             env = Env(self.globals)
             slots = env.slots
@@ -544,24 +544,15 @@ class Interpreter:
 def _inferred_statics(fn: n.FunctionDef, args: list) -> list | None:
     """The leading typename arguments that a call of ``fn``, a function
     whose parameter lists ``erase_stages`` merged, leaves to inference
-    (``FunctionDef.infers_statics``): each the element type of the array
+    (``nodes.inferred_statics``): each the element type of the array
     passed for a ``T*`` parameter.  None when the call infers nothing."""
     k = len(fn.params) - len(args)
     if fn.static_params is not None or k <= 0:
         return None
-    staged = n.FunctionDef(fn.name, fn.params[:k], fn.params[k:])
-    if not staged.infers_statics(len(args)):
-        return None
-    inferred: dict = {}
-    for p, a in zip(staged.params, args):
-        t = p.dtype
-        if isinstance(t, n.PointerType) and \
-                isinstance(t.base, n.NamedType) and isinstance(a, ArrayV):
-            inferred.setdefault(t.base.name, a.elem)
-    try:
-        return [inferred[p.name] for p in staged.static_params]
-    except KeyError:
-        return None
+    statics = n.inferred_statics(
+        fn.params[:k], fn.params[k:],
+        [a.elem if isinstance(a, ArrayV) else None for a in args])
+    return None if None in statics else statics
 
 
 # Handlers by exact node class.  A handler takes (interpreter, node, env);

@@ -19,7 +19,6 @@ from catat.corpus import (
 )
 from catat.dyninterp import run, run_unstaged
 from catat.errors import UserStaticError
-from catat.flatten import specialize_via_flatten
 from catat.specializer import (
     SpecializationCache, alpha_equivalent, specialize_class,
     specialize_function,
@@ -205,8 +204,9 @@ def test_criterion_05_flattening_coherence():
     for npow in range(0, 9):
         direct = specialize_function(pow_fn, [IntV(npow)],
                                      SpecializationCache(pow_staged))
-        flattened = specialize_via_flatten(pow_fn, [IntV(npow)],
-                                           SpecializationCache(pow_staged))
+        flattened = specialize_function(pow_fn, [IntV(npow)],
+                                        SpecializationCache(pow_staged),
+                                        via_flatten=True)
         assert alpha_equivalent(direct, flattened), npow
 
     dot_staged = staged_fixture("dot.cat")
@@ -214,8 +214,9 @@ def test_criterion_05_flattening_coherence():
     for length in range(1, 7):
         direct = specialize_function(dot_fn, [IntV(length), FLOAT],
                                      SpecializationCache(dot_staged))
-        flattened = specialize_via_flatten(dot_fn, [IntV(length), FLOAT],
-                                           SpecializationCache(dot_staged))
+        flattened = specialize_function(dot_fn, [IntV(length), FLOAT],
+                                        SpecializationCache(dot_staged),
+                                        via_flatten=True)
         assert alpha_equivalent(direct, flattened), length
 
     dumped = catat_cli("flatten", corpus_path("pow_two_level.cat"),

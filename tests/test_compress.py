@@ -266,6 +266,49 @@ def test_a_one_return_unit_is_spliced_at_every_call():
     assert "return d * d + (d > 0 && d > 1 ? d : 0);" in emit(rp)
 
 
+def test_a_unit_spliced_where_it_keeps_other_sites_copies_its_calls():
+    # wrap__2 is spliced at both of its calls; the first copies its call of
+    # h__2, so h__2 keeps two call sites and stays a unit
+    rp = compressed("function h(int@ k)(int x) { int t = x * k; t += 1; "
+                    "return t; }\n"
+                    "function wrap(int@ k)(int x) { return h(k)(x); }\n"
+                    "function f(int@ k)(int d) { "
+                    "return wrap(k)(d) + wrap(k)(d); }\n",
+                    "f", [IntV(2)], [IntV(5)])
+    assert [u.name for u in rp.units] == ["h__2", "f__2"]
+    assert "return h__2(d) + h__2(d);" in emit(rp)
+
+
+def test_a_one_return_unit_is_spliced_at_each_statement_it_values():
+    # add__2 has two call sites, each the whole value of a statement: the
+    # first is spliced, the last is hoisted
+    rp = compressed("function add(int@ k)(int x, int y) { return x + y; }\n"
+                    "function f(int@ k)(int d) { int a = add(k)(d, d); "
+                    "d = add(k)(a, d); return d; }\n",
+                    "f", [IntV(2)], [IntV(5)])
+    assert [u.name for u in rp.units] == ["f__2"]
+    assert "    int a = d + d;\n    d = a + d;\n" in emit(rp)
+
+
+def test_a_hoisted_body_renames_its_loops_and_plain_declarations():
+    # g's i is renamed apart from f's: every for clause and the
+    # declarations without an initializer are rebuilt
+    rp = compressed("function g(int@ k)(int x) {\n"
+                    "    int s;\n    int a[2];\n    s = 0;\n"
+                    "    for (int i = 0; i < x; ++i) s += k;\n"
+                    "    int j = 0;\n"
+                    "    for (j = 0; j < 2; j = j + 1) { a[j] = k; s += a[j]; }\n"
+                    "    return s;\n}\n"
+                    "function f(int@ k)(int d) { int i = d; int j = g(k)(i); "
+                    "return j + i; }\n",
+                    "f", [IntV(2)], [IntV(5)])
+    text = emit(rp)
+    assert [u.name for u in rp.units] == ["f__2"]
+    assert "    int j;\n    int a[2];\n    j = 0;\n" in text
+    assert "for (int i_2 = 0; i_2 < i; ++i_2)" in text
+    assert "for (j_2 = 0; j_2 < 2; j_2 = j_2 + 1) {" in text
+
+
 def test_a_call_in_a_condition_or_operand_is_not_hoisted():
     rp = compressed("function g(int@ k)(int x) { int t = x + k; return t; }\n"
                     "function f(int@ k)(int d) { if (g(k)(d) > 0) d += 1; "
@@ -374,6 +417,24 @@ def test_a_unit_called_only_from_dropped_statements_is_dropped():
                     "top", [IntV(1)], [IntV(3)])
     assert [u.name for u in rp.units] == ["top__1"]
     assert "int b = d + 1;" in emit(rp)
+
+
+def test_a_unit_no_statement_calls_is_dropped():
+    # a static make_call@ makes g__3, which calls h__3, but no residual
+    # statement calls g__3: the instantiation record keeps both units, and
+    # the residual neither
+    source = ("function h(int@ k)(int x) { int t = x * k; t += 1; "
+              "return t; }\n"
+              "function g(int@ k)(int x) { return h(k)(x) + 1; }\n"
+              "function f(int@ k)(int d) { "
+              "ASTree@ c = make_call@(\"g\", 1, 3, 1); return d + k; }\n")
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(source), 2))
+        rp = specialize_program(cache.staged, "f", [IntV(2)], cache=cache,
+                                via_flatten=via_flatten)
+        assert [u.name for u in cache.order] == ["h__3", "g__3", "f__2"]
+        assert [u.name for u in rp.units] == ["f__2"]
+        assert run(rp, rp.entry_name, [IntV(5)]).value == IntV(7)
 
 
 def test_doubling_recursion_stays_linear():

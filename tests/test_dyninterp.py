@@ -4,7 +4,9 @@ from catat import check_stages, emit, parse, specialize_program
 from catat.dyninterp import (
     erase_stages, format_binding, format_result, run, run_unstaged,
 )
-from catat.errors import OutOfBounds, StepLimitExceeded, TypeMismatch
+from catat.errors import (
+    FlattenUnsupported, OutOfBounds, StepLimitExceeded, TypeMismatch,
+)
 from catat.staticeval import EvalLimits, value_of
 from catat.values import ArrayV, FLOAT, FloatV, INT, IntV, UNIT
 
@@ -74,6 +76,19 @@ def test_unstaged_call_infers_its_typename_statics():
     with pytest.raises(TypeMismatch, match="expects 3 argument"):
         run_unstaged(parse(source.replace("average(a, n)", "average(n)")),
                      "g", [IntV(2), int_array([1]), IntV(1)])
+
+
+@pytest.mark.xfail(strict=True, raises=FlattenUnsupported, reason=(
+    "run_unstaged has no specialization cache, so a static make_call@ of "
+    "a function with static parameters cannot resolve its callee"))
+def test_unstaged_run_of_a_static_make_call():
+    # both routes' residuals give 7 (test_route_parity.py), so the mix
+    # equation's oracle should too
+    source = ("function h(int@ k)(int x) { return x * k; }\n"
+              "function f(int@ k)(int d) { "
+              "ASTree@ c = make_call@(\"h\", 1, 3, 1); return d + k; }\n")
+    assert run_unstaged(parse(source), "f", [IntV(2), IntV(5)]).value == \
+        IntV(7)
 
 
 def test_erasure_merges_call_lists():

@@ -12,7 +12,6 @@ from catat.errors import (
 )
 from catat.flatten import (
     BUILDERS, NameSupply, flatten_function, materialize,
-    specialize_via_flatten,
 )
 from catat.staticeval import Interpreter
 from catat.specializer import (
@@ -217,8 +216,8 @@ def test_a_return_under_static_control_ends_the_generator():
     assert lines[-5:-3] == ["append(body(func), make_return(make_op(\"+\", "
                             "d, 1)));", "return func;"]
     cache = SpecializationCache(staged)
-    rf = specialize_via_flatten(staged.functions_by_key()[("f", 1)],
-                                [IntV(3)], cache)
+    rf = specialize_function(staged.functions_by_key()[("f", 1)],
+                             [IntV(3)], cache, via_flatten=True)
     assert emit_function(rf.to_function_def()) == \
         "int f__3(int d) {\n    {\n        return d;\n    }\n}\n"
 
@@ -227,7 +226,7 @@ def test_empty_body_generator_materializes_to_void():
     staged = check_stages(parse("function f(int@ N)(float x) { }"), 2)
     cache = SpecializationCache(staged)
     fn = staged.functions_by_key()[("f", 1)]
-    rf = specialize_via_flatten(fn, [IntV(0)], cache)
+    rf = specialize_function(fn, [IntV(0)], cache, via_flatten=True)
     assert rf.body == []
     from catat.values import VOID
     assert rf.return_type == VOID
@@ -247,8 +246,9 @@ def direct_and_flattened(name, entry, arity, static_args):
     fn = staged.functions_by_key()[(entry, arity)]
     direct = specialize_function(fn, static_args,
                                  SpecializationCache(staged))
-    flattened = specialize_via_flatten(fn, static_args,
-                                       SpecializationCache(staged))
+    flattened = specialize_function(fn, static_args,
+                                    SpecializationCache(staged),
+                                    via_flatten=True)
     return direct, flattened
 
 
@@ -277,7 +277,7 @@ def test_volume_cube_coherence_with_nested_call():
     fn = staged.functions_by_key()[("volumeOfCube", 0)]
     direct = specialize_function(fn, [], SpecializationCache(staged))
     cache = SpecializationCache(staged)
-    flattened = specialize_via_flatten(fn, [], cache)
+    flattened = specialize_function(fn, [], cache, via_flatten=True)
     assert alpha_equivalent(direct, flattened)
     # the nested specialization happened through the fragment call
     assert any(u.name == "pow__3" for u in cache.order)
@@ -542,7 +542,7 @@ def test_flatten_cache_is_freed_by_reference_counting():
     gc.disable()
     try:
         cache = SpecializationCache(staged)
-        residual = specialize_via_flatten(fn, [], cache)
+        residual = specialize_function(fn, [], cache, via_flatten=True)
         assert [u.name for u in cache.order] == ["pow__3", "volumeOfCube"]
         freed = weakref.ref(cache)
         del cache, residual
@@ -561,8 +561,8 @@ def test_flatten_path_is_memoized():
     staged = staged_fixture("pow_two_level.cat")
     cache = SpecializationCache(staged)
     fn = staged.functions_by_key()[("pow", 1)]
-    first = specialize_via_flatten(fn, [IntV(3)], cache)
-    second = specialize_via_flatten(fn, [IntV(3)], cache)
+    first = specialize_function(fn, [IntV(3)], cache, via_flatten=True)
+    second = specialize_function(fn, [IntV(3)], cache, via_flatten=True)
     assert first is second
 
 

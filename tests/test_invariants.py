@@ -3,7 +3,6 @@
 from catat import check_stages, emit, parse, specialize_program
 from catat import nodes as n
 from catat import specializer, staging, staticeval
-from catat.flatten import specialize_via_flatten
 from catat.specializer import (
     SpecializationCache, alpha_equivalent, specialize_function,
 )
@@ -61,8 +60,9 @@ def test_builder_closure_covers_dynamic_control():
     staged = check_stages(parse(source), 2)
     fn = staged.functions_by_key()[("clamp", 1)]
     direct = specialize_function(fn, [IntV(3)], SpecializationCache(staged))
-    flattened = specialize_via_flatten(fn, [IntV(3)],
-                                       SpecializationCache(staged))
+    flattened = specialize_function(fn, [IntV(3)],
+                                    SpecializationCache(staged),
+                                    via_flatten=True)
     assert alpha_equivalent(direct, flattened)
     text = emit(n.Program([direct.to_function_def()]))
     assert "if (x < 3)" in text and "-x" in text
@@ -79,8 +79,9 @@ def test_dynamic_for_flattens():
     staged = check_stages(parse(source), 2)
     fn = staged.functions_by_key()[("scale", 1)]
     direct = specialize_function(fn, [IntV(5)], SpecializationCache(staged))
-    flattened = specialize_via_flatten(fn, [IntV(5)],
-                                       SpecializationCache(staged))
+    flattened = specialize_function(fn, [IntV(5)],
+                                    SpecializationCache(staged),
+                                    via_flatten=True)
     assert alpha_equivalent(direct, flattened)
 
 

@@ -6,7 +6,8 @@ which gives the value of ``run_unstaged`` on the fixture's run arguments.
 Both routes also stop a specialization chain at the same depth, report a
 static value that has no literal form with the same error, resolve a call
 whose typename statics are inferred alike, type each residual name
-alike, and let a static builder call act in the unit under way alike."""
+alike, let a static builder call act in the unit under way alike, and
+leave a cache whose specialization raised as it was before."""
 
 import pytest
 
@@ -18,7 +19,7 @@ from catat.cli import parse_arg_list
 from catat.corpus import provide_corpus
 from catat.errors import UserStaticError
 from catat.specializer import (
-    ResidualFunction, SpecializationCache, alpha_equivalent,
+    ResidualFunction, SpecializationCache, Unit, alpha_equivalent,
     specialize_program,
 )
 from catat.values import INT
@@ -235,3 +236,35 @@ def test_no_unit_is_under_way_after_specialization():
             specialize_program(cache.staged, "f", [IntV(2)], cache=cache,
                                via_flatten=via_flatten)
         assert cache.interp.unit is None
+
+
+def test_a_unit_that_raises_leaves_the_cache():
+    # the same cache reports the first error again, not a self-recursion
+    # through the record of the unit that raised
+    source = ("function g(int@ k)(int d) { Catat_error@(\"no\"); return d; }\n"
+              "function f(int@ k)(int d) { return g(k)(d); }\n")
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(source), 2))
+        for _ in range(2):
+            with pytest.raises(UserStaticError, match="^no$"):
+                specialize_program(cache.staged, "f", [IntV(1)], cache=cache,
+                                   via_flatten=via_flatten)
+            assert not any(isinstance(entry, Unit)
+                           for entry in cache.entries.values())
+
+
+def test_a_chain_that_passes_the_depth_limit_takes_no_level():
+    # f(k) is a chain of k + 1 units: after f(20) passes the limit of 20,
+    # f(19) still reaches it on the same cache
+    source = ("function f(int@ k)(int d) { if@ (k == 0) return d; "
+              "return f(k - 1)(d) + 1; }\n")
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(source), 2),
+                                    EvalLimits(max_depth=20))
+        with pytest.raises(DepthExceeded):
+            specialize_program(cache.staged, "f", [IntV(20)], cache=cache,
+                               via_flatten=via_flatten)
+        assert cache.interp.depth_guard.depth == 0
+        rp = specialize_program(cache.staged, "f", [IntV(19)], cache=cache,
+                                via_flatten=via_flatten)
+        assert run(rp, rp.entry_name, [IntV(1)]).value == IntV(20)
