@@ -13,9 +13,9 @@ Before it unfolds anything, the pass counts the calls of each unit: in
 the function units' bodies, which it walks once anyway
 (``_Compressor.body``), in the class units' constructors and in the
 top-level statements.  A call in a statement that follows a ``return``
-is not counted.  The specialization run records only whether some unit
-calls another, so that the pass returns at once when none does, and
-which units lie on a call cycle.
+is not counted.  The specialization run records only whether some call
+resolved to a unit, from a unit or a top-level statement, so that the
+pass returns at once when none did, and which units lie on a call cycle.
 
 The pass works top down, from the callers: units complete callees first,
 so in reverse order of completion every caller of a unit comes before it,
@@ -647,9 +647,9 @@ def compress(rp: ResidualProgram,
 
     Each unfolding keeps the run's value, error and order of effects, and
     takes neither more steps nor more emitted text.  ``run`` is the
-    specialization run that made ``rp``: a residual in which no unit calls
-    another is returned at once, and a unit on one of its ``cyclic`` calls
-    is never unfolded."""
+    specialization run that made ``rp``: a residual in which no call was
+    resolved to a unit is returned at once, and a unit on one of its
+    ``cyclic`` calls is never unfolded."""
     if not run.linked:
         return rp
     return _Compressor(rp, run.cyclic).run()

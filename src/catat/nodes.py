@@ -11,6 +11,9 @@ fields are never children.  ``children``, ``walk`` and ``map_children``
 read the fields from the dataclass definitions, so a new node type needs
 no traversal code of its own.
 
+Every node class is a slotted dataclass: a node has no ``__dict__``, and
+``map_children`` copies every field, compared or not.
+
 Annotation counts record the literal number of ``@`` characters lexed at
 each position; 0 means unannotated.  Annotations are *relative*: a count of
 k on a declaration in a scope whose default stage is s puts it at stage
@@ -20,11 +23,12 @@ s - k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .errors import Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     span: Span | None = field(default=None, compare=False, kw_only=True, repr=False)
     stage: int | None = field(default=None, compare=False, kw_only=True, repr=False)
@@ -37,18 +41,18 @@ PRIM_TYPE_NAMES = ("int", "float", "char", "long int", "bool", "double",
                    "typename", "ASTree", "void")
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeExpr(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class PrimType(TypeExpr):
     name: str = ""
     at_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NamedType(TypeExpr):
     """Reference to a typename variable or a class name used as a type."""
 
@@ -56,7 +60,7 @@ class NamedType(TypeExpr):
     at_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassAppType(TypeExpr):
     """``Name(args)`` or ``Name@(args)`` used as a type."""
 
@@ -66,12 +70,12 @@ class ClassAppType(TypeExpr):
     at_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class PointerType(TypeExpr):
     base: TypeExpr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayType(TypeExpr):
     base: TypeExpr = None
     size: "Expr" = None
@@ -96,76 +100,76 @@ def is_typename_type(t: TypeExpr) -> bool:
 # Expressions
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit(Expr):
     value: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     value: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeLit(Expr):
     """A type used as a first-class value (``return float;``, ``case int:``)."""
 
     type_expr: TypeExpr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class VarRef(Expr):
     name: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str = ""  # "!" or "-"
     operand: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Incr(Expr):
     op: str = ""  # "++" or "--"
     target: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str = ""
     lhs: Expr = None
     rhs: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Cond(Expr):
     cond: Expr = None
     then_expr: Expr = None
     else_expr: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Subscript(Expr):
     base: Expr = None
     index: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     """Function invocation.
 
@@ -185,43 +189,43 @@ class Call(Expr):
 # Statements
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Declarator(Node):
     name: str = ""
     array_size: Expr | None = None
     init: Expr | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Stmt):
     dtype: TypeExpr = None
     declarators: list = field(default_factory=list)
     static_kw: bool = False  # leading C++-style `static` on class members
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     target: Expr = None
     op: str = "="  # = += -= *= /= %=
     value: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Block(Stmt):
     stmts: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class If(Stmt):
     cond: Expr = None
     then_stmt: Stmt = None
@@ -230,7 +234,7 @@ class If(Stmt):
     else_at_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class For(Stmt):
     init: Stmt | None = None
     cond: Expr | None = None
@@ -243,20 +247,20 @@ class For(Stmt):
                             repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class SwitchCase(Node):
     label: Expr | None = None  # None for `default:`
     body: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Switch(Stmt):
     subject: Expr = None
     cases: list = field(default_factory=list)
     at_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     value: Expr | None = None
 
@@ -265,7 +269,7 @@ class Return(Stmt):
 # Declarations
 
 
-@dataclass
+@dataclass(slots=True)
 class Param(Node):
     name: str = ""
     dtype: TypeExpr = None
@@ -275,7 +279,7 @@ class Param(Node):
         return annotation_count(self.dtype)
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDef(Node):
     """``function name(static...)(dynamic...) { ... }``
 
@@ -327,18 +331,18 @@ def inferred_statics(static_params: list, params: list, elems: list) -> list:
             for p in static_params]
 
 
-@dataclass
+@dataclass(slots=True)
 class VisibilityLabel(Node):
     name: str = ""  # "public" | "private"
 
 
-@dataclass
+@dataclass(slots=True)
 class CtorDef(Node):
     at_count: int = 0  # >= 1 marks the compile-time constructor
     body: Block = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDef(Node):
     """``class Name(static...) { items }``; items keep source order."""
 
@@ -366,7 +370,7 @@ class ClassDef(Node):
         return [it for it in self.items if isinstance(it, VarDecl)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Program(Node):
     """Top level: functions, classes, and ordinary statements in order."""
 
@@ -382,17 +386,18 @@ class Program(Node):
 # ---------------------------------------------------------------------------
 # Generic traversal
 
-_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
+@cache
 def child_fields(cls: type) -> tuple[str, ...]:
     """Names of the fields of ``cls`` that take part in equality, the only
     fields that can hold child nodes."""
-    names = _CHILD_FIELDS.get(cls)
-    if names is None:
-        names = _CHILD_FIELDS[cls] = tuple(
-            f.name for f in fields(cls) if f.compare)
-    return names
+    return tuple(f.name for f in fields(cls) if f.compare)
+
+
+@cache
+def _kept_fields(cls: type) -> tuple[str, ...]:
+    """Names of the other fields of ``cls``: ``span``, ``stage`` and
+    ``For.unrolling``."""
+    return tuple(f.name for f in fields(cls) if not f.compare)
 
 
 def children(node: Node):
@@ -414,21 +419,20 @@ def walk(node: Node):
 
 def map_children(node: Node, fn) -> Node:
     """A shallow copy of ``node`` whose child nodes are replaced by
-    ``fn(child)``; list fields are copied, plain values are shared."""
-    # Attributes are set one by one, in the constructor's order, and never
-    # through ``__dict__``: an instance whose ``__dict__`` has been touched
-    # keeps its attributes in a separate dict, which made the interpreter
-    # about 10% slower on erased programs.
-    new = object.__new__(type(node))
-    new.span = node.span
-    new.stage = node.stage
-    for name in child_fields(type(node)):
+    ``fn(child)``.  Every field is copied: list fields as new lists, plain
+    values and the ``compare=False`` fields shared.  A slotted node has no
+    class default to fall back on, so a field left out would be unset."""
+    cls = type(node)
+    new = object.__new__(cls)
+    for name in child_fields(cls):
         value = getattr(node, name)
         if isinstance(value, Node):
             value = fn(value)
         elif isinstance(value, list):
             value = [fn(x) for x in value]
         setattr(new, name, value)
+    for name in _kept_fields(cls):
+        setattr(new, name, getattr(node, name))
     return new
 
 

@@ -352,8 +352,8 @@ class SpecializationCache:
     ``complete``, with the name and return type of each, and the handlers
     that residualize a unit's body.  ``resolve`` records the two facts of
     the residual call graph that ``compress`` cannot count itself: whether
-    some unit calls another (``linked``) and which units lie on a call
-    cycle (``cyclic``)."""
+    some call, from a unit or a top-level statement, resolved to a unit
+    (``linked``) and which units lie on a call cycle (``cyclic``)."""
 
     def __init__(self, staged: StagedAST, limits: EvalLimits | None = None):
         self.staged = staged
@@ -368,6 +368,26 @@ class SpecializationCache:
         self.linked = False
         self.cyclic: set = set()
         self.generators: dict = {}  # id(FunctionDef) -> its generator
+        self.top_stmts: list | None = None  # set by ``run_top_level``
+
+    def run_top_level(self) -> list:
+        """The residual of the program's top-level statements, made on the
+        first call and kept in ``top_stmts``: a reused cache runs them
+        once.  They run in a nameless unit held as the interpreter's
+        ``unit``, so a static builder call among them resolves through this
+        cache."""
+        if self.top_stmts is None:
+            top = Unit(None, "", NameSupply(), self.globals, cache=self)
+            out: list = []
+            outer, self.interp.unit = self.interp.unit, top
+            try:
+                for item in self.staged.program.items:
+                    if isinstance(item, n.Stmt):
+                        self.stmt(item, top, out)
+            finally:
+                self.interp.unit = outer
+            self.top_stmts = out
+        return self.top_stmts
 
     def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
         """``fn``'s generator, flattened and compiled to Python once per
@@ -527,8 +547,7 @@ class SpecializationCache:
                     unit = unit.outer
                 return name
         name = self.specialize_function(fn, statics).name
-        if unit.name is not None:
-            self.linked = True
+        self.linked = True
         return name
 
     def function_body(self, fn: n.FunctionDef, static_args: list,
@@ -975,19 +994,15 @@ def specialize_program(staged: StagedAST, entry: str | None = None,
                        cache: SpecializationCache | None = None,
                        via_flatten: bool = False) -> ResidualProgram:
     """Specialize a whole program: global statements are processed in
-    order (static ones evaluated, dynamic ones residualized), then the
-    entry function is specialized with the given static arguments; the
-    residual contains the transitive closure of needed specializations,
-    compressed (``compress``) when it is single-level code.  ``cache.order``
-    keeps every unit made."""
+    order (static ones evaluated, dynamic ones residualized) once per
+    ``cache`` (``run_top_level``), then the entry function is specialized
+    with the given static arguments; the residual contains the transitive
+    closure of needed specializations, compressed (``compress``) when it
+    is single-level code.  ``cache.order`` keeps every unit made."""
     cache = cache or SpecializationCache(staged, limits)
     old_limit = raise_recursion_limit(cache.limits.max_depth)
     try:
-        top = Unit(None, "", NameSupply(), cache.globals)
-        top_res: list = []
-        for item in staged.program.items:
-            if isinstance(item, n.Stmt):
-                cache.stmt(item, top, top_res)
+        top_res = list(cache.run_top_level())
         entry_name = None
         if entry is not None:
             static_args = list(entry_static_args or [])

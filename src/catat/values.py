@@ -8,13 +8,18 @@ Integers are 64-bit signed with a hard overflow error (no silent wrap);
 ``/`` and ``%`` truncate toward zero; mixing an integer with a float
 promotes to float.  Types are first-class values (`TypeValue`), structural
 equality included.
+
+The scalars (`IntV`, `FloatV`, `BoolV`, `StrV`) are immutable and slotted:
+one small object with no ``__dict__`` each, built without the setter of a
+frozen dataclass, because the evaluators make one for nearly every
+expression they reduce.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .errors import DivisionByZero, IntegerOverflow, Span, TypeMismatch
 
@@ -23,30 +28,64 @@ INT64_MAX = 2 ** 63 - 1
 
 
 class Value:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntV(Value):
-    value: int
+class _Scalar(Value):
+    """An immutable scalar with one slot, ``value``.
+
+    The constructor stores ``value`` through the slot's own descriptor, so
+    a scalar costs one small object and no ``__dict__``.  Equality, hashing
+    and ``repr`` are those of a frozen dataclass with one field: equal only
+    to the same class with an equal value, so ``IntV(1) != FloatV(1.0)``."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # as a dataclass compares: a NaN object equals itself
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(value={self.value!r})"
+
+    def __reduce__(self):
+        return type(self), (self.value,)
 
 
-@dataclass(frozen=True)
-class FloatV(Value):
-    value: float
+_set_value = _Scalar.value.__set__
 
 
-@dataclass(frozen=True)
-class BoolV(Value):
-    value: bool
+class IntV(_Scalar):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StrV(Value):
+class FloatV(_Scalar):
+    __slots__ = ()
+
+
+class BoolV(_Scalar):
+    __slots__ = ()
+
+
+class StrV(_Scalar):
     """Internal string value: legal only as a ``Catat_error@`` message or a
     code-builder argument."""
 
-    value: str
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,21 @@ def test_a_static_make_call_specializes_alike_on_both_routes(tmp_path):
     assert "h__3" not in direct.stdout
 
 
+def test_a_top_level_static_make_call_specializes_alike_on_both_routes(
+        tmp_path):
+    source = tmp_path / "builder.cat"
+    source.write_text(
+        "function h(int@ k)(int x) { return x * k; }\n"
+        "ASTree@ c = make_call@(\"h\", 1, 3, 1);\n"
+        "function f(int@ k)(int d) { return d + k; }\n")
+    base = ("specialize", source, "--entry", "f", "--static-args", "1")
+    direct, flattened = catat(*base), catat(*base, "--via-flatten")
+    assert direct.returncode == flattened.returncode == 0
+    assert direct.stdout == flattened.stdout
+    assert "int f__1(int d) {" in direct.stdout
+    assert "h__3" not in direct.stdout
+
+
 def test_via_flatten_with_a_class_entry_is_a_flatten_error():
     result = catat("specialize", fixture("vector_sum.cat"), "--entry",
                    "Vector", "--static-args", "int,3", "--via-flatten")

@@ -3,6 +3,8 @@
 A node type added later whose fields break the walker contract fails here.
 """
 
+import dataclasses
+
 import pytest
 
 from catat import nodes as n
@@ -18,9 +20,11 @@ def program_of(path):
 
 
 def attribute_walk(node):
-    """Every node reachable through instance attributes, as a reference."""
+    """Every node reachable through the node's fields, compared or not, as
+    a reference."""
     yield node
-    for value in vars(node).values():
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
         if isinstance(value, n.Node):
             yield from attribute_walk(value)
         elif isinstance(value, list):

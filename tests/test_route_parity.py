@@ -6,8 +6,9 @@ which gives the value of ``run_unstaged`` on the fixture's run arguments.
 Both routes also stop a specialization chain at the same depth, report a
 static value that has no literal form with the same error, resolve a call
 whose typename statics are inferred alike, type each residual name
-alike, let a static builder call act in the unit under way alike, and
-leave a cache whose specialization raised as it was before."""
+alike, let a static builder call act in the unit under way alike, also
+in a top-level statement, run the top-level statements once on a reused
+cache, and leave a cache whose specialization raised as it was before."""
 
 import pytest
 
@@ -220,6 +221,51 @@ def test_static_builder_calls_act_in_the_unit_under_way(name):
         assert [u.name for u in direct_order] == ["h__3", "f__2"]
     else:
         assert "int r = d + 2;" in emit(direct)
+
+
+TOP_LEVEL_MAKE_CALL = (
+    "function h(int@ k)(int x) { return x * k; }\n"
+    "ASTree@ c = make_call@(\"h\", 1, 3, 1);\n"
+    "function f(int@ k)(int d) { return d + k; }\n")
+
+
+def test_a_top_level_static_builder_call_resolves_alike():
+    # the top-level statements run in a unit held by the interpreter
+    texts = []
+    for via_flatten in (False, True):
+        cache = SpecializationCache(check_stages(parse(TOP_LEVEL_MAKE_CALL),
+                                                 2))
+        rp = specialize_program(cache.staged, "f", [IntV(1)], cache=cache,
+                                via_flatten=via_flatten)
+        assert [u.name for u in cache.order] == ["h__3", "f__1"]
+        assert [u.name for u in rp.units] == ["f__1"]
+        assert run(rp, rp.entry_name, [IntV(5)]).value == IntV(6)
+        assert cache.interp.unit is None
+        texts.append(emit(rp))
+    assert texts[0] == texts[1]
+
+
+TOP_LEVEL_DECLARATIONS = {
+    "dynamic-global": "int G = 1;\n"
+                      "function f(int@ k)(int d) { return d + k + G; }\n",
+    "static-global": "int@ n = 0;\n"
+                     "function f(int@ k)(int d) { return d + k + n; }\n",
+}
+
+
+@pytest.mark.parametrize("name", TOP_LEVEL_DECLARATIONS)
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "via-flatten"])
+def test_a_reused_cache_runs_the_top_level_statements_once(name,
+                                                           via_flatten):
+    cache = SpecializationCache(
+        check_stages(parse(TOP_LEVEL_DECLARATIONS[name]), 2))
+    first, second = (
+        emit(specialize_program(cache.staged, "f", [IntV(1)], cache=cache,
+                                via_flatten=via_flatten))
+        for _ in range(2))
+    assert first == second
+    assert [u.name for u in cache.order] == ["f__1"]
 
 
 def test_no_unit_is_under_way_after_specialization():
