@@ -1,24 +1,35 @@
 """Tokenizer for Catat source text.
 
 One compiled regular expression scans the text, in the style of "Writing a
-Tokenizer" in the Python ``re`` documentation.  Its alternatives, tried in
-order at each position, are:
+Tokenizer" in the Python ``re`` documentation.  Each match is one token
+together with the spaces, tabs and carriage returns before it; a run of
+newlines and ``//`` line comments (with the blanks among them) is a match
+of its own, so the line count and the offset of the line's start move on
+only there.  Blanks at the end of the text are stripped before the scan.
+The alternatives after the leading blanks, tried in order, are:
 
-* whitespace (space, tab, CR, LF) and ``//`` line comments, skipped;
+* a newline or comment run, skipped;
 * identifiers and keywords (``\\w`` characters, not starting with a digit;
   a start that is not alphabetic or ``_`` is an illegal character);
+* punctuation, longest first;
 * numeric literals over decimal digits: ``D+``, ``D+.D+``, either with an
   exponent ``[eE][+-]?D+``.  A literal followed by a letter or ``_``, or an
-  integer followed by ``.``, is malformed;
-* punctuation, longest first;
+  integer followed by ``.``, is malformed.  An integer or a float that no
+  word character (nor, for an integer, ``.``) follows is taken at once;
+  any other literal goes through the malformed-literal check;
 * runs of consecutive ``@``, which become one at-sign-run token whose text
   records the exact count;
 * string literals, whose escapes ``\\n``, ``\\t``, ``\\"`` and ``\\\\`` are
   decoded (any other escaped character stands for itself);
 * any other single character, which is illegal.
 
-Lines and columns come from the offset of the current line's start, which
-is moved on past every newline a skipped run or string contains.
+The loop tells the groups apart by index, most frequent first, and takes
+a token's column from the start of its group.  A token stores its line
+and column; ``Token.span`` builds the ``Span`` when the parser asks for
+one, through ``tuple.__new__``, which skips the ``NamedTuple``'s Python
+constructor.  Building one with every token measured slower: separators
+such as ``;`` and ``]`` never need one, and every extra object is one more
+for the garbage collector to trace.
 """
 
 from __future__ import annotations
@@ -53,18 +64,27 @@ STRING = "string-literal"
 INT64_MAX = 2 ** 63 - 1
 
 _SCANNER = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*)+)
-  | (?P<word>[A-Za-z_]\w*)
-  | (?P<punct>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
-  | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
-  | (?P<int>\d+)
-  | (?P<at>@+)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<uword>[^\W\d]\w*)
-  | (?P<other>.)
+    [ \t\r]*
+    (?:
+      (?P<skip>(?:\n|//[^\n]*)(?:[ \t\r\n]+|//[^\n]*)*)
+    | (?P<word>[A-Za-z_]\w*)
+    | (?P<punct>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+    | (?P<int>\d+(?![.\w]))
+    | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)(?!\w))
+    | (?P<number>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?)
+    | (?P<at>@+)
+    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<uword>[^\W\d]\w*)
+    | (?P<other>.)
+    )
 """, re.VERBOSE | re.DOTALL)
+_SKIP, _WORD, _PUNCT, _INT = (_SCANNER.groupindex[name]
+                               for name in ("skip", "word", "punct", "int"))
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
+
+
+_new = tuple.__new__
 
 
 @dataclass(slots=True)
@@ -76,7 +96,7 @@ class Token:
 
     @property
     def span(self) -> Span:
-        return Span(self.line, self.col)
+        return _new(Span, (self.line, self.col))
 
     @property
     def at_count(self) -> int:
@@ -86,49 +106,68 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
-    for m in _SCANNER.finditer(source):
-        group = m.lastgroup
-        text = m.group()
-        start = m.start()
-        if group == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-            continue
-        col = start - line_start + 1
-        if group == "word":
+    # ``base`` is the offset of the current line's start, less one, so the
+    # token at offset ``start`` is in column ``start - base``.
+    line, base = 1, -1
+    for m in _SCANNER.finditer(source.rstrip(" \t\r")):
+        group = m.lastindex
+        if group == _PUNCT:
+            append(Token(PUNCT, m[_PUNCT], line, m.start(_PUNCT) - base))
+        elif group == _WORD:
+            text = m[_WORD]
             append(Token(KEYWORD if text in KEYWORDS else IDENT, text, line,
-                         col))
-        elif group == "punct":
-            append(Token(PUNCT, text, line, col))
-        elif group == "float" or group == "int":
-            end = m.end()
-            after = source[end:end + 1]
-            if after.isalpha() or after == "_" or \
-                    (after == "." and group == "int"):
-                raise LexError("malformed numeric literal", Span(line, col))
-            if group == "float":
-                append(Token(FLOAT, text, line, col))
-            elif len(text) > 18 and int(text) > INT64_MAX:
+                         m.start(_WORD) - base))
+        elif group == _INT:
+            text = m[_INT]
+            if len(text) > 18 and int(text) > INT64_MAX:
                 raise LexError("integer literal out of 64-bit range",
-                               Span(line, col))
-            else:
-                append(Token(INT, text, line, col))
-        elif group == "at":
-            append(Token(AT, text, line, col))
-        elif group == "string":
-            body = text[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
-            append(Token(STRING, body, line, col))
+                               Span(line, m.start(_INT) - base))
+            append(Token(INT, text, line, m.start(_INT) - base))
+        elif group == _SKIP:
+            text = m[_SKIP]
             if "\n" in text:
                 line += text.count("\n")
-                line_start = start + text.rindex("\n") + 1
-        elif group == "uword" and text[0].isalpha():
-            append(Token(IDENT, text, line, col))
-        elif text == '"':
-            raise LexError("unterminated string literal", Span(line, col))
+                base = m.start(_SKIP) + text.rindex("\n")
         else:
-            raise LexError(f"illegal character {text[0]!r}", Span(line, col))
+            line, base = _rare(m, line, base, source, append)
     return tokens
+
+
+def _rare(m, line: int, base: int, source: str, append) -> tuple[int, int]:
+    """The token or error of a group ``tokenize`` meets seldom, and the
+    line and line base after it."""
+    group = m.lastgroup
+    text = m[group]
+    end = m.end()
+    col = m.start(group) - base
+    if group == "number":
+        after = source[end:end + 1]
+        is_float = "." in text or "e" in text or "E" in text
+        if after.isalpha() or after == "_" or \
+                (after == "." and not is_float):
+            raise LexError("malformed numeric literal", Span(line, col))
+        group = "float" if is_float else "int"
+    if group == "float":
+        append(Token(FLOAT, text, line, col))
+    elif group == "int":
+        if len(text) > 18 and int(text) > INT64_MAX:
+            raise LexError("integer literal out of 64-bit range",
+                           Span(line, col))
+        append(Token(INT, text, line, col))
+    elif group == "at":
+        append(Token(AT, text, line, col))
+    elif group == "string":
+        body = text[1:-1]
+        if "\\" in body:
+            body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+        append(Token(STRING, body, line, col))
+        if "\n" in text:
+            line += text.count("\n")
+            base = m.start(group) + text.rindex("\n")
+    elif group == "uword" and text[0].isalpha():
+        append(Token(IDENT, text, line, col))
+    elif text == '"':
+        raise LexError("unterminated string literal", Span(line, col))
+    else:
+        raise LexError(f"illegal character {text[0]!r}", Span(line, col))
+    return line, base

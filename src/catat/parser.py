@@ -31,6 +31,18 @@ Grammar notes:
   Prefix ``!``, ``-``, ``++`` and ``--`` and postfix ``[...]`` bind tighter
   than any binary operator; ``c ? a : b`` binds looser and nests to the
   right.
+
+Residual programs are read back whole, so the rules that every statement
+and every operand pass through (``parse_block``, ``parse_stmt``,
+``parse_decl_or_simple``, ``parse_simple_stmt``, ``finish_var_decl``,
+``parse_expr``, ``parse_binary`` and ``parse_unary``) read
+``self.toks[self.pos]`` directly instead of through the lookahead
+helpers.  ``parse_unary`` builds names, integers and parenthesized
+expressions itself, and ``parse_expr`` has a leaf fast path: a lone name
+or integer followed by punctuation that cannot go on an expression
+(``;``, ``)``, ``]``, ``,``, ``:`` or an assignment operator) is built
+without climbing the precedence ladder.  The tree, every span and every
+error are those of the full route.
 """
 
 from __future__ import annotations
@@ -41,7 +53,10 @@ from . import nodes as n
 
 _TYPE_KEYWORDS = ("int", "float", "char", "bool", "long", "double",
                   "typename", "ASTree", "void", "const")
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
+_ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%="})
+# Punctuation that cannot go on an expression: a name or an integer just
+# before one is a whole operand.
+_LEAF_END = frozenset({";", ")", "]", ",", ":"}) | _ASSIGN_OPS
 _BINARY_PRECEDENCE = {
     "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
     "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
@@ -101,19 +116,25 @@ class _Parser:
         return t.text == text and t.kind == KEYWORD
 
     def expect_punct(self, text: str) -> Token:
-        if not self.check_punct(text):
+        t = self.toks[self.pos]
+        if t.text != text or t.kind != PUNCT:
             raise self.error(f"expected '{text}'")
-        return self.advance()
+        self.pos += 1
+        return t
 
     def expect_kw(self, text: str) -> Token:
-        if not self.check_kw(text):
+        t = self.toks[self.pos]
+        if t.text != text or t.kind != KEYWORD:
             raise self.error(f"expected '{text}'")
-        return self.advance()
+        self.pos += 1
+        return t
 
     def expect_ident(self) -> Token:
-        if not self.check(IDENT):
+        t = self.toks[self.pos]
+        if t.kind != IDENT:
             raise self.error("expected identifier")
-        return self.advance()
+        self.pos += 1
+        return t
 
     def take_at(self) -> int:
         if self.check(AT):
@@ -270,11 +291,6 @@ class _Parser:
 
     # -- types --------------------------------------------------------------
 
-    def looks_like_type_start(self) -> bool:
-        t = self.peek()
-        return t.kind == KEYWORD and (t.text in _TYPE_KEYWORDS
-                                      or t.text == "static")
-
     def parse_type(self) -> n.TypeExpr:
         start = self.span()
         const_count = 0
@@ -309,53 +325,66 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_block(self) -> n.Block:
-        start = self.span()
+        toks = self.toks
+        start = toks[self.pos].span
         self.expect_punct("{")
         stmts = []
-        while not self.check_punct("}"):
-            if self.at_end():
+        while True:
+            t = toks[self.pos]
+            if t.text == "}" and t.kind == PUNCT:
+                break
+            if t.kind == _END:
                 raise self.error("expected '}'")
             stmts.append(self.parse_stmt())
-        self.advance()
+        self.pos += 1
         return n.Block(stmts, span=start)
 
     def parse_stmt(self) -> n.Stmt:
-        t = self.peek()
-        if t.kind == KEYWORD:
-            if t.text == "return":
-                self.advance()
+        t = self.toks[self.pos]
+        kind = t.kind
+        if kind == KEYWORD:
+            text = t.text
+            if text == "return":
+                self.pos += 1
                 value = None
                 if not self.check_punct(";"):
                     value = self.parse_expr()
                 self.expect_punct(";")
                 return n.Return(value, span=t.span)
-            if t.text == "if":
+            if text == "if":
                 return self.parse_if()
-            if t.text == "for":
+            if text == "for":
                 return self.parse_for()
-            if t.text == "switch":
+            if text == "switch":
                 return self.parse_switch()
-        elif t.kind == PUNCT and t.text == "{":
+        elif kind == PUNCT and t.text == "{":
             return self.parse_block()
-        return self.parse_decl_or_simple(consume_semi=True)
+        return self.parse_decl_or_simple(True)
 
     def parse_decl_or_simple(self, consume_semi: bool) -> n.Stmt:
         """A declaration when one parses here, else a simple statement."""
-        if self.looks_like_type_start():
-            return self.parse_var_decl(consume_semi)
-        # After the identifier a type can go on only with '@', '(', '*' or
-        # the declared name; anything else is not worth a tentative parse.
-        if self.check(IDENT) and (self.peek(1).kind in (IDENT, AT) or
-                                  self.check_punct("(", 1) or
-                                  self.check_punct("*", 1)):
-            mark = self.pos
-            try:
-                dtype = self.parse_type()
-                if self.check(IDENT):
-                    return self.finish_var_decl(dtype, False, consume_semi)
-            except ParseError:
-                pass
-            self.pos = mark
+        toks = self.toks
+        pos = self.pos
+        t = toks[pos]
+        if t.kind == KEYWORD:
+            if t.text in _TYPE_KEYWORDS or t.text == "static":
+                return self.parse_var_decl(consume_semi)
+        elif t.kind == IDENT:
+            # After the identifier a type can go on only with '@', '(',
+            # '*' or the declared name; anything else is not worth a
+            # tentative parse.
+            after = toks[pos + 1]
+            kind = after.kind
+            if kind == IDENT or kind == AT or kind == PUNCT and \
+                    (after.text == "(" or after.text == "*"):
+                try:
+                    dtype = self.parse_type()
+                    if toks[self.pos].kind == IDENT:
+                        return self.finish_var_decl(dtype, False,
+                                                    consume_semi)
+                except ParseError:
+                    pass
+                self.pos = pos
         return self.parse_simple_stmt(consume_semi)
 
     def parse_var_decl(self, consume_semi: bool = True) -> n.VarDecl:
@@ -368,36 +397,40 @@ class _Parser:
 
     def finish_var_decl(self, dtype: n.TypeExpr, static_kw: bool,
                         consume_semi: bool) -> n.VarDecl:
+        toks = self.toks
         declarators = []
         while True:
             name = self.expect_ident()
+            t = toks[self.pos]
             size = None
-            if self.check_punct("["):
-                self.advance()
+            if t.text == "[" and t.kind == PUNCT:
+                self.pos += 1
                 size = self.parse_expr()
                 self.expect_punct("]")
+                t = toks[self.pos]
             init = None
-            if self.check_punct("="):
-                self.advance()
+            if t.text == "=" and t.kind == PUNCT:
+                self.pos += 1
                 init = self.parse_expr()
+                t = toks[self.pos]
             declarators.append(n.Declarator(name.text, size, init,
                                             span=name.span))
-            if self.check_punct(","):
-                self.advance()
-                continue
-            break
+            if t.text != "," or t.kind != PUNCT:
+                break
+            self.pos += 1
         if consume_semi:
             self.expect_punct(";")
         return n.VarDecl(dtype, declarators, static_kw,
                          span=declarators[0].span)
 
     def parse_simple_stmt(self, consume_semi: bool) -> n.Stmt:
-        start = self.span()
+        toks = self.toks
+        start = toks[self.pos].span
         expr = self.parse_expr()
         stmt: n.Stmt
-        t = self.peek()
-        if t.kind == PUNCT and t.text in _ASSIGN_OPS:
-            self.advance()
+        t = toks[self.pos]
+        if t.text in _ASSIGN_OPS and t.kind == PUNCT:
+            self.pos += 1
             if not isinstance(expr, (n.VarRef, n.Subscript)):
                 raise ParseError("invalid assignment target", start)
             value = self.parse_expr()
@@ -487,75 +520,103 @@ class _Parser:
     # -- expressions ----------------------------------------------------------
 
     def parse_expr(self) -> n.Expr:
-        cond = self.parse_binary(1)
-        t = self.peek()
+        toks = self.toks
+        pos = self.pos
+        t = toks[pos]
+        kind = t.kind
+        if kind == IDENT or kind == INT:
+            after = toks[pos + 1]
+            if after.text in _LEAF_END and after.kind == PUNCT:
+                self.pos = pos + 1
+                if kind == IDENT:
+                    return n.VarRef(t.text, span=t.span)
+                return n.IntLit(int(t.text), span=t.span)
+        expr = self.parse_unary()
+        t = toks[self.pos]
+        if t.text in _BINARY_PRECEDENCE and t.kind == PUNCT:
+            expr = self.parse_binary(expr, 1)
+            t = toks[self.pos]
         if t.text == "?" and t.kind == PUNCT:
-            self.advance()
+            self.pos += 1
             then_e = self.parse_expr()
             self.expect_punct(":")
             else_e = self.parse_expr()
-            return n.Cond(cond, then_e, else_e, span=t.span)
-        return cond
+            return n.Cond(expr, then_e, else_e, span=t.span)
+        return expr
 
-    def parse_binary(self, min_prec: int) -> n.Expr:
-        """Operands joined by binary operators of precedence >= min_prec."""
-        lhs = self.parse_unary()
+    def parse_binary(self, lhs: n.Expr, min_prec: int) -> n.Expr:
+        """``lhs`` joined with the operands after it by binary operators of
+        precedence >= min_prec."""
         toks = self.toks
-        while True:
+        op = toks[self.pos]
+        prec = _BINARY_PRECEDENCE.get(op.text, 0)
+        while prec >= min_prec and op.kind == PUNCT:
+            self.pos += 1
+            rhs = self.parse_binary(self.parse_unary(), prec + 1)
+            lhs = n.Binary(op.text, lhs, rhs, span=op.span)
             op = toks[self.pos]
             prec = _BINARY_PRECEDENCE.get(op.text, 0)
-            if prec < min_prec or op.kind != PUNCT:
-                return lhs
-            self.pos += 1
-            lhs = n.Binary(op.text, lhs, self.parse_binary(prec + 1),
-                           span=op.span)
+        return lhs
 
     def parse_unary(self) -> n.Expr:
-        t = self.peek()
-        if t.kind == PUNCT:
-            if t.text == "!" or t.text == "-":
-                self.advance()
-                return n.Unary(t.text, self.parse_unary(), span=t.span)
-            if t.text == "++" or t.text == "--":
-                self.advance()
-                return n.Incr(t.text, self.parse_unary(), span=t.span)
-        expr = self.parse_primary()
-        while self.check_punct("["):
-            start = self.span()
-            self.advance()
+        toks = self.toks
+        t = toks[self.pos]
+        kind = t.kind
+        if kind == IDENT:
+            self.pos += 1
+            after = toks[self.pos]
+            if after.text == "(" and after.kind == PUNCT:
+                expr = self.parse_call(t, 0)
+            elif after.kind == AT and self.check_punct("(", 1):
+                self.pos += 1
+                expr = self.parse_call(t, after.at_count)
+            else:
+                expr = n.VarRef(t.text, span=t.span)
+        elif kind == INT:
+            self.pos += 1
+            expr = n.IntLit(int(t.text), span=t.span)
+        elif kind == PUNCT:
+            text = t.text
+            if text == "(":
+                self.pos += 1
+                expr = self.parse_expr()
+                self.expect_punct(")")
+            elif text == "!" or text == "-":
+                self.pos += 1
+                return n.Unary(text, self.parse_unary(), span=t.span)
+            elif text == "++" or text == "--":
+                self.pos += 1
+                return n.Incr(text, self.parse_unary(), span=t.span)
+            else:
+                raise self.error("expected an expression")
+        else:
+            expr = self.parse_primary()
+        t = toks[self.pos]
+        while t.text == "[" and t.kind == PUNCT:
+            self.pos += 1
             index = self.parse_expr()
             self.expect_punct("]")
-            expr = n.Subscript(expr, index, span=start)
+            expr = n.Subscript(expr, index, span=t.span)
+            t = toks[self.pos]
         return expr
+
+    def parse_call(self, name: Token, at: int) -> n.Call:
+        """The call of ``name`` whose argument list starts here."""
+        args = self.parse_call_args()
+        if at == 0 and self.check_punct("("):
+            dyn_args = self.parse_call_args()
+            return n.Call(name.text, dyn_args, static_args=args,
+                          span=name.span)
+        return n.Call(name.text, args, at_count=at, span=name.span)
 
     def parse_call_args(self) -> list:
         self.expect_punct("(")
         return self.parse_list(self.parse_expr)
 
     def parse_primary(self) -> n.Expr:
+        """The leaves ``parse_unary`` does not build itself."""
         t = self.peek()
         kind = t.kind
-        if kind == IDENT:
-            self.advance()
-            at = 0
-            if self.check(AT) and self.check_punct("(", 1):
-                at = self.advance().at_count
-            if self.check_punct("("):
-                args = self.parse_call_args()
-                if at == 0 and self.check_punct("("):
-                    dyn_args = self.parse_call_args()
-                    return n.Call(t.text, dyn_args, static_args=args,
-                                  span=t.span)
-                return n.Call(t.text, args, at_count=at, span=t.span)
-            return n.VarRef(t.text, span=t.span)
-        if kind == INT:
-            self.advance()
-            return n.IntLit(int(t.text), span=t.span)
-        if kind == PUNCT and t.text == "(":
-            self.advance()
-            expr = self.parse_expr()
-            self.expect_punct(")")
-            return expr
         if kind == FLOAT:
             self.advance()
             return n.FloatLit(float(t.text), span=t.span)

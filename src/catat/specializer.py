@@ -375,15 +375,22 @@ class SpecializationCache:
         first call and kept in ``top_stmts``: a reused cache runs them
         once.  They run in a nameless unit held as the interpreter's
         ``unit``, so a static builder call among them resolves through this
-        cache."""
+        cache.  When one raises, the globals they declared are taken back:
+        a second try meets the same error."""
         if self.top_stmts is None:
             top = Unit(None, "", NameSupply(), self.globals, cache=self)
             out: list = []
             outer, self.interp.unit = self.interp.unit, top
+            slots = self.globals.slots
+            before = set(slots)
             try:
                 for item in self.staged.program.items:
                     if isinstance(item, n.Stmt):
                         self.stmt(item, top, out)
+            except BaseException:
+                for name in slots.keys() - before:
+                    del slots[name]
+                raise
             finally:
                 self.interp.unit = outer
             self.top_stmts = out

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 
 from catat import check_stages, parse, run, run_unstaged
 from catat.corpus import corpus_path, provide_corpus
@@ -68,3 +69,51 @@ def record_program(rp, order) -> ResidualProgram:
     instantiation record."""
     return ResidualProgram(list(order), rp.top_stmts, rp.entry_name,
                            rp.static_bindings)
+
+
+# Static arguments beyond the manifest's, at the shapes the unrolling
+# benchmark reads back: (fixture, entry, static-args).
+_EXTRA_RESIDUALS = (
+    ("dot.cat", "dot", "12, double"),
+    ("dot.cat", "dot", "9, int"),
+    ("pow_two_level.cat", "pow", "11"),
+    ("unroll_locals.cat", "windowed", "7"),
+    ("average.cat", "average", "float"),
+)
+
+
+@functools.cache
+def front_end_texts() -> tuple[tuple[str, str], ...]:
+    """``(label, text)`` for every corpus fixture, and for the emitted
+    residual of every checkable fixture, of a DSL stream and of the extra
+    unrolled shapes above, on both routes.  A specialization that raises
+    has no residual."""
+    from catat import emit
+    from catat.cli import parse_arg_list
+    from catat.corpus import encode_dsl
+    from catat.errors import CatatError
+
+    fixtures = provide_corpus()
+    texts = [(f.name, f.source()) for f in fixtures]
+    jobs = [(f.name, f.first("entry"), f.first("static-args") or "")
+            for f in fixtures if f.first("check") == "ok"]
+    jobs += _EXTRA_RESIDUALS
+    for name, entry, args in jobs:
+        for via_flatten in (False, True):
+            try:
+                rp = specialize_program(staged_fixture(name), entry,
+                                        parse_arg_list(args),
+                                        via_flatten=via_flatten)
+            except CatatError:
+                continue
+            route = "flatten" if via_flatten else "direct"
+            texts.append((f"{name}:{entry}({args}):{route}", emit(rp)))
+    dsl = "(in + 2) * in + 3"
+    for via_flatten in (False, True):
+        rp = specialize_program(staged_fixture("dsl_interp.cat"),
+                                "dsl_program", list(encode_dsl(dsl)),
+                                via_flatten=via_flatten)
+        route = "flatten" if via_flatten else "direct"
+        texts.append((f"dsl_interp.cat:dsl_program({dsl}):{route}",
+                      emit(rp)))
+    return tuple(texts)

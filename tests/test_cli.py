@@ -12,6 +12,7 @@ from catat.corpus import corpus_path, provide_corpus
 from catat.lexer import AT, IDENT, INT, PUNCT, STRING, tokenize
 
 from test_compress import DYNAMIC_SWITCH
+from test_parser import NESTINGS
 
 CLI = [sys.executable, "-m", "catat.cli"]
 
@@ -267,6 +268,16 @@ def test_front_end_errors_exit_1_without_traceback(tmp_path, text, message):
     result = catat("run", bad)
     assert result.returncode == 1
     assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name", NESTINGS)
+def test_deep_nesting_check_exits_1_without_traceback(tmp_path, name):
+    deep = tmp_path / "deep.cat"
+    deep.write_text(NESTINGS[name](5000), encoding="utf-8")
+    result = catat("check", deep)
+    assert result.returncode == 1
+    assert "parse error: expression nested too deeply" in result.stderr
     assert "Traceback" not in result.stderr
 
 

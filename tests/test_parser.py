@@ -195,6 +195,31 @@ def test_nested_parentheses():
     assert exc.value.span.line == 1 and exc.value.span.col > 9
 
 
+# Each construct the parser nests by recursion, as a statement ``depth``
+# levels deep.  Unary minus is spaced: ``--`` lexes as a decrement.
+NESTINGS = {
+    "parentheses": lambda d: "int y = " + "(" * d + "x" + ")" * d + ";",
+    "unary-minus": lambda d: "int y = " + "- " * d + "x;",
+    "subscripts": lambda d: "int y = " + "a[" * d + "0" + "]" * d + ";",
+    "blocks": lambda d: "{" * d + "}" * d,
+    "if-chain": lambda d: "if (c) x = 1; else " * d + "x = 2;",
+}
+
+
+@pytest.mark.parametrize("name", NESTINGS)
+def test_nesting_floor(name):
+    # the depth every construct parses to today
+    program = parse(NESTINGS[name](200))
+    assert len(program.items) == 1
+
+
+@pytest.mark.parametrize("name", NESTINGS)
+def test_nesting_past_the_stack_is_a_parse_error(name):
+    with pytest.raises(ParseError) as exc:
+        parse(NESTINGS[name](5000))
+    assert exc.value.message == "expression nested too deeply"
+
+
 def test_parse_lexes_through_the_module_tokenize(monkeypatch):
     calls = []
 

@@ -1,9 +1,10 @@
 """perfbench's trace mode (``perfbench/spans.py``) measures each layer by
 wrapping library functions by name, from outside.  A refactor that stops
 calling one of them, say by inlining ``SpecializationCache.lookup`` or
-``complete``, would zero that layer's metrics without failing anything, so
-this checks that a traced specialization and run reach the wrapped names,
-and that uninstalling the tracer restores every original."""
+``complete``, or by lexing without going through ``parser.tokenize``,
+would zero that layer's metrics without failing anything, so this checks
+that a traced parse, specialization and run reach the wrapped names, and
+that uninstalling the tracer restores every original."""
 
 import importlib.util
 from pathlib import Path
@@ -47,6 +48,9 @@ def test_trace_mode_counts_every_layer_and_uninstalls():
         now = vars(owner)  # a lazy import may add a submodule to catat
         assert all(now.get(name) is value for name, value in old.items()), \
             owner
+    names = {span[0] for span in tracer.spans}
+    assert {"lexer.tokenize", "parser.parse"} <= names
+    assert tracer.counts["lexer.tokens"] > 0
     assert tracer.counts["specializer.units"] > 0
     assert tracer.counts["specializer.memo_lookups"] > 0
-    assert any(span[0] == "flatten.generator" for span in tracer.spans)
+    assert "flatten.generator" in names

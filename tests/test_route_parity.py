@@ -268,6 +268,21 @@ def test_a_reused_cache_runs_the_top_level_statements_once(name,
     assert [u.name for u in cache.order] == ["f__1"]
 
 
+@pytest.mark.parametrize("via_flatten", [False, True],
+                         ids=["direct", "via-flatten"])
+def test_a_top_level_statement_that_raises_leaves_the_cache(via_flatten):
+    # the globals declared before the error are taken back, so the same
+    # cache reports the first error again, not a redeclaration
+    cache = SpecializationCache(check_stages(parse(
+        "int G = 1; int@ n = 0; Catat_error@(\"top\");\n"
+        "function f(int@ k)(int d) { return d + k + G; }\n"), 2))
+    for _ in range(2):
+        with pytest.raises(UserStaticError, match="^top$"):
+            specialize_program(cache.staged, "f", [IntV(1)], cache=cache,
+                               via_flatten=via_flatten)
+        assert cache.top_stmts is None and cache.interp.unit is None
+
+
 def test_no_unit_is_under_way_after_specialization():
     source, _ = UNIT_PROGRAMS["callee-draws-its-own-names"]
     failing = source.replace("int r = d + k;",
