@@ -13,11 +13,15 @@ whose ``frag`` is an ``n.Expr``, an ``n.Stmt`` or, from ``make_lambda``, a
 Whether a fragment is an expression or a statement is decided when a
 builder embeds it, and a malformed fragment is reported there, with that
 builder call's span; a static value it embeds is lifted there
-(``lift``).  Each builder call the flattener writes has the span of the
-source node it stands for, so a generator reports an error where the
-direct route does.  A call is resolved when ``make_call`` builds it, in
-the unit under way (``interp.unit``, the specializer's ``Unit``), by the
-resolver the direct route names its calls with, so a call names its
+(``lift``).  Each builder's construction makes the fragment bare and
+takes a fragment argument bare or boxed; its checked entry boxes what it
+makes, so the walker sees code values only, and the compiled generator
+hands a nested builder call's fragment over bare.  Each builder call the
+flattener writes has the span of the source node it stands for, so a
+generator reports an error where the direct route does.  A call is
+resolved when ``make_call`` builds it, in the unit under way
+(``interp.unit``, the specializer's ``Unit``), by the resolver the
+direct route names its calls with, so a call names its
 specialized residual at once, its typename statics inferred from its
 pointer arguments where it has none.  A ``return`` under static control
 ends the generator: it returns its shell right after appending the
@@ -31,9 +35,10 @@ except the checker's ``.stage``.
 
 The specializer runs each generator compiled to Python (``pyemit``), once
 per specialization cache; the tree walker stays the reference engine, and
-both call the builders below with the same arguments and spans.  What
-does not flatten raises ``FlattenUnsupported``: a dynamic ``switch``, a
-run-time class declaration and a class entry.
+both make the same nodes with the same spans, the compiled code through
+the constructions below or written out where no check of one can fail.
+What does not flatten raises ``FlattenUnsupported``: a dynamic
+``switch``, a run-time class declaration and a class entry.
 
 Flattening is defined for two levels, and it runs no binding-time analysis
 of its own: a declaration, assignment or expression is static when the
@@ -81,9 +86,7 @@ def lift(v: Value, span: Span | None = None) -> n.Expr:
     """A literal expression denoting a static value, for insertion into
     dynamic code (cross-stage persistence)."""
     if isinstance(v, IntV):
-        if v.value < 0:
-            return n.Unary("-", n.IntLit(-v.value), span=span)
-        return n.IntLit(v.value, span=span)
+        return lift_int(v.value, span)
     if isinstance(v, FloatV):
         if v.value < 0:
             return n.Unary("-", n.FloatLit(-v.value), span=span)
@@ -92,6 +95,14 @@ def lift(v: Value, span: Span | None = None) -> n.Expr:
         return n.BoolLit(v.value, span=span)
     raise LiftError(f"{describe(v)} has no literal form in dynamic code",
                     span)
+
+
+def lift_int(value: int, span: Span | None = None) -> n.Expr:
+    """The literal of an int's Python value.  The span is set after the
+    node is made: a keyword argument costs more than the store."""
+    node = n.IntLit(value) if value >= 0 else n.Unary("-", n.IntLit(-value))
+    node.span = span
+    return node
 
 
 def type_value_to_texpr(tv: TypeValue) -> n.TypeExpr:
@@ -121,19 +132,23 @@ def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
 # and returns the builder's *construction* and the positions of those
 # arguments.  A construction takes the call's span, the interpreter and the
 # call's arguments in order, those positions as Python strings and ints and
-# the rest as values.  It makes only the checks that depend on the values:
-# a fragment's kind (``_as_expr``, ``_as_stmt``), a type value, a static
+# the rest as values, where a fragment may also come bare, outside a
+# ``CodeV``.  It makes only the checks that depend on the values: a
+# fragment's kind (``_as_expr``, ``_as_stmt``), a type value, a static
 # value lifted at the call's span, an assignment's target; and it draws
-# declared names and resolves calls.
+# declared names and resolves calls.  It returns its fragment bare
+# (``append`` returns its statement as it was given).
 #
 # ``BUILDERS[name](args, span, interp)`` is the checked entry: the shape
 # checked on the argument values when the call runs, then the construction
-# (so a call wrong in both reports its shape).  The walker calls it.
+# (so a call wrong in both reports its shape), whose fragment it boxes.
+# The walker calls it.
 # ``pyemit`` checks a call's shape once, when it translates the generator,
 # on the literals in its text.  Where the shape holds, the compiled code
-# calls the construction directly; where the text leaves the shape open or
-# breaks it, the compiled code calls the checked entry, so the call fails
-# when it runs, after its arguments, as in the walker.
+# calls the construction directly, or writes it out where no check of it
+# can fail; where the text leaves the shape open or breaks it, the
+# compiled code calls the checked entry, so the call fails when it runs,
+# after its arguments, as in the walker.
 
 
 @dataclass
@@ -145,21 +160,23 @@ class Shell:
     body: n.Block
 
 
-def _as_expr(v: Value, span: Span | None) -> n.Expr:
-    if v.__class__ is CodeV:
-        node = v.frag
-        if isinstance(node, n.Expr):
-            return node
-        if isinstance(node, n.Assign):
-            raise MalformedFragment(
-                f"assignment '{node.op}' used in expression position", span)
+def _as_expr(v, span: Span | None) -> n.Expr:
+    node = v.frag if v.__class__ is CodeV else v
+    if isinstance(node, n.Expr):
+        return node
+    if isinstance(node, Value):
+        return lift(node, span)
+    if isinstance(node, n.Assign):
         raise MalformedFragment(
-            f"{type(node).__name__} is not an expression fragment", span)
-    return lift(v, span)
+            f"assignment '{node.op}' used in expression position", span)
+    raise MalformedFragment(
+        f"{type(node).__name__} is not an expression fragment", span)
 
 
-def _as_stmt(v: Value, span: Span | None) -> n.Stmt:
-    node = v.frag if v.__class__ is CodeV else _as_expr(v, span)
+def _as_stmt(v, span: Span | None) -> n.Stmt:
+    node = v.frag if v.__class__ is CodeV else v
+    if isinstance(node, Value):
+        node = lift(node, span)
     if isinstance(node, n.Stmt):
         return node
     if isinstance(node, (n.Incr, n.Call)):
@@ -168,10 +185,15 @@ def _as_stmt(v: Value, span: Span | None) -> n.Stmt:
         f"{type(node).__name__} is not a statement fragment", span)
 
 
-def _missing(v: Value) -> bool:
+def _missing(v) -> bool:
     """The generator passes an empty block for a missing for-loop clause."""
-    return v.__class__ is CodeV and v.frag.__class__ is n.Block and \
-        not v.frag.stmts
+    node = v.frag if v.__class__ is CodeV else v
+    return node.__class__ is n.Block and not node.stmts
+
+
+def _boxed(v) -> Value:
+    """``v`` as a value: a bare fragment in a ``CodeV``."""
+    return v if isinstance(v, Value) else CodeV(v)
 
 
 def _need_str(v: Value, what: str, span: Span | None) -> str:
@@ -204,32 +226,36 @@ def _build_lambda(span, interp, *pairs):
     if interp.unit is not None:
         for name, tv in params:
             interp.unit.names.settle(name, tv)
-    return CodeV(Shell(params, n.Block([])))
+    return Shell(params, n.Block([]))
 
 
 def _build_body(span, interp, shell):
-    if shell.__class__ is CodeV and shell.frag.__class__ is Shell:
-        return CodeV(shell.frag.body)
+    frag = shell.frag if shell.__class__ is CodeV else shell
+    if frag.__class__ is Shell:
+        return frag.body
     raise MalformedFragment("body expects a function shell", span)
 
 
 def _build_append(span, interp, block, stmt):
-    if block.__class__ is not CodeV or block.frag.__class__ is not n.Block:
+    target = block.frag if block.__class__ is CodeV else block
+    if target.__class__ is not n.Block:
         raise MalformedFragment("append target is not a block", span)
-    if stmt.__class__ is not CodeV or stmt.frag.__class__ is Shell:
+    node = stmt.frag if stmt.__class__ is CodeV else stmt
+    if not isinstance(node, n.Node):  # a static value or a shell
         raise MalformedFragment("append expects a statement fragment", span)
-    block.frag.stmts.append(_as_stmt(stmt, span))
+    target.stmts.append(_as_stmt(node, span))
     return stmt
 
 
 def _build_varref(span, interp, v):
-    if v.__class__ is CodeV and v.frag.__class__ is n.VarDecl:
-        return CodeV(n.VarRef(v.frag.declarators[0].name))
-    return CodeV(n.VarRef(_need_str(v, "variable name", span)))
+    node = v.frag if v.__class__ is CodeV else v
+    if node.__class__ is n.VarDecl:
+        return n.VarRef(node.declarators[0].name)
+    return n.VarRef(_need_str(_boxed(v), "variable name", span))
 
 
 def _build_literal(span, interp, v):
-    return CodeV(lift(v, span))
+    return lift(v, span)
 
 
 def _build_vardecl(span, interp, tv, name, init=None):
@@ -238,11 +264,11 @@ def _build_vardecl(span, interp, tv, name, init=None):
         name = interp.unit.names.draw(name, tv)
     init = None if init is None else _as_expr(init, span)
     dtype, size = type_value_to_decl(tv)
-    return CodeV(n.VarDecl(dtype, [n.Declarator(name, size, init)]))
+    return n.VarDecl(dtype, [n.Declarator(name, size, init)])
 
 
 def _build_binary(span, interp, op, lhs, rhs):
-    return CodeV(n.Binary(op, _as_expr(lhs, span), _as_expr(rhs, span)))
+    return n.Binary(op, _as_expr(lhs, span), _as_expr(rhs, span))
 
 
 def _build_assign(span, interp, op, target, value):
@@ -250,19 +276,19 @@ def _build_assign(span, interp, op, target, value):
     if target.__class__ is not n.VarRef and \
             target.__class__ is not n.Subscript:
         raise MalformedFragment("invalid assignment target fragment", span)
-    return CodeV(n.Assign(target, op, _as_expr(value, span)))
+    return n.Assign(target, op, _as_expr(value, span))
 
 
 def _build_unary(span, interp, op, operand):
-    return CodeV(n.Unary(op, _as_expr(operand, span)))
+    return n.Unary(op, _as_expr(operand, span))
 
 
 def _build_incr(span, interp, op, target):
-    return CodeV(n.Incr(op, _as_expr(target, span)))
+    return n.Incr(op, _as_expr(target, span))
 
 
 def _build_return(span, interp, value=None):
-    return CodeV(n.Return(None if value is None else _as_expr(value, span)))
+    return n.Return(None if value is None else _as_expr(value, span))
 
 
 # The error of a static array under a dynamic index, on both routes.
@@ -271,38 +297,38 @@ STATIC_BASE_MESSAGE = ("a static array cannot flow into dynamic code "
 
 
 def _build_subscript(span, interp, base, index):
-    if base.__class__ is not CodeV:
+    if base.__class__ is not CodeV and isinstance(base, Value):
         raise LiftError(STATIC_BASE_MESSAGE, span)
-    return CodeV(n.Subscript(_as_expr(base, span), _as_expr(index, span)))
+    return n.Subscript(_as_expr(base, span), _as_expr(index, span))
 
 
 def _build_for(span, interp, init, cond, incr, body):
-    return CodeV(n.For(None if _missing(init) else _as_stmt(init, span),
-                       None if _missing(cond) else _as_expr(cond, span),
-                       None if _missing(incr) else _as_stmt(incr, span),
-                       _as_stmt(body, span), 0))
+    return n.For(None if _missing(init) else _as_stmt(init, span),
+                 None if _missing(cond) else _as_expr(cond, span),
+                 None if _missing(incr) else _as_stmt(incr, span),
+                 _as_stmt(body, span), 0)
 
 
 def _build_if(span, interp, cond, then_stmt, else_stmt=None):
     if else_stmt is not None:
         else_stmt = _as_stmt(else_stmt, span)
-    return CodeV(n.If(_as_expr(cond, span), _as_stmt(then_stmt, span),
-                      else_stmt, 0, 0))
+    return n.If(_as_expr(cond, span), _as_stmt(then_stmt, span), else_stmt,
+                0, 0)
 
 
 def _build_cond(span, interp, cond, then_expr, else_expr):
-    return CodeV(n.Cond(_as_expr(cond, span), _as_expr(then_expr, span),
-                        _as_expr(else_expr, span)))
+    return n.Cond(_as_expr(cond, span), _as_expr(then_expr, span),
+                  _as_expr(else_expr, span))
 
 
 def _build_block(span, interp, *stmts):
-    return CodeV(n.Block([_as_stmt(s, span) for s in stmts]))
+    return n.Block([_as_stmt(s, span) for s in stmts])
 
 
 def _build_call(span, interp, callee, nstatic, *args):
     statics = list(args[:nstatic])
     for v in statics:
-        if isinstance(v, CodeV):
+        if v.__class__ is CodeV or not isinstance(v, Value):
             raise MalformedFragment(
                 "static arguments of make_call must be values", span)
     dyn = [_as_expr(a, span) for a in args[nstatic:]]
@@ -312,7 +338,7 @@ def _build_call(span, interp, callee, nstatic, *args):
     elif statics:
         raise FlattenUnsupported(
             "nested specializing calls need a specialization cache", span)
-    return CodeV(n.Call(callee, dyn))
+    return n.Call(callee, dyn)
 
 
 def _build_ptr(span, interp, tv):
@@ -418,7 +444,7 @@ def _checked(shape):
         if fixed:
             args = [a.value if i in fixed else a
                     for i, a in enumerate(args)]
-        return build(span, interp, *args)
+        return _boxed(build(span, interp, *args))
     return entry
 
 
@@ -593,7 +619,7 @@ class _Flattener:
                     else self._unrolled(s.else_stmt, target)
                 out.append(n.If(n.strip_annotations(s.cond),
                                 self._unrolled(s.then_stmt, target),
-                                else_stmt, 0, 0))
+                                else_stmt, 0, 0, span=s.span))
                 return
             mark = len(out)
             frag_args = [self.conv_expr(s.cond),
@@ -637,8 +663,10 @@ class _Flattener:
                     inner = []
                     self.transform_region(case.body, target, inner)
                     cases.append(n.SwitchCase(
-                        n.strip_annotations(case.label), inner))
-                out.append(n.Switch(n.strip_annotations(s.subject), cases, 0))
+                        n.strip_annotations(case.label), inner,
+                        span=case.span))
+                out.append(n.Switch(n.strip_annotations(s.subject), cases, 0,
+                                    span=s.span))
                 return
             raise FlattenUnsupported("dynamic switch does not flatten",
                                      s.span)

@@ -350,9 +350,13 @@ def mangle_name(base: str, canonical_args: tuple) -> str:
 # Arithmetic (shared by all stages)
 
 
+# The error of an int result outside the int64 range, in every engine.
+INT_OVERFLOW = "integer result out of 64-bit range"
+
+
 def _check_int(value: int, span: Span | None) -> IntV:
     if not (INT64_MIN <= value <= INT64_MAX):
-        raise IntegerOverflow("integer result out of 64-bit range", span)
+        raise IntegerOverflow(INT_OVERFLOW, span)
     return IntV(value)
 
 

@@ -4,8 +4,10 @@ The flatten route runs each generator compiled to Python (``pyemit``);
 the walker is the reference.  Every comparison here runs the same input
 twice, once with the generators compiled and once with ``compile_function``
 replaced by a runner that walks the generator's body, and requires the
-same residual text, the same instantiation record, the same static state
-left behind, and on an error the same class, message and span.
+same residual text, the same instantiation record, the same class and span
+for every residual node, the same types for each unit's names, the same
+static state left behind, and on an error the same class, message and
+span.
 
 The translator is also checked on its own, over whole single-level
 programs: every function compiled against every function walked.
@@ -22,15 +24,19 @@ from catat import (
     CatatError, EvalLimits, Interpreter, IntV, check_stages, emit,
     erase_stages, flatten_function, parse,
 )
-from catat import pyemit, staticeval
+from catat import flatten, nodes as n, pyemit, staticeval
 from catat.cli import parse_arg_list
 from catat.corpus import (
     dsl_interpreter_source, encode_dsl, provide_corpus, random_dsl_program,
 )
-from catat.flatten import BUILDERS
-from catat.specializer import SpecializationCache, specialize_program
-from catat.values import ArrayV, INT
+from catat.errors import UserStaticError
+from catat.flatten import BUILDERS, SHAPES as BUILDER_SHAPES
+from catat.specializer import (
+    ResidualFunction, SpecializationCache, specialize_program,
+)
+from catat.values import ArrayV, CodeV, DOUBLE, INT
 
+from conftest import fixture_source
 from test_compress import two_level_programs
 
 
@@ -66,20 +72,38 @@ def walked_blocks():
         Interpreter.exec_block = exec_block
 
 
+def unit_trees(units):
+    """Each residual function unit's name, the class and span of every node
+    of its body, and its types."""
+    return [(u.name, [(type(x).__name__, x.span)
+                      for s in u.body for x in n.walk(s)], u.types)
+            for u in units if isinstance(u, ResidualFunction)]
+
+
 def flatten_outcome(source, entry, static_args, limits=None):
     """What the flatten route leaves: the residual and the record, or the
     error; the static globals; and the static arguments, which the
-    generator may store into."""
+    generator may store into.  The residual and the record count to the
+    span of each node and the type of each residual name."""
     static_args = copy.deepcopy(static_args)
     staged = check_stages(parse(source), 2)
     cache = SpecializationCache(staged, limits)
     try:
         rp = specialize_program(staged, entry, static_args, cache=cache,
                                 via_flatten=True)
-        result = (emit(rp), [(u.name, u.comment) for u in cache.order])
+        result = (emit(rp), [(u.name, u.comment) for u in cache.order],
+                  unit_trees(rp.units), unit_trees(cache.order))
     except CatatError as error:
         result = (type(error), error.message, error.span)
     return result, cache.globals.bindings(), static_args, cache
+
+
+def global_trees(cache):
+    """The class and span of every node of each code value a static global
+    holds."""
+    return [(name, [(type(x).__name__, x.span) for x in n.walk(value.frag)])
+            for name, value in cache.globals.bindings()
+            if isinstance(value, CodeV) and isinstance(value.frag, n.Node)]
 
 
 def assert_engines_agree(source, entry, static_args, limits=None):
@@ -92,8 +116,10 @@ def assert_engines_agree(source, entry, static_args, limits=None):
         assert id(generator) in cache.interp.compiled
         assert id(generator.body) not in seen, generator.name
     with walker_generators():
-        *reference, _ = flatten_outcome(source, entry, static_args, limits)
+        *reference, reference_cache = flatten_outcome(source, entry,
+                                                      static_args, limits)
     assert compiled == reference
+    assert global_trees(cache) == global_trees(reference_cache)
     return compiled[0]
 
 
@@ -205,7 +231,7 @@ SHAPES = {
                      'make_literal(k))'), "B_make_op"),
     "a literal shape": (
         BUILT.format('make_op("-", make_varref("d"), make_literal(k))'),
-        "_build_binary("),
+        "Binary('-', "),
 }
 
 
@@ -230,6 +256,156 @@ def test_the_flattener_writes_only_literal_shapes(fixture):
         text = pyemit.emit_python(generator)[0]
         checked = [name for name in BUILDERS if f"B_{name}([" in text]
         assert not checked, generator.name
+
+
+# Static ints and bools the compiled generator holds unboxed, where the
+# walker's checks fail or a value leaves for the residual: each case on the
+# direct route and on the flatten route with compiled and with walked
+# generators.
+UNBOXED = ("function f(int@ k)(int d) {{\n"
+           "    int r = d;\n"
+           "    for@ (int@ i = {start}; {cond}; ++i)\n"
+           "        {body}\n"
+           "    return r;\n}}\n")
+UNBOXED_CASES = {
+    "int overflow": (
+        UNBOXED.format(start=9223372036854775806, cond="i > 0",
+                       body="r += i;"), 1, None,
+        "3:48: compile-time error: integer result out of 64-bit range"),
+    "division by zero": (
+        UNBOXED.format(start=0, cond="i < k", body="r += 7 / (i - 2);"), 3,
+        None, "4:16: compile-time error: division by zero"),
+    "an int and a float": (
+        UNBOXED.format(start=0, cond="i < k", body="r += i * 0.5 - 3;"), 3,
+        None, "    r += -2.0;\n"),
+    "a negated int": (
+        UNBOXED.format(start=0, cond="i < k", body="r += -i;"), 3, None,
+        "    r += -2;\n"),
+    "a static guard that is not a bool": (
+        UNBOXED.format(start=0, cond="i < k", body="if@ (i) r += 1;"), 3,
+        None, "4:9: compile-time error: condition must be a bool, got an int"),
+    "a static switch label of another kind": (
+        "function f(int@ k)(int d) {\n    switch@ (k) {\n"
+        "        case 1: d += 1;\n        case int: d += 2;\n    }\n"
+        "    return d;\n}\n", 3, None,
+        "4:9: compile-time error: cannot compare an int with type value "
+        "'int'"),
+    "the loop cap": (
+        UNBOXED.format(start=0, cond="i < k", body="r += i;"), 6,
+        EvalLimits(loop_cap=5),
+        "3:5: loop error: loop iteration cap (5) exceeded during unrolling"),
+}
+
+
+def route_outcome(source, static_args, limits, via_flatten):
+    """The residual text of ``f``, or its error as the CLI renders it
+    without a file name."""
+    try:
+        return emit(specialize_program(
+            check_stages(parse(source), 2), "f", static_args, limits,
+            via_flatten=via_flatten))
+    except CatatError as error:
+        return (f"{error.span.line}:{error.span.col}: {error.category}: "
+                f"{error.message}", type(error))
+
+
+@pytest.mark.parametrize("case", UNBOXED_CASES.values(),
+                         ids=UNBOXED_CASES.keys())
+def test_unboxed_scalars_on_both_routes_and_engines(case):
+    source, k, limits, expected = case
+    direct = route_outcome(source, [IntV(k)], limits, False)
+    compiled = route_outcome(source, [IntV(k)], limits, True)
+    with walker_generators():
+        walked = route_outcome(source, [IntV(k)], limits, True)
+    assert direct == compiled == walked
+    if isinstance(direct, str):
+        assert expected in direct
+    else:
+        assert direct[0] == expected
+    assert_engines_agree(source, "f", [IntV(k)], limits)
+
+
+# Each builder in static generator code: a call of it, and a builder call
+# that takes that call's result as an argument ("{}").  A call is nested in
+# that builder call, stored in a variable that the builder call then reads,
+# and discarded as a statement.  make_ptr and make_arr make type values,
+# which a typename variable holds; every other builder's result is stored
+# in an ASTree variable.
+BUILDER_USES = {
+    "make_lambda": ('make_lambda("x", int, "y", float)', "body({})"),
+    "body": ('body(make_lambda("x", int))', "append({}, make_return())"),
+    "append": ("append(make_block(), make_return())", "make_block({})"),
+    "make_varref": ('make_varref("d")', "make_return({})"),
+    "make_literal": ("make_literal(k)", "make_return({})"),
+    "make_vardecl": ('make_vardecl(int, "v", k)', "make_varref({})"),
+    "make_op": ('make_op("=", make_varref("d"), '
+                'make_op("*", make_varref("d"), k))', "make_block({})"),
+    "make_unary": ('make_unary("-", make_varref("d"))', "make_return({})"),
+    "make_incr": ('make_incr("++", make_varref("d"))', "make_block({})"),
+    "make_return": ('make_return(make_varref("d"))', "make_block({})"),
+    "make_subscript": ('make_subscript(make_varref("a"), k)',
+                       "make_return({})"),
+    "make_for": ('make_for(make_block(), make_op("<", make_varref("d"), k), '
+                 'make_incr("++", make_varref("d")), make_block())',
+                 "make_block({})"),
+    "make_if": ('make_if(make_op(">", make_varref("d"), k), make_return(k), '
+                'make_return(make_varref("d")))', "make_block({})"),
+    "make_cond": ('make_cond(make_op(">", make_varref("d"), k), '
+                  'make_varref("d"), k)', "make_return({})"),
+    "make_block": ('make_block(make_return(k), make_incr("--", '
+                   'make_varref("d")))', "make_if(true, {})"),
+    "make_call": ('make_call("g", 0, make_varref("d"))', "make_return({})"),
+    "make_ptr": ("make_ptr(int)", 'make_vardecl({}, "p")'),
+    "make_arr": ("make_arr(int, k)", 'make_vardecl({}, "p")'),
+    "Catat_error": ('Catat_error("stop")', "make_return({})"),
+}
+BUILDER_CONTEXTS = {
+    "nested": "kept = {host};",
+    "stored": "{var}@ t = {call}; kept = {host_t};",
+    "discarded": "{call};",
+}
+BUILDER_PROGRAM = ("ASTree@ kept = make_block();\n"
+                   "function g(int x) {{ return x; }}\n"
+                   "function f(int@ k)(int d) {{\n    {stmt}\n"
+                   "    return d;\n}}\n")
+
+
+@pytest.mark.parametrize("context", BUILDER_CONTEXTS)
+@pytest.mark.parametrize("builder", BUILDER_SHAPES)
+def test_every_builder_on_the_bare_path(builder, context):
+    call, host = BUILDER_USES[builder]
+    stmt = BUILDER_CONTEXTS[context].format(
+        host=host.format(call), call=call, host_t=host.format("t"),
+        var="typename" if builder in ("make_ptr", "make_arr") else "ASTree")
+    source = BUILDER_PROGRAM.format(stmt=stmt)
+    result = assert_engines_agree(source, "f", [IntV(2)])
+    if builder == "Catat_error":
+        assert result[:2] == (UserStaticError, "stop")
+    else:
+        assert isinstance(result[0], str)
+    fn = check_stages(parse(source), 2).program.functions()[1]
+    assert "B_" not in pyemit.emit_python(flatten_function(fn))[0]
+
+
+def test_an_unrolled_iteration_boxes_no_fragment(monkeypatch):
+    # the code values made while specializing dot via flatten do not grow
+    # with the number of iterations the generator unrolls
+    made = []
+    init = CodeV.__init__
+
+    def counting(self, frag):
+        made.append(frag)
+        init(self, frag)
+
+    monkeypatch.setattr(CodeV, "__init__", counting)
+    counts = []
+    for size in (50, 500):
+        del made[:]
+        staged = check_stages(parse(fixture_source("dot.cat")), 2)
+        specialize_program(staged, "dot", [IntV(size), DOUBLE],
+                           via_flatten=True)
+        counts.append(len(made))
+    assert counts[0] == counts[1]
 
 
 def test_a_global_is_stored_once_before_an_error():
@@ -391,6 +567,13 @@ def test_the_dsl_interpreter_unstaged():
         toks, count = encode_dsl(text)
         run_engines(dsl_interpreter_source(), "dsl_program",
                     [toks, count, IntV(3)])
+
+
+def test_the_translator_knows_every_construction():
+    # how each construction takes its arguments and what it makes
+    constructions = {name for name in vars(flatten)
+                     if name.startswith("_build_")}
+    assert set(pyemit._MADE) | set(pyemit._ROLES) == constructions
 
 
 def test_every_node_class_has_a_translation():
