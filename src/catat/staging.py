@@ -23,6 +23,17 @@ are stage-polymorphic (stage 0, liftable anywhere).
 Single-list functions with no way to be residualized verbatim (they bind a
 typename parameter) are recorded as static-only rather than rejected: they
 can be invoked with ``f@(...)`` but never called dynamically.
+
+Each declarator is in scope from the end of its own initializer, as in C
+and in the walker, so ``int x = 1, y = x;`` checks.
+
+The checker dispatches on each node's exact class (``expr_stage``), but the
+checks of a binary operator, a subscript, an assignment and a declarator's
+initializer read a ``VarRef`` or ``IntLit`` operand themselves
+(``_leaf_stage``), and ``subscript_stage`` does ``a[3]`` whole: a residual
+is checked once more before its first run, and is mostly such leaves.  A
+leaf read inline gets the ``.stage`` mark and raises the error that
+``var_stage`` or ``literal_stage`` would, at the same point of the walk.
 """
 
 from __future__ import annotations
@@ -203,7 +214,8 @@ class _Checker:
                 scope.declare(d.name, _Sym(stage, is_tn), d.span)
         for decl in member_decls:
             stage = scope.default - n.annotation_count(decl.dtype)
-            self.check_decl_parts(decl, stage, scope)
+            self.check_decl_type(decl, scope)
+            self.check_declarators(decl, stage, scope)
         for item in cls.items:
             if not isinstance(item, n.CtorDef):
                 continue
@@ -214,9 +226,8 @@ class _Checker:
                 self.check_block(item.body, scope, fresh_frame=False)
             scope.pop()
 
-    def check_decl_parts(self, decl: n.VarDecl, stage: int,
-                         scope: _Scope) -> None:
-        """Stage-check a declaration's type arguments, sizes, and inits."""
+    def check_decl_type(self, decl: n.VarDecl, scope: _Scope) -> None:
+        """Stage-check a declaration's type: its sizes and class arguments."""
         t = decl.dtype
         while isinstance(t, (n.PointerType, n.ArrayType)):
             if isinstance(t, n.ArrayType) and \
@@ -234,18 +245,29 @@ class _Checker:
                     raise StageError(DYNAMIC_TO_STATIC_FLOW,
                                      "class arguments must be static",
                                      decl.span)
+
+    def check_declarators(self, decl: n.VarDecl, stage: int, scope: _Scope,
+                          sym: _Sym | None = None) -> None:
+        """Stage-check each declarator's size and initializer.  With
+        ``sym``, declare each right after its own initializer, as the
+        walker and C do, so that a later initializer may read it."""
         for d in decl.declarators:
             if d.array_size is not None and \
                     self.expr_stage(d.array_size, scope) > 0:
                 raise StageError(DYNAMIC_TO_STATIC_FLOW,
                                  "array extents must be static", d.span)
-            if d.init is not None:
-                src = self.expr_stage(d.init, scope)
+            init = d.init
+            if init is not None:
+                src = _leaf_stage(init, scope.frames) \
+                    if init.__class__ in _LEAVES \
+                    else self.expr_stage(init, scope)
                 if src > stage:
                     raise StageError(
                         DYNAMIC_TO_STATIC_FLOW,
                         f"initializer of '{d.name}' (stage {src}) is more "
                         f"dynamic than the variable (stage {stage})", d.span)
+            if sym is not None:
+                scope.declare(d.name, sym, d.span)
 
     # -- statements -----------------------------------------------------------
 
@@ -292,18 +314,25 @@ class _Checker:
         return stage
 
     def check_var_decl(self, stmt: n.VarDecl, scope: _Scope) -> None:
-        k = n.annotation_count(stmt.dtype)
+        dtype = stmt.dtype
+        if dtype.__class__ is n.PrimType:
+            # a scalar: annotation_count and is_typename_type inline, and no
+            # type to check
+            k = dtype.at_count
+            is_tn = dtype.name == "typename"
+        else:
+            k = n.annotation_count(dtype)
+            is_tn = n.is_typename_type(dtype)
         stage = self.construct_stage(k, stmt.span, scope)
-        if isinstance(stmt.dtype, n.ClassAppType) and stmt.dtype.ctime:
+        if isinstance(dtype, n.ClassAppType) and dtype.ctime:
             stage = 0
-        is_tn = n.is_typename_type(stmt.dtype)
         if is_tn and self.levels >= 2 and stage == self.levels - 1:
             raise StageError(
                 TYPENAME_DYNAMIC_BINDING,
                 "typename variables must be static (add @)", stmt.span)
-        self.check_decl_parts(stmt, stage, scope)
-        for d in stmt.declarators:
-            scope.declare(d.name, _Sym(stage, is_tn), d.span)
+        if dtype.__class__ is not n.PrimType:
+            self.check_decl_type(stmt, scope)
+        self.check_declarators(stmt, stage, scope, _Sym(stage, is_tn))
         stmt.stage = stage
 
     def check_mutation(self, target_stage: int, span: Span | None,
@@ -316,11 +345,12 @@ class _Checker:
                     f"stage-{guard_stage} control guard", span)
 
     def check_assign(self, stmt: n.Assign, scope: _Scope) -> None:
-        if isinstance(stmt.target, n.VarRef):
-            target_stage = self.expr_stage(stmt.target, scope)
-        elif isinstance(stmt.target, n.Subscript):
-            target_stage = self.expr_stage(stmt.target.base, scope)
-            idx = self.expr_stage(stmt.target.index, scope)
+        target = stmt.target
+        if target.__class__ is n.VarRef:
+            target_stage = _leaf_stage(target, scope.frames)
+        elif isinstance(target, n.Subscript):
+            target_stage = self.expr_stage(target.base, scope)
+            idx = self.expr_stage(target.index, scope)
             if idx > target_stage:
                 raise StageError(
                     DYNAMIC_TO_STATIC_FLOW,
@@ -328,7 +358,9 @@ class _Checker:
                     stmt.span)
         else:
             raise ParseError("invalid assignment target", stmt.span)
-        src = self.expr_stage(stmt.value, scope)
+        value = stmt.value
+        src = _leaf_stage(value, scope.frames) \
+            if value.__class__ in _LEAVES else self.expr_stage(value, scope)
         if src > target_stage:
             raise StageError(
                 DYNAMIC_TO_STATIC_FLOW,
@@ -467,11 +499,16 @@ class _Checker:
         return self.expr_stage(e.operand, scope)
 
     def incr_stage(self, e: n.Incr, scope: _Scope) -> int:
+        if not isinstance(e.target, n.VarRef):
+            raise TypeMismatch(f"'{e.op}' needs a variable", e.span)
         return self.expr_stage(e.target, scope)
 
     def binary_stage(self, e: n.Binary, scope: _Scope) -> int:
-        lhs = self.expr_stage(e.lhs, scope)
-        rhs = self.expr_stage(e.rhs, scope)
+        lhs, rhs = e.lhs, e.rhs
+        lhs = _leaf_stage(lhs, scope.frames) if lhs.__class__ in _LEAVES \
+            else self.expr_stage(lhs, scope)
+        rhs = _leaf_stage(rhs, scope.frames) if rhs.__class__ in _LEAVES \
+            else self.expr_stage(rhs, scope)
         return lhs if lhs >= rhs else rhs
 
     def cond_stage(self, e: n.Cond, scope: _Scope) -> int:
@@ -480,8 +517,21 @@ class _Checker:
                    self.expr_stage(e.else_expr, scope))
 
     def subscript_stage(self, e: n.Subscript, scope: _Scope) -> int:
-        base = self.expr_stage(e.base, scope)
-        index = self.expr_stage(e.index, scope)
+        base, index = e.base, e.index
+        if index.__class__ is n.IntLit and base.__class__ is n.VarRef:
+            # a[3] whole
+            index.stage = 0
+            name = base.name
+            for frame in reversed(scope.frames):
+                sym = frame.get(name)
+                if sym is not None:
+                    base.stage = stage = sym.stage
+                    return stage
+            raise UnboundVariable(f"unbound variable '{name}'", base.span)
+        base = _leaf_stage(base, scope.frames) \
+            if base.__class__ in _LEAVES else self.expr_stage(base, scope)
+        index = _leaf_stage(index, scope.frames) \
+            if index.__class__ in _LEAVES else self.expr_stage(index, scope)
         return base if base >= index else index
 
     def call_stage(self, e: n.Call, scope: _Scope) -> int:
@@ -553,6 +603,24 @@ _STMT_CHECK = {
     n.For: _Checker.check_for,
     n.Switch: _Checker.check_switch,
 }
+
+
+def _leaf_stage(e: n.Expr, frames: list) -> int:
+    """``expr_stage`` of a VarRef or IntLit ``e``, without the dispatch:
+    ``var_stage`` or ``literal_stage``, and the mark."""
+    if e.__class__ is n.IntLit:
+        e.stage = 0
+        return 0
+    for frame in reversed(frames):
+        sym = frame.get(e.name)
+        if sym is not None:
+            e.stage = sym.stage
+            return sym.stage
+    raise UnboundVariable(f"unbound variable '{e.name}'", e.span)
+
+
+# The operand classes ``_leaf_stage`` reads.
+_LEAVES = frozenset({n.VarRef, n.IntLit})
 
 _EXPR_STAGE = {
     n.IntLit: _Checker.literal_stage,

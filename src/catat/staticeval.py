@@ -16,6 +16,23 @@ control falls through and the ``Value`` of a ``return`` otherwise.  Blocks,
 loops and switches stop at the first statement that returns a value and
 pass it up; ``call_function`` makes it the call's result.
 
+A few handlers read a ``VarRef`` or ``IntLit`` operand themselves, without
+dispatching it through ``eval_expr``: ``_eval_subscript`` does ``a[3]``
+whole, ``_eval_binary`` reads a literal operand, and ``exec_assign`` and
+``exec_var_decl`` read a leaf value or initializer with ``_leaf``.
+``exec_assign`` also stores to a ``VarRef`` target with ``store``'s
+lookup, ``binop`` and ``coerce`` inline, and ``exec_var_decl`` declares a
+scalar with ``resolve_type``, ``coerce`` and ``Env.declare`` inline.
+These are the shapes specialization leaves behind (an unrolled
+``acc += a[3] * 2``), where a dispatch per leaf was a large share of a
+residual run.  The index of ``a[i]`` and the operands of ``i < n`` still
+dispatch: they belong to the loops that a residual has unrolled, so reading
+them inline would speed up the unstaged program at least as much.  An
+inline read counts the leaf's step and raises its error, message and span,
+in the order the dispatch would.  It is taken only while the steps it
+counts stay within the step limit, so ``StepLimitExceeded`` still comes
+from ``eval_expr`` at the same node.
+
 ``Catat_error@`` and the code builders (make_lambda, make_op, ...) are the
 builtin functions.  The builders draw names and resolve calls in the
 specializer's unit under way, the interpreter's ``unit``.
@@ -69,8 +86,9 @@ from .errors import (
 from .flatten import BUILDERS
 from .values import (
     INT64_MAX, INT64_MIN, SCALAR_CELLS, ArrayV, BoolV, ClassTV, Env,
-    FixedArrayTV, FloatV, InstanceV, IntV, PointerTV, PRIM_BY_NAME, Slot,
-    StrV, TypeValue, UNIT, Value, arith, coerce, describe, truth, zero_value,
+    FixedArrayTV, FloatV, InstanceV, IntV, PointerTV, PRIM_BY_NAME, PrimTV,
+    Slot, StrV, TypeValue, UNIT, Value, arith, coerce, describe, truth,
+    zero_value,
 )
 
 
@@ -380,6 +398,27 @@ class Interpreter:
             dtype = stmt.dtype
             if d.array_size is not None:
                 dtype = n.ArrayType(dtype, d.array_size)
+            elif dtype.__class__ is n.PrimType:
+                # a scalar: resolve_type, a leaf initializer, coerce and
+                # env.declare inline
+                tv = PRIM_BY_NAME[dtype.name]
+                init = d.init
+                if init is None:
+                    value = self.default_value(tv, d.span)
+                else:
+                    value = self._leaf(init, env) \
+                        if init.__class__ in _LEAVES and \
+                        self.steps < self._step_cap else \
+                        self.eval_expr(init, env)
+                    if _KEEPS.get(tv.name) is not value.__class__:
+                        value = coerce(value, tv, d.span)
+                slots = env.slots
+                if d.name in slots:
+                    raise TypeMismatch(
+                        f"redeclaration of '{d.name}' in the same scope",
+                        d.span)
+                slots[d.name] = Slot(value, tv)
+                continue
             if isinstance(dtype, n.ClassAppType):
                 args = [self.eval_expr(a, env) for a in dtype.args]
                 value = self.class_instance(dtype.name, args, stmt.span)
@@ -393,10 +432,50 @@ class Interpreter:
             env.declare(d.name, Slot(value, tv), d.span)
 
     def exec_assign(self, stmt: n.Assign, env: Env) -> None:
-        value = self.eval_expr(stmt.value, env)
+        value = stmt.value
+        value = self._leaf(value, env) if value.__class__ in _LEAVES and \
+            self.steps < self._step_cap else self.eval_expr(value, env)
         target = stmt.target
-        if isinstance(target, n.VarRef):
-            store(env, target.name, stmt.op, value, stmt.span)
+        if target.__class__ is n.VarRef:
+            # store, inline
+            name = target.name
+            scope = env
+            while scope is not None:
+                slot = scope.slots.get(name)
+                if slot is not None:
+                    break
+                scope = scope.parent
+            else:
+                raise UnboundVariable(f"unbound variable '{name}'", stmt.span)
+            if slot.residual is not None:
+                raise UnboundVariable(
+                    f"dynamic variable '{name}' written at compile time",
+                    stmt.span)
+            op = stmt.op
+            if op != "=":
+                old = slot.value
+                if old is None:
+                    raise UnboundVariable(f"'{name}' read before assignment",
+                                          stmt.span)
+                # binop's fast path, inline
+                cls = old.__class__
+                fn = _FAST_COMPOUND.get(op)
+                if fn is not None and cls is value.__class__ and \
+                        (cls is IntV or cls is FloatV):
+                    result = fn(old.value, value.value)
+                    if cls is FloatV:
+                        value = FloatV(result)
+                    elif INT64_MIN <= result <= INT64_MAX:
+                        value = small_int(result)
+                    else:
+                        value = arith(op[0], old, value, stmt.span)
+                else:
+                    value = binop(op[0], old, value, stmt.span)
+            tv = slot.tv
+            if tv.__class__ is not PrimTV or \
+                    _KEEPS.get(tv.name) is not value.__class__:
+                value = coerce(value, tv, stmt.span)
+            slot.value = value
             return
         if isinstance(target, n.Subscript):
             arr = array_of(self.eval_expr(target.base, env), target.span)
@@ -512,8 +591,21 @@ class Interpreter:
                 return TRUE
             return TRUE if truth(self.eval_expr(e.rhs, env), e.span) \
                 else FALSE
-        return binop(op, self.eval_expr(e.lhs, env),
-                     self.eval_expr(e.rhs, env), e.span)
+        lhs = e.lhs
+        if lhs.__class__ is n.IntLit and self.steps < self._step_cap:
+            if self.count_steps:
+                self.steps += 1
+            a = _SMALL_INTS.get(lhs.value) or small_int(lhs.value)
+        else:
+            a = self.eval_expr(lhs, env)
+        rhs = e.rhs
+        if rhs.__class__ is n.IntLit and self.steps < self._step_cap:
+            if self.count_steps:
+                self.steps += 1
+            b = _SMALL_INTS.get(rhs.value) or small_int(rhs.value)
+        else:
+            b = self.eval_expr(rhs, env)
+        return binop(op, a, b, e.span)
 
     def _eval_cond(self, e: n.Cond, env: Env) -> Value:
         cond = self.eval_expr(e.cond, env)
@@ -522,11 +614,52 @@ class Interpreter:
         return self.eval_expr(e.else_expr, env)
 
     def _eval_subscript(self, e: n.Subscript, env: Env) -> Value:
-        arr = self.eval_expr(e.base, env)
+        base, index = e.base, e.index
+        if index.__class__ is n.IntLit and base.__class__ is n.VarRef and \
+                self.steps + 2 <= self._step_cap:
+            # a[3] whole: _eval_var, array_of and cell_index inline
+            if self.count_steps:
+                self.steps += 2
+            name = base.name
+            while env is not None:
+                slot = env.slots.get(name)
+                if slot is not None:
+                    break
+                env = env.parent
+            else:
+                raise UnboundVariable(f"unbound variable '{name}'", base.span)
+            arr = slot.value
+            if arr.__class__ is not ArrayV:
+                if arr is None:
+                    raise unassigned(name, slot, base.span)
+                array_of(arr, e.span)  # raises
+            i = index.value
+            cells = arr.cells
+            if 0 <= i < len(cells):
+                return cells[i]
+            cell_index(arr, small_int(i), e.span)  # raises
+        arr = self.eval_expr(base, env)
         if arr.__class__ is not ArrayV:  # array_of's test, inline: hot
             array_of(arr, e.span)  # raises
-        return arr.cells[cell_index(arr, self.eval_expr(e.index, env),
+        return arr.cells[cell_index(arr, self.eval_expr(index, env),
                                     e.span)]
+
+    def _leaf(self, e: n.Expr, env: Env) -> Value:
+        """``eval_expr`` of a VarRef or IntLit ``e``, without the dispatch:
+        for a caller that tested ``e``'s class and ``steps < _step_cap``."""
+        if self.count_steps:
+            self.steps += 1
+        if e.__class__ is n.IntLit:
+            return _SMALL_INTS.get(e.value) or small_int(e.value)
+        name = e.name
+        while env is not None:
+            slot = env.slots.get(name)
+            if slot is not None:
+                if slot.value is None:
+                    raise unassigned(name, slot, e.span)
+                return slot.value
+            env = env.parent
+        raise UnboundVariable(f"unbound variable '{name}'", e.span)
 
     def _eval_call(self, e: n.Call, env: Env) -> Value:
         if e.callee in BUILDERS:
@@ -689,6 +822,14 @@ _MINUS_ONE = IntV(-1)
 _FAST_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _FAST_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
                  ">": operator.gt, "<=": operator.le, ">=": operator.ge}
+# The same fast path for the compound assignments ``exec_assign`` applies.
+_FAST_COMPOUND = {"+=": operator.add, "-=": operator.sub, "*=": operator.mul}
+
+# The operand classes ``Interpreter._leaf`` reads, and the value class that
+# ``coerce`` keeps unchanged for each scalar type.
+_LEAVES = frozenset({n.VarRef, n.IntLit})
+_KEEPS = {"int": IntV, "char": IntV, "long int": IntV, "float": FloatV,
+          "double": FloatV, "bool": BoolV}
 
 
 def binop(op: str, a: Value, b: Value, span: Span | None) -> Value:

@@ -458,6 +458,23 @@ GENERATOR_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["specialize", "--entry", "f"],
+    ["specialize", "--entry", "f", "--via-flatten"],
+    ["run", "--entry", "f", "--dyn-args", "1"],
+    ["flatten", "--entry", "f"],
+], ids=["check", "specialize", "specialize-via-flatten", "run", "flatten"])
+def test_an_increment_of_a_cell_is_one_error_on_every_command(tmp_path,
+                                                              command):
+    source = tmp_path / "incr.cat"
+    source.write_text("function f(int d) { int a[2]; ++a[0]; "
+                      "return a[0] + d; }\n")
+    result = catat(command[0], source, *command[1:])
+    assert result.returncode == 3
+    assert result.stderr.strip() == (
+        f"{source}:1:31: compile-time error: '++' needs a variable")
+
+
 def test_a_dynamic_switch_is_a_flatten_error(tmp_path):
     source = tmp_path / "switch.cat"
     source.write_text(DYNAMIC_SWITCH)

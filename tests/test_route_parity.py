@@ -8,7 +8,8 @@ static value that has no literal form with the same error, resolve a call
 whose typename statics are inferred alike, type each residual name
 alike, let a static builder call act in the unit under way alike, also
 in a top-level statement, run the top-level statements once on a reused
-cache, and leave a cache whose specialization raised as it was before."""
+cache, leave a cache whose specialization raised as it was before, and
+let a declarator's initializer read the declarators before it."""
 
 import pytest
 
@@ -25,7 +26,7 @@ from catat.specializer import (
 )
 from catat.values import INT
 
-from conftest import both_records, fixture_source
+from conftest import both_records, both_routes, fixture_source
 
 
 def entry_fixtures():
@@ -115,6 +116,37 @@ def test_routes_report_a_static_array_under_a_dynamic_index_alike():
     assert route_errors(source, [IntV(1), IntV(2)]) == [
         ("LiftError", "a static array cannot flow into dynamic code "
          "(dynamic index into static data)", (2, 13))] * 2
+
+
+# Each declarator is in scope from the end of its own initializer, as in C:
+# (source, static arguments, run arguments, value)
+SEQUENTIAL_DECLARATORS = [
+    ("function f(int d) { int x = 1, y = x; return y + d; }", [], [IntV(2)],
+     IntV(3)),
+    ("function f(int@ k)(int d) { int x = d + 1, y = x * k; "
+     "int@ a = k, b = a + 1; return y + b; }", [IntV(2)], [IntV(5)],
+     IntV(15)),
+]
+
+
+@pytest.mark.parametrize("source, static_args, run_args, value",
+                         SEQUENTIAL_DECLARATORS,
+                         ids=["single-level", "two-level"])
+def test_a_declarator_reads_the_ones_before_it_on_both_routes(
+        source, static_args, run_args, value):
+    for rp in both_routes(source, "f", static_args, run_args=run_args):
+        assert run(rp, rp.entry_name, run_args).value == value
+
+
+def test_a_declarator_redeclared_in_one_declaration_is_an_error():
+    source = "function f(int d) { int x = 1, x = 2; return x + d; }"
+    for levels in (1, 2):
+        with pytest.raises(CatatError) as error:
+            check_stages(parse(source), levels)
+        assert (type(error.value).__name__, error.value.message,
+                tuple(error.value.span)) == (
+            "TypeMismatch", "redeclaration of 'x' in the same scope",
+            (1, 32))
 
 
 INFERRED = """function average(typename@ T)(T* array, int N) {
