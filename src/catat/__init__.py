@@ -11,7 +11,7 @@ from .errors import (
     CatatError, DepthExceeded, LexError, LoopLimitExceeded, ParseError,
     StageError, StepLimitExceeded, UnboundVariable, UserStaticError,
 )
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .parser import parse, parse_expression
 from .emitter import emit
 from .staging import StagedAST, check_stages, stage_of
@@ -36,7 +36,7 @@ __all__ = [
     "LoopLimitExceeded", "ParseError", "ResidualClass", "ResidualFunction",
     "ResidualProgram", "RunResult", "SpecializationCache",
     "SpecializationKey", "StageError", "StagedAST", "StepLimitExceeded",
-    "StrV", "Token", "TypeValue", "UnboundVariable", "UnitV",
+    "StrV", "TypeValue", "UnboundVariable", "UnitV",
     "UserStaticError", "Value", "alpha_equivalent", "call_static",
     "check_stages", "emit", "erase_stages", "flatten_function", "mangle",
     "materialize", "parse", "parse_expression", "run", "run_unstaged",

@@ -135,11 +135,12 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_run(args) -> int:
-    tokens = tokenize(Path(args.file).read_text(encoding="utf-8"))
-    program = parse_tokens(tokens)
+    source = Path(args.file).read_text(encoding="utf-8")
+    tokens = tokenize(source)
+    program = parse_tokens(tokens, source)
     dyn_args = parse_arg_list(args.dyn_args)
     two_level = args.static_args is not None or \
-        any(t.kind == AT for t in tokens)
+        any(t[0] == AT for t in tokens)
     if two_level:
         staged = check_stages(program, args.levels)
         rp = specialize_program(staged, args.entry or None,

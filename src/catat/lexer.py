@@ -24,18 +24,23 @@ The alternatives after the leading blanks, tried in order, are:
 * any other single character, which is illegal.
 
 The loop tells the groups apart by index, most frequent first, and takes
-a token's column from the start of its group.  A token stores its line
-and column; ``Token.span`` builds the ``Span`` when the parser asks for
-one, through ``tuple.__new__``, which skips the ``NamedTuple``'s Python
-constructor.  Building one with every token measured slower: separators
-such as ``;`` and ``]`` never need one, and every extra object is one more
-for the garbage collector to trace.
+a token's column from the start of its group.
+
+A token is a plain ``(kind, text, line, col)`` tuple: ``kind`` is one of
+the kind names below, ``text`` the token's text (a string literal's
+decoded body, an at-sign run's ``@`` characters, whose count is
+``len(text)``), and ``line`` and ``col`` its 1-indexed start.  A tuple is
+built without running any Python code, unlike an object with an
+``__init__``, and CPython's garbage collector stops tracking a tuple of
+strings and integers at the first collection it survives, so a long token
+list costs later collections nothing.  A token carries no ``Span``: the
+parser builds one from ``t[2:]`` only where a node needs it, since
+separators such as ``;`` and ``]`` never do.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import LexError, Span
 
@@ -63,6 +68,9 @@ STRING = "string-literal"
 
 INT64_MAX = 2 ** 63 - 1
 
+# A string literal's source text, escapes and all.
+STRING_LITERAL = re.compile(r'"(?:[^"\\\n]|\\.)*"', re.DOTALL)
+
 _SCANNER = re.compile(r"""
     [ \t\r]*
     (?:
@@ -73,7 +81,7 @@ _SCANNER = re.compile(r"""
     | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)(?!\w))
     | (?P<number>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?)
     | (?P<at>@+)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
+    | (?P<string>""" + STRING_LITERAL.pattern + r""")
     | (?P<uword>[^\W\d]\w*)
     | (?P<other>.)
     )
@@ -84,27 +92,8 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-_new = tuple.__new__
-
-
-@dataclass(slots=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return _new(Span, (self.line, self.col))
-
-    @property
-    def at_count(self) -> int:
-        return len(self.text) if self.kind == AT else 0
-
-
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    tokens: list[tuple[str, str, int, int]] = []
     append = tokens.append
     # ``base`` is the offset of the current line's start, less one, so the
     # token at offset ``start`` is in column ``start - base``.
@@ -112,17 +101,17 @@ def tokenize(source: str) -> list[Token]:
     for m in _SCANNER.finditer(source.rstrip(" \t\r")):
         group = m.lastindex
         if group == _PUNCT:
-            append(Token(PUNCT, m[_PUNCT], line, m.start(_PUNCT) - base))
+            append((PUNCT, m[_PUNCT], line, m.start(_PUNCT) - base))
         elif group == _WORD:
             text = m[_WORD]
-            append(Token(KEYWORD if text in KEYWORDS else IDENT, text, line,
-                         m.start(_WORD) - base))
+            append((KEYWORD if text in KEYWORDS else IDENT, text, line,
+                    m.start(_WORD) - base))
         elif group == _INT:
             text = m[_INT]
             if len(text) > 18 and int(text) > INT64_MAX:
                 raise LexError("integer literal out of 64-bit range",
                                Span(line, m.start(_INT) - base))
-            append(Token(INT, text, line, m.start(_INT) - base))
+            append((INT, text, line, m.start(_INT) - base))
         elif group == _SKIP:
             text = m[_SKIP]
             if "\n" in text:
@@ -148,24 +137,24 @@ def _rare(m, line: int, base: int, source: str, append) -> tuple[int, int]:
             raise LexError("malformed numeric literal", Span(line, col))
         group = "float" if is_float else "int"
     if group == "float":
-        append(Token(FLOAT, text, line, col))
+        append((FLOAT, text, line, col))
     elif group == "int":
         if len(text) > 18 and int(text) > INT64_MAX:
             raise LexError("integer literal out of 64-bit range",
                            Span(line, col))
-        append(Token(INT, text, line, col))
+        append((INT, text, line, col))
     elif group == "at":
-        append(Token(AT, text, line, col))
+        append((AT, text, line, col))
     elif group == "string":
         body = text[1:-1]
         if "\\" in body:
             body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
-        append(Token(STRING, body, line, col))
+        append((STRING, body, line, col))
         if "\n" in text:
             line += text.count("\n")
             base = m.start(group) + text.rindex("\n")
     elif group == "uword" and text[0].isalpha():
-        append(Token(IDENT, text, line, col))
+        append((IDENT, text, line, col))
     elif text == '"':
         raise LexError("unterminated string literal", Span(line, col))
     else:

@@ -32,6 +32,13 @@ Grammar notes:
   than any binary operator; ``c ? a : b`` binds looser and nests to the
   right.
 
+Tokens are the lexer's ``(kind, text, line, col)`` tuples, read as
+``t[0]`` and ``t[1]``; a node's ``Span`` is built from ``t[2:]`` through
+``tuple.__new__``, which skips the ``NamedTuple``'s Python constructor.
+The token list ends in an end-of-input sentinel one past the last token's
+source text (for a string literal, past its closing quote, not its
+decoded body), where a parse error at the end of the input points.
+
 Residual programs are read back whole, so the rules that every statement
 and every operand pass through (``parse_block``, ``parse_stmt``,
 ``parse_decl_or_simple``, ``parse_simple_stmt``, ``finish_var_decl``,
@@ -41,14 +48,25 @@ helpers.  ``parse_unary`` builds names, integers and parenthesized
 expressions itself, and ``parse_expr`` has a leaf fast path: a lone name
 or integer followed by punctuation that cannot go on an expression
 (``;``, ``)``, ``]``, ``,``, ``:`` or an assignment operator) is built
-without climbing the precedence ladder.  The tree, every span and every
-error are those of the full route.
+without climbing the precedence ladder.  These hot rules build the nodes
+residuals are made of (``VarRef``, ``IntLit``, ``Subscript``, ``Binary``,
+``Assign`` and ``ExprStmt``) with positional fields and set ``span``
+afterwards: passing it as a keyword costs the dataclass ``__init__`` more
+than the store does.  The tree, every span and every error are those of
+the full route.
+
+Python's stack bounds how deep constructs nest.  Running out of it is a
+``ParseError`` that names a statement or an expression, whichever rule
+kind more of the frames that ran out belong to; telling them apart costs
+only the error path.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError, Span
-from .lexer import AT, FLOAT, IDENT, INT, KEYWORD, PUNCT, STRING, Token, tokenize
+from .lexer import (
+    AT, FLOAT, IDENT, INT, KEYWORD, PUNCT, STRING, STRING_LITERAL, tokenize,
+)
 from . import nodes as n
 
 _TYPE_KEYWORDS = ("int", "float", "char", "bool", "long", "double",
@@ -62,83 +80,126 @@ _BINARY_PRECEDENCE = {
     "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
 }
 _END = "end-of-input"
+# The rules a statement nested in a statement, and an expression nested in
+# an expression, recurse through.
+_STATEMENT_RULES = frozenset({"parse_stmt", "parse_block", "parse_if",
+                              "parse_for", "parse_switch", "parse_case_body"})
+_EXPRESSION_RULES = frozenset({"parse_expr", "parse_binary", "parse_unary",
+                               "parse_call", "parse_primary"})
+
+_new = tuple.__new__
+
+
+def _span(t: tuple) -> Span:
+    """The span of token ``t``, without ``Span``'s Python constructor."""
+    return _new(Span, t[2:])
+
+
+def _end(tokens: list, source: str) -> tuple[int, int]:
+    """The line and column one past the source text of the last token."""
+    if not tokens:
+        return 1, 1
+    kind, text, line, col = tokens[-1]
+    if kind != STRING:
+        return line, col + len(text)
+    # A string literal's text is its decoded body: measure its source.
+    from_line = source.split("\n", line - 1)[-1]
+    literal = STRING_LITERAL.match(from_line, col - 1)[0]
+    if "\n" in literal:
+        return (line + literal.count("\n"),
+                len(literal) - literal.rindex("\n"))
+    return line, col + len(literal)
+
+
+def _nested(tb) -> str:
+    """What ran out of stack in traceback ``tb``: "statement" when more of
+    its frames are statement rules than expression rules, else
+    "expression"."""
+    balance = 0
+    while tb is not None:
+        name = tb.tb_frame.f_code.co_name
+        if name in _STATEMENT_RULES:
+            balance += 1
+        elif name in _EXPRESSION_RULES:
+            balance -= 1
+        tb = tb.tb_next
+    return "statement" if balance > 0 else "expression"
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        # An end sentinel, placed just past the last token, saves a bounds
-        # test on every lookahead.  Lookahead past the current token is
-        # only made once the tokens before it have matched, so one suffices.
-        last = tokens[-1] if tokens else Token(_END, "", 1, 1)
-        self.toks = tokens + [Token(_END, "", last.line,
-                                    last.col + len(last.text))]
+    def __init__(self, tokens: list, source: str):
+        # An end sentinel, placed one past the last token's source text,
+        # saves a bounds test on every lookahead.  Lookahead past the
+        # current token is only made once the tokens before it have
+        # matched, so one suffices.
+        self.toks = tokens + [(_END, "", *_end(tokens, source))]
         self.pos = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
+    def peek(self, k: int = 0) -> tuple:
         return self.toks[self.pos + k]
 
     def at_end(self) -> bool:
-        return self.toks[self.pos].kind == _END
+        return self.toks[self.pos][0] == _END
 
     def span(self) -> Span:
-        return self.toks[self.pos].span
+        return _span(self.toks[self.pos])
 
     def error(self, message: str) -> ParseError:
         t = self.toks[self.pos]
-        found = "end of input" if t.kind == _END else f"'{t.text}'"
-        return ParseError(f"{message}, found {found}", t.span)
+        found = "end of input" if t[0] == _END else f"'{t[1]}'"
+        return ParseError(f"{message}, found {found}", _span(t))
 
     def guarded(self, rule):
         """Apply a grammar rule, reporting Python stack exhaustion as a
         parse error at the token reached."""
         try:
             return rule()
-        except RecursionError:
-            raise ParseError("expression nested too deeply",
+        except RecursionError as e:
+            raise ParseError(f"{_nested(e.__traceback__)} nested too deeply",
                              self.span()) from None
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
     def check(self, kind: str, k: int = 0) -> bool:
-        return self.toks[self.pos + k].kind == kind
+        return self.toks[self.pos + k][0] == kind
 
     def check_punct(self, text: str, k: int = 0) -> bool:
         t = self.toks[self.pos + k]
-        return t.text == text and t.kind == PUNCT
+        return t[1] == text and t[0] == PUNCT
 
     def check_kw(self, text: str, k: int = 0) -> bool:
         t = self.toks[self.pos + k]
-        return t.text == text and t.kind == KEYWORD
+        return t[1] == text and t[0] == KEYWORD
 
-    def expect_punct(self, text: str) -> Token:
+    def expect_punct(self, text: str) -> tuple:
         t = self.toks[self.pos]
-        if t.text != text or t.kind != PUNCT:
+        if t[1] != text or t[0] != PUNCT:
             raise self.error(f"expected '{text}'")
         self.pos += 1
         return t
 
-    def expect_kw(self, text: str) -> Token:
+    def expect_kw(self, text: str) -> tuple:
         t = self.toks[self.pos]
-        if t.text != text or t.kind != KEYWORD:
+        if t[1] != text or t[0] != KEYWORD:
             raise self.error(f"expected '{text}'")
         self.pos += 1
         return t
 
-    def expect_ident(self) -> Token:
+    def expect_ident(self) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != IDENT:
+        if t[0] != IDENT:
             raise self.error("expected identifier")
         self.pos += 1
         return t
 
     def take_at(self) -> int:
         if self.check(AT):
-            return self.advance().at_count
+            return len(self.advance()[1])
         return 0
 
     def parse_list(self, item) -> list:
@@ -182,7 +243,7 @@ class _Parser:
             return self.parse_class()
         # C-style definition: type ident ( ... ) { ... }
         t = self.peek()
-        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS:
+        if t[0] == KEYWORD and t[1] in _TYPE_KEYWORDS:
             mark = self.pos
             try:
                 rtype = self.parse_type()
@@ -192,9 +253,9 @@ class _Parser:
                     params = self.parse_list(self.parse_param)
                     body = self.parse_block()
                     self._check_params(None, params)
-                    return n.FunctionDef(name_tok.text, None, params, body,
+                    return n.FunctionDef(name_tok[1], None, params, body,
                                          declared_return=rtype,
-                                         span=name_tok.span)
+                                         span=_span(name_tok))
             except ParseError:
                 pass
             self.pos = mark
@@ -204,7 +265,7 @@ class _Parser:
 
     def parse_function(self) -> n.FunctionDef:
         kw = self.expect_kw("function")
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         self.expect_punct("(")
         first = self.parse_list(self.parse_param)
         static_params = None
@@ -215,7 +276,7 @@ class _Parser:
             params = self.parse_list(self.parse_param)
         body = self.parse_block()
         self._check_params(static_params, params)
-        return n.FunctionDef(name, static_params, params, body, span=kw.span)
+        return n.FunctionDef(name, static_params, params, body, span=_span(kw))
 
     def _check_params(self, static_params, params) -> None:
         if static_params is not None:
@@ -238,11 +299,11 @@ class _Parser:
             size = self.parse_expr()
             self.expect_punct("]")
             dtype = n.ArrayType(dtype, size, span=start)
-        return n.Param(name.text, dtype, span=name.span)
+        return n.Param(name[1], dtype, span=_span(name))
 
     def parse_class(self) -> n.ClassDef:
         kw = self.expect_kw("class")
-        name = self.expect_ident().text
+        name = self.expect_ident()[1]
         static_params: list = []
         if self.check_punct("("):
             self.advance()
@@ -262,14 +323,14 @@ class _Parser:
                     self.check_punct(":", 1):
                 tok = self.advance()
                 self.advance()
-                items.append(n.VisibilityLabel(tok.text, span=tok.span))
+                items.append(n.VisibilityLabel(tok[1], span=_span(tok)))
                 continue
             # Constructor: ClassName [@...] ( )
-            if self.check(IDENT) and self.peek().text == name:
+            if self.check(IDENT) and self.peek()[1] == name:
                 after = 1
                 at = 0
                 if self.check(AT, k=1):
-                    at = self.peek(1).at_count
+                    at = len(self.peek(1)[1])
                     after = 2
                 if self.check_punct("(", after) and self.check_punct(")", after + 1):
                     tok = self.advance()
@@ -279,15 +340,15 @@ class _Parser:
                         n_static_ctor += 1
                     else:
                         n_dynamic_ctor += 1
-                    items.append(n.CtorDef(at, body, span=tok.span))
+                    items.append(n.CtorDef(at, body, span=_span(tok)))
                     continue
             items.append(self.parse_var_decl())
         self.advance()
         if n_static_ctor > 1 or n_dynamic_ctor > 1:
             raise ParseError(
                 f"class '{name}' may have at most one static and one "
-                "dynamic constructor", kw.span)
-        return n.ClassDef(name, static_params, items, span=kw.span)
+                "dynamic constructor", _span(kw))
+        return n.ClassDef(name, static_params, items, span=_span(kw))
 
     # -- types --------------------------------------------------------------
 
@@ -298,23 +359,23 @@ class _Parser:
             self.advance()
             const_count += 1
         t = self.peek()
-        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS:
+        if t[0] == KEYWORD and t[1] in _TYPE_KEYWORDS:
             self.advance()
-            name = t.text
+            name = t[1]
             if name == "long":
                 self.expect_kw("int")
                 name = "long int"
             base: n.TypeExpr = n.PrimType(name, self.take_at() + const_count,
                                           span=start)
-        elif t.kind == IDENT:
+        elif t[0] == IDENT:
             self.advance()
             at = self.take_at()
             if self.check_punct("("):
                 self.advance()
                 args = self.parse_list(self.parse_expr)
-                base = n.ClassAppType(t.text, args, ctime=at >= 1, span=start)
+                base = n.ClassAppType(t[1], args, ctime=at >= 1, span=start)
             else:
-                base = n.NamedType(t.text, at + const_count, span=start)
+                base = n.NamedType(t[1], at + const_count, span=start)
         else:
             raise self.error("expected a type")
         while self.check_punct("*"):
@@ -326,14 +387,14 @@ class _Parser:
 
     def parse_block(self) -> n.Block:
         toks = self.toks
-        start = toks[self.pos].span
+        start = _span(toks[self.pos])
         self.expect_punct("{")
         stmts = []
         while True:
             t = toks[self.pos]
-            if t.text == "}" and t.kind == PUNCT:
+            if t[1] == "}" and t[0] == PUNCT:
                 break
-            if t.kind == _END:
+            if t[0] == _END:
                 raise self.error("expected '}'")
             stmts.append(self.parse_stmt())
         self.pos += 1
@@ -341,23 +402,23 @@ class _Parser:
 
     def parse_stmt(self) -> n.Stmt:
         t = self.toks[self.pos]
-        kind = t.kind
+        kind = t[0]
         if kind == KEYWORD:
-            text = t.text
+            text = t[1]
             if text == "return":
                 self.pos += 1
                 value = None
                 if not self.check_punct(";"):
                     value = self.parse_expr()
                 self.expect_punct(";")
-                return n.Return(value, span=t.span)
+                return n.Return(value, span=_span(t))
             if text == "if":
                 return self.parse_if()
             if text == "for":
                 return self.parse_for()
             if text == "switch":
                 return self.parse_switch()
-        elif kind == PUNCT and t.text == "{":
+        elif kind == PUNCT and t[1] == "{":
             return self.parse_block()
         return self.parse_decl_or_simple(True)
 
@@ -366,20 +427,20 @@ class _Parser:
         toks = self.toks
         pos = self.pos
         t = toks[pos]
-        if t.kind == KEYWORD:
-            if t.text in _TYPE_KEYWORDS or t.text == "static":
+        if t[0] == KEYWORD:
+            if t[1] in _TYPE_KEYWORDS or t[1] == "static":
                 return self.parse_var_decl(consume_semi)
-        elif t.kind == IDENT:
+        elif t[0] == IDENT:
             # After the identifier a type can go on only with '@', '(',
             # '*' or the declared name; anything else is not worth a
             # tentative parse.
             after = toks[pos + 1]
-            kind = after.kind
+            kind = after[0]
             if kind == IDENT or kind == AT or kind == PUNCT and \
-                    (after.text == "(" or after.text == "*"):
+                    (after[1] == "(" or after[1] == "*"):
                 try:
                     dtype = self.parse_type()
-                    if toks[self.pos].kind == IDENT:
+                    if toks[self.pos][0] == IDENT:
                         return self.finish_var_decl(dtype, False,
                                                     consume_semi)
                 except ParseError:
@@ -403,19 +464,19 @@ class _Parser:
             name = self.expect_ident()
             t = toks[self.pos]
             size = None
-            if t.text == "[" and t.kind == PUNCT:
+            if t[1] == "[" and t[0] == PUNCT:
                 self.pos += 1
                 size = self.parse_expr()
                 self.expect_punct("]")
                 t = toks[self.pos]
             init = None
-            if t.text == "=" and t.kind == PUNCT:
+            if t[1] == "=" and t[0] == PUNCT:
                 self.pos += 1
                 init = self.parse_expr()
                 t = toks[self.pos]
-            declarators.append(n.Declarator(name.text, size, init,
-                                            span=name.span))
-            if t.text != "," or t.kind != PUNCT:
+            declarators.append(n.Declarator(name[1], size, init,
+                                            span=_span(name)))
+            if t[1] != "," or t[0] != PUNCT:
                 break
             self.pos += 1
         if consume_semi:
@@ -425,18 +486,18 @@ class _Parser:
 
     def parse_simple_stmt(self, consume_semi: bool) -> n.Stmt:
         toks = self.toks
-        start = toks[self.pos].span
+        start = _new(Span, toks[self.pos][2:])
         expr = self.parse_expr()
         stmt: n.Stmt
         t = toks[self.pos]
-        if t.text in _ASSIGN_OPS and t.kind == PUNCT:
+        if t[1] in _ASSIGN_OPS and t[0] == PUNCT:
             self.pos += 1
             if not isinstance(expr, (n.VarRef, n.Subscript)):
                 raise ParseError("invalid assignment target", start)
-            value = self.parse_expr()
-            stmt = n.Assign(expr, t.text, value, span=start)
+            stmt = n.Assign(expr, t[1], self.parse_expr())
         else:
-            stmt = n.ExprStmt(expr, span=start)
+            stmt = n.ExprStmt(expr)
+        stmt.span = start
         if consume_semi:
             self.expect_punct(";")
         return stmt
@@ -460,7 +521,7 @@ class _Parser:
             self.advance()
             else_at = self.take_at()
             else_stmt = self.parse_stmt()
-        return n.If(cond, then_stmt, else_stmt, at, else_at, span=tok.span)
+        return n.If(cond, then_stmt, else_stmt, at, else_at, span=_span(tok))
 
     def parse_for(self) -> n.For:
         tok = self.expect_kw("for")
@@ -475,7 +536,7 @@ class _Parser:
         incr = self.parse_for_clause()
         self.expect_punct(")")
         body = self.parse_stmt()
-        return n.For(init, cond, incr, body, at, span=tok.span)
+        return n.For(init, cond, incr, body, at, span=_span(tok))
 
     def parse_switch(self) -> n.Switch:
         tok = self.expect_kw("switch")
@@ -491,21 +552,21 @@ class _Parser:
                 label = self.parse_case_label()
                 self.expect_punct(":")
                 cases.append(n.SwitchCase(label, self.parse_case_body(),
-                                          span=ctok.span))
+                                          span=_span(ctok)))
             elif self.check_kw("default"):
                 ctok = self.advance()
                 self.expect_punct(":")
                 cases.append(n.SwitchCase(None, self.parse_case_body(),
-                                          span=ctok.span))
+                                          span=_span(ctok)))
             else:
                 raise self.error("expected 'case' or 'default'")
         self.advance()
-        return n.Switch(subject, cases, at, span=tok.span)
+        return n.Switch(subject, cases, at, span=_span(tok))
 
     def parse_case_label(self) -> n.Expr:
         t = self.peek()
-        if t.kind == KEYWORD and t.text in _TYPE_KEYWORDS and t.text != "const":
-            return n.TypeLit(self.parse_type(), span=t.span)
+        if t[0] == KEYWORD and t[1] in _TYPE_KEYWORDS and t[1] != "const":
+            return n.TypeLit(self.parse_type(), span=_span(t))
         return self.parse_expr()
 
     def parse_case_body(self) -> list:
@@ -523,25 +584,25 @@ class _Parser:
         toks = self.toks
         pos = self.pos
         t = toks[pos]
-        kind = t.kind
+        kind = t[0]
         if kind == IDENT or kind == INT:
             after = toks[pos + 1]
-            if after.text in _LEAF_END and after.kind == PUNCT:
+            if after[1] in _LEAF_END and after[0] == PUNCT:
                 self.pos = pos + 1
-                if kind == IDENT:
-                    return n.VarRef(t.text, span=t.span)
-                return n.IntLit(int(t.text), span=t.span)
+                leaf = n.VarRef(t[1]) if kind == IDENT else n.IntLit(int(t[1]))
+                leaf.span = _new(Span, t[2:])
+                return leaf
         expr = self.parse_unary()
         t = toks[self.pos]
-        if t.text in _BINARY_PRECEDENCE and t.kind == PUNCT:
+        if t[1] in _BINARY_PRECEDENCE and t[0] == PUNCT:
             expr = self.parse_binary(expr, 1)
             t = toks[self.pos]
-        if t.text == "?" and t.kind == PUNCT:
+        if t[1] == "?" and t[0] == PUNCT:
             self.pos += 1
             then_e = self.parse_expr()
             self.expect_punct(":")
             else_e = self.parse_expr()
-            return n.Cond(expr, then_e, else_e, span=t.span)
+            return n.Cond(expr, then_e, else_e, span=_span(t))
         return expr
 
     def parse_binary(self, lhs: n.Expr, min_prec: int) -> n.Expr:
@@ -549,65 +610,68 @@ class _Parser:
         precedence >= min_prec."""
         toks = self.toks
         op = toks[self.pos]
-        prec = _BINARY_PRECEDENCE.get(op.text, 0)
-        while prec >= min_prec and op.kind == PUNCT:
+        prec = _BINARY_PRECEDENCE.get(op[1], 0)
+        while prec >= min_prec and op[0] == PUNCT:
             self.pos += 1
-            rhs = self.parse_binary(self.parse_unary(), prec + 1)
-            lhs = n.Binary(op.text, lhs, rhs, span=op.span)
+            lhs = n.Binary(op[1], lhs,
+                           self.parse_binary(self.parse_unary(), prec + 1))
+            lhs.span = _new(Span, op[2:])
             op = toks[self.pos]
-            prec = _BINARY_PRECEDENCE.get(op.text, 0)
+            prec = _BINARY_PRECEDENCE.get(op[1], 0)
         return lhs
 
     def parse_unary(self) -> n.Expr:
         toks = self.toks
         t = toks[self.pos]
-        kind = t.kind
+        kind = t[0]
         if kind == IDENT:
             self.pos += 1
             after = toks[self.pos]
-            if after.text == "(" and after.kind == PUNCT:
+            if after[1] == "(" and after[0] == PUNCT:
                 expr = self.parse_call(t, 0)
-            elif after.kind == AT and self.check_punct("(", 1):
+            elif after[0] == AT and self.check_punct("(", 1):
                 self.pos += 1
-                expr = self.parse_call(t, after.at_count)
+                expr = self.parse_call(t, len(after[1]))
             else:
-                expr = n.VarRef(t.text, span=t.span)
+                expr = n.VarRef(t[1])
+                expr.span = _new(Span, t[2:])
         elif kind == INT:
             self.pos += 1
-            expr = n.IntLit(int(t.text), span=t.span)
+            expr = n.IntLit(int(t[1]))
+            expr.span = _new(Span, t[2:])
         elif kind == PUNCT:
-            text = t.text
+            text = t[1]
             if text == "(":
                 self.pos += 1
                 expr = self.parse_expr()
                 self.expect_punct(")")
             elif text == "!" or text == "-":
                 self.pos += 1
-                return n.Unary(text, self.parse_unary(), span=t.span)
+                return n.Unary(text, self.parse_unary(), span=_span(t))
             elif text == "++" or text == "--":
                 self.pos += 1
-                return n.Incr(text, self.parse_unary(), span=t.span)
+                return n.Incr(text, self.parse_unary(), span=_span(t))
             else:
                 raise self.error("expected an expression")
         else:
             expr = self.parse_primary()
         t = toks[self.pos]
-        while t.text == "[" and t.kind == PUNCT:
+        while t[1] == "[" and t[0] == PUNCT:
             self.pos += 1
-            index = self.parse_expr()
+            expr = n.Subscript(expr, self.parse_expr())
+            expr.span = _new(Span, t[2:])
             self.expect_punct("]")
-            expr = n.Subscript(expr, index, span=t.span)
             t = toks[self.pos]
         return expr
 
-    def parse_call(self, name: Token, at: int) -> n.Call:
+    def parse_call(self, name: tuple, at: int) -> n.Call:
         """The call of ``name`` whose argument list starts here."""
         args = self.parse_call_args()
         if at == 0 and self.check_punct("("):
             dyn_args = self.parse_call_args()
-            return n.Call(name.text, dyn_args, static_args=args,
-                          span=name.span)
-        return n.Call(name.text, args, at_count=at, span=name.span)
+            return n.Call(name[1], dyn_args, static_args=args,
+                          span=_span(name))
+        return n.Call(name[1], args, at_count=at, span=_span(name))
 
     def parse_call_args(self) -> list:
         self.expect_punct("(")
@@ -616,35 +680,36 @@ class _Parser:
     def parse_primary(self) -> n.Expr:
         """The leaves ``parse_unary`` does not build itself."""
         t = self.peek()
-        kind = t.kind
+        kind = t[0]
         if kind == FLOAT:
             self.advance()
-            return n.FloatLit(float(t.text), span=t.span)
+            return n.FloatLit(float(t[1]), span=_span(t))
         if kind == STRING:
             self.advance()
-            return n.StringLit(t.text, span=t.span)
-        if kind == KEYWORD and t.text in ("true", "false"):
+            return n.StringLit(t[1], span=_span(t))
+        if kind == KEYWORD and t[1] in ("true", "false"):
             self.advance()
-            return n.BoolLit(t.text == "true", span=t.span)
-        if kind == KEYWORD and t.text in _TYPE_KEYWORDS and t.text != "const":
-            return n.TypeLit(self.parse_type(), span=t.span)
+            return n.BoolLit(t[1] == "true", span=_span(t))
+        if kind == KEYWORD and t[1] in _TYPE_KEYWORDS and t[1] != "const":
+            return n.TypeLit(self.parse_type(), span=_span(t))
         raise self.error("expected an expression")
 
 
 def parse(source: str) -> n.Program:
     """Parse Catat source text into a Program AST."""
-    return parse_tokens(tokenize(source))
+    return parse_tokens(tokenize(source), source)
 
 
-def parse_tokens(tokens: list[Token]) -> n.Program:
-    """Parse a program from the tokens ``tokenize`` returned for it."""
-    p = _Parser(tokens)
+def parse_tokens(tokens: list, source: str) -> n.Program:
+    """Parse a program from the tokens ``tokenize`` returned for
+    ``source``."""
+    p = _Parser(tokens, source)
     return p.guarded(p.parse_program)
 
 
 def parse_expression(source: str) -> n.Expr:
     """Parse a single expression (testing and tooling convenience)."""
-    p = _Parser(tokenize(source))
+    p = _Parser(tokenize(source), source)
     expr = p.guarded(p.parse_expr)
     if not p.at_end():
         raise p.error("unexpected tokens after expression")

@@ -1,8 +1,8 @@
 """A test-only copy of the tokenizer as it stood before it moved to one
 match per token: one regular expression whose blanks are a match of their
 own, and a span built on demand.  ``test_lexer_fidelity.py`` checks that
-``catat.lexer.tokenize`` gives the same tokens and the same errors.  It
-yields ``(kind, text, line, col)`` tuples instead of ``Token`` objects."""
+``catat.lexer.tokenize`` gives the same tokens and the same errors.  Both
+return ``(kind, text, line, col)`` tuples."""
 
 import re
 

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import random
-import re
 import subprocess
 import sys
 
@@ -9,10 +8,12 @@ import pytest
 
 from catat import cli
 from catat.corpus import corpus_path, provide_corpus
-from catat.lexer import AT, IDENT, INT, PUNCT, STRING, tokenize
+from catat.lexer import (
+    AT, IDENT, INT, PUNCT, STRING, STRING_LITERAL, tokenize,
+)
 
 from test_compress import DYNAMIC_SWITCH
-from test_parser import NESTINGS
+from test_parser import NESTED_TOO_DEEPLY, NESTINGS
 
 CLI = [sys.executable, "-m", "catat.cli"]
 
@@ -53,6 +54,17 @@ def test_parse_error_exit_1(tmp_path):
     result = catat("check", bad)
     assert result.returncode == 1
     assert "parse error" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_end_of_input_after_a_string_is_past_its_closing_quote(tmp_path,
+                                                               command):
+    bad = tmp_path / "bad.cat"
+    bad.write_text('x = "a\\"b"', encoding="utf-8")
+    result = catat(command, bad)
+    assert result.returncode == 1
+    assert result.stderr.strip() == \
+        f"{bad}:1:11: parse error: expected ';', found end of input"
 
 
 def test_specialize_writes_golden(tmp_path):
@@ -277,7 +289,7 @@ def test_deep_nesting_check_exits_1_without_traceback(tmp_path, name):
     deep.write_text(NESTINGS[name](5000), encoding="utf-8")
     result = catat("check", deep)
     assert result.returncode == 1
-    assert "parse error: expression nested too deeply" in result.stderr
+    assert f"parse error: {NESTED_TOO_DEEPLY[name]}" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -518,7 +530,6 @@ def test_static_arrays_in_dynamic_code_print_alike_on_both_routes(tmp_path,
 MUTANT_INTS = ("0", "1", "2", "3", "7", "100", str(2 ** 63 - 1))
 MUTANT_OPS = ("+", "-", "*", "/", "%", "==", "!=", "<", ">", "<=", ">=",
               "&&", "||")
-STRING_TOKEN = re.compile(r'"(?:[^"\\\n]|\\.)*"')
 
 
 def token_extents(source):
@@ -528,9 +539,10 @@ def token_extents(source):
         starts.append(starts[-1] + len(line))
     extents = []
     for tok in tokenize(source):
-        start = starts[tok.line - 1] + tok.col - 1
-        end = STRING_TOKEN.match(source, start).end() \
-            if tok.kind == STRING else start + len(tok.text)
+        kind, text, line, col = tok
+        start = starts[line - 1] + col - 1
+        end = STRING_LITERAL.match(source, start).end() \
+            if kind == STRING else start + len(text)
         extents.append((start, end, tok))
     return extents
 
@@ -540,16 +552,16 @@ def mutate(source, extents, rng):
     operator swapped, an ``@`` run dropped or doubled, an identifier
     replaced by another of the file's or given an ``@``, or any other
     token deleted."""
-    start, end, tok = rng.choice(extents)
-    if tok.kind == INT:
+    start, end, (kind, text, _, _) = rng.choice(extents)
+    if kind == INT:
         new = rng.choice(MUTANT_INTS)
-    elif tok.kind == PUNCT and tok.text in MUTANT_OPS:
-        new = rng.choice([op for op in MUTANT_OPS if op != tok.text])
-    elif tok.kind == AT:
-        new = rng.choice(("", tok.text * 2))
-    elif tok.kind == IDENT:
-        names = sorted({t.text for _, _, t in extents if t.kind == IDENT})
-        new = rng.choice([*names, tok.text + "@"])
+    elif kind == PUNCT and text in MUTANT_OPS:
+        new = rng.choice([op for op in MUTANT_OPS if op != text])
+    elif kind == AT:
+        new = rng.choice(("", text * 2))
+    elif kind == IDENT:
+        names = sorted({t[1] for _, _, t in extents if t[0] == IDENT})
+        new = rng.choice([*names, text + "@"])
     else:
         new = ""
     return source[:start] + new + source[end:]

@@ -1,11 +1,17 @@
+import gc
+
 import pytest
 
+from catat import emit, specialize_program
+from catat.cli import parse_arg_list
 from catat.errors import LexError
 from catat.lexer import AT, IDENT, INT, KEYWORD, PUNCT, STRING, tokenize
 
+from conftest import staged_fixture
+
 
 def kinds(src):
-    return [(t.kind, t.text) for t in tokenize(src)]
+    return [(kind, text) for kind, text, _, _ in tokenize(src)]
 
 
 def test_static_declaration_tokens():
@@ -21,48 +27,60 @@ def test_empty_input():
 
 def test_annotated_loop_header():
     toks = tokenize("for@ (int@ i=1; i < N; ++i)")
-    assert (toks[0].kind, toks[0].text) == (KEYWORD, "for")
-    assert toks[1].kind == AT and toks[1].at_count == 1
-    assert (toks[3].kind, toks[3].text) == (KEYWORD, "int")
-    assert toks[4].kind == AT
+    assert toks[0][:2] == (KEYWORD, "for")
+    assert toks[1][0] == AT and len(toks[1][1]) == 1
+    assert toks[3][:2] == (KEYWORD, "int")
+    assert toks[4][0] == AT
 
 
 def test_at_run_counts():
     toks = tokenize("int@@@ x")
-    assert toks[1].kind == AT
-    assert toks[1].at_count == 3
+    assert toks[1][0] == AT
+    assert len(toks[1][1]) == 3
 
 
 def test_comments_skipped():
     toks = tokenize("x // comment with @ and 123\ny")
-    assert [t.text for t in toks] == ["x", "y"]
+    assert [text for _, text, _, _ in toks] == ["x", "y"]
 
 
 def test_string_literal_with_escapes():
     toks = tokenize(r'Catat_error@("a\"b\n")')
-    strings = [t for t in toks if t.kind == STRING]
-    assert strings[0].text == 'a"b\n'
+    strings = [text for kind, text, _, _ in toks if kind == STRING]
+    assert strings[0] == 'a"b\n'
 
 
 def test_multichar_operators():
-    texts = [t.text for t in tokenize("a+=b; c&&d; e<=f; ++g")]
+    texts = [text for _, text, _, _ in tokenize("a+=b; c&&d; e<=f; ++g")]
     assert "+=" in texts and "&&" in texts and "<=" in texts and "++" in texts
 
 
 def test_float_literals():
     toks = tokenize("1.5 2e3 4.25e-2")
-    assert all(t.kind == "float-literal" for t in toks)
+    assert all(kind == "float-literal" for kind, _, _, _ in toks)
 
 
 def test_spans_are_ordered_and_nonempty():
     toks = tokenize("int@ j = 0;\nfor@ (x)")
-    assert all(t.text for t in toks)
-    positions = [(t.line, t.col) for t in toks]
+    assert all(text for _, text, _, _ in toks)
+    positions = [(line, col) for _, _, line, col in toks]
     assert positions == sorted(positions)
     # spans never overlap: each token ends before the next starts
-    for a, b in zip(toks, toks[1:]):
-        if a.line == b.line:
-            assert a.col + len(a.text) <= b.col
+    for (_, text, line, col), (_, _, next_line, next_col) in zip(toks,
+                                                               toks[1:]):
+        if line == next_line:
+            assert col + len(text) <= next_col
+
+
+def test_tokens_are_plain_tuples_the_collector_lets_go():
+    rp = specialize_program(staged_fixture("dot.cat"), "dot",
+                            parse_arg_list("2500, int"))
+    toks = tokenize(emit(rp))
+    assert len(toks) > 2500 * 10
+    assert all(type(t) is tuple and tuple(map(type, t)) ==
+               (str, str, int, int) for t in toks)
+    gc.collect()
+    assert not any(gc.is_tracked(t) for t in toks)
 
 
 def test_illegal_character():
@@ -85,10 +103,6 @@ def test_unterminated_string():
         tokenize('"abc')
 
 
-def stream(src):
-    return [(t.kind, t.text, t.line, t.col) for t in tokenize(src)]
-
-
 @pytest.mark.parametrize("src, expected", [
     ("٣", [(INT, "٣", 1, 1)]),
     (str(2 ** 63 - 1), [(INT, str(2 ** 63 - 1), 1, 1)]),
@@ -99,7 +113,7 @@ def stream(src):
     ("@@@x", [(AT, "@@@", 1, 1), (IDENT, "x", 1, 4)]),
 ])
 def test_token_stream_edge_cases(src, expected):
-    assert stream(src) == expected
+    assert tokenize(src) == expected
 
 
 @pytest.mark.parametrize("src, message, col", [

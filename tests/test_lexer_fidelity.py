@@ -6,8 +6,9 @@ a derandomized soup of tokens, blanks, comments and bad input."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catat.errors import LexError
+from catat.errors import LexError, Span
 from catat.lexer import tokenize
+from catat.parser import _span
 
 import reference_lexer
 from conftest import front_end_texts
@@ -15,8 +16,7 @@ from conftest import front_end_texts
 
 def outcome(lex, source):
     try:
-        return [tuple(t) if isinstance(t, tuple) else
-                (t.kind, t.text, t.line, t.col) for t in lex(source)]
+        return lex(source)
     except LexError as error:
         return (type(error), error.message, error.span)
 
@@ -28,7 +28,9 @@ def assert_same(source):
 
 def test_spans_are_the_token_positions():
     for t in tokenize("int@ j = 0;\n  for@ (x)\t// c\r\n\"a\\\nb\" y"):
-        assert t.span == (t.line, t.col)
+        span = _span(t)
+        assert span == t[2:] == (span.line, span.col)
+        assert type(span) is Span
 
 
 TEXTS = dict(front_end_texts())

@@ -195,6 +195,22 @@ def test_nested_parentheses():
     assert exc.value.span.line == 1 and exc.value.span.col > 9
 
 
+@pytest.mark.parametrize("src, span", [
+    ("x = 12", (1, 7)),
+    ('x = "abc"', (1, 10)),
+    ('x = "a\\"b"', (1, 11)),
+    ('x = "a\\\nbc"', (2, 4)),
+    ('x = "abc" // "d"\n', (1, 10)),
+], ids=["integer", "string", "escaped-quote", "escaped-newline",
+        "string-then-comment"])
+def test_end_of_input_is_one_past_the_last_token(src, span):
+    # past the string's source text, not its decoded body
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert exc.value.message == "expected ';', found end of input"
+    assert exc.value.span == span
+
+
 # Each construct the parser nests by recursion, as a statement ``depth``
 # levels deep.  Unary minus is spaced: ``--`` lexes as a decrement.
 NESTINGS = {
@@ -203,6 +219,14 @@ NESTINGS = {
     "subscripts": lambda d: "int y = " + "a[" * d + "0" + "]" * d + ";",
     "blocks": lambda d: "{" * d + "}" * d,
     "if-chain": lambda d: "if (c) x = 1; else " * d + "x = 2;",
+}
+# What each construct reports when it nests past the stack.
+NESTED_TOO_DEEPLY = {
+    "parentheses": "expression nested too deeply",
+    "unary-minus": "expression nested too deeply",
+    "subscripts": "expression nested too deeply",
+    "blocks": "statement nested too deeply",
+    "if-chain": "statement nested too deeply",
 }
 
 
@@ -217,7 +241,7 @@ def test_nesting_floor(name):
 def test_nesting_past_the_stack_is_a_parse_error(name):
     with pytest.raises(ParseError) as exc:
         parse(NESTINGS[name](5000))
-    assert exc.value.message == "expression nested too deeply"
+    assert exc.value.message == NESTED_TOO_DEEPLY[name]
 
 
 def test_parse_lexes_through_the_module_tokenize(monkeypatch):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from catat import parse
+from catat.errors import Span
 from catat.nodes import walk
 
 from conftest import front_end_texts
@@ -53,6 +54,18 @@ def test_every_node_keeps_its_span(recorded, current):
     moved = [label for label in recorded if current.get(label) !=
              recorded[label]]
     assert moved == []
+
+
+def test_every_node_has_a_span_and_no_stage():
+    # The hot rules set ``span`` after building a node: a bare tuple there
+    # would hash alike but have no ``.line``.
+    texts = [*front_end_texts(),
+             ("unary", "int f(int d) { d = -d; ++d; return !d ? d : -d; }")]
+    odd = [(label, type(node).__name__, node.span, node.stage)
+           for label, text in texts
+           for item in parse(text).items for node in walk(item)
+           if type(node.span) is not Span or node.stage is not None]
+    assert odd == []
 
 
 if __name__ == "__main__":
