@@ -22,7 +22,8 @@ from .staging import check_stages
 from .staticeval import EvalLimits
 from .specializer import specialize_program
 from .values import (
-    ArrayV, BoolV, FLOAT, FloatV, INT, IntV, PRIM_BY_NAME, Value,
+    ArrayV, BoolV, FLOAT, FloatV, INT, INT64_MAX, INT64_MIN, IntV,
+    PRIM_BY_NAME, Value,
 )
 
 _TYPE_ARG_NAMES = ("int", "float", "char", "bool", "double", "long int",
@@ -73,9 +74,12 @@ def _parse_arg(text: str) -> Value:
     try:
         if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
             return FloatV(float(text))
-        return IntV(int(text))
+        value = int(text)
     except ValueError:
         raise ParseError(f"cannot parse argument {text!r}")
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ParseError(f"integer argument {text!r} out of 64-bit range")
+    return IntV(value)
 
 
 def _limits(args) -> EvalLimits:
@@ -259,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return e.exit_code
     except OSError as e:
         print(f"catat: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:   # the source file is not UTF-8
+        print(f"catat: {args.file}: {e}", file=sys.stderr)
         return 1
 
 

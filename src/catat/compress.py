@@ -30,8 +30,6 @@ its type, and an expression is typed with the specializer's
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import nodes as n
 from .emitter import emit_expr, emit_stmt
 from .errors import TypeMismatch
@@ -258,7 +256,8 @@ class _Compressor:
                        else n.Return(value, span=ret.span))
         if len(out) == len(u.body) and all(a is b for a, b in zip(out, u.body)):
             return u
-        return replace(u, body=out, types=self.supply.types)
+        return ResidualFunction(u.name, u.return_type, u.params, out, u.key,
+                                u.comment, self.supply.types)
 
     def forward(self, value: n.Expr | None, out: list,
                 start: int) -> n.Expr | None:

@@ -11,7 +11,6 @@ performance proxy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from . import nodes as n
 from .staging import check_stages
@@ -22,11 +21,27 @@ from .values import Value, UNIT
 DEFAULT_STEP_LIMIT = 10_000_000
 
 
-@dataclass
 class RunResult:
-    value: Value
-    steps: int
-    bindings: list | None = None  # (name, Value) globals, scripting reports
+    __slots__ = ("value", "steps", "bindings")
+
+    def __init__(self, value: Value, steps: int,
+                 bindings: list | None = None):
+        self.value = value
+        self.steps = steps
+        # (name, Value) globals, scripting reports
+        self.bindings = bindings
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.steps, self.bindings) == \
+                (other.value, other.steps, other.bindings)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(value={self.value!r}, "
+                f"steps={self.steps!r}, bindings={self.bindings!r})")
 
 
 def _checked_program(program, check: bool) -> n.Program:

@@ -260,7 +260,9 @@ class _Writer:
         return str(e.value), _POSTFIX_PREC
 
     def float_lit(self, e: n.FloatLit) -> tuple[str, int]:
-        return repr(e.value), _POSTFIX_PREC
+        # an infinity is spelt as a literal too large for a double, which
+        # the lexer reads back as that infinity
+        return repr(e.value).replace("inf", "1e999"), _POSTFIX_PREC
 
     def bool_lit(self, e: n.BoolLit) -> tuple[str, int]:
         return ("true" if e.value else "false"), _POSTFIX_PREC

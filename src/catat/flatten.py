@@ -62,15 +62,13 @@ what it appended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import nodes as n
 from .errors import (
     FlattenUnsupported, LiftError, MalformedFragment, Span, UserStaticError,
 )
 from .values import (
-    BoolV, ClassTV, CodeV, FixedArrayTV, FloatV, IntV, PointerTV, StrV,
-    TypeValue, Value, describe, render_type,
+    INT64_MAX, INT64_MIN, BoolV, ClassTV, CodeV, FixedArrayTV, FloatV, IntV,
+    PointerTV, StrV, TypeValue, Value, describe, render_type,
 )
 
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=")
@@ -88,6 +86,9 @@ def lift(v: Value, span: Span | None = None) -> n.Expr:
     if isinstance(v, IntV):
         return lift_int(v.value, span)
     if isinstance(v, FloatV):
+        if v.value != v.value:
+            raise LiftError("the float nan has no literal form in dynamic "
+                            "code", span)
         if v.value < 0:
             return n.Unary("-", n.FloatLit(-v.value), span=span)
         return n.FloatLit(v.value, span=span)
@@ -98,9 +99,16 @@ def lift(v: Value, span: Span | None = None) -> n.Expr:
 
 
 def lift_int(value: int, span: Span | None = None) -> n.Expr:
-    """The literal of an int's Python value.  The span is set after the
-    node is made: a keyword argument costs more than the store."""
-    node = n.IntLit(value) if value >= 0 else n.Unary("-", n.IntLit(-value))
+    """The literal of an int's Python value.  The magnitude of INT64_MIN
+    is no int literal, so it is written as C writes it,
+    ``-9223372036854775807 - 1``.  The span is set after the node is made:
+    a keyword argument costs more than the store."""
+    if value >= 0:
+        node = n.IntLit(value)
+    elif value != INT64_MIN:
+        node = n.Unary("-", n.IntLit(-value))
+    else:
+        node = n.Binary("-", n.Unary("-", n.IntLit(INT64_MAX)), n.IntLit(1))
     node.span = span
     return node
 
@@ -151,13 +159,26 @@ def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
 # after its arguments, as in the walker.
 
 
-@dataclass
 class Shell:
     """A function under construction: its (name, TypeValue) parameters and
     the block that ``append(body(shell), ...)`` fills."""
 
-    params: list
-    body: n.Block
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: list, body: n.Block):
+        self.params = params
+        self.body = body
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.params, self.body) == (other.params, other.body)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(params={self.params!r}, "
+                f"body={self.body!r})")
 
 
 def _as_expr(v, span: Span | None) -> n.Expr:

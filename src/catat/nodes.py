@@ -1,18 +1,22 @@
 """AST node definitions for Catat source programs.
 
-Structural equality deliberately ignores source spans and checker-assigned
-stages (``compare=False``), so two parses of the same text compare equal and
-round-trip tests can use plain ``==``.
+Each node class declares its ``__slots__``, an ``__init__`` that stores
+every field in turn, and ``_fields``, the names of its compared fields in
+order.  ``Node`` reads ``_fields`` for ``==`` and ``repr``.
+Equality ignores source spans and checker-assigned stages, so two parses
+of the same text compare equal and round-trip tests can use plain ``==``.
+A node equals only a node of its own class, and is unhashable.
 
-Walker contract: every field with ``compare=True`` holds a plain value, a
-node, ``None`` or a list of nodes, and the nodes among them are the
-node's children.  ``span``, ``stage`` and the other ``compare=False``
-fields are never children.  ``children``, ``walk`` and ``map_children``
-read the fields from the dataclass definitions, so a new node type needs
-no traversal code of its own.
+Walker contract: every field in ``_fields`` holds a plain value, a node,
+``None`` or a list of nodes, and the nodes among them are the node's
+children.  ``span``, ``stage`` and ``For.unrolling``, the fields named in
+``_kept``, are never children.  ``children``, ``walk`` and
+``map_children`` read these two tuples, so a new node type needs no
+traversal code of its own.
 
-Every node class is a slotted dataclass: a node has no ``__dict__``, and
-``map_children`` copies every field, compared or not.
+Every node class is slotted: a node has no ``__dict__``, and
+``map_children`` copies every field, compared or kept.  A list field
+whose default is ``FRESH`` gets a new empty list.
 
 Annotation counts record the literal number of ``@`` characters lexed at
 each position; 0 means unannotated.  Annotations are *relative*: a count of
@@ -22,16 +26,42 @@ s - k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from functools import cache
-
 from .errors import Span
 
 
-@dataclass(slots=True)
+class _Fresh:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<factory>"
+
+
+# The default of a list or dict field: the constructor stores a new, empty
+# one.  It prints as ``dataclasses`` prints a default factory.
+FRESH = _Fresh()
+
+
 class Node:
-    span: Span | None = field(default=None, compare=False, kw_only=True, repr=False)
-    stage: int | None = field(default=None, compare=False, kw_only=True, repr=False)
+    __slots__ = ("span", "stage")
+    _fields = ()
+    _kept = ("span", "stage")
+
+    def __init__(self, *, span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return [getattr(self, name) for name in self._fields] == \
+                [getattr(other, name) for name in self._fields]
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 # ---------------------------------------------------------------------------
@@ -41,44 +71,69 @@ PRIM_TYPE_NAMES = ("int", "float", "char", "long int", "bool", "double",
                    "typename", "ASTree", "void")
 
 
-@dataclass(slots=True)
 class TypeExpr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class PrimType(TypeExpr):
-    name: str = ""
-    at_count: int = 0
+    __slots__ = _fields = ("name", "at_count")
+
+    def __init__(self, name: str = "", at_count: int = 0, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.at_count = at_count
 
 
-@dataclass(slots=True)
 class NamedType(TypeExpr):
     """Reference to a typename variable or a class name used as a type."""
 
-    name: str = ""
-    at_count: int = 0
+    __slots__ = _fields = ("name", "at_count")
+
+    def __init__(self, name: str = "", at_count: int = 0, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.at_count = at_count
 
 
-@dataclass(slots=True)
 class ClassAppType(TypeExpr):
     """``Name(args)`` or ``Name@(args)`` used as a type."""
 
-    name: str = ""
-    args: list = field(default_factory=list)
-    ctime: bool = False  # True for the Name@(...) form
-    at_count: int = 0
+    __slots__ = _fields = ("name", "args", "ctime", "at_count")
+
+    def __init__(self, name: str = "", args: list = FRESH,
+                 ctime: bool = False, at_count: int = 0, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.args = [] if args is FRESH else args
+        self.ctime = ctime  # True for the Name@(...) form
+        self.at_count = at_count
 
 
-@dataclass(slots=True)
 class PointerType(TypeExpr):
-    base: TypeExpr = None
+    __slots__ = _fields = ("base",)
+
+    def __init__(self, base: TypeExpr = None, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.base = base
 
 
-@dataclass(slots=True)
 class ArrayType(TypeExpr):
-    base: TypeExpr = None
-    size: "Expr" = None
+    __slots__ = _fields = ("base", "size")
+
+    def __init__(self, base: TypeExpr = None, size: Expr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.base = base
+        self.size = size
 
 
 def annotation_count(t: TypeExpr) -> int:
@@ -100,76 +155,130 @@ def is_typename_type(t: TypeExpr) -> bool:
 # Expressions
 
 
-@dataclass(slots=True)
 class Expr(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class IntLit(Expr):
-    value: int = 0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int = 0, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.value = value
 
 
-@dataclass(slots=True)
 class FloatLit(Expr):
-    value: float = 0.0
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float = 0.0, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.value = value
 
 
-@dataclass(slots=True)
 class BoolLit(Expr):
-    value: bool = False
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool = False, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.value = value
 
 
-@dataclass(slots=True)
 class StringLit(Expr):
-    value: str = ""
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str = "", *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.value = value
 
 
-@dataclass(slots=True)
 class TypeLit(Expr):
     """A type used as a first-class value (``return float;``, ``case int:``)."""
 
-    type_expr: TypeExpr = None
+    __slots__ = _fields = ("type_expr",)
+
+    def __init__(self, type_expr: TypeExpr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.type_expr = type_expr
 
 
-@dataclass(slots=True)
 class VarRef(Expr):
-    name: str = ""
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str = "", *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
 
 
-@dataclass(slots=True)
 class Unary(Expr):
-    op: str = ""  # "!" or "-"
-    operand: Expr = None
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str = "", operand: Expr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.op = op  # "!" or "-"
+        self.operand = operand
 
 
-@dataclass(slots=True)
 class Incr(Expr):
-    op: str = ""  # "++" or "--"
-    target: Expr = None
+    __slots__ = _fields = ("op", "target")
+
+    def __init__(self, op: str = "", target: Expr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.op = op  # "++" or "--"
+        self.target = target
 
 
-@dataclass(slots=True)
 class Binary(Expr):
-    op: str = ""
-    lhs: Expr = None
-    rhs: Expr = None
+    __slots__ = _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str = "", lhs: Expr = None, rhs: Expr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(slots=True)
 class Cond(Expr):
-    cond: Expr = None
-    then_expr: Expr = None
-    else_expr: Expr = None
+    __slots__ = _fields = ("cond", "then_expr", "else_expr")
+
+    def __init__(self, cond: Expr = None, then_expr: Expr = None,
+                 else_expr: Expr = None, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.cond = cond
+        self.then_expr = then_expr
+        self.else_expr = else_expr
 
 
-@dataclass(slots=True)
 class Subscript(Expr):
-    base: Expr = None
-    index: Expr = None
+    __slots__ = _fields = ("base", "index")
+
+    def __init__(self, base: Expr = None, index: Expr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.base = base
+        self.index = index
 
 
-@dataclass(slots=True)
 class Call(Expr):
     """Function invocation.
 
@@ -179,107 +288,178 @@ class Call(Expr):
       * ``f(s...)(d...)``  -> static_args holds the first list
     """
 
-    callee: str = ""
-    args: list = field(default_factory=list)
-    static_args: list | None = None
-    at_count: int = 0
+    __slots__ = _fields = ("callee", "args", "static_args", "at_count")
+
+    def __init__(self, callee: str = "", args: list = FRESH,
+                 static_args: list | None = None, at_count: int = 0, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.callee = callee
+        self.args = [] if args is FRESH else args
+        self.static_args = static_args
+        self.at_count = at_count
 
 
 # ---------------------------------------------------------------------------
 # Statements
 
 
-@dataclass(slots=True)
 class Stmt(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class Declarator(Node):
-    name: str = ""
-    array_size: Expr | None = None
-    init: Expr | None = None
+    __slots__ = _fields = ("name", "array_size", "init")
+
+    def __init__(self, name: str = "", array_size: Expr | None = None,
+                 init: Expr | None = None, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.array_size = array_size
+        self.init = init
 
 
-@dataclass(slots=True)
 class VarDecl(Stmt):
-    dtype: TypeExpr = None
-    declarators: list = field(default_factory=list)
-    static_kw: bool = False  # leading C++-style `static` on class members
+    __slots__ = _fields = ("dtype", "declarators", "static_kw")
+
+    def __init__(self, dtype: TypeExpr = None, declarators: list = FRESH,
+                 static_kw: bool = False, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.dtype = dtype
+        self.declarators = [] if declarators is FRESH else declarators
+        # leading C++-style `static` on class members
+        self.static_kw = static_kw
 
 
-@dataclass(slots=True)
 class Assign(Stmt):
-    target: Expr = None
-    op: str = "="  # = += -= *= /= %=
-    value: Expr = None
+    __slots__ = _fields = ("target", "op", "value")
+
+    def __init__(self, target: Expr = None, op: str = "=",
+                 value: Expr = None, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.target = target
+        self.op = op  # = += -= *= /= %=
+        self.value = value
 
 
-@dataclass(slots=True)
 class ExprStmt(Stmt):
-    expr: Expr = None
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Expr = None, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.expr = expr
 
 
-@dataclass(slots=True)
 class Block(Stmt):
-    stmts: list = field(default_factory=list)
+    __slots__ = _fields = ("stmts",)
+
+    def __init__(self, stmts: list = FRESH, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.stmts = [] if stmts is FRESH else stmts
 
 
-@dataclass(slots=True)
 class If(Stmt):
-    cond: Expr = None
-    then_stmt: Stmt = None
-    else_stmt: Stmt | None = None
-    at_count: int = 0
-    else_at_count: int = 0
+    __slots__ = _fields = ("cond", "then_stmt", "else_stmt", "at_count",
+                           "else_at_count")
+
+    def __init__(self, cond: Expr = None, then_stmt: Stmt = None,
+                 else_stmt: Stmt | None = None, at_count: int = 0,
+                 else_at_count: int = 0, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.cond = cond
+        self.then_stmt = then_stmt
+        self.else_stmt = else_stmt
+        self.at_count = at_count
+        self.else_at_count = else_at_count
 
 
-@dataclass(slots=True)
 class For(Stmt):
-    init: Stmt | None = None
-    cond: Expr | None = None
-    incr: Stmt | None = None
-    body: Stmt = None
-    at_count: int = 0
-    # set on the loop a flatten generator runs to unroll a ``for@``, so
-    # its loop-cap error reads as the specializer's
-    unrolling: bool = field(default=False, compare=False, kw_only=True,
-                            repr=False)
+    __slots__ = ("init", "cond", "incr", "body", "at_count", "unrolling")
+    _fields = ("init", "cond", "incr", "body", "at_count")
+    _kept = ("span", "stage", "unrolling")
+
+    def __init__(self, init: Stmt | None = None, cond: Expr | None = None,
+                 incr: Stmt | None = None, body: Stmt = None,
+                 at_count: int = 0, *, span: Span | None = None,
+                 stage: int | None = None, unrolling: bool = False):
+        self.span = span
+        self.stage = stage
+        self.init = init
+        self.cond = cond
+        self.incr = incr
+        self.body = body
+        self.at_count = at_count
+        # set on the loop a flatten generator runs to unroll a ``for@``, so
+        # its loop-cap error reads as the specializer's
+        self.unrolling = unrolling
 
 
-@dataclass(slots=True)
 class SwitchCase(Node):
-    label: Expr | None = None  # None for `default:`
-    body: list = field(default_factory=list)
+    __slots__ = _fields = ("label", "body")
+
+    def __init__(self, label: Expr | None = None, body: list = FRESH, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.label = label  # None for `default:`
+        self.body = [] if body is FRESH else body
 
 
-@dataclass(slots=True)
 class Switch(Stmt):
-    subject: Expr = None
-    cases: list = field(default_factory=list)
-    at_count: int = 0
+    __slots__ = _fields = ("subject", "cases", "at_count")
+
+    def __init__(self, subject: Expr = None, cases: list = FRESH,
+                 at_count: int = 0, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.subject = subject
+        self.cases = [] if cases is FRESH else cases
+        self.at_count = at_count
 
 
-@dataclass(slots=True)
 class Return(Stmt):
-    value: Expr | None = None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Expr | None = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.value = value
 
 
 # ---------------------------------------------------------------------------
 # Declarations
 
 
-@dataclass(slots=True)
 class Param(Node):
-    name: str = ""
-    dtype: TypeExpr = None
+    __slots__ = _fields = ("name", "dtype")
+
+    def __init__(self, name: str = "", dtype: TypeExpr = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.dtype = dtype
 
     @property
     def at_count(self) -> int:
         return annotation_count(self.dtype)
 
 
-@dataclass(slots=True)
 class FunctionDef(Node):
     """``function name(static...)(dynamic...) { ... }``
 
@@ -288,11 +468,20 @@ class FunctionDef(Node):
     ``type name(params)`` form was parsed (emitted residual programs).
     """
 
-    name: str = ""
-    static_params: list | None = None
-    params: list = field(default_factory=list)
-    body: Block = None
-    declared_return: TypeExpr | None = None
+    __slots__ = _fields = ("name", "static_params", "params", "body",
+                           "declared_return")
+
+    def __init__(self, name: str = "", static_params: list | None = None,
+                 params: list = FRESH, body: Block = None,
+                 declared_return: TypeExpr | None = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.static_params = static_params
+        self.params = [] if params is FRESH else params
+        self.body = body
+        self.declared_return = declared_return
 
     @property
     def static_arity(self) -> int:
@@ -331,24 +520,41 @@ def inferred_statics(static_params: list, params: list, elems: list) -> list:
             for p in static_params]
 
 
-@dataclass(slots=True)
 class VisibilityLabel(Node):
-    name: str = ""  # "public" | "private"
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str = "", *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name  # "public" | "private"
 
 
-@dataclass(slots=True)
 class CtorDef(Node):
-    at_count: int = 0  # >= 1 marks the compile-time constructor
-    body: Block = None
+    __slots__ = _fields = ("at_count", "body")
+
+    def __init__(self, at_count: int = 0, body: Block = None, *,
+                 span: Span | None = None, stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.at_count = at_count  # >= 1 marks the compile-time constructor
+        self.body = body
 
 
-@dataclass(slots=True)
 class ClassDef(Node):
     """``class Name(static...) { items }``; items keep source order."""
 
-    name: str = ""
-    static_params: list = field(default_factory=list)
-    items: list = field(default_factory=list)  # VisibilityLabel | VarDecl | CtorDef
+    __slots__ = _fields = ("name", "static_params", "items")
+
+    def __init__(self, name: str = "", static_params: list = FRESH,
+                 items: list = FRESH, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.name = name
+        self.static_params = [] if static_params is FRESH else static_params
+        # VisibilityLabel | VarDecl | CtorDef
+        self.items = [] if items is FRESH else items
 
     @property
     def static_arity(self) -> int:
@@ -370,11 +576,16 @@ class ClassDef(Node):
         return [it for it in self.items if isinstance(it, VarDecl)]
 
 
-@dataclass(slots=True)
 class Program(Node):
     """Top level: functions, classes, and ordinary statements in order."""
 
-    items: list = field(default_factory=list)
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: list = FRESH, *, span: Span | None = None,
+                 stage: int | None = None):
+        self.span = span
+        self.stage = stage
+        self.items = [] if items is FRESH else items
 
     def functions(self) -> list:
         return [it for it in self.items if isinstance(it, FunctionDef)]
@@ -386,23 +597,15 @@ class Program(Node):
 # ---------------------------------------------------------------------------
 # Generic traversal
 
-@cache
 def child_fields(cls: type) -> tuple[str, ...]:
     """Names of the fields of ``cls`` that take part in equality, the only
     fields that can hold child nodes."""
-    return tuple(f.name for f in fields(cls) if f.compare)
-
-
-@cache
-def _kept_fields(cls: type) -> tuple[str, ...]:
-    """Names of the other fields of ``cls``: ``span``, ``stage`` and
-    ``For.unrolling``."""
-    return tuple(f.name for f in fields(cls) if not f.compare)
+    return cls._fields
 
 
 def children(node: Node):
     """The child nodes of ``node`` in field order."""
-    for name in child_fields(type(node)):
+    for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, Node):
             yield value
@@ -420,18 +623,18 @@ def walk(node: Node):
 def map_children(node: Node, fn) -> Node:
     """A shallow copy of ``node`` whose child nodes are replaced by
     ``fn(child)``.  Every field is copied: list fields as new lists, plain
-    values and the ``compare=False`` fields shared.  A slotted node has no
-    class default to fall back on, so a field left out would be unset."""
+    values and the ``_kept`` fields shared.  A slotted node has no class
+    default to fall back on, so a field left out would be unset."""
     cls = type(node)
     new = object.__new__(cls)
-    for name in child_fields(cls):
+    for name in cls._fields:
         value = getattr(node, name)
         if isinstance(value, Node):
             value = fn(value)
         elif isinstance(value, list):
             value = [fn(x) for x in value]
         setattr(new, name, value)
-    for name in _kept_fields(cls):
+    for name in cls._kept:
         setattr(new, name, getattr(node, name))
     return new
 
@@ -451,7 +654,7 @@ def strip_annotations(node, merge_call_lists: bool = False):
     """
     def strip(x):
         x = map_children(x, strip)
-        if "at_count" in child_fields(type(x)) and not isinstance(x, CtorDef):
+        if "at_count" in x._fields and not isinstance(x, CtorDef):
             x.at_count = 0
         if isinstance(x, If):
             x.else_at_count = 0

@@ -51,8 +51,8 @@ or integer followed by punctuation that cannot go on an expression
 without climbing the precedence ladder.  These hot rules build the nodes
 residuals are made of (``VarRef``, ``IntLit``, ``Subscript``, ``Binary``,
 ``Assign`` and ``ExprStmt``) with positional fields and set ``span``
-afterwards: passing it as a keyword costs the dataclass ``__init__`` more
-than the store does.  The tree, every span and every error are those of
+afterwards: passing it as a keyword costs a node's ``__init__`` more than
+the store does.  The tree, every span and every error are those of
 the full route.
 
 Python's stack bounds how deep constructs nest.  Running out of it is a

@@ -69,7 +69,7 @@ and order of effects, and adds neither steps nor emitted text.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 from . import flatten
 from . import nodes as n
@@ -102,11 +102,37 @@ def key_args(static_args: list) -> tuple:
     return tuple(canonical_key(v) for v in static_args)
 
 
-@dataclass(frozen=True)
 class SpecializationKey:
-    kind: str  # "function" | "class"
-    name: str
-    args: tuple  # canonical value keys
+    """Immutable and hashable, as a memo key must be."""
+
+    __slots__ = ("kind", "name", "args")
+
+    def __init__(self, kind: str, name: str, args: tuple):
+        object.__setattr__(self, "kind", kind)  # "function" | "class"
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)  # canonical value keys
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.name, self.args) == \
+                (other.kind, other.name, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.name, self.args))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, "
+                f"name={self.name!r}, args={self.args!r})")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.name, self.args)
 
     @classmethod
     def for_function(cls, name: str, static_args: list) -> "SpecializationKey":
@@ -123,17 +149,38 @@ def key_comment(key: SpecializationKey, static_args: list) -> str:
     return f"specialized-from: {key.name}({rendered})"
 
 
-@dataclass
 class ResidualFunction:
-    name: str
-    return_type: TypeValue
-    params: list  # (name, TypeValue)
-    body: list  # single-level statements
-    key: SpecializationKey
-    comment: str = ""
-    # residual name -> type of each dynamic global, parameter and local it
-    # may read: the unit's ``NameSupply.types``
-    types: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "return_type", "params", "body", "key", "comment",
+                 "types")
+
+    def __init__(self, name: str, return_type: TypeValue, params: list,
+                 body: list, key: SpecializationKey, comment: str = "",
+                 types: dict = n.FRESH):
+        self.name = name
+        self.return_type = return_type
+        self.params = params  # (name, TypeValue)
+        self.body = body  # single-level statements
+        self.key = key
+        self.comment = comment
+        # residual name -> type of each dynamic global, parameter and local
+        # it may read: the unit's ``NameSupply.types``
+        self.types = {} if types is n.FRESH else types
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.return_type, self.params, self.body,
+                    self.key, self.comment) == \
+                (other.name, other.return_type, other.params, other.body,
+                 other.key, other.comment)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(name={self.name!r}, "
+                f"return_type={self.return_type!r}, "
+                f"params={self.params!r}, body={self.body!r}, "
+                f"key={self.key!r}, comment={self.comment!r})")
 
     def to_function_def(self) -> n.FunctionDef:
         params = [n.Param(name, type_value_to_texpr(tv))
@@ -143,14 +190,38 @@ class ResidualFunction:
                                  self.return_type))
 
 
-@dataclass
 class ResidualClass:
-    name: str
-    members: list  # (visibility, name, TypeValue) for dynamic members
-    static_members: dict  # name -> Value
-    ctor_body: list | None  # residual dynamic-constructor statements
-    key: SpecializationKey
-    comment: str = ""
+    __slots__ = ("name", "members", "static_members", "ctor_body", "key",
+                 "comment")
+
+    def __init__(self, name: str, members: list, static_members: dict,
+                 ctor_body: list | None, key: SpecializationKey,
+                 comment: str = ""):
+        self.name = name
+        # (visibility, name, TypeValue) for dynamic members
+        self.members = members
+        self.static_members = static_members  # name -> Value
+        # residual dynamic-constructor statements
+        self.ctor_body = ctor_body
+        self.key = key
+        self.comment = comment
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.members, self.static_members,
+                    self.ctor_body, self.key, self.comment) == \
+                (other.name, other.members, other.static_members,
+                 other.ctor_body, other.key, other.comment)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(name={self.name!r}, "
+                f"members={self.members!r}, "
+                f"static_members={self.static_members!r}, "
+                f"ctor_body={self.ctor_body!r}, key={self.key!r}, "
+                f"comment={self.comment!r})")
 
     def to_class_def(self) -> n.ClassDef:
         items: list = []
@@ -205,18 +276,42 @@ class Unit:
         return residual
 
 
-@dataclass
 class ResidualProgram:
     """Single-level program plus the cache bookkeeping that produced it."""
 
-    units: list = field(default_factory=list)
-    top_stmts: list = field(default_factory=list)
-    entry_name: str | None = None
-    static_bindings: list = field(default_factory=list)  # (name, Value)
-    # set by dyninterp.run once the Program has passed check_stages(levels=1)
-    checked: bool = field(default=False, init=False, compare=False)
-    _program: n.Program | None = field(default=None, init=False,
-                                       repr=False, compare=False)
+    __slots__ = ("units", "top_stmts", "entry_name", "static_bindings",
+                 "checked", "_program")
+
+    def __init__(self, units: list = n.FRESH, top_stmts: list = n.FRESH,
+                 entry_name: str | None = None,
+                 static_bindings: list = n.FRESH):
+        self.units = [] if units is n.FRESH else units
+        self.top_stmts = [] if top_stmts is n.FRESH else top_stmts
+        self.entry_name = entry_name
+        # (name, Value)
+        self.static_bindings = [] if static_bindings is n.FRESH \
+            else static_bindings
+        # set by dyninterp.run once the Program has passed
+        # check_stages(levels=1); not compared
+        self.checked = False
+        self._program = None  # not compared, not shown
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.units, self.top_stmts, self.entry_name,
+                    self.static_bindings) == \
+                (other.units, other.top_stmts, other.entry_name,
+                 other.static_bindings)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(units={self.units!r}, "
+                f"top_stmts={self.top_stmts!r}, "
+                f"entry_name={self.entry_name!r}, "
+                f"static_bindings={self.static_bindings!r}, "
+                f"checked={self.checked!r})")
 
     @property
     def comments(self) -> dict:

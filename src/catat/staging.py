@@ -38,8 +38,6 @@ leaf read inline gets the ``.stage`` mark and raises the error that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import nodes as n
 from .errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
@@ -50,13 +48,29 @@ from .errors import (
 from .flatten import KNOWN_BUILTINS
 
 
-@dataclass
 class StagedAST:
     """A checked program plus what the specializer needs to trust it."""
 
-    program: n.Program
-    levels: int
-    static_only: frozenset = frozenset()
+    __slots__ = ("program", "levels", "static_only")
+
+    def __init__(self, program: n.Program, levels: int,
+                 static_only: frozenset = frozenset()):
+        self.program = program
+        self.levels = levels
+        self.static_only = static_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.program, self.levels, self.static_only) == \
+                (other.program, other.levels, other.static_only)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(program={self.program!r}, "
+                f"levels={self.levels!r}, "
+                f"static_only={self.static_only!r})")
 
     def functions_by_key(self) -> dict:
         return {(f.name, f.static_arity): f for f in self.program.functions()}
@@ -65,18 +79,52 @@ class StagedAST:
         return {c.name: c for c in self.program.classes()}
 
 
-@dataclass
 class _Sym:
-    stage: int
-    is_typename: bool = False
+    __slots__ = ("stage", "is_typename")
+
+    def __init__(self, stage: int, is_typename: bool = False):
+        self.stage = stage
+        self.is_typename = is_typename
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.stage, self.is_typename) == \
+                (other.stage, other.is_typename)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(stage={self.stage!r}, "
+                f"is_typename={self.is_typename!r})")
 
 
-@dataclass
 class _Scope:
-    default: int
-    frames: list = field(default_factory=lambda: [{}])
-    controls: list = field(default_factory=list)  # guard stages of enclosing control
-    top_level: bool = False  # the program's own statements, outside any body
+    __slots__ = ("default", "frames", "controls", "top_level")
+
+    def __init__(self, default: int, frames: list = n.FRESH,
+                 controls: list = n.FRESH, top_level: bool = False):
+        self.default = default
+        self.frames = [{}] if frames is n.FRESH else frames
+        # guard stages of enclosing control
+        self.controls = [] if controls is n.FRESH else controls
+        # the program's own statements, outside any body
+        self.top_level = top_level
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.default, self.frames, self.controls,
+                    self.top_level) == \
+                (other.default, other.frames, other.controls,
+                 other.top_level)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(default={self.default!r}, "
+                f"frames={self.frames!r}, controls={self.controls!r}, "
+                f"top_level={self.top_level!r})")
 
     def push(self):
         self.frames.append({})

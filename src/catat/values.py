@@ -9,17 +9,20 @@ Integers are 64-bit signed with a hard overflow error (no silent wrap);
 promotes to float.  Types are first-class values (`TypeValue`), structural
 equality included.
 
-The scalars (`IntV`, `FloatV`, `BoolV`, `StrV`) are immutable and slotted:
-one small object with no ``__dict__`` each, built without the setter of a
-frozen dataclass, because the evaluators make one for nearly every
-expression they reduce.
+Every value class is slotted.  ``Value`` compares and prints the fields
+its class names in ``_fields``.  The scalars (`IntV`,
+`FloatV`, `BoolV`, `StrV`), `UnitV` and the type values are immutable and
+hashable: assigning a field raises ``FrozenInstanceError``.  A scalar is
+one small object with no ``__dict__``, stored through its slot's own
+descriptor, because the evaluators make one for nearly every expression
+they reduce.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 
 from .errors import DivisionByZero, IntegerOverflow, Span, TypeMismatch
 
@@ -28,7 +31,29 @@ INT64_MAX = 2 ** 63 - 1
 
 
 class Value:
+    """A value: equal only to a value of its own class whose ``_fields``
+    are equal, and printed as ``Class(field=value, ...)``.  A value is
+    unhashable unless its class is immutable."""
+
     __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        # the evaluators compare a type value with itself far more often
+        # than with another; the answer is the one the fields would give
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return [getattr(self, name) for name in self._fields] == \
+                [getattr(other, name) for name in self._fields]
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 class _Scalar(Value):
@@ -36,7 +61,7 @@ class _Scalar(Value):
 
     The constructor stores ``value`` through the slot's own descriptor, so
     a scalar costs one small object and no ``__dict__``.  Equality, hashing
-    and ``repr`` are those of a frozen dataclass with one field: equal only
+    and ``repr`` are those of an immutable value with one field: equal only
     to the same class with an equal value, so ``IntV(1) != FloatV(1.0)``."""
 
     __slots__ = ("value",)
@@ -52,7 +77,7 @@ class _Scalar(Value):
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            # as a dataclass compares: a NaN object equals itself
+            # as a tuple compares: a NaN object equals itself
             return (self.value,) == (other.value,)
         return NotImplemented
 
@@ -88,42 +113,54 @@ class StrV(_Scalar):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class UnitV(Value):
-    pass
+    __slots__ = ()
+    __setattr__ = _Scalar.__setattr__
+    __delattr__ = _Scalar.__delattr__
+
+    def __hash__(self):
+        return hash(())
 
 
 UNIT = UnitV()
 
 
-@dataclass
 class ArrayV(Value):
     """Fixed-size array; cells are mutable, element type is fixed."""
 
-    elem: "TypeValue"
-    cells: list
-    # cell stores so far; the compile-time call memo keys an array by it
-    stores: int = field(default=0, compare=False, repr=False)
-    # (stores, canonical key, rendering) of an array of SCALAR_CELLS, made
-    # once per version: valid while ``stores`` has not moved
-    keyed: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("elem", "cells", "stores", "keyed")
+    _fields = ("elem", "cells")
+
+    def __init__(self, elem: TypeValue, cells: list, stores: int = 0,
+                 keyed: tuple | None = None):
+        self.elem = elem
+        self.cells = cells
+        # cell stores so far; the compile-time call memo keys an array by it
+        self.stores = stores
+        # (stores, canonical key, rendering) of an array of SCALAR_CELLS,
+        # made once per version: valid while ``stores`` has not moved
+        self.keyed = keyed
 
     def __len__(self) -> int:
         return len(self.cells)
 
 
-@dataclass
 class InstanceV(Value):
-    class_name: str
-    members: dict
+    __slots__ = _fields = ("class_name", "members")
+
+    def __init__(self, class_name: str, members: dict):
+        self.class_name = class_name
+        self.members = members
 
 
-@dataclass
 class CodeV(Value):
     """Residual syntax built by the flattener's builders: an ``n.Expr``, an
     ``n.Stmt`` or a function shell (``flatten.Shell``)."""
 
-    frag: object
+    __slots__ = _fields = ("frag",)
+
+    def __init__(self, frag: object):
+        self.frag = frag
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +168,52 @@ class CodeV(Value):
 
 
 class TypeValue(Value):
-    """A type as a first-class (always static) value."""
+    """A type as a first-class (always static) value: immutable, and
+    hashed on its ``_fields``.  A constructor stores each field through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+    __setattr__ = _Scalar.__setattr__
+    __delattr__ = _Scalar.__delattr__
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self._fields])
 
 
-@dataclass(frozen=True)
 class PrimTV(TypeValue):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class PointerTV(TypeValue):
-    elem: TypeValue
+    __slots__ = _fields = ("elem",)
+
+    def __init__(self, elem: TypeValue):
+        object.__setattr__(self, "elem", elem)
 
 
-@dataclass(frozen=True)
 class FixedArrayTV(TypeValue):
-    elem: TypeValue
-    size: int
+    __slots__ = _fields = ("elem", "size")
+
+    def __init__(self, elem: TypeValue, size: int):
+        object.__setattr__(self, "elem", elem)
+        object.__setattr__(self, "size", size)
 
 
-@dataclass(frozen=True)
 class ClassTV(TypeValue):
     """A class applied to static arguments (canonical key tuples)."""
 
-    name: str
-    args: tuple = ()
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
 INT = PrimTV("int")
@@ -507,14 +565,29 @@ def zero_value(tv: TypeValue, span: Span | None = None) -> Value:
 # Environments
 
 
-@dataclass(slots=True)
 class Slot:
     """A variable: its value and type.  While specializing, a dynamic
     variable has no value; ``residual`` names it in the residual code."""
 
-    value: Value | None
-    tv: TypeValue | None = None
-    residual: str | None = None
+    __slots__ = ("value", "tv", "residual")
+
+    def __init__(self, value: Value | None, tv: TypeValue | None = None,
+                 residual: str | None = None):
+        self.value = value
+        self.tv = tv
+        self.residual = residual
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.tv, self.residual) == \
+                (other.value, other.tv, other.residual)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(value={self.value!r}, "
+                f"tv={self.tv!r}, residual={self.residual!r})")
 
 
 class Env:

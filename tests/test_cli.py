@@ -255,6 +255,93 @@ def test_missing_file_is_a_clean_error():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["specialize", "--entry", "f"], ["run"],
+    ["flatten", "--entry", "f"],
+], ids=["check", "specialize", "run", "flatten"])
+def test_a_source_that_is_not_utf8_is_a_clean_error(tmp_path, command):
+    bad = tmp_path / "bad.cat"
+    bad.write_bytes(b"\xff\xfe bad")
+    result = catat(command[0], bad, *command[1:])
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"catat: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+
+
+ADD_STATIC = "function f(int@ k)(int d) { return d + k; }\n"
+LAST_CELL = "function g(int* a) { return a[1]; }\n"
+
+
+@pytest.mark.parametrize("value, fits", [
+    (str(2 ** 63 - 1), True), (str(-2 ** 63), True),
+    (str(2 ** 63), False), (str(-2 ** 63 - 1), False),
+    ("99999999999999999999", False),
+])
+def test_an_integer_argument_must_fit_in_64_bits(tmp_path, value, fits):
+    source = tmp_path / "add.cat"
+    source.write_text(ADD_STATIC)
+    cells = tmp_path / "cells.cat"
+    cells.write_text(LAST_CELL)
+    residual = tmp_path / "residual.cat"
+    results = [
+        catat("specialize", source, "--entry", "f",
+              f"--static-args={value}", "--out", residual),
+        catat("run", source, "--entry", "f", "--static-args=0",
+              f"--dyn-args={value}"),
+        catat("run", cells, "--entry", "g", f"--dyn-args=[1, {value}]"),
+    ]
+    if fits:
+        assert [r.returncode for r in results] == [0, 0, 0]
+        assert catat("check", residual, "--levels", "1").returncode == 0
+        assert [r.stdout for r in results[1:]] == [f"int {value}\n"] * 2
+    else:
+        for result, path in zip(results, [source, source, cells]):
+            assert result.returncode == 1
+            assert result.stderr == (
+                f"{path}:0:0: parse error: integer argument '{value}' out "
+                "of 64-bit range\n")
+
+
+ROUTES = pytest.mark.parametrize("route", [[], ["--via-flatten"]],
+                                 ids=["direct", "via-flatten"])
+SQUARE = ("function h(float@ k)(float d) { float@ z = k * k; "
+          "return d * z; }\n")
+
+
+@ROUTES
+@pytest.mark.parametrize("k", ["1e200", "-1e200", "1e999"])
+def test_an_infinite_static_float_is_a_literal_that_checks(tmp_path, route,
+                                                           k):
+    source = tmp_path / "square.cat"
+    source.write_text(SQUARE)
+    residual = tmp_path / "residual.cat"
+    result = catat("specialize", source, "--entry", "h", f"--static-args={k}",
+                   "--out", residual, *route)
+    assert result.returncode == 0
+    assert "    return d * 1e999;\n" in residual.read_text()
+    assert catat("check", residual, "--levels", "1").returncode == 0
+    result = catat("run", source, "--entry", "h", f"--static-args={k}",
+                   "--dyn-args", "2.0")
+    assert result.stdout == "float inf\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["specialize"], ["specialize", "--via-flatten"],
+    ["run", "--dyn-args", "2.0"],
+], ids=["direct", "via-flatten", "run"])
+def test_a_nan_static_float_is_a_lift_error(tmp_path, command):
+    source = tmp_path / "nan.cat"
+    source.write_text("function h(float@ k)(float d) { float@ z = k * k - "
+                      "k * k; return d * z; }\n")
+    result = catat(command[0], source, "--entry", "h", "--static-args",
+                   "1e200", *command[1:])
+    assert result.returncode == 3
+    assert result.stderr == (
+        f"{source}:1:68: compile-time error: the float nan has no literal "
+        "form in dynamic code\n")
+
+
 def test_loop_cap_exit_4(tmp_path):
     looping = tmp_path / "loop.cat"
     looping.write_text("int@ i = 0;\nfor@ (;;)\n    i += 1;\n")

@@ -1,10 +1,16 @@
-"""No module of the package imports a name it never uses.
+"""What the package's modules import, and what importing it does.
 
 Each module under ``src/catat/`` is parsed with ``ast``: a name an import
 binds must be read somewhere in the module, or be listed in its
-``__all__``.  ``from __future__`` imports are not names."""
+``__all__``.  ``from __future__`` imports are not names.  No module
+applies ``dataclass``, which generates and compiles methods at import,
+and ``import catat`` loads the same twelve modules: ``pyemit``,
+``compress``, ``cli`` and ``corpus`` load on first use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +18,7 @@ import pytest
 import catat
 
 PACKAGE = Path(catat.__file__).parent
+SRC = PACKAGE.parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
@@ -49,3 +56,54 @@ def test_an_unused_import_is_found():
                      "__all__ = ['system']\n"
                      "x: INT = 1\n")
     assert unused_imports(tree) == [(2, "os"), (3, "PRIM_BY_NAME")]
+
+
+# -- work at import: no class is generated, and only the eager modules load
+
+EAGER_MODULES = ["catat", "catat.dyninterp", "catat.emitter", "catat.errors",
+                 "catat.flatten", "catat.lexer", "catat.nodes",
+                 "catat.parser", "catat.specializer", "catat.staging",
+                 "catat.staticeval", "catat.values"]
+
+
+def dataclass_uses(tree: ast.Module) -> list:
+    """Lines that import ``dataclass``, read it under the name it was
+    imported as, or name ``dataclasses.dataclass``."""
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "dataclasses"
+               and any(alias.name == "dataclass" for alias in node.names)]
+    names = {alias.asname or alias.name for node in imports
+             for alias in node.names if alias.name == "dataclass"}
+    return sorted([node.lineno for node in imports] +
+                  [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id in names
+                   or isinstance(node, ast.Attribute)
+                   and node.attr == "dataclass"])
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=[str(p.relative_to(PACKAGE)) for p in MODULES])
+def test_no_class_is_generated_by_dataclass(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert dataclass_uses(tree) == []
+
+
+def test_a_dataclass_use_is_found():
+    tree = ast.parse("import dataclasses\n"
+                     "from dataclasses import FrozenInstanceError\n"
+                     "from dataclasses import dataclass as record\n"
+                     "@record(frozen=True)\n"
+                     "class A: pass\n"
+                     "@dataclasses.dataclass\n"
+                     "class B: pass\n")
+    assert dataclass_uses(tree) == [3, 4, 6]
+
+
+def test_import_loads_exactly_the_eager_modules():
+    code = ("import sys, catat; print(' '.join(sorted(m for m in sys.modules"
+            " if m == 'catat' or m.startswith('catat.'))))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.stdout.split() == EAGER_MODULES

@@ -21,15 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catat import (
-    CatatError, EvalLimits, Interpreter, IntV, check_stages, emit,
-    erase_stages, flatten_function, parse,
+    CatatError, EvalLimits, FloatV, Interpreter, IntV, check_stages, emit,
+    erase_stages, flatten_function, parse, run, run_unstaged,
 )
 from catat import flatten, nodes as n, pyemit, staticeval
 from catat.cli import parse_arg_list
 from catat.corpus import (
     dsl_interpreter_source, encode_dsl, provide_corpus, random_dsl_program,
 )
-from catat.errors import UserStaticError
+from catat.errors import LiftError, UserStaticError
 from catat.flatten import BUILDERS, SHAPES as BUILDER_SHAPES
 from catat.specializer import (
     ResidualFunction, SpecializationCache, specialize_program,
@@ -323,6 +323,49 @@ def test_unboxed_scalars_on_both_routes_and_engines(case):
     else:
         assert direct[0] == expected
     assert_engines_agree(source, "f", [IntV(k)], limits)
+
+
+# Static values whose literal in the residual is not the plain spelling of
+# their Python value: an infinity (a float too large for a double) and the
+# least int (a difference, as C writes it).  A NaN has no literal.
+CUBE = "function f(float@ k)(float d) { float@ z = k * k * k; return d * z; }"
+ADD = "function f(int@ k)(int d) { return d + k; }"
+NAN = ("function f(float@ k)(float d) { float@ z = k * k - k * k; "
+       "return d * z; }")
+
+
+@pytest.mark.parametrize("source, static, dynamic, literal", [
+    (CUBE, FloatV(1e200), FloatV(2.0), "d * 1e999;"),
+    (CUBE, FloatV(-1e200), FloatV(2.0), "d * -1e999;"),
+    (CUBE, FloatV(float("inf")), FloatV(2.0), "d * 1e999;"),
+    (ADD, IntV(-2 ** 63), IntV(5), "d + (-9223372036854775807 - 1);"),
+], ids=["inf", "-inf", "inf-argument", "int64-min"])
+def test_a_static_value_reads_back_on_both_routes(source, static, dynamic,
+                                                  literal):
+    expected = run_unstaged(parse(source), "f", [static, dynamic])
+    texts = []
+    for via_flatten in (False, True):
+        rp = specialize_program(check_stages(parse(source), 2), "f",
+                                [static], via_flatten=via_flatten)
+        text = emit(rp)
+        assert literal in text
+        assert parse(text) == rp.to_program_ast()
+        check_stages(parse(text), 1)
+        assert run(rp, rp.entry_name, [dynamic]).value == expected.value
+        texts.append(text)
+    assert texts[0] == texts[1]
+    assert_engines_agree(source, "f", [static])
+
+
+def test_a_nan_static_float_is_a_lift_error_on_both_routes_and_engines():
+    direct = route_outcome(NAN, [FloatV(1e200)], None, False)
+    compiled = route_outcome(NAN, [FloatV(1e200)], None, True)
+    with walker_generators():
+        walked = route_outcome(NAN, [FloatV(1e200)], None, True)
+    assert direct == compiled == walked == (
+        "1:68: compile-time error: the float nan has no literal form in "
+        "dynamic code", LiftError)
+    assert_engines_agree(NAN, "f", [FloatV(1e200)])
 
 
 # Each builder in static generator code: a call of it, and a builder call
