@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 lex/parse error, 2 stage error, 3 compile-time
 error, 4 specialization resource error (depth or loop cap), 5 runtime
 error.  Diagnostics go to standard error as
-``file:line:col: <category>: <message>``.
+``file:line:col: <category>: <message>``, and a bad ``--static-args`` or
+``--dyn-args`` value as ``catat: <option>: parse error: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -82,6 +84,18 @@ def _parse_arg(text: str) -> Value:
     return IntV(value)
 
 
+class OptionError(Exception):
+    """A ``--static-args`` or ``--dyn-args`` value that does not parse.  It
+    is reported against the option, since the source file has no fault."""
+
+
+def _option_values(text: str | None, option: str) -> list[Value]:
+    try:
+        return parse_arg_list(text)
+    except ParseError as e:
+        raise OptionError(f"{option}: {e.category}: {e.message}") from e
+
+
 def _limits(args) -> EvalLimits:
     return EvalLimits(loop_cap=args.loop_cap, max_depth=args.max_depth,
                       step_limit=getattr(args, "step_limit", None))
@@ -119,7 +133,7 @@ def cmd_check(args) -> int:
 
 def cmd_specialize(args) -> int:
     _, _, staged = _load(args)
-    static_args = parse_arg_list(args.static_args)
+    static_args = _option_values(args.static_args, "--static-args")
     if args.dump_generator:
         if not args.entry:
             raise ParseError("--dump-generator requires --entry")
@@ -142,13 +156,14 @@ def cmd_run(args) -> int:
     source = Path(args.file).read_text(encoding="utf-8")
     tokens = tokenize(source)
     program = parse_tokens(tokens, source)
-    dyn_args = parse_arg_list(args.dyn_args)
+    dyn_args = _option_values(args.dyn_args, "--dyn-args")
     two_level = args.static_args is not None or \
         any(t[0] == AT for t in tokens)
     if two_level:
         staged = check_stages(program, args.levels)
         rp = specialize_program(staged, args.entry or None,
-                                parse_arg_list(args.static_args),
+                                _option_values(args.static_args,
+                                               "--static-args"),
                                 _limits(args))
         if rp.is_pure_static:
             return _print_bindings(rp.static_bindings)
@@ -254,13 +269,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse takes a word that starts with "-" for an option unless it reads
+# as a negative number by its own pattern, which "-1e200" and "-1,2" do not;
+# a value of these options that starts with "-" and a digit or "." is
+# therefore attached to its option, as "--static-args=-1e200" is.
+_VALUE_OPTIONS = ("--static-args", "--dyn-args")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _VALUE_OPTIONS and _NEGATIVE_VALUE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except CatatError as e:
         print(e.render(args.file), file=sys.stderr)
         return e.exit_code
+    except OptionError as e:
+        print(f"catat: {e}", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"catat: {e}", file=sys.stderr)
         return 1

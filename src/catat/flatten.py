@@ -62,6 +62,8 @@ what it appended.
 
 from __future__ import annotations
 
+import math
+
 from . import nodes as n
 from .errors import (
     FlattenUnsupported, LiftError, MalformedFragment, Span, UserStaticError,
@@ -89,7 +91,7 @@ def lift(v: Value, span: Span | None = None) -> n.Expr:
         if v.value != v.value:
             raise LiftError("the float nan has no literal form in dynamic "
                             "code", span)
-        if v.value < 0:
+        if math.copysign(1.0, v.value) < 0:  # -0.0 too
             return n.Unary("-", n.FloatLit(-v.value), span=span)
         return n.FloatLit(v.value, span=span)
     if isinstance(v, BoolV):

@@ -296,11 +296,60 @@ def test_an_integer_argument_must_fit_in_64_bits(tmp_path, value, fits):
         assert catat("check", residual, "--levels", "1").returncode == 0
         assert [r.stdout for r in results[1:]] == [f"int {value}\n"] * 2
     else:
-        for result, path in zip(results, [source, source, cells]):
+        options = ["--static-args", "--dyn-args", "--dyn-args"]
+        for result, option in zip(results, options):
             assert result.returncode == 1
             assert result.stderr == (
-                f"{path}:0:0: parse error: integer argument '{value}' out "
-                "of 64-bit range\n")
+                f"catat: {option}: parse error: integer argument '{value}' "
+                "out of 64-bit range\n")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--static-args", "[1, x]", "cannot parse argument 'x'"),
+    ("--dyn-args", "2.0,", "empty argument"),
+])
+def test_a_bad_argument_is_reported_against_its_option(tmp_path, option,
+                                                       value, message):
+    source = tmp_path / "add.cat"
+    source.write_text(ADD_STATIC)
+    command = "specialize" if option == "--static-args" else "run"
+    extra = ["--static-args", "0"] if command == "run" else []
+    result = catat(command, source, "--entry", "f", *extra,
+                   f"{option}={value}")
+    assert result.returncode == 1
+    assert result.stderr == f"catat: {option}: parse error: {message}\n"
+
+
+NEGATE = "function h(float@ k)(float d) { return d * k; }\n"
+
+
+@pytest.mark.parametrize("command, option", [
+    ("specialize", "--static-args"), ("run", "--static-args"),
+    ("run", "--dyn-args"),
+])
+@pytest.mark.parametrize("value", ["-1e200", "-5", "-2.5,"])
+def test_a_negative_argument_may_follow_its_option(tmp_path, command, option,
+                                                   value):
+    source = tmp_path / "negate.cat"
+    source.write_text(NEGATE)
+    base = [command, source, "--entry", "h"]
+    if option == "--dyn-args":
+        base += ["--static-args", "1.0"]
+    elif command == "run":
+        base += ["--dyn-args", "1.0"]
+    separate = catat(*base, option, value)
+    attached = catat(*base, f"{option}={value}")
+    assert (separate.returncode, separate.stdout, separate.stderr) == \
+        (attached.returncode, attached.stdout, attached.stderr)
+    assert separate.returncode == (1 if value.endswith(",") else 0)
+
+
+def test_an_option_is_not_taken_for_an_argument_value(tmp_path):
+    source = tmp_path / "negate.cat"
+    source.write_text(NEGATE)
+    result = catat("specialize", source, "--static-args", "--entry", "h")
+    assert result.returncode == 2
+    assert "argument --static-args: expected one argument" in result.stderr
 
 
 ROUTES = pytest.mark.parametrize("route", [[], ["--via-flatten"]],

@@ -9,7 +9,7 @@ import pytest
 
 import catat.dyninterp
 from catat import check_stages, nodes as n, parse, specialize_program
-from catat import staging, staticeval
+from catat import emitter, staging, staticeval
 from catat.dyninterp import run
 from catat.errors import (
     DepthExceeded, ParseError, StageError, StepLimitExceeded, TypeMismatch,
@@ -34,12 +34,14 @@ def test_every_expression_class_has_an_evaluator_and_a_check():
     exprs = concrete_subclasses(n.Expr)
     assert set(staticeval._EXPR) == exprs
     assert set(staging._EXPR_STAGE) == exprs
+    assert set(emitter._EXPR) == exprs
 
 
 def test_every_statement_class_has_an_executor_and_a_check():
     stmts = concrete_subclasses(n.Stmt)
     assert set(staticeval._STMT) == stmts
     assert set(staging._STMT_CHECK) == stmts
+    assert set(emitter._STMT) == stmts
 
 
 def test_node_class_without_a_handler_is_an_error():

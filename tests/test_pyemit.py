@@ -326,9 +326,11 @@ def test_unboxed_scalars_on_both_routes_and_engines(case):
 
 
 # Static values whose literal in the residual is not the plain spelling of
-# their Python value: an infinity (a float too large for a double) and the
-# least int (a difference, as C writes it).  A NaN has no literal.
+# their Python value: an infinity (a float too large for a double), negative
+# zero (a minus applied to 0.0) and the least int (a difference, as C writes
+# it).  A NaN has no literal.
 CUBE = "function f(float@ k)(float d) { float@ z = k * k * k; return d * z; }"
+ZERO = "function f(float@ k)(float d) { float@ z = k * 0.0; return d * z; }"
 ADD = "function f(int@ k)(int d) { return d + k; }"
 NAN = ("function f(float@ k)(float d) { float@ z = k * k - k * k; "
        "return d * z; }")
@@ -338,8 +340,9 @@ NAN = ("function f(float@ k)(float d) { float@ z = k * k - k * k; "
     (CUBE, FloatV(1e200), FloatV(2.0), "d * 1e999;"),
     (CUBE, FloatV(-1e200), FloatV(2.0), "d * -1e999;"),
     (CUBE, FloatV(float("inf")), FloatV(2.0), "d * 1e999;"),
+    (ZERO, FloatV(-1.0), FloatV(2.0), "d * -0.0;"),
     (ADD, IntV(-2 ** 63), IntV(5), "d + (-9223372036854775807 - 1);"),
-], ids=["inf", "-inf", "inf-argument", "int64-min"])
+], ids=["inf", "-inf", "inf-argument", "-0.0", "int64-min"])
 def test_a_static_value_reads_back_on_both_routes(source, static, dynamic,
                                                   literal):
     expected = run_unstaged(parse(source), "f", [static, dynamic])
