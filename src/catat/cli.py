@@ -3,8 +3,14 @@
 Exit codes: 0 success, 1 lex/parse error, 2 stage error, 3 compile-time
 error, 4 specialization resource error (depth or loop cap), 5 runtime
 error.  Diagnostics go to standard error as
-``file:line:col: <category>: <message>``, and a bad ``--static-args`` or
+``file:line:col: <category>: <message>``, or as
+``file: <category>: <message>`` when no source position is at fault (an
+``--entry`` that names no function, a missing ``--entry``, a dynamic
+argument that does not fit its parameter), and a bad ``--static-args`` or
 ``--dyn-args`` value as ``catat: <option>: parse error: <message>``.
+
+Options are spelled in full: argparse's prefix matching is off, so an
+abbreviation such as ``--static`` is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -226,15 +232,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="catat",
+        prog="catat", allow_abbrev=False,
         description="Offline partial-evaluation toolchain for Catat")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="parse and verify well-stagedness")
+    p = sub.add_parser("check", allow_abbrev=False,
+                       help="parse and verify well-stagedness")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("specialize",
+    p = sub.add_parser("specialize", allow_abbrev=False,
                        help="evaluate static constructs, emit the residual")
     _add_common(p)
     p.add_argument("--entry", help="function to specialize")
@@ -248,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the residual even when --out is given")
     p.set_defaults(func=cmd_specialize)
 
-    p = sub.add_parser("run", help="run a program (specializing first if "
-                                   "it is two-level)")
+    p = sub.add_parser("run", allow_abbrev=False,
+                       help="run a program (specializing first if it is "
+                            "two-level)")
     _add_common(p)
     p.add_argument("--entry", help="function to call")
     p.add_argument("--static-args", help="static arguments for two-level "
@@ -260,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interpreter step limit")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("flatten", help="print a two-level function's "
-                                       "generator")
+    p = sub.add_parser("flatten", allow_abbrev=False,
+                       help="print a two-level function's generator")
     _add_common(p)
     p.add_argument("--entry", help="function to flatten")
     p.add_argument("--out", help="write the generator here")
@@ -272,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 # argparse takes a word that starts with "-" for an option unless it reads
 # as a negative number by its own pattern, which "-1e200" and "-1,2" do not;
 # a value of these options that starts with "-" and a digit or "." is
-# therefore attached to its option, as "--static-args=-1e200" is.
+# therefore attached to its option, as "--static-args=-1e200" is.  No
+# parser accepts an abbreviation, so these are the only spellings.
 _VALUE_OPTIONS = ("--static-args", "--dyn-args")
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
 

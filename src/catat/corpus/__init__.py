@@ -10,15 +10,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..errors import UserStaticError
+from ..errors import Record, UserStaticError
 from ..nodes import FRESH
 from ..values import ArrayV, INT, IntV
 
 CORPUS_DIR = Path(__file__).parent
 
 
-class Fixture:
-    __slots__ = ("name", "path", "origin", "expect")
+class Fixture(Record):
+    __slots__ = _fields = ("name", "path", "origin", "expect")
 
     def __init__(self, name: str, path: Path, origin: str,
                  expect: dict = FRESH):
@@ -27,19 +27,6 @@ class Fixture:
         self.origin = origin
         # key -> list of values
         self.expect = {} if expect is FRESH else expect
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.path, self.origin, self.expect) == \
-                (other.name, other.path, other.origin, other.expect)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(name={self.name!r}, "
-                f"path={self.path!r}, origin={self.origin!r}, "
-                f"expect={self.expect!r})")
 
     def source(self) -> str:
         return self.path.read_text(encoding="utf-8")

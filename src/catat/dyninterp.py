@@ -14,15 +14,15 @@ import sys
 
 from . import nodes as n
 from .staging import check_stages
-from .errors import STACK_EXHAUSTED, DepthExceeded
+from .errors import STACK_EXHAUSTED, DepthExceeded, Record
 from .staticeval import EvalLimits, Interpreter, raise_recursion_limit
 from .values import Value, UNIT
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
 
-class RunResult:
-    __slots__ = ("value", "steps", "bindings")
+class RunResult(Record):
+    __slots__ = _fields = ("value", "steps", "bindings")
 
     def __init__(self, value: Value, steps: int,
                  bindings: list | None = None):
@@ -30,18 +30,6 @@ class RunResult:
         self.steps = steps
         # (name, Value) globals, scripting reports
         self.bindings = bindings
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.steps, self.bindings) == \
-                (other.value, other.steps, other.bindings)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(value={self.value!r}, "
-                f"steps={self.steps!r}, bindings={self.bindings!r})")
 
 
 def _checked_program(program, check: bool) -> n.Program:

@@ -1,13 +1,71 @@
-"""Error types shared across the toolchain.
+"""Error types and record bases shared across the toolchain.
 
 Every error that can be attributed to a source position carries a span;
-the CLI renders diagnostics as ``file:line:col: <category>: <message>``
-and maps error families onto process exit codes (see cli.py).
+the CLI renders diagnostics as ``file:line:col: <category>: <message>``,
+or ``file: <category>: <message>`` for an error with no span, and maps
+error families onto process exit codes (see cli.py).
+
+``Record`` and ``Frozen`` are the bases of every record class in the
+package: nodes, values, specialization keys, residual entities and the
+small result and state classes.  Each record names its compared fields in
+``_fields``; the base compares and prints them, and ``Frozen`` also
+refuses assignment and hashes and pickles them.  They live here because
+this is the lowest module, which every record's module already imports.
 """
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from typing import NamedTuple
+
+
+class Record:
+    """A record: equal only to a record of its own class whose ``_fields``
+    are equal, and printed as ``Class(field=value, ...)``.  A record is
+    unhashable unless its class is ``Frozen``.  Each subclass declares its
+    own ``__slots__`` and an ``__init__`` that stores every field."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __eq__(self, other):
+        # the evaluators compare a type value with itself far more often
+        # than with another; the answer is the one the fields would give
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return [getattr(self, name) for name in self._fields] == \
+                [getattr(other, name) for name in self._fields]
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """An immutable record, hashed and pickled on its ``_fields``.
+    Assigning or deleting a field raises ``FrozenInstanceError``, so a
+    constructor stores each field through ``object.__setattr__`` (or the
+    slot's own descriptor)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name)
+                                  for name in self._fields])
 
 
 class Span(NamedTuple):
@@ -27,8 +85,10 @@ class CatatError(Exception):
         self.span = span
 
     def render(self, filename: str = "<input>") -> str:
-        span = self.span or Span(0, 0)
-        return f"{filename}:{span.line}:{span.col}: {self.category}: {self.message}"
+        if self.span is None:
+            return f"{filename}: {self.category}: {self.message}"
+        return (f"{filename}:{self.span.line}:{self.span.col}: "
+                f"{self.category}: {self.message}")
 
 
 class LexError(CatatError):

@@ -66,7 +66,8 @@ import math
 
 from . import nodes as n
 from .errors import (
-    FlattenUnsupported, LiftError, MalformedFragment, Span, UserStaticError,
+    FlattenUnsupported, LiftError, MalformedFragment, Record, Span,
+    UserStaticError,
 )
 from .values import (
     INT64_MAX, INT64_MIN, BoolV, ClassTV, CodeV, FixedArrayTV, FloatV, IntV,
@@ -161,26 +162,15 @@ def type_value_to_decl(tv: TypeValue) -> tuple[n.TypeExpr, n.Expr | None]:
 # after its arguments, as in the walker.
 
 
-class Shell:
+class Shell(Record):
     """A function under construction: its (name, TypeValue) parameters and
     the block that ``append(body(shell), ...)`` fills."""
 
-    __slots__ = ("params", "body")
+    __slots__ = _fields = ("params", "body")
 
     def __init__(self, params: list, body: n.Block):
         self.params = params
         self.body = body
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.params, self.body) == (other.params, other.body)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(params={self.params!r}, "
-                f"body={self.body!r})")
 
 
 def _as_expr(v, span: Span | None) -> n.Expr:

@@ -2,7 +2,8 @@
 
 Each node class declares its ``__slots__``, an ``__init__`` that stores
 every field in turn, and ``_fields``, the names of its compared fields in
-order.  ``Node`` reads ``_fields`` for ``==`` and ``repr``.
+order.  ``Node`` derives from ``errors.Record``, which reads ``_fields``
+for ``==`` and ``repr``.
 Equality ignores source spans and checker-assigned stages, so two parses
 of the same text compare equal and round-trip tests can use plain ``==``.
 A node equals only a node of its own class, and is unhashable.
@@ -26,7 +27,7 @@ s - k.
 
 from __future__ import annotations
 
-from .errors import Span
+from .errors import Record, Span
 
 
 class _Fresh:
@@ -41,27 +42,13 @@ class _Fresh:
 FRESH = _Fresh()
 
 
-class Node:
+class Node(Record):
     __slots__ = ("span", "stage")
-    _fields = ()
     _kept = ("span", "stage")
 
     def __init__(self, *, span: Span | None = None, stage: int | None = None):
         self.span = span
         self.stage = stage
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return [getattr(self, name) for name in self._fields] == \
-                [getattr(other, name) for name in self._fields]
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
 
 
 # ---------------------------------------------------------------------------

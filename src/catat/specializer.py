@@ -69,14 +69,13 @@ and order of effects, and adds neither steps nor emitted text.
 from __future__ import annotations
 
 import sys
-from dataclasses import FrozenInstanceError
 
 from . import flatten
 from . import nodes as n
 from .errors import (
-    STACK_EXHAUSTED, DepthExceeded, FlattenUnsupported, LiftError,
-    MalformedFragment, ReturnTypeMismatch, SelfRecursiveSpecialization, Span,
-    StageLeak, TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, FlattenUnsupported, Frozen, LiftError,
+    MalformedFragment, Record, ReturnTypeMismatch, SelfRecursiveSpecialization,
+    Span, StageLeak, TypeMismatch, UnboundVariable,
 )
 from .flatten import (NameSupply, lift, type_value_to_decl,
                       type_value_to_texpr)
@@ -102,37 +101,15 @@ def key_args(static_args: list) -> tuple:
     return tuple(canonical_key(v) for v in static_args)
 
 
-class SpecializationKey:
+class SpecializationKey(Frozen):
     """Immutable and hashable, as a memo key must be."""
 
-    __slots__ = ("kind", "name", "args")
+    __slots__ = _fields = ("kind", "name", "args")
 
     def __init__(self, kind: str, name: str, args: tuple):
         object.__setattr__(self, "kind", kind)  # "function" | "class"
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)  # canonical value keys
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.name, self.args) == \
-                (other.kind, other.name, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.name, self.args))
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(kind={self.kind!r}, "
-                f"name={self.name!r}, args={self.args!r})")
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.name, self.args)
 
     @classmethod
     def for_function(cls, name: str, static_args: list) -> "SpecializationKey":
@@ -149,9 +126,10 @@ def key_comment(key: SpecializationKey, static_args: list) -> str:
     return f"specialized-from: {key.name}({rendered})"
 
 
-class ResidualFunction:
+class ResidualFunction(Record):
     __slots__ = ("name", "return_type", "params", "body", "key", "comment",
                  "types")
+    _fields = ("name", "return_type", "params", "body", "key", "comment")
 
     def __init__(self, name: str, return_type: TypeValue, params: list,
                  body: list, key: SpecializationKey, comment: str = "",
@@ -166,22 +144,6 @@ class ResidualFunction:
         # it may read: the unit's ``NameSupply.types``
         self.types = {} if types is n.FRESH else types
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.return_type, self.params, self.body,
-                    self.key, self.comment) == \
-                (other.name, other.return_type, other.params, other.body,
-                 other.key, other.comment)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(name={self.name!r}, "
-                f"return_type={self.return_type!r}, "
-                f"params={self.params!r}, body={self.body!r}, "
-                f"key={self.key!r}, comment={self.comment!r})")
-
     def to_function_def(self) -> n.FunctionDef:
         params = [n.Param(name, type_value_to_texpr(tv))
                   for name, tv in self.params]
@@ -190,9 +152,9 @@ class ResidualFunction:
                                  self.return_type))
 
 
-class ResidualClass:
-    __slots__ = ("name", "members", "static_members", "ctor_body", "key",
-                 "comment")
+class ResidualClass(Record):
+    __slots__ = _fields = ("name", "members", "static_members", "ctor_body",
+                           "key", "comment")
 
     def __init__(self, name: str, members: list, static_members: dict,
                  ctor_body: list | None, key: SpecializationKey,
@@ -205,23 +167,6 @@ class ResidualClass:
         self.ctor_body = ctor_body
         self.key = key
         self.comment = comment
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.members, self.static_members,
-                    self.ctor_body, self.key, self.comment) == \
-                (other.name, other.members, other.static_members,
-                 other.ctor_body, other.key, other.comment)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(name={self.name!r}, "
-                f"members={self.members!r}, "
-                f"static_members={self.static_members!r}, "
-                f"ctor_body={self.ctor_body!r}, key={self.key!r}, "
-                f"comment={self.comment!r})")
 
     def to_class_def(self) -> n.ClassDef:
         items: list = []
@@ -276,11 +221,12 @@ class Unit:
         return residual
 
 
-class ResidualProgram:
+class ResidualProgram(Record):
     """Single-level program plus the cache bookkeeping that produced it."""
 
     __slots__ = ("units", "top_stmts", "entry_name", "static_bindings",
                  "checked", "_program")
+    _fields = ("units", "top_stmts", "entry_name", "static_bindings")
 
     def __init__(self, units: list = n.FRESH, top_stmts: list = n.FRESH,
                  entry_name: str | None = None,
@@ -296,22 +242,9 @@ class ResidualProgram:
         self.checked = False
         self._program = None  # not compared, not shown
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.units, self.top_stmts, self.entry_name,
-                    self.static_bindings) == \
-                (other.units, other.top_stmts, other.entry_name,
-                 other.static_bindings)
-        return NotImplemented
-
-    __hash__ = None
-
     def __repr__(self):
-        return (f"{type(self).__qualname__}(units={self.units!r}, "
-                f"top_stmts={self.top_stmts!r}, "
-                f"entry_name={self.entry_name!r}, "
-                f"static_bindings={self.static_bindings!r}, "
-                f"checked={self.checked!r})")
+        # shows ``checked`` too, though ``==`` does not compare it
+        return f"{super().__repr__()[:-1]}, checked={self.checked!r})"
 
     @property
     def comments(self) -> dict:

@@ -42,35 +42,22 @@ from . import nodes as n
 from .errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
     DYNAMIC_TO_STATIC_FLOW, ParseError, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
-    STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, Span, StageError,
+    Record, STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, Span, StageError,
     TYPENAME_DYNAMIC_BINDING, TypeMismatch, UnboundVariable,
 )
 from .flatten import KNOWN_BUILTINS
 
 
-class StagedAST:
+class StagedAST(Record):
     """A checked program plus what the specializer needs to trust it."""
 
-    __slots__ = ("program", "levels", "static_only")
+    __slots__ = _fields = ("program", "levels", "static_only")
 
     def __init__(self, program: n.Program, levels: int,
                  static_only: frozenset = frozenset()):
         self.program = program
         self.levels = levels
         self.static_only = static_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.program, self.levels, self.static_only) == \
-                (other.program, other.levels, other.static_only)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(program={self.program!r}, "
-                f"levels={self.levels!r}, "
-                f"static_only={self.static_only!r})")
 
     def functions_by_key(self) -> dict:
         return {(f.name, f.static_arity): f for f in self.program.functions()}
@@ -79,28 +66,16 @@ class StagedAST:
         return {c.name: c for c in self.program.classes()}
 
 
-class _Sym:
-    __slots__ = ("stage", "is_typename")
+class _Sym(Record):
+    __slots__ = _fields = ("stage", "is_typename")
 
     def __init__(self, stage: int, is_typename: bool = False):
         self.stage = stage
         self.is_typename = is_typename
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.stage, self.is_typename) == \
-                (other.stage, other.is_typename)
-        return NotImplemented
 
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(stage={self.stage!r}, "
-                f"is_typename={self.is_typename!r})")
-
-
-class _Scope:
-    __slots__ = ("default", "frames", "controls", "top_level")
+class _Scope(Record):
+    __slots__ = _fields = ("default", "frames", "controls", "top_level")
 
     def __init__(self, default: int, frames: list = n.FRESH,
                  controls: list = n.FRESH, top_level: bool = False):
@@ -110,21 +85,6 @@ class _Scope:
         self.controls = [] if controls is n.FRESH else controls
         # the program's own statements, outside any body
         self.top_level = top_level
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.default, self.frames, self.controls,
-                    self.top_level) == \
-                (other.default, other.frames, other.controls,
-                 other.top_level)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(default={self.default!r}, "
-                f"frames={self.frames!r}, controls={self.controls!r}, "
-                f"top_level={self.top_level!r})")
 
     def push(self):
         self.frames.append({})

@@ -79,8 +79,8 @@ import sys
 
 from . import nodes as n
 from .errors import (
-    STACK_EXHAUSTED, DepthExceeded, LoopLimitExceeded, OutOfBounds, Span,
-    StepLimitExceeded, TypeMismatch, UnboundVariable,
+    STACK_EXHAUSTED, DepthExceeded, LoopLimitExceeded, OutOfBounds, Record,
+    Span, StepLimitExceeded, TypeMismatch, UnboundVariable,
 )
 from .flatten import BUILDERS
 from .values import (
@@ -91,27 +91,14 @@ from .values import (
 )
 
 
-class EvalLimits:
-    __slots__ = ("loop_cap", "max_depth", "step_limit")
+class EvalLimits(Record):
+    __slots__ = _fields = ("loop_cap", "max_depth", "step_limit")
 
     def __init__(self, loop_cap: int = 1_000_000, max_depth: int = 256,
                  step_limit: int | None = None):
         self.loop_cap = loop_cap
         self.max_depth = max_depth
         self.step_limit = step_limit
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.loop_cap, self.max_depth, self.step_limit) == \
-                (other.loop_cap, other.max_depth, other.step_limit)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(loop_cap={self.loop_cap!r}, "
-                f"max_depth={self.max_depth!r}, "
-                f"step_limit={self.step_limit!r})")
 
 
 # Python frames one level of a Catat call chain may take: the call, its

@@ -9,86 +9,47 @@ Integers are 64-bit signed with a hard overflow error (no silent wrap);
 promotes to float.  Types are first-class values (`TypeValue`), structural
 equality included.
 
-Every value class is slotted.  ``Value`` compares and prints the fields
-its class names in ``_fields``.  The scalars (`IntV`,
-`FloatV`, `BoolV`, `StrV`), `UnitV` and the type values are immutable and
-hashable: assigning a field raises ``FrozenInstanceError``.  A scalar is
-one small object with no ``__dict__``, stored through its slot's own
-descriptor, because the evaluators make one for nearly every expression
-they reduce.
+Every value class is slotted and names its compared fields in
+``_fields``.  ``Value`` derives from ``errors.Record``, which compares and
+prints those fields.  The scalars (`IntV`, `FloatV`, `BoolV`, `StrV`),
+`UnitV` and the type values also derive from ``errors.Frozen``, which
+makes them immutable and hashable: assigning a field raises
+``FrozenInstanceError``.  A scalar is one small object with no
+``__dict__``, stored through its slot's own descriptor, because the
+evaluators make one for nearly every expression they reduce.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import FrozenInstanceError
 
-from .errors import DivisionByZero, IntegerOverflow, Span, TypeMismatch
+from .errors import (DivisionByZero, Frozen, IntegerOverflow, Record, Span,
+                     TypeMismatch)
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
 
-class Value:
-    """A value: equal only to a value of its own class whose ``_fields``
-    are equal, and printed as ``Class(field=value, ...)``.  A value is
-    unhashable unless its class is immutable."""
+class Value(Record):
+    """A value.  ``Record`` gives its equality and ``repr`` over the
+    ``_fields`` its class names; the immutable values also derive from
+    ``Frozen``, which hashes them."""
 
     __slots__ = ()
-    _fields = ()
-
-    def __eq__(self, other):
-        # the evaluators compare a type value with itself far more often
-        # than with another; the answer is the one the fields would give
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return [getattr(self, name) for name in self._fields] == \
-                [getattr(other, name) for name in self._fields]
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._fields)
-        return f"{type(self).__qualname__}({shown})"
 
 
-class _Scalar(Value):
+class _Scalar(Frozen, Value):
     """An immutable scalar with one slot, ``value``.
 
     The constructor stores ``value`` through the slot's own descriptor, so
-    a scalar costs one small object and no ``__dict__``.  Equality, hashing
-    and ``repr`` are those of an immutable value with one field: equal only
+    a scalar costs one small object and no ``__dict__``.  It is equal only
     to the same class with an equal value, so ``IntV(1) != FloatV(1.0)``."""
 
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
 
     def __init__(self, value):
         _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            # as a tuple compares: a NaN object equals itself
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(value={self.value!r})"
-
-    def __reduce__(self):
-        return type(self), (self.value,)
 
 
 _set_value = _Scalar.value.__set__
@@ -113,13 +74,8 @@ class StrV(_Scalar):
     __slots__ = ()
 
 
-class UnitV(Value):
+class UnitV(Frozen, Value):
     __slots__ = ()
-    __setattr__ = _Scalar.__setattr__
-    __delattr__ = _Scalar.__delattr__
-
-    def __hash__(self):
-        return hash(())
 
 
 UNIT = UnitV()
@@ -167,21 +123,12 @@ class CodeV(Value):
 # Type values
 
 
-class TypeValue(Value):
-    """A type as a first-class (always static) value: immutable, and
-    hashed on its ``_fields``.  A constructor stores each field through
-    ``object.__setattr__``."""
+class TypeValue(Frozen, Value):
+    """A type as a first-class (always static) value.  ``Frozen`` makes it
+    immutable and hashes it on its ``_fields``, so a constructor stores
+    each field through ``object.__setattr__``."""
 
     __slots__ = ()
-    __setattr__ = _Scalar.__setattr__
-    __delattr__ = _Scalar.__delattr__
-
-    def __hash__(self):
-        return hash(tuple([getattr(self, name) for name in self._fields]))
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, name)
-                                  for name in self._fields])
 
 
 class PrimTV(TypeValue):
@@ -565,29 +512,17 @@ def zero_value(tv: TypeValue, span: Span | None = None) -> Value:
 # Environments
 
 
-class Slot:
+class Slot(Record):
     """A variable: its value and type.  While specializing, a dynamic
     variable has no value; ``residual`` names it in the residual code."""
 
-    __slots__ = ("value", "tv", "residual")
+    __slots__ = _fields = ("value", "tv", "residual")
 
     def __init__(self, value: Value | None, tv: TypeValue | None = None,
                  residual: str | None = None):
         self.value = value
         self.tv = tv
         self.residual = residual
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.tv, self.residual) == \
-                (other.value, other.tv, other.residual)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"{type(self).__qualname__}(value={self.value!r}, "
-                f"tv={self.tv!r}, residual={self.residual!r})")
 
 
 class Env:

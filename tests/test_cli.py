@@ -243,6 +243,26 @@ def test_runtime_error_exit_5(tmp_path):
     assert "runtime error" in result.stderr
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["specialize", "{negate}", "--entry", "nope", "--static-args", "2"], 2,
+     "stage error: no function 'nope' taking 1 static argument(s) and no "
+     "class of that name"),
+    (["flatten", "{negate}"], 1, "parse error: flatten requires --entry"),
+    (["run", "{dot}", "--entry", "dot", "--static-args", "3, double",
+      "--dyn-args", "[1.0,2.0,3.0],[4.0,5.0,6.0]"], 5,
+     "runtime error: array element type float does not match double"),
+], ids=["unknown-entry", "missing-entry", "argument-type"])
+def test_a_diagnostic_without_a_position_names_only_the_file(tmp_path, args,
+                                                            code, message):
+    negate = tmp_path / "negate.cat"
+    negate.write_text(NEGATE)
+    files = {"negate": str(negate), "dot": fixture("dot.cat")}
+    args = [a.format(**files) for a in args]
+    result = catat(*args)
+    assert result.returncode == code
+    assert result.stderr == f"{args[1]}: {message}\n"
+
+
 def test_levels_flag():
     result = catat("check", fixture("pow_two_level.cat"), "--levels", "3")
     assert result.returncode == 0
@@ -350,6 +370,17 @@ def test_an_option_is_not_taken_for_an_argument_value(tmp_path):
     result = catat("specialize", source, "--static-args", "--entry", "h")
     assert result.returncode == 2
     assert "argument --static-args: expected one argument" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["-1e200", "2"])
+def test_an_abbreviated_option_is_a_usage_error(tmp_path, value):
+    source = tmp_path / "negate.cat"
+    source.write_text(NEGATE)
+    result = catat("specialize", source, "--entry", "h", "--static", value)
+    assert result.returncode == 2
+    assert f"unrecognized arguments: --static {value}" in result.stderr
+    assert catat("specialize", source, "--entry", "h", "--static-args",
+                 value).returncode == 0
 
 
 ROUTES = pytest.mark.parametrize("route", [[], ["--via-flatten"]],

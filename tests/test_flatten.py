@@ -581,29 +581,37 @@ def test_alpha_equivalence_is_name_insensitive_but_structure_sensitive():
     assert not alpha_equivalent(a, c)
 
 
-def residual(body, params=(("x", INT),)):
+def residual(body, params=(("x", INT),), name="f", return_type=INT):
     stmts = parse("function f() {" + body + "}").functions()[0].body.stmts
-    return ResidualFunction("f", INT, list(params), stmts,
+    return ResidualFunction(name, return_type, list(params), stmts,
                             SpecializationKey.for_function("f", []))
 
 
-@pytest.mark.parametrize("left, right, params_b", [
-    ("return x + 1;", "return x - 1;", None),
-    ("return x + 1;", "return x + 2;", None),
+@pytest.mark.parametrize("left, right, fields_b", [
+    ("return x + 1;", "return x - 1;", {}),
+    ("return x + 1;", "return x + 2;", {}),
     # u pairs with y, then with z
     ("int u = 0; int w = 0; return u + u;",
-     "int y = 0; int z = 0; return y + z;", None),
+     "int y = 0; int z = 0; return y + z;", {}),
     # the bound parameter x against a free x
-    ("return x;", "return x;", (("y", INT),)),
-    ("float a[3]; return x;", "int a[3]; return x;", None),
+    ("return x;", "return x;", {"params": (("y", INT),)}),
+    ("float a[3]; return x;", "int a[3]; return x;", {}),
     ("for (int i = 0; i < x; ++i) x += 1; return x;",
-     "for (int i = 0; i < x;) x += 1; return x;", None),
+     "for (int i = 0; i < x;) x += 1; return x;", {}),
+    ("return x;", "return x;", {"name": "g"}),
+    ("return x;", "return x;", {"return_type": FLOAT}),
+    ("return x;", "return x;", {"params": (("x", INT), ("y", INT))}),
+    ("return x;", "return x;", {"params": (("x", FLOAT),)}),
+    # w would pair with the y that u already pairs with
+    ("int u = 0; int w = 0; return u;",
+     "int y = 0; int y = 0; return y;", {}),
 ], ids=["operator", "literal", "inconsistent-renaming", "bound-vs-free",
-        "element-type", "for-incr"])
-def test_alpha_equivalence_rejects(left, right, params_b):
+        "element-type", "for-incr", "name", "return-type", "param-count",
+        "param-type", "declarator-rebinds"])
+def test_alpha_equivalence_rejects(left, right, fields_b):
     a = residual(left)
-    b = residual(right, params_b or (("x", INT),))
-    assert not alpha_equivalent(a, b)
+    b = residual(right, **fields_b)
+    assert alpha_equivalent(a, b) is False
     assert alpha_equivalent(a, residual(left))
 
 

@@ -5,7 +5,10 @@ binds must be read somewhere in the module, or be listed in its
 ``__all__``.  ``from __future__`` imports are not names.  No module
 applies ``dataclass``, which generates and compiles methods at import,
 and ``import catat`` loads the same twelve modules: ``pyemit``,
-``compress``, ``cli`` and ``corpus`` load on first use."""
+``compress``, ``cli`` and ``corpus`` load on first use.  No class but the
+record bases ``errors.Record`` and ``errors.Frozen`` writes out how a
+record compares, prints, hashes, pickles or refuses a change, apart from
+the few exceptions named in ``OWN_RECORD_METHODS``."""
 
 import ast
 import os
@@ -98,6 +101,68 @@ def test_a_dataclass_use_is_found():
                      "@dataclasses.dataclass\n"
                      "class B: pass\n")
     assert dataclass_uses(tree) == [3, 4, 6]
+
+
+# -- record methods: written once, in errors.Record and errors.Frozen
+
+RECORD_METHODS = {"__eq__", "__hash__", "__repr__", "__reduce__",
+                  "__setattr__", "__delattr__"}
+OWN_RECORD_METHODS = {
+    "errors.Record.__eq__", "errors.Record.__hash__",
+    "errors.Record.__repr__", "errors.Frozen.__setattr__",
+    "errors.Frozen.__delattr__", "errors.Frozen.__hash__",
+    "errors.Frozen.__reduce__",
+    # a marker, not a record
+    "nodes._Fresh.__repr__",
+    # a tuple that keeps its hash
+    "values.ArrayKey.__hash__",
+    # shows ``checked``, which it does not compare
+    "specializer.ResidualProgram.__repr__",
+}
+
+
+def record_methods(tree: ast.Module, module: str) -> list:
+    """``module.Class.method`` for each record method a class body defines
+    or assigns."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [f"{module}.{cls.name}.{name}" for name in names
+                      if name in RECORD_METHODS]
+    return found
+
+
+def package_record_methods() -> list:
+    return [method for path in MODULES
+            for method in record_methods(
+                ast.parse(path.read_text(encoding="utf-8")),
+                ".".join(path.relative_to(PACKAGE).with_suffix("").parts))]
+
+
+def test_only_the_record_bases_write_record_methods():
+    assert [m for m in package_record_methods()
+            if m not in OWN_RECORD_METHODS] == []
+
+
+def test_a_record_method_is_found():
+    tree = ast.parse("class A:\n"
+                     "    def __eq__(self, other): pass\n"
+                     "    __hash__ = None\n"
+                     "    def same(self): pass\n"
+                     "class B(A):\n"
+                     "    __setattr__ = __delattr__ = A.same\n"
+                     "    def __init__(self): pass\n")
+    assert record_methods(tree, "m") == [
+        "m.A.__eq__", "m.A.__hash__", "m.B.__setattr__", "m.B.__delattr__"]
 
 
 def test_import_loads_exactly_the_eager_modules():
