@@ -20,6 +20,7 @@ import re
 import sys
 from pathlib import Path
 
+from . import nodes as n
 from .dyninterp import format_binding, format_result, run
 from .emitter import emit, emit_function
 from .errors import CatatError, ParseError
@@ -31,7 +32,7 @@ from .staticeval import EvalLimits
 from .specializer import specialize_program
 from .values import (
     ArrayV, BoolV, FLOAT, FloatV, INT, INT64_MAX, INT64_MIN, IntV,
-    PRIM_BY_NAME, Value,
+    PRIM_BY_NAME, Value, is_float_type, is_integer_type,
 )
 
 _TYPE_ARG_NAMES = ("int", "float", "char", "bool", "double", "long int",
@@ -180,7 +181,37 @@ def cmd_run(args) -> int:
     return _run_phase(program, args.entry or None, dyn_args, args)
 
 
+def _fit_arrays(program, entry: str, values: list) -> list:
+    """``values`` with each bracketed list retyped to the element type of
+    the array or pointer parameter of ``entry`` it binds to, within its
+    family: a list of ints to ``int``, ``char`` or ``long int``, a list
+    with a float cell to ``float`` or ``double``.  Any other pairing is left
+    to the run, which converts a list of ints for ``float`` or ``double``
+    and refuses the rest."""
+    ast = program if isinstance(program, n.Program) \
+        else program.to_program_ast()
+    fn = next((item for item in ast.items
+               if isinstance(item, n.FunctionDef) and item.name == entry
+               and item.static_arity == 0), None)
+    if fn is None:
+        return values
+    fitted = list(values)
+    for i, (param, value) in enumerate(zip(fn.params, values)):
+        dtype = param.dtype
+        if not (isinstance(value, ArrayV) and
+                isinstance(dtype, (n.PointerType, n.ArrayType)) and
+                isinstance(dtype.base, n.PrimType)):
+            continue
+        elem = PRIM_BY_NAME[dtype.base.name]
+        if value.elem is INT and is_integer_type(elem) or \
+                value.elem is FLOAT and is_float_type(elem):
+            fitted[i] = ArrayV(elem, value.cells)
+    return fitted
+
+
 def _run_phase(program, entry, dyn_args, args) -> int:
+    if entry is not None:
+        dyn_args = _fit_arrays(program, entry, dyn_args)
     try:
         result = run(program, entry, dyn_args, _limits(args), check=False)
     except CatatError as e:

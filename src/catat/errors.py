@@ -1,7 +1,11 @@
 """Error types and record bases shared across the toolchain.
 
 Every error that can be attributed to a source position carries a span;
-the CLI renders diagnostics as ``file:line:col: <category>: <message>``,
+an error's ``span`` is a ``Span`` (or ``None``), whatever it was given.  A
+node's ``span`` is instead the plain ``(line, col)`` tuple its token holds
+(``t[2:]``, see parser.py): the garbage collector stops tracking an exact
+tuple of ints once it has seen it, but never a ``NamedTuple``.  The CLI
+renders diagnostics as ``file:line:col: <category>: <message>``,
 or ``file: <category>: <message>`` for an error with no span, and maps
 error families onto process exit codes (see cli.py).
 
@@ -83,6 +87,16 @@ class CatatError(Exception):
         super().__init__(message)
         self.message = message
         self.span = span
+
+    @property
+    def span(self) -> Span | None:
+        return self._span
+
+    @span.setter
+    def span(self, span: tuple[int, int] | None) -> None:
+        # a node's bare (line, col) tuple becomes a Span here, on every
+        # path that stores one, a subclass's own __init__ included
+        self._span = None if span is None else Span._make(span)
 
     def render(self, filename: str = "<input>") -> str:
         if self.span is None:

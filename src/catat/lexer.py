@@ -8,10 +8,16 @@ of its own, so the line count and the offset of the line's start move on
 only there.  Blanks at the end of the text are stripped before the scan.
 The alternatives after the leading blanks, tried in order, are:
 
-* a newline or comment run, skipped;
 * identifiers and keywords (``\\w`` characters, not starting with a digit;
   a start that is not alphabetic or ``_`` is an illegal character);
-* punctuation, longest first;
+* a newline or comment run, skipped.  It comes before punctuation, which
+  would otherwise take the ``/`` of ``//``;
+* punctuation, as character classes rather than one alternative per entry
+  of ``PUNCTUATION``: an operator character followed by ``=``, then ``++``,
+  ``--``, ``&&`` and ``||``, then any single punctuation character.  The
+  regular expression engine tests a class in one step, an alternation
+  one alternative at a time.  ``test_lexer_fidelity.py`` checks that the
+  scanner and ``PUNCTUATION`` agree;
 * numeric literals over decimal digits: ``D+``, ``D+.D+``, either with an
   exponent ``[eE][+-]?D+``.  A literal followed by a letter or ``_``, or an
   integer followed by ``.``, is malformed.  An integer or a float that no
@@ -33,9 +39,9 @@ decoded body, an at-sign run's ``@`` characters, whose count is
 built without running any Python code, unlike an object with an
 ``__init__``, and CPython's garbage collector stops tracking a tuple of
 strings and integers at the first collection it survives, so a long token
-list costs later collections nothing.  A token carries no ``Span``: the
-parser builds one from ``t[2:]`` only where a node needs it, since
-separators such as ``;`` and ``]`` never do.
+list costs later collections nothing.  A token carries no ``Span``: a
+node's span is the slice ``t[2:]``, taken only where a node needs it,
+since separators such as ``;`` and ``]`` never do.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ KEYWORDS = frozenset({
     "ASTree", "void", "const", "true", "false", "public", "private", "static",
 })
 
-# Longest match first.
+# Every punctuation token, longest first.
 PUNCTUATION = (
     "++", "--", "+=", "-=", "*=", "/=", "%=", "==", "!=", "<=", ">=",
     "&&", "||",
@@ -74,9 +80,9 @@ STRING_LITERAL = re.compile(r'"(?:[^"\\\n]|\\.)*"', re.DOTALL)
 _SCANNER = re.compile(r"""
     [ \t\r]*
     (?:
-      (?P<skip>(?:\n|//[^\n]*)(?:[ \t\r\n]+|//[^\n]*)*)
-    | (?P<word>[A-Za-z_]\w*)
-    | (?P<punct>""" + "|".join(map(re.escape, PUNCTUATION)) + r""")
+      (?P<word>[A-Za-z_]\w*)
+    | (?P<skip>(?:\n|//[^\n]*)(?:[ \t\r\n]+|//[^\n]*)*)
+    | (?P<punct>[-+*/%=!<>]=|\+\+|--|&&|\|\||[-+*/%=!<>(){}\[\];,:?])
     | (?P<int>\d+(?![.\w]))
     | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)(?!\w))
     | (?P<number>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)?)

@@ -590,21 +590,30 @@ def child_fields(cls: type) -> tuple[str, ...]:
     return cls._fields
 
 
-def children(node: Node):
-    """The child nodes of ``node`` in field order."""
+def children(node: Node) -> list:
+    """The child nodes of ``node`` in field order, as a new list."""
+    below = []
     for name in node._fields:
         value = getattr(node, name)
         if isinstance(value, Node):
-            yield value
+            below.append(value)
         elif isinstance(value, list):
-            yield from value
+            below += value
+    return below
 
 
 def walk(node: Node):
-    """``node`` and every node below it, in pre-order."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """``node`` and every node below it, in pre-order.  A node's children
+    are read when the walk reaches it, and wait on an explicit stack, so a
+    walk takes time linear in its nodes and no Python stack however deep
+    they nest."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        below = children(node)
+        below.reverse()
+        stack += below
 
 
 def map_children(node: Node, fn) -> Node:

@@ -33,8 +33,10 @@ Grammar notes:
   right.
 
 Tokens are the lexer's ``(kind, text, line, col)`` tuples, read as
-``t[0]`` and ``t[1]``; a node's ``Span`` is built from ``t[2:]`` through
-``tuple.__new__``, which skips the ``NamedTuple``'s Python constructor.
+``t[0]`` and ``t[1]``.  A node's span is the slice ``t[2:]`` of its
+token, an exact ``(line, col)`` tuple of ints, which the garbage collector
+stops tracking at the first collection it survives; an error given one
+turns it into a ``Span`` (see errors.py).
 The token list ends in an end-of-input sentinel one past the last token's
 source text (for a string literal, past its closing quote, not its
 decoded body), where a parse error at the end of the input points.
@@ -48,12 +50,14 @@ helpers.  ``parse_unary`` builds names, integers and parenthesized
 expressions itself, and ``parse_expr`` has a leaf fast path: a lone name
 or integer followed by punctuation that cannot go on an expression
 (``;``, ``)``, ``]``, ``,``, ``:`` or an assignment operator) is built
-without climbing the precedence ladder.  These hot rules build the nodes
-residuals are made of (``VarRef``, ``IntLit``, ``Subscript``, ``Binary``,
-``Assign`` and ``ExprStmt``) with positional fields and set ``span``
-afterwards: passing it as a keyword costs a node's ``__init__`` more than
-the store does.  The tree, every span and every error are those of
-the full route.
+without climbing the precedence ladder.  Likewise ``parse_unary``'s
+subscript loop builds ``a[<integer>]`` whole when an integer and ``]``
+follow the ``[``; any other index goes through ``parse_expr`` and
+``expect_punct``.  These hot rules build the nodes residuals are made of
+(``VarRef``, ``IntLit``, ``Subscript``, ``Binary``, ``Assign`` and
+``ExprStmt``) with positional fields and set ``span`` afterwards: passing
+it as a keyword costs a node's ``__init__`` more than the store does.  The
+tree, every span and every error are those of the full route.
 
 Python's stack bounds how deep constructs nest.  Running out of it is a
 ``ParseError`` that names a statement or an expression, whichever rule
@@ -63,7 +67,7 @@ only the error path.
 
 from __future__ import annotations
 
-from .errors import ParseError, Span
+from .errors import ParseError
 from .lexer import (
     AT, FLOAT, IDENT, INT, KEYWORD, PUNCT, STRING, STRING_LITERAL, tokenize,
 )
@@ -86,14 +90,6 @@ _STATEMENT_RULES = frozenset({"parse_stmt", "parse_block", "parse_if",
                               "parse_for", "parse_switch", "parse_case_body"})
 _EXPRESSION_RULES = frozenset({"parse_expr", "parse_binary", "parse_unary",
                                "parse_call", "parse_primary"})
-
-_new = tuple.__new__
-
-
-def _span(t: tuple) -> Span:
-    """The span of token ``t``, without ``Span``'s Python constructor."""
-    return _new(Span, t[2:])
-
 
 def _end(tokens: list, source: str) -> tuple[int, int]:
     """The line and column one past the source text of the last token."""
@@ -143,13 +139,13 @@ class _Parser:
     def at_end(self) -> bool:
         return self.toks[self.pos][0] == _END
 
-    def span(self) -> Span:
-        return _span(self.toks[self.pos])
+    def span(self) -> tuple[int, int]:
+        return self.toks[self.pos][2:]
 
     def error(self, message: str) -> ParseError:
         t = self.toks[self.pos]
         found = "end of input" if t[0] == _END else f"'{t[1]}'"
-        return ParseError(f"{message}, found {found}", _span(t))
+        return ParseError(f"{message}, found {found}", t[2:])
 
     def guarded(self, rule):
         """Apply a grammar rule, reporting Python stack exhaustion as a
@@ -255,7 +251,7 @@ class _Parser:
                     self._check_params(None, params)
                     return n.FunctionDef(name_tok[1], None, params, body,
                                          declared_return=rtype,
-                                         span=_span(name_tok))
+                                         span=name_tok[2:])
             except ParseError:
                 pass
             self.pos = mark
@@ -276,7 +272,7 @@ class _Parser:
             params = self.parse_list(self.parse_param)
         body = self.parse_block()
         self._check_params(static_params, params)
-        return n.FunctionDef(name, static_params, params, body, span=_span(kw))
+        return n.FunctionDef(name, static_params, params, body, span=kw[2:])
 
     def _check_params(self, static_params, params) -> None:
         if static_params is not None:
@@ -299,7 +295,7 @@ class _Parser:
             size = self.parse_expr()
             self.expect_punct("]")
             dtype = n.ArrayType(dtype, size, span=start)
-        return n.Param(name[1], dtype, span=_span(name))
+        return n.Param(name[1], dtype, span=name[2:])
 
     def parse_class(self) -> n.ClassDef:
         kw = self.expect_kw("class")
@@ -323,7 +319,7 @@ class _Parser:
                     self.check_punct(":", 1):
                 tok = self.advance()
                 self.advance()
-                items.append(n.VisibilityLabel(tok[1], span=_span(tok)))
+                items.append(n.VisibilityLabel(tok[1], span=tok[2:]))
                 continue
             # Constructor: ClassName [@...] ( )
             if self.check(IDENT) and self.peek()[1] == name:
@@ -340,15 +336,15 @@ class _Parser:
                         n_static_ctor += 1
                     else:
                         n_dynamic_ctor += 1
-                    items.append(n.CtorDef(at, body, span=_span(tok)))
+                    items.append(n.CtorDef(at, body, span=tok[2:]))
                     continue
             items.append(self.parse_var_decl())
         self.advance()
         if n_static_ctor > 1 or n_dynamic_ctor > 1:
             raise ParseError(
                 f"class '{name}' may have at most one static and one "
-                "dynamic constructor", _span(kw))
-        return n.ClassDef(name, static_params, items, span=_span(kw))
+                "dynamic constructor", kw[2:])
+        return n.ClassDef(name, static_params, items, span=kw[2:])
 
     # -- types --------------------------------------------------------------
 
@@ -387,7 +383,7 @@ class _Parser:
 
     def parse_block(self) -> n.Block:
         toks = self.toks
-        start = _span(toks[self.pos])
+        start = toks[self.pos][2:]
         self.expect_punct("{")
         stmts = []
         while True:
@@ -411,7 +407,7 @@ class _Parser:
                 if not self.check_punct(";"):
                     value = self.parse_expr()
                 self.expect_punct(";")
-                return n.Return(value, span=_span(t))
+                return n.Return(value, span=t[2:])
             if text == "if":
                 return self.parse_if()
             if text == "for":
@@ -475,7 +471,7 @@ class _Parser:
                 init = self.parse_expr()
                 t = toks[self.pos]
             declarators.append(n.Declarator(name[1], size, init,
-                                            span=_span(name)))
+                                            span=name[2:]))
             if t[1] != "," or t[0] != PUNCT:
                 break
             self.pos += 1
@@ -486,7 +482,7 @@ class _Parser:
 
     def parse_simple_stmt(self, consume_semi: bool) -> n.Stmt:
         toks = self.toks
-        start = _new(Span, toks[self.pos][2:])
+        start = toks[self.pos][2:]
         expr = self.parse_expr()
         stmt: n.Stmt
         t = toks[self.pos]
@@ -521,7 +517,7 @@ class _Parser:
             self.advance()
             else_at = self.take_at()
             else_stmt = self.parse_stmt()
-        return n.If(cond, then_stmt, else_stmt, at, else_at, span=_span(tok))
+        return n.If(cond, then_stmt, else_stmt, at, else_at, span=tok[2:])
 
     def parse_for(self) -> n.For:
         tok = self.expect_kw("for")
@@ -536,7 +532,7 @@ class _Parser:
         incr = self.parse_for_clause()
         self.expect_punct(")")
         body = self.parse_stmt()
-        return n.For(init, cond, incr, body, at, span=_span(tok))
+        return n.For(init, cond, incr, body, at, span=tok[2:])
 
     def parse_switch(self) -> n.Switch:
         tok = self.expect_kw("switch")
@@ -552,21 +548,21 @@ class _Parser:
                 label = self.parse_case_label()
                 self.expect_punct(":")
                 cases.append(n.SwitchCase(label, self.parse_case_body(),
-                                          span=_span(ctok)))
+                                          span=ctok[2:]))
             elif self.check_kw("default"):
                 ctok = self.advance()
                 self.expect_punct(":")
                 cases.append(n.SwitchCase(None, self.parse_case_body(),
-                                          span=_span(ctok)))
+                                          span=ctok[2:]))
             else:
                 raise self.error("expected 'case' or 'default'")
         self.advance()
-        return n.Switch(subject, cases, at, span=_span(tok))
+        return n.Switch(subject, cases, at, span=tok[2:])
 
     def parse_case_label(self) -> n.Expr:
         t = self.peek()
         if t[0] == KEYWORD and t[1] in _TYPE_KEYWORDS and t[1] != "const":
-            return n.TypeLit(self.parse_type(), span=_span(t))
+            return n.TypeLit(self.parse_type(), span=t[2:])
         return self.parse_expr()
 
     def parse_case_body(self) -> list:
@@ -590,7 +586,7 @@ class _Parser:
             if after[1] in _LEAF_END and after[0] == PUNCT:
                 self.pos = pos + 1
                 leaf = n.VarRef(t[1]) if kind == IDENT else n.IntLit(int(t[1]))
-                leaf.span = _new(Span, t[2:])
+                leaf.span = t[2:]
                 return leaf
         expr = self.parse_unary()
         t = toks[self.pos]
@@ -602,7 +598,7 @@ class _Parser:
             then_e = self.parse_expr()
             self.expect_punct(":")
             else_e = self.parse_expr()
-            return n.Cond(expr, then_e, else_e, span=_span(t))
+            return n.Cond(expr, then_e, else_e, span=t[2:])
         return expr
 
     def parse_binary(self, lhs: n.Expr, min_prec: int) -> n.Expr:
@@ -615,7 +611,7 @@ class _Parser:
             self.pos += 1
             lhs = n.Binary(op[1], lhs,
                            self.parse_binary(self.parse_unary(), prec + 1))
-            lhs.span = _new(Span, op[2:])
+            lhs.span = op[2:]
             op = toks[self.pos]
             prec = _BINARY_PRECEDENCE.get(op[1], 0)
         return lhs
@@ -634,11 +630,11 @@ class _Parser:
                 expr = self.parse_call(t, len(after[1]))
             else:
                 expr = n.VarRef(t[1])
-                expr.span = _new(Span, t[2:])
+                expr.span = t[2:]
         elif kind == INT:
             self.pos += 1
             expr = n.IntLit(int(t[1]))
-            expr.span = _new(Span, t[2:])
+            expr.span = t[2:]
         elif kind == PUNCT:
             text = t[1]
             if text == "(":
@@ -647,21 +643,32 @@ class _Parser:
                 self.expect_punct(")")
             elif text == "!" or text == "-":
                 self.pos += 1
-                return n.Unary(text, self.parse_unary(), span=_span(t))
+                return n.Unary(text, self.parse_unary(), span=t[2:])
             elif text == "++" or text == "--":
                 self.pos += 1
-                return n.Incr(text, self.parse_unary(), span=_span(t))
+                return n.Incr(text, self.parse_unary(), span=t[2:])
             else:
                 raise self.error("expected an expression")
         else:
             expr = self.parse_primary()
-        t = toks[self.pos]
+        pos = self.pos
+        t = toks[pos]
         while t[1] == "[" and t[0] == PUNCT:
-            self.pos += 1
-            expr = n.Subscript(expr, self.parse_expr())
-            expr.span = _new(Span, t[2:])
-            self.expect_punct("]")
-            t = toks[self.pos]
+            index = toks[pos + 1]
+            if index[0] == INT and toks[pos + 2][1] == "]" and \
+                    toks[pos + 2][0] == PUNCT:
+                # ``a[<integer>]``, the residuals' own subscript
+                leaf = n.IntLit(int(index[1]))
+                leaf.span = index[2:]
+                expr = n.Subscript(expr, leaf)
+                self.pos = pos = pos + 3
+            else:
+                self.pos = pos + 1
+                expr = n.Subscript(expr, self.parse_expr())
+                self.expect_punct("]")
+                pos = self.pos
+            expr.span = t[2:]
+            t = toks[pos]
         return expr
 
     def parse_call(self, name: tuple, at: int) -> n.Call:
@@ -670,8 +677,8 @@ class _Parser:
         if at == 0 and self.check_punct("("):
             dyn_args = self.parse_call_args()
             return n.Call(name[1], dyn_args, static_args=args,
-                          span=_span(name))
-        return n.Call(name[1], args, at_count=at, span=_span(name))
+                          span=name[2:])
+        return n.Call(name[1], args, at_count=at, span=name[2:])
 
     def parse_call_args(self) -> list:
         self.expect_punct("(")
@@ -683,15 +690,15 @@ class _Parser:
         kind = t[0]
         if kind == FLOAT:
             self.advance()
-            return n.FloatLit(float(t[1]), span=_span(t))
+            return n.FloatLit(float(t[1]), span=t[2:])
         if kind == STRING:
             self.advance()
-            return n.StringLit(t[1], span=_span(t))
+            return n.StringLit(t[1], span=t[2:])
         if kind == KEYWORD and t[1] in ("true", "false"):
             self.advance()
-            return n.BoolLit(t[1] == "true", span=_span(t))
+            return n.BoolLit(t[1] == "true", span=t[2:])
         if kind == KEYWORD and t[1] in _TYPE_KEYWORDS and t[1] != "const":
-            return n.TypeLit(self.parse_type(), span=_span(t))
+            return n.TypeLit(self.parse_type(), span=t[2:])
         raise self.error("expected an expression")
 
 

@@ -41,8 +41,9 @@ from __future__ import annotations
 from . import nodes as n
 from .errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
-    DYNAMIC_TO_STATIC_FLOW, ParseError, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
-    Record, STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, Span, StageError,
+    DYNAMIC_TO_STATIC_FLOW, DepthExceeded, ParseError,
+    STATIC_CONTROL_WITH_DYNAMIC_GUARD, Record,
+    STATIC_MUTATION_UNDER_DYNAMIC_CONTROL, Span, StageError,
     TYPENAME_DYNAMIC_BINDING, TypeMismatch, UnboundVariable,
 )
 from .flatten import KNOWN_BUILTINS
@@ -651,7 +652,13 @@ def check_stages(program: n.Program, levels: int = 2) -> StagedAST:
     first violation in source order."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    return _Checker(program, levels).check()
+    try:
+        return _Checker(program, levels).check()
+    except RecursionError:
+        # the checker recurses once per operator, so a long flat sum that
+        # the parser's loop took whole can still run out of stack here
+        raise DepthExceeded("expression nested too deeply for the stage "
+                            "checker's stack") from None
 
 
 def stage_of(expr: n.Expr, env: dict, levels: int = 2) -> int:

@@ -248,9 +248,9 @@ def test_runtime_error_exit_5(tmp_path):
      "stage error: no function 'nope' taking 1 static argument(s) and no "
      "class of that name"),
     (["flatten", "{negate}"], 1, "parse error: flatten requires --entry"),
-    (["run", "{dot}", "--entry", "dot", "--static-args", "3, double",
-      "--dyn-args", "[1.0,2.0,3.0],[4.0,5.0,6.0]"], 5,
-     "runtime error: array element type float does not match double"),
+    (["run", "{dot}", "--entry", "dot", "--static-args", "3, int",
+      "--dyn-args", "[1.5,2.5,3.5],[4,5,6]"], 5,
+     "runtime error: array element type float does not match int"),
 ], ids=["unknown-entry", "missing-entry", "argument-type"])
 def test_a_diagnostic_without_a_position_names_only_the_file(tmp_path, args,
                                                             code, message):
@@ -261,6 +261,55 @@ def test_a_diagnostic_without_a_position_names_only_the_file(tmp_path, args,
     result = catat(*args)
     assert result.returncode == code
     assert result.stderr == f"{args[1]}: {message}\n"
+
+
+@pytest.mark.parametrize("name, static_args, dyn_args, printed", [
+    ("dot", "3, double", "[1.0,2.0,3.0],[4.0,5.0,6.0]", "float 32.0"),
+    ("dot", "3, char", "[1,2,3],[4,5,6]", "int 32"),
+    ("average", "long int", "[1,2,3],3", "float 2.0"),
+    ("average", "double", "[1,2,3],3", "float 2.0"),
+], ids=["float-list-to-double", "int-list-to-char", "int-list-to-long-int",
+        "int-list-to-double"])
+def test_an_array_argument_takes_its_parameter_element_type(
+        name, static_args, dyn_args, printed):
+    result = catat("run", fixture(f"{name}.cat"), "--entry", name,
+                   "--static-args", static_args, "--dyn-args", dyn_args)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (0, printed + "\n", "")
+
+
+def test_a_float_array_argument_does_not_bind_to_an_int_parameter():
+    path = fixture("average.cat")
+    result = catat("run", path, "--entry", "average", "--static-args", "int",
+                   "--dyn-args", "[1.5],1")
+    assert result.returncode == 5
+    assert result.stderr == (f"{path}: runtime error: array element type "
+                             "float does not match int\n")
+
+
+FLAT_SUM = "function f(int@ k)(int x) {{ return {}; }}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["specialize", "--entry", "f", "--static-args", "1"],
+    ["run", "--entry", "f", "--static-args", "1", "--dyn-args", "2"],
+], ids=["check", "specialize", "run"])
+def test_a_long_flat_sum_prints_no_traceback(tmp_path, command):
+    # The parser takes a sum of any length in a loop; the stage checker
+    # recurses once per operator.
+    source = tmp_path / "sum.cat"
+    source.write_text(FLAT_SUM.format(" + ".join(["x"] * 600)))
+    result = catat(command[0], source, *command[1:])
+    assert 0 <= result.returncode <= 5
+    assert "Traceback" not in result.stderr
+
+
+def test_a_flat_sum_within_the_stack_runs(tmp_path):
+    source = tmp_path / "sum.cat"
+    source.write_text(FLAT_SUM.format(" + ".join(["x"] * 450)))
+    result = catat("run", source, "--entry", "f", "--static-args", "1",
+                   "--dyn-args", "2")
+    assert (result.returncode, result.stdout) == (0, "int 900\n")
 
 
 def test_levels_flag():

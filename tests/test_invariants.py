@@ -19,8 +19,10 @@ def test_span_sanity():
         for node in n.walk(program):
             if node.span is None:
                 continue
-            assert 1 <= node.span.line <= line_count, (name, node)
-            assert node.span.col >= 1
+            assert type(node.span) is tuple, (name, node)
+            line, col = node.span
+            assert 1 <= line <= line_count, (name, node)
+            assert col >= 1
 
 
 def test_statement_nodes_carry_spans():

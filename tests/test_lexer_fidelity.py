@@ -6,9 +6,10 @@ a derandomized soup of tokens, blanks, comments and bad input."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catat.errors import LexError, Span
-from catat.lexer import tokenize
-from catat.parser import _span
+from catat import parse
+from catat.errors import LexError
+from catat.lexer import PUNCT, PUNCTUATION, tokenize
+from catat.nodes import walk
 
 import reference_lexer
 from conftest import front_end_texts
@@ -27,10 +28,17 @@ def assert_same(source):
 
 
 def test_spans_are_the_token_positions():
+    # A node's span is the slice ``t[2:]`` of its token: an exact tuple of
+    # two ints, which the collector can stop tracking.
     for t in tokenize("int@ j = 0;\n  for@ (x)\t// c\r\n\"a\\\nb\" y"):
-        span = _span(t)
-        assert span == t[2:] == (span.line, span.col)
-        assert type(span) is Span
+        span = t[2:]
+        assert type(span) is tuple and len(span) == 2
+        assert all(type(v) is int and v >= 1 for v in span)
+    source = ("function f(int@ n)(int* a) {\n  int s = 0;\n\tfor@ (int i = 0;"
+              " i < n; i = i + 1) s += a[i] * a[2];\r\n  return s; }")
+    positions = {t[2:] for t in tokenize(source)}
+    for node in walk(parse(source).items[0]):
+        assert type(node.span) is tuple and node.span in positions, node
 
 
 TEXTS = dict(front_end_texts())
@@ -72,3 +80,28 @@ _PIECES = st.one_of(
 @given(st.lists(_PIECES, max_size=24).map("".join))
 def test_token_soups(source):
     assert_same(source)
+
+
+def test_every_punctuation_entry_lexes_alone():
+    # The scanner matches punctuation by character classes, not from
+    # ``PUNCTUATION``: each entry must still be one token of its own.
+    for text in PUNCTUATION:
+        assert tokenize(text) == [(PUNCT, text, 1, 1)]
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.lists(_PIECES, max_size=24).map("".join))
+def test_every_punctuation_token_is_in_punctuation(source):
+    # ... and it must take nothing as punctuation that is not an entry.
+    # Most soups hold a lex error: the text before it is read instead.
+    while True:
+        try:
+            tokens = tokenize(source)
+            break
+        except LexError as error:
+            line, col = error.span
+            lines = source.split("\n")[:line]
+            lines[-1] = lines[-1][:col - 1]
+            source = "\n".join(lines)
+    assert [t for t in tokens
+            if t[0] == PUNCT and t[1] not in PUNCTUATION] == []

@@ -58,3 +58,16 @@ def test_erase_stages_clears_every_annotation(path):
         assert getattr(x, "at_count", 0) == 0, x
         assert getattr(x, "else_at_count", 0) == 0, x
         assert not getattr(x, "ctime", False), x
+
+
+def test_walk_takes_a_chain_deeper_than_the_stack():
+    # ((x0 + x1) + x2) + ... built from nodes, 3,000 operators deep
+    depth = 3000
+    chain = n.VarRef("x0")
+    for i in range(1, depth + 1):
+        chain = n.Binary("+", chain, n.VarRef(f"x{i}"))
+    names = [x.name for x in n.walk(chain) if isinstance(x, n.VarRef)]
+    assert sum(1 for _ in n.walk(chain)) == 2 * depth + 1
+    assert names == [f"x{i}" for i in range(depth + 1)]
+    first = next(iter(n.walk(chain)))
+    assert first is chain

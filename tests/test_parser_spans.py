@@ -10,6 +10,7 @@ parse in walk order, and compares the hash with the one recorded in
     PYTHONPATH=src:tests python tests/test_parser_spans.py
 """
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -17,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from catat import parse
-from catat.errors import Span
 from catat.nodes import walk
 
 from conftest import front_end_texts
@@ -56,16 +56,34 @@ def test_every_node_keeps_its_span(recorded, current):
     assert moved == []
 
 
+def is_position(span) -> bool:
+    """An exact tuple of two ints >= 1, as a token's ``t[2:]`` is."""
+    return type(span) is tuple and len(span) == 2 and \
+        all(type(v) is int and v >= 1 for v in span)
+
+
 def test_every_node_has_a_span_and_no_stage():
-    # The hot rules set ``span`` after building a node: a bare tuple there
-    # would hash alike but have no ``.line``.
+    # A node's span is the slice of its token: a ``Span`` or a list there
+    # would hash alike but keep the collector tracking it.
     texts = [*front_end_texts(),
              ("unary", "int f(int d) { d = -d; ++d; return !d ? d : -d; }")]
     odd = [(label, type(node).__name__, node.span, node.stage)
            for label, text in texts
            for item in parse(text).items for node in walk(item)
-           if type(node.span) is not Span or node.stage is not None]
+           if not is_position(node.span) or node.stage is not None]
     assert odd == []
+
+
+def test_the_collector_lets_every_span_of_a_residual_go():
+    # A node's span is an exact tuple of ints, which the collector stops
+    # tracking once it has seen it; a NamedTuple it would track for good.
+    text = dict(front_end_texts())["dot.cat:dot(9, int):direct"]
+    program = parse(text)
+    gc.collect()
+    tracked = [(type(node).__name__, node.span)
+               for item in program.items for node in walk(item)
+               if gc.is_tracked(node.span)]
+    assert tracked == []
 
 
 if __name__ == "__main__":
