@@ -33,8 +33,9 @@ both routes.  Residual nodes may be shared between statements (one varref
 stands for a variable everywhere), so nothing downstream may mutate them
 except the checker's ``.stage``.
 
-The specializer runs each generator compiled to Python (``pyemit``), once
-per specialization cache; the tree walker stays the reference engine, and
+The specializer flattens each generator once per specialization cache
+and runs it compiled to Python (``pyemit``), translated once per process;
+the tree walker stays the reference engine, and
 both make the same nodes with the same spans, the compiled code through
 the constructions below or written out where no check of one can fail.
 What does not flatten raises ``FlattenUnsupported``: a dynamic

@@ -64,9 +64,20 @@ does not.  A statement or expression nested deeper than ``_MAX_INDENT``,
 ``_MAX_LOOPS`` or ``_MAX_NESTING`` is outlined into a closure defined at
 the top of the function and called where it stood; the variables it shares
 with the rest of the function are ``nonlocal``.  Every function compiles.
+
+``compile_function`` translates each function once per process: it keeps
+the code it made in a table keyed by the function's tree (``_key``: every
+field, the spans, stages and ``For.unrolling`` included), so a generator
+flattened again from another parse of the same source, in another
+specialization cache, is neither translated nor compiled again.  The code
+depends on nothing but that tree, and what it binds as constants (spans,
+literal values, types) is equal in every function of the same key.  The
+table holds at most ``_CODE_BOUND`` entries and drops the oldest.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from . import nodes as n
 from .errors import IntegerOverflow, MalformedFragment, TypeMismatch
@@ -864,6 +875,40 @@ _EXPR = {
 
 _ENTRY = "compiled"
 
+# The code table: compiled functions by the structural key of the function
+# they were compiled from (``_key``), the oldest dropped past _CODE_BOUND.
+_CODE_BOUND = 256
+_CODE: dict = {}
+_READ: dict = {}  # node class -> the getter of its fields and kept fields
+
+
+def _key(fn: n.FunctionDef) -> tuple:
+    """A key equal for two functions exactly when their trees are: the
+    pre-order run of each node's class, each of its fields and kept fields
+    (``span``, ``stage``, ``For.unrolling``) in order, each list's length
+    and items, and each plain value tagged with its class (``True`` is not
+    ``1``), a float by its ``repr`` (``-0.0`` is not ``0.0``).  A node
+    class fixes how many values follow it, so the run reads back one way;
+    the walker contract (``nodes``) makes every item hashable."""
+    out = []
+    stack = [fn]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is list:
+            out += (list, len(x))
+            stack += reversed(x)
+            continue
+        read = _READ.get(cls)
+        if read is None and issubclass(cls, n.Node):
+            read = _READ[cls] = attrgetter(*cls._fields, *cls._kept)
+        if read is not None:
+            out.append(cls)
+            stack += reversed(read(x))
+        else:
+            out += (cls, repr(x) if cls is float else x)
+    return tuple(out)
+
 
 def emit_python(fn: n.FunctionDef) -> tuple[str, dict]:
     """The Python source of ``fn``'s body as the function ``compiled(interp,
@@ -875,7 +920,15 @@ def emit_python(fn: n.FunctionDef) -> tuple[str, dict]:
 def compile_function(fn: n.FunctionDef):
     """``fn``'s body compiled: a function of the interpreter and the
     environment ``call_function`` bound the arguments in, returning the
-    value of a ``return`` or None."""
-    source, namespace = emit_python(fn)
-    exec(compile(source, f"<catat {fn.name}>", "exec"), namespace)
-    return namespace[_ENTRY]
+    value of a ``return`` or None.  A function equal to one compiled
+    before, spans included, gets that one's code from the table."""
+    key = _key(fn)
+    code = _CODE.get(key)
+    if code is None:
+        source, namespace = emit_python(fn)
+        exec(compile(source, f"<catat {fn.name}>", "exec"), namespace)
+        code = namespace[_ENTRY]
+        if len(_CODE) >= _CODE_BOUND:
+            del _CODE[next(iter(_CODE))]
+        _CODE[key] = code
+    return code

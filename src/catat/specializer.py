@@ -425,8 +425,9 @@ class SpecializationCache:
         return self.top_stmts
 
     def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
-        """``fn``'s generator, flattened and compiled to Python once per
-        cache; the interpreter runs it compiled."""
+        """``fn``'s generator, flattened once per cache and run compiled;
+        ``pyemit.compile_function`` translates each generator once per
+        process."""
         generator = self.generators.get(id(fn))
         if generator is None:
             # imported on the first flattening: a program that never

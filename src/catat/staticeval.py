@@ -84,7 +84,7 @@ from .errors import (
 )
 from .flatten import BUILDERS
 from .values import (
-    INT64_MAX, INT64_MIN, SCALAR_CELLS, ArrayV, BoolV, ClassTV, Env,
+    INT64_MAX, INT64_MIN, SCALAR_CELL_NAMES, ArrayV, BoolV, ClassTV, Env,
     FixedArrayTV, FloatV, InstanceV, IntV, PointerTV, PRIM_BY_NAME, PrimTV,
     Slot, StrV, TypeValue, UNIT, Value, arith, coerce, describe, truth,
     zero_value,
@@ -798,7 +798,8 @@ class CallMemo:
                 parts.append((cls, a.value))
             elif cls is FloatV:  # -0.0 and 0.0 differ
                 parts.append((cls, a.value, math.copysign(1.0, a.value)))
-            elif cls is ArrayV and a.elem in SCALAR_CELLS:
+            elif cls is ArrayV and a.elem.__class__ is PrimTV and \
+                    a.elem.name in SCALAR_CELL_NAMES:
                 parts.append((id(a), a.stores))
             elif isinstance(a, TypeValue):
                 parts.append(a)

@@ -180,6 +180,9 @@ PRIM_BY_NAME = {t.name: t for t in
 # Element types whose cells are immutable: an array of them is keyed by
 # the compile-time call memo and keeps its canonical key (``ArrayV.keyed``).
 SCALAR_CELLS = frozenset({INT, CHAR, LONG_INT, FLOAT, DOUBLE, BOOL, TYPENAME})
+# Their names: ``tv.__class__ is PrimTV and tv.name in SCALAR_CELL_NAMES``
+# tests membership without hashing ``tv``.
+SCALAR_CELL_NAMES = frozenset(tv.name for tv in SCALAR_CELLS)
 
 _INTEGER_CLASS = frozenset({"int", "char", "long int"})
 _FLOAT_CLASS = frozenset({"float", "double"})
@@ -270,7 +273,8 @@ def canonical_key(v: Value, span: Span | None = None):
     if isinstance(v, UnitV):
         return ("unit",)
     if isinstance(v, ArrayV):
-        if v.elem in SCALAR_CELLS:
+        elem = v.elem
+        if elem.__class__ is PrimTV and elem.name in SCALAR_CELL_NAMES:
             return _keyed(v)[1]
         return _array_key(v)
     if isinstance(v, InstanceV):
@@ -309,7 +313,8 @@ def render_static_arg(v: Value) -> str:
     if isinstance(v, BoolV):
         return "true" if v.value else "false"
     if isinstance(v, ArrayV):
-        if v.elem in SCALAR_CELLS:
+        elem = v.elem
+        if elem.__class__ is PrimTV and elem.name in SCALAR_CELL_NAMES:
             return _keyed(v)[2]
         return _render_cells(v)
     if isinstance(v, StrV):

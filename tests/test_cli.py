@@ -33,6 +33,14 @@ def test_check_ok():
     assert result.stdout.strip() == "ok: 1 declarations"
 
 
+def test_the_package_runs_as_a_module():
+    result = subprocess.run(
+        [sys.executable, "-m", "catat", "check", fixture("dot.cat")],
+        capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stdout.strip() == "ok: 1 declarations"
+
+
 def test_check_stage_error_exit_2():
     result = catat("check", fixture("flow_bad.cat"))
     assert result.returncode == 2

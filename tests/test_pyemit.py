@@ -107,17 +107,19 @@ def global_trees(cache):
 
 
 def assert_engines_agree(source, entry, static_args, limits=None):
-    """Compiled and walked generators leave the same outcome, and the
-    compiled run walks no generator body."""
+    """Compiled and walked generators leave the same outcome, the compiled
+    run walks no generator body, and the reference run walks every one."""
     with walked_blocks() as seen:
         *compiled, cache = flatten_outcome(source, entry, static_args,
                                            limits)
     for generator in cache.generators.values():
         assert id(generator) in cache.interp.compiled
         assert id(generator.body) not in seen, generator.name
-    with walker_generators():
+    with walker_generators(), walked_blocks() as seen:
         *reference, reference_cache = flatten_outcome(source, entry,
                                                       static_args, limits)
+    for generator in reference_cache.generators.values():
+        assert id(generator.body) in seen, generator.name
     assert compiled == reference
     assert global_trees(cache) == global_trees(reference_cache)
     return compiled[0]
@@ -478,6 +480,84 @@ def test_each_generator_is_compiled_once_per_cache():
                            via_flatten=True)
     assert len(cache.generators) == 1
     assert len(cache.interp.compiled) == 1
+
+
+# -- the code table: each function translated once per process ----------------
+
+
+@pytest.fixture
+def translations(monkeypatch):
+    """An empty code table, and the name of each function ``emit_python``
+    translates meanwhile."""
+    monkeypatch.setattr(pyemit, "_CODE", {})
+    names = []
+    emit_python = pyemit.emit_python
+
+    def counting(fn):
+        names.append(fn.name)
+        return emit_python(fn)
+
+    monkeypatch.setattr(pyemit, "emit_python", counting)
+    return names
+
+
+def test_two_parses_of_a_source_translate_its_generator_once(translations):
+    source = fixture_source("dot.cat")
+    texts = [flatten_outcome(source, "dot", [IntV(k), DOUBLE])[0][0]
+             for k in (3, 3, 4)]
+    assert len(translations) == 1
+    assert texts[0] == texts[1] != texts[2]
+    direct = specialize_program(check_stages(parse(source), 2), "dot",
+                                [IntV(3), DOUBLE])
+    assert texts[0] == emit(direct)
+
+
+def with_float(source, value):
+    """``source`` staged, its one float literal set to ``value``: the
+    parser reads ``-0.0`` as a negation."""
+    staged = check_stages(parse(source), 2)
+    (lit,) = [x for x in n.walk(staged.program) if isinstance(x, n.FloatLit)]
+    lit.value = value
+    return staged
+
+
+def test_a_negative_zero_is_its_own_entry(translations):
+    source = "function f(int@ k)(double d) { double@ z = 0.0; return d + z; }"
+    for value in (0.0, -0.0, 0.0, -0.0):
+        texts = [emit(specialize_program(with_float(source, value), "f",
+                                         [IntV(1)], via_flatten=via_flatten))
+                 for via_flatten in (False, True)]
+        assert texts[0] == texts[1]
+        assert texts[0].endswith(f"return d + {value!r};\n}}\n")
+    assert len(translations) == 2
+
+
+def test_a_moved_function_reports_its_own_lines(translations):
+    # the loop cap fails on the for@ line, in the table or not
+    limits = EvalLimits(loop_cap=5)
+    lines = []
+    for source in (UNROLLED, "\n" + UNROLLED) * 2:
+        result = flatten_outcome(source, "f", [IntV(6)], limits)[0]
+        assert result[0].__name__ == "LoopLimitExceeded"
+        lines.append(result[2][0])
+    assert lines == [3, 4, 3, 4]
+    assert len(translations) == 2
+
+
+def test_the_table_keeps_at_most_its_bound(translations):
+    count = pyemit._CODE_BOUND + 4
+    program = erase_stages(parse("".join(
+        f"function g{i}(int x) {{ return x + {i}; }}\n"
+        for i in range(count))))
+    functions = program.functions()
+    for fn in functions:
+        pyemit.compile_function(fn)
+    assert len(translations) == count
+    assert len(pyemit._CODE) == pyemit._CODE_BOUND
+    pyemit.compile_function(functions[-1])
+    assert len(translations) == count
+    pyemit.compile_function(functions[0])  # dropped, so translated again
+    assert len(translations) == count + 1
 
 
 # -- the translator on single-level programs ----------------------------------
