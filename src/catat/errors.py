@@ -206,11 +206,12 @@ class DepthExceeded(CatatError):
 
 # The entry points (specialize_program, run, call_static) size Python's
 # recursion limit from ``max_depth``, so that the depth limit ends a deep
-# call chain.  A chain that still exhausts the stack (very deep nesting
-# within each call, or a ``max_depth`` beyond the limit's cap) becomes
-# DepthExceeded with this message.  Each entry point catches RecursionError
-# in its own try/except: a shared wrapper around them made compile about 6%
-# slower.
+# call chain; check_stages and emit, which take no limits, size it for the
+# default ``max_depth``.  A chain that still exhausts the stack (very deep
+# nesting within each call, or a ``max_depth`` beyond the limit's cap)
+# becomes DepthExceeded with this message.  Each entry point catches
+# RecursionError in its own try/except: a shared wrapper around them made
+# compile about 6% slower.
 STACK_EXHAUSTED = "call chain nested too deeply for the interpreter's stack"
 
 

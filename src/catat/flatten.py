@@ -34,10 +34,11 @@ stands for a variable everywhere), so nothing downstream may mutate them
 except the checker's ``.stage``.
 
 The specializer flattens each generator once per specialization cache
-and runs it compiled to Python (``pyemit``), translated once per process;
-the tree walker stays the reference engine, and
-both make the same nodes with the same spans, the compiled code through
-the constructions below or written out where no check of one can fail.
+and runs it compiled to Python (``pyemit``), translated once per process,
+or walked where Python refuses its text; the tree walker stays the
+reference engine, and both make the same nodes with the same spans, the
+compiled code through the constructions below or written out where no
+check of one can fail.
 What does not flatten raises ``FlattenUnsupported``: a dynamic
 ``switch``, a run-time class declaration and a class entry.
 

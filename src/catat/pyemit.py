@@ -59,20 +59,26 @@ known when the function is translated.
 * Step accounting is not compiled: an interpreter that counts steps must
   not run compiled code.
 
-Python limits nesting (indentation, brackets, nested loops) where Catat
-does not.  A statement or expression nested deeper than ``_MAX_INDENT``,
-``_MAX_LOOPS`` or ``_MAX_NESTING`` is outlined into a closure defined at
-the top of the function and called where it stood; the variables it shares
-with the rest of the function are ``nonlocal``.  Every function compiles.
+The translation is one flat Python function.  Python limits nesting
+where Catat does not (100 levels of indentation, 200 open brackets, 20
+nested loops, the depth of its parser's stack), and ``compile()`` refuses
+the text of a function nested past them with a ``SyntaxError``, or a
+``MemoryError`` where the parser's stack overflows first (an expression
+about 100 levels deep, on Python 3.11).  ``compile_function`` then
+returns the walker's body runner, what ``call_function`` runs for a
+function with no compiled code: a generator Python cannot compile runs
+walked, as compiled code is an optimization the walker always stands
+behind.
 
 ``compile_function`` translates each function once per process: it keeps
-the code it made in a table keyed by the function's tree (``_key``: every
-field, the spans, stages and ``For.unrolling`` included), so a generator
-flattened again from another parse of the same source, in another
-specialization cache, is neither translated nor compiled again.  The code
-depends on nothing but that tree, and what it binds as constants (spans,
-literal values, types) is equal in every function of the same key.  The
-table holds at most ``_CODE_BOUND`` entries and drops the oldest.
+the code it made, or the runner it fell back to, in a table keyed by the
+function's tree (``_key``: every field, the spans, stages and
+``For.unrolling`` included), so a generator flattened again from another
+parse of the same source, in another specialization cache, is neither
+translated nor compiled again.  The code depends on nothing but that
+tree, and what it binds as constants (spans, literal values, types) is
+equal in every function of the same key.  The table holds at most
+``_CODE_BOUND`` entries and drops the oldest.
 """
 
 from __future__ import annotations
@@ -91,14 +97,6 @@ from .values import (
     FixedArrayTV, FloatV, IntV, PointerTV, PRIM_BY_NAME, StrV, UNIT, coerce,
     is_integer_type, truth,
 )
-
-# Outlining thresholds, well inside Python's limits of 100 indentation
-# levels, 200 open brackets and 20 nested loops per function.  An
-# expression level opens at most three brackets.
-_MAX_INDENT = 40
-_MAX_LOOPS = 12
-_MAX_NESTING = 30
-_INDENTING = (n.If, n.For, n.Switch)
 
 # The kind of a translated expression, what its Python value is: a Value
 # (VALUE), an int's or a bool's Python value (INT, BOOL), a bare fragment
@@ -173,38 +171,17 @@ def _literal(e: n.Expr):
     return UNIT
 
 
-class _Local:
-    """A Python local of the compiled function: a Catat variable's value
-    or its declared type when that is not a constant.  It is ``shared``
-    when a frame other than the one that declares it uses it."""
-
-    __slots__ = ("name", "frame", "shared")
-
-    def __init__(self, name: str, frame: "_Frame"):
-        self.name = name
-        self.frame = frame
-        self.shared = False
-
-
 class _Var:
+    """A Catat variable: the Python local that holds its value, and the
+    name of its declared type, a constant's or, where the type is not a
+    constant, a local's."""
+
     __slots__ = ("value", "tv", "kind")
 
-    def __init__(self, tv: "str | _Local", kind):
-        self.value: _Local | None = None  # set when it is declared
-        self.tv = tv  # a constant's name or a local
+    def __init__(self, tv: str, kind):
+        self.value: str | None = None  # set when it is declared
+        self.tv = tv
         self.kind = kind
-
-
-class _Frame:
-    """A Python function being written: the compiled function itself or
-    an outlined closure."""
-
-    def __init__(self, name: str, indent: int):
-        self.name = name
-        self.indent = indent
-        self.loops = 0
-        self.lines: list[str] = []
-        self.used: set = set()  # the _Locals its code touches
 
 
 class _Translator:
@@ -213,9 +190,8 @@ class _Translator:
         self.consts: dict[str, str] = {}  # repr of a constant -> its name
         self.scopes: list[dict] = []
         self.count = 0
-        self.main = self.frame = _Frame("main", 1)
-        self.closures: list[_Frame] = []
-        self.level = 0  # expression nesting in the current frame
+        self.lines: list[str] = [f"def {_ENTRY}(interp, env):"]
+        self.indent = 1
         self.assigned: set = set()  # the names assigned after declaration
 
     # -- names, constants and lines -------------------------------------------
@@ -236,18 +212,17 @@ class _Translator:
         return "None" if span is None else self.const(span, "S")
 
     def emit(self, line: str) -> None:
-        self.frame.lines.append("    " * self.frame.indent + line)
+        self.lines.append("    " * self.indent + line)
 
     def suite(self, s: n.Stmt) -> None:
         """``s`` as the indented body of an ``if`` or ``while``, in the
         scope the walker gives a nested statement (``_scope_for``)."""
-        frame = self.frame
-        frame.indent += 1
-        mark = len(frame.lines)
+        self.indent += 1
+        mark = len(self.lines)
         self.nested(s)
-        if len(frame.lines) == mark:
+        if len(self.lines) == mark:
             self.emit("pass")
-        frame.indent -= 1
+        self.indent -= 1
 
     def nested(self, s: n.Stmt) -> None:
         if s.__class__ is n.VarDecl:
@@ -343,23 +318,12 @@ class _Translator:
         text, kind = code
         if var.kind == INT or var.kind == BOOL:
             return text if kind == var.kind else \
-                f"coerce({self.box(code)}, {self.tv_text(var)}, {span}).value"
+                f"coerce({self.box(code)}, {var.tv}, {span}).value"
         if self.ns.get(var.tv) == ASTREE and self.fragment(code) is not None:
             return self.box(code)
-        return f"coerce({self.box(code)}, {self.tv_text(var)}, {span})"
+        return f"coerce({self.box(code)}, {var.tv}, {span})"
 
     # -- variables ------------------------------------------------------------
-
-    def use(self, local: _Local) -> str:
-        if local.frame is not self.frame:
-            local.shared = True
-        self.frame.used.add(local)
-        return local.name
-
-    def local(self, base: str) -> _Local:
-        local = _Local(self.fresh(base), self.frame)
-        self.frame.used.add(local)
-        return local
 
     def lookup(self, name: str) -> _Var | None:
         for scope in reversed(self.scopes):
@@ -367,9 +331,6 @@ class _Translator:
             if var is not None:
                 return var
         return None
-
-    def tv_text(self, var: _Var) -> str:
-        return var.tv if var.tv.__class__ is str else self.use(var.tv)
 
     def declare(self, name: str, var: _Var, value: str, span) -> None:
         """Bind the declared ``name`` to ``var``, holding the value of the
@@ -381,9 +342,9 @@ class _Translator:
             self.emit(f"raise TypeMismatch({self.const(message)}, "
                       f"{self.span(span)})")
             return
-        var.value = self.local(f"v_{name}_")
+        var.value = self.fresh(f"v_{name}_")
         scope[name] = var
-        self.emit(f"{var.value.name} = {value}")
+        self.emit(f"{var.value} = {value}")
 
     # -- functions ------------------------------------------------------------
 
@@ -405,60 +366,20 @@ class _Translator:
             if prim is not None:
                 tv = self.const(prim, "T")
             else:
-                tv = self.local("t")
-                self.emit(f"{tv.name} = slots[{p.name!r}].tv")
+                tv = self.fresh("t")
+                self.emit(f"{tv} = slots[{p.name!r}].tv")
             var = _Var(tv, self.kind_of(prim, p.name, None))
             unboxed = ".value" if var.kind in (INT, BOOL) else ""
             self.declare(p.name, var, f"slots[{p.name!r}].value{unboxed}",
                          p.span)
         self.block(fn.body)
         self.scopes.pop()
-        return self.assemble()
-
-    def assemble(self) -> str:
-        out = [f"def {_ENTRY}(interp, env):"]
-        shared = sorted({local.name for frame in (self.main, *self.closures)
-                         for local in frame.used if local.shared})
-        if shared:
-            out.append("    " + " = ".join(shared) + " = None")
-        for frame in self.closures:
-            out.append(f"    def {frame.name}():")
-            names = sorted(local.name for local in frame.used
-                           if local.shared)
-            if names:
-                out.append("        nonlocal " + ", ".join(names))
-            elif not frame.lines:
-                out.append("        pass")
-            out.extend(frame.lines)
-        out.extend(self.main.lines)
-        return "\n".join(out) + "\n"
-
-    def outline(self, write) -> str:
-        """Run ``write`` into a new closure; the closure's name."""
-        frame = _Frame(self.fresh("_c"), 2)
-        saved = self.frame, self.level
-        self.frame, self.level = frame, 0
-        write()
-        self.frame, self.level = saved
-        self.closures.append(frame)
-        return frame.name
+        return "\n".join(self.lines) + "\n"
 
     # -- statements -----------------------------------------------------------
 
     def stmt(self, s: n.Stmt) -> None:
-        frame = self.frame
-        cls = s.__class__
-        if cls in _INDENTING and frame.indent >= _MAX_INDENT or \
-                cls is n.For and frame.loops >= _MAX_LOOPS:
-            name = self.outline(lambda: self.stmt(s))
-            if any(x.__class__ is n.Return for x in n.walk(s)):
-                result = self.fresh("_r")
-                self.emit(f"{result} = {name}()")
-                self.emit(f"if {result} is not None: return {result}")
-            else:
-                self.emit(f"{name}()")
-            return
-        handler = _STMT.get(cls)
+        handler = _STMT.get(s.__class__)
         if handler is None:
             message = f"cannot execute {type(s).__name__}"
             self.emit(f"raise TypeMismatch({self.const(message)}, "
@@ -487,8 +408,8 @@ class _Translator:
                 continue
             tv = self.type_expr(dtype, s.span)
             if tv not in self.ns:  # resolved before the initializer runs
-                local = self.local("t")
-                self.emit(f"{local.name} = {tv}")
+                local = self.fresh("t")
+                self.emit(f"{local} = {tv}")
                 tv = local
             prim = PRIM_BY_NAME.get(dtype.name) \
                 if dtype.__class__ is n.PrimType else None
@@ -499,7 +420,7 @@ class _Translator:
             elif var.kind == INT or var.kind == BOOL:
                 value = "0" if var.kind == INT else "False"
             else:
-                value = f"interp.default_value({self.tv_text(var)}, " \
+                value = f"interp.default_value({var.tv}, " \
                         f"{self.span(d.span)})"
             self.declare(d.name, var, value, d.span)
 
@@ -514,7 +435,7 @@ class _Translator:
                 self.emit(f"store(interp.globals, {self.const(target.name)}, "
                           f"{op!r}, {self.box(value)}, {span})")
                 return
-            name = self.use(var.value)
+            name = var.value
             if op != "=":
                 if any(x.__class__ is n.Incr for x in n.walk(s.value)):
                     # the value may step the variable before it is read
@@ -558,7 +479,6 @@ class _Translator:
             self.suite(s.else_stmt)
 
     def for_stmt(self, s: n.For) -> None:
-        frame = self.frame
         self.scopes.append({})
         if s.init is not None:
             self.stmt(s.init)
@@ -566,19 +486,17 @@ class _Translator:
         span = self.span(s.span)
         self.emit(f"{count} = 0")
         self.emit("while True:")
-        frame.indent += 1
+        self.indent += 1
         if s.cond is not None:
             cond = self.condition(self.expr(s.cond), span)
             self.emit(f"if not {cond}: break")
         self.emit(f"{count} += 1")
         self.emit(f"if {count} > cap: "
                   f"raise loop_limit(cap, {bool(s.unrolling)}, {span})")
-        frame.loops += 1
         self.nested(s.body)
-        frame.loops -= 1
         if s.incr is not None:
             self.stmt(s.incr)
-        frame.indent -= 1
+        self.indent -= 1
         self.scopes.pop()
 
     def switch_stmt(self, s: n.Switch) -> None:
@@ -602,31 +520,20 @@ class _Translator:
             self.case_body(default, open_)
 
     def case_body(self, case: n.SwitchCase, open_: str) -> None:
-        self.frame.indent += 1
+        self.indent += 1
         self.emit(f"{open_} = False")
         self.block(n.Block(case.body))
-        self.frame.indent -= 1
+        self.indent -= 1
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self, e: n.Expr) -> tuple:
-        if self.level >= _MAX_NESTING:
-            kinds = []
-
-            def write():
-                text, kind = self.expr(e)
-                kinds.append(kind)
-                self.emit(f"return {text}")
-            return f"{self.outline(write)}()", kinds[0]
         handler = _EXPR.get(e.__class__)
         if handler is None:
             message = f"cannot evaluate {type(e).__name__}"
             return (f"fail(TypeMismatch({self.const(message)}, "
                     f"{self.span(e.span)}))", VALUE)
-        self.level += 1
-        code = handler(self, e)
-        self.level -= 1
-        return code
+        return handler(self, e)
 
     def int_lit(self, e: n.IntLit) -> tuple:
         return repr(e.value), INT
@@ -648,7 +555,7 @@ class _Translator:
         if var is None:
             return (f"read(interp.globals, {self.const(e.name)}, "
                     f"{self.span(e.span)})", VALUE)
-        return self.use(var.value), var.kind
+        return var.value, var.kind
 
     def unary(self, e: n.Unary) -> tuple:
         operand = self.expr(e.operand)
@@ -670,7 +577,7 @@ class _Translator:
             name = self.const(e.target.name)
             return (f"store(interp.globals, {name}, '+=', {delta}, {span})",
                     VALUE)
-        name = self.use(var.value)
+        name = var.value
         if var.kind == INT:
             step = self.checked(f"{name} {e.op[0]} 1", span)[0]
             return f"({name} := {step})", INT
@@ -832,7 +739,7 @@ class _Translator:
         if cls is n.NamedType:
             var = self.lookup(t.name)
             if var is not None:
-                held = self.box((self.use(var.value), var.kind))
+                held = self.box((var.value, var.kind))
                 return f"held_type({self.const(t.name)}, {held}, " \
                        f"{self.span(span)})"
         elif cls is n.PointerType:
@@ -920,14 +827,22 @@ def emit_python(fn: n.FunctionDef) -> tuple[str, dict]:
 def compile_function(fn: n.FunctionDef):
     """``fn``'s body compiled: a function of the interpreter and the
     environment ``call_function`` bound the arguments in, returning the
-    value of a ``return`` or None.  A function equal to one compiled
-    before, spans included, gets that one's code from the table."""
+    value of a ``return`` or None.  Where Python refuses the translation,
+    nested past its limits, the function walks the body instead.  A
+    function equal to one compiled before, spans included, gets that one's
+    code from the table."""
     key = _key(fn)
     code = _CODE.get(key)
     if code is None:
         source, namespace = emit_python(fn)
-        exec(compile(source, f"<catat {fn.name}>", "exec"), namespace)
-        code = namespace[_ENTRY]
+        try:
+            compiled = compile(source, f"<catat {fn.name}>", "exec")
+        except (SyntaxError, MemoryError):
+            body = fn.body
+            code = lambda interp, env: interp.exec_block(body, env)
+        else:
+            exec(compiled, namespace)
+            code = namespace[_ENTRY]
         if len(_CODE) >= _CODE_BOUND:
             del _CODE[next(iter(_CODE))]
         _CODE[key] = code

@@ -425,7 +425,8 @@ class SpecializationCache:
         return self.top_stmts
 
     def generator(self, fn: n.FunctionDef) -> n.FunctionDef:
-        """``fn``'s generator, flattened once per cache and run compiled;
+        """``fn``'s generator, flattened once per cache and run compiled,
+        or walked where Python refuses its text;
         ``pyemit.compile_function`` translates each generator once per
         process."""
         generator = self.generators.get(id(fn))

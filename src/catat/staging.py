@@ -38,6 +38,8 @@ leaf read inline gets the ``.stage`` mark and raises the error that
 
 from __future__ import annotations
 
+import sys
+
 from . import nodes as n
 from .errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
@@ -47,6 +49,7 @@ from .errors import (
     TYPENAME_DYNAMIC_BINDING, TypeMismatch, UnboundVariable,
 )
 from .flatten import KNOWN_BUILTINS
+from .staticeval import raise_recursion_limit
 
 
 class StagedAST(Record):
@@ -652,13 +655,16 @@ def check_stages(program: n.Program, levels: int = 2) -> StagedAST:
     first violation in source order."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
+    # the checker recurses once per operator, so a long flat sum that the
+    # parser's loop took whole needs the stack a deep call chain gets
+    old_limit = raise_recursion_limit()
     try:
         return _Checker(program, levels).check()
     except RecursionError:
-        # the checker recurses once per operator, so a long flat sum that
-        # the parser's loop took whole can still run out of stack here
         raise DepthExceeded("expression nested too deeply for the stage "
                             "checker's stack") from None
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def stage_of(expr: n.Expr, env: dict, levels: int = 2) -> int:

@@ -90,11 +90,13 @@ from .values import (
     zero_value,
 )
 
+MAX_DEPTH = 256  # the default chain-depth limit
+
 
 class EvalLimits(Record):
     __slots__ = _fields = ("loop_cap", "max_depth", "step_limit")
 
-    def __init__(self, loop_cap: int = 1_000_000, max_depth: int = 256,
+    def __init__(self, loop_cap: int = 1_000_000, max_depth: int = MAX_DEPTH,
                  step_limit: int | None = None):
         self.loop_cap = loop_cap
         self.max_depth = max_depth
@@ -110,7 +112,7 @@ STACK_MARGIN = 1000      # the caller's own frames
 STACK_CAP = 50_000
 
 
-def raise_recursion_limit(max_depth: int) -> int:
+def raise_recursion_limit(max_depth: int = MAX_DEPTH) -> int:
     """Make room on Python's stack for ``max_depth`` nested Catat calls,
     so that the depth limit, not the stack, ends a deep chain.  Returns the
     previous limit, which the caller restores."""

@@ -320,6 +320,27 @@ def test_a_flat_sum_within_the_stack_runs(tmp_path):
     assert (result.returncode, result.stdout) == (0, "int 900\n")
 
 
+@pytest.mark.parametrize("terms", [600, 2000])
+def test_a_long_flat_sum_checks_specializes_and_runs(tmp_path, terms):
+    # check and emit size Python's stack as specialize and run do
+    source = tmp_path / "sum.cat"
+    source.write_text(FLAT_SUM.format(" + ".join(["x"] * terms)))
+    assert catat("check", source).returncode == 0
+    direct, flattened = (
+        catat("specialize", source, "--entry", "f", "--static-args", "1",
+              *via) for via in ([], ["--via-flatten"]))
+    assert (direct.returncode, flattened.returncode) == (0, 0)
+    assert direct.stdout == flattened.stdout
+    assert direct.stdout.count(" + x") == terms - 1
+    residual = tmp_path / "residual.cat"
+    ran = catat("run", source, "--entry", "f", "--static-args", "1",
+                "--dyn-args", "2", "--out", residual)
+    assert (ran.returncode, ran.stdout, ran.stderr) == \
+        (0, f"int {2 * terms}\n", "")
+    reloaded = catat("run", residual, "--entry", "f__1", "--dyn-args", "2")
+    assert (reloaded.returncode, reloaded.stdout) == (0, ran.stdout)
+
+
 def test_levels_flag():
     result = catat("check", fixture("pow_two_level.cat"), "--levels", "3")
     assert result.returncode == 0

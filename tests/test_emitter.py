@@ -1,6 +1,10 @@
+import sys
+
 import pytest
 
-from catat import IntV, check_stages, emit, parse, specialize_program
+from catat import (
+    DepthExceeded, IntV, check_stages, emit, parse, specialize_program,
+)
 from catat import emitter, nodes as n
 from catat.emitter import emit_expr, emit_function, emit_stmt
 from catat.parser import parse_expression
@@ -97,3 +101,18 @@ def test_an_unknown_node_class_is_a_type_error():
         emit_expr(Strange())
     with pytest.raises(TypeError, match="unknown statement node"):
         emit_stmt(Odd())
+
+
+def flat_sum(terms):
+    return parse("int y = " + " + ".join(["x"] * terms) + ";")
+
+
+def test_a_long_flat_sum_emits_on_a_sized_stack():
+    # the writer recurses once per operator; emit makes room for it as
+    # the stage checker does, and gives the old recursion limit back
+    limit = sys.getrecursionlimit()
+    assert emit(flat_sum(2000)).count(" + x") == 1999
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(DepthExceeded, match="too deeply for the emitter's"):
+        emit(flat_sum(20000))
+    assert sys.getrecursionlimit() == limit

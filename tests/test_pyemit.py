@@ -108,13 +108,17 @@ def global_trees(cache):
 
 def assert_engines_agree(source, entry, static_args, limits=None):
     """Compiled and walked generators leave the same outcome, the compiled
-    run walks no generator body, and the reference run walks every one."""
+    run walks no generator body, and the reference run walks every one.
+    The sources nested past Python's limits (``PAST_LIMITS``) are the
+    exception: Python refuses their generators' text, so those run walked
+    in the compiled run too."""
     with walked_blocks() as seen:
         *compiled, cache = flatten_outcome(source, entry, static_args,
                                            limits)
     for generator in cache.generators.values():
         assert id(generator) in cache.interp.compiled
-        assert id(generator.body) not in seen, generator.name
+        assert (id(generator.body) in seen) == \
+            (source in PAST_LIMITS.values()), generator.name
     with walker_generators(), walked_blocks() as seen:
         *reference, reference_cache = flatten_outcome(source, entry,
                                                       static_args, limits)
@@ -661,7 +665,7 @@ PROGRAMS = {
     "append to a non-block": (
         "function f(int x) { ASTree t = append(make_varref(\"a\"), "
         "make_return()); return x; }", [IntV(2)], None),
-    "a return from an outlined loop": (
+    "a return from fourteen nested loops": (
         "function f(int x) { "
         + "".join(f"for (int i{j} = 0; i{j} < 1; ++i{j}) " for j in range(14))
         + "return x + i0 + 6; return 0; }", [IntV(1)], 7),
@@ -707,7 +711,7 @@ def test_every_node_class_has_a_translation():
     assert pyemit._EXPR.keys() == staticeval._EXPR.keys()
 
 
-# -- nesting past Python's limits ---------------------------------------------
+# -- nesting near and past Python's limits ------------------------------------
 
 
 def nested_loops(depth):
@@ -729,11 +733,64 @@ def nested_expression(depth):
             + " * k)" * depth + "; return r + s; }")
 
 
-@pytest.mark.parametrize("source", [nested_loops(30), nested_ifs(60),
-                                    nested_expression(150)],
+# Each generator's one flat Python function is refused by compile(): too
+# many statically nested blocks, levels of indentation and nested
+# parentheses, and at 100 levels (Python 3.11) a MemoryError, the parser's
+# stack overflowing before the tokenizer counts 200 brackets.  These
+# generators run walked.
+PAST_LIMITS = {"loops": nested_loops(30), "ifs": nested_ifs(120),
+               "expression": nested_expression(150),
+               "parser stack": nested_expression(100)}
+
+
+def direct_text(source, static_args):
+    return emit(specialize_program(check_stages(parse(source), 2), "f",
+                                   static_args))
+
+
+@pytest.mark.parametrize("source", [nested_loops(19), nested_ifs(60),
+                                    nested_expression(60)],
                          ids=["loops", "ifs", "expression"])
 def test_deep_nesting_compiles(source):
+    # just inside Python's limits: the generator still runs compiled
+    # (assert_engines_agree: no generator body walked)
     result = assert_engines_agree(source, "f", [IntV(1)])
-    assert isinstance(result[0], str)
-    fn = check_stages(parse(source), 2).program.functions()[0]
-    assert "def _c" in pyemit.emit_python(flatten_function(fn))[0]
+    assert result[0] == direct_text(source, [IntV(1)])
+
+
+@pytest.mark.parametrize("source", PAST_LIMITS.values(),
+                         ids=PAST_LIMITS.keys())
+def test_nesting_past_pythons_limits_runs_walked(source, translations):
+    # with the table empty, the runner that compile_function falls back to
+    # walks this generator's own body, which assert_engines_agree checks
+    result = assert_engines_agree(source, "f", [IntV(1)])
+    assert result[0] == direct_text(source, [IntV(1)])
+    assert translations == ["f_gen"]
+
+
+def test_a_refused_generator_is_translated_once(translations):
+    source = PAST_LIMITS["loops"]
+    texts = [flatten_outcome(source, "f", [IntV(k)])[0][0]
+             for k in (1, 1, 2)]
+    assert translations == ["f_gen"]
+    assert texts[0] == texts[1] != texts[2]
+    assert texts[0] == direct_text(source, [IntV(1)])
+
+
+def test_a_loop_cap_error_in_a_refused_generator(translations):
+    # the innermost of 30 nested for@ loops runs past the loop cap
+    source = nested_loops(29) \
+        .replace("{ s += k;", "for@ (int@ j = 0; j < k; ++j) { s += k;")
+    limits = EvalLimits(loop_cap=5)
+    with walked_blocks() as seen:
+        flattened, _, _, cache = flatten_outcome(source, "f", [IntV(6)],
+                                                 limits)
+    (generator,) = cache.generators.values()
+    assert id(generator.body) in seen
+    assert flattened[0].__name__ == "LoopLimitExceeded"
+    with pytest.raises(CatatError) as direct:
+        specialize_program(check_stages(parse(source), 2), "f", [IntV(6)],
+                           limits)
+    assert flattened == (type(direct.value), direct.value.message,
+                         direct.value.span)
+    assert flattened[1] == "loop iteration cap (5) exceeded during unrolling"

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from catat import IntV, check_stages, parse, run_unstaged
+from catat import DepthExceeded, IntV, check_stages, parse, run_unstaged
 from catat.errors import (
     ANNOTATION_TOO_DEEP, DYNAMIC_IN_STATIC_CONSTRUCTOR,
     DYNAMIC_TO_STATIC_FLOW, STATIC_CONTROL_WITH_DYNAMIC_GUARD,
@@ -279,3 +281,15 @@ def test_redeclaration_fails_on_every_path():
 def test_a_body_may_still_shadow_a_parameter():
     check_stages(parse("function f(int@ k)(int d) { int d = 1; "
                        "{ int d = 2; } return d + k; }\n"), 2)
+
+
+def test_a_long_flat_sum_checks_on_a_sized_stack():
+    # the checker recurses once per operator; check_stages makes room for
+    # it as specialize_program does, and gives the old recursion limit back
+    source = "function f(int@ k)(int x) {{ return {}; }}"
+    limit = sys.getrecursionlimit()
+    check_stages(parse(source.format(" + ".join(["x"] * 2000))), 2)
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(DepthExceeded, match="stage checker's stack"):
+        check_stages(parse(source.format(" + ".join(["x"] * 20000))), 2)
+    assert sys.getrecursionlimit() == limit
